@@ -44,6 +44,11 @@
 
 namespace fpm::repl {
 
+/// Longest REPL control line (HELLO, the handshake replies, SNAP/FRAME
+/// headers, PING), in bytes before the newline; both ends refuse a
+/// longer one.
+inline constexpr std::size_t kMaxReplLineBytes = 4096;
+
 /// A primary WAL coordinate: frame boundaries only.
 struct ReplPosition {
     std::uint64_t segment = 0;

@@ -17,6 +17,9 @@
 /// code recovery uses.  `pos=` on a FRAME is the position *after* the
 /// frame — exactly what the replica sends back in its next HELLO.
 ///
+/// Control lines are bounded by kMaxReplLineBytes in both directions; a
+/// follower that sends a longer one is dropped.
+///
 /// Threading: a dedicated acceptor thread plus one thread per follower
 /// session, deliberately *not* the serve reactor pool.  The reactor is
 /// shaped for request-reply (read a line, write a line, return to
@@ -42,6 +45,7 @@
 #include <vector>
 
 #include "fpm/repl/replication_log.hpp"
+#include "fpm/serve/line_conn.hpp"
 
 namespace fpm::repl {
 
@@ -49,12 +53,9 @@ namespace fpm::repl {
 struct ReplServerConfig {
     std::string bind_address = "127.0.0.1";
     std::uint16_t port = 0;          ///< 0 = ephemeral
-    int backlog = 16;
     /// Idle heartbeat cadence: a PING goes out whenever no frame was
     /// committed for this long (also bounds stop() latency).
     double heartbeat_interval = 1.0;
-    /// Per-send/recv socket deadline (SO_RCVTIMEO/SO_SNDTIMEO).
-    double io_timeout = 5.0;
 };
 
 /// See file comment.
@@ -90,14 +91,19 @@ public:
     }
 
 private:
+    /// One follower.  Its thread never closes `conn`: stop() and the
+    /// reaper shut it down, join, and destroying the Session closes it.
     struct Session {
-        std::atomic<int> fd{-1};
+        serve::LineConn conn;
         std::atomic<bool> done{false};
         std::thread thread;
     };
 
     void accept_loop();
     void run_session(Session& session);
+    /// Handshake plus push stream; returns (or throws) when the session
+    /// should end.
+    void serve_follower(serve::LineConn& conn);
     void reap_finished_locked();
 
     ReplicationLog& log_;

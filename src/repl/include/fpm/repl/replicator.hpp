@@ -31,10 +31,15 @@
 /// are checked against the ones the primary recorded; a mismatch (or an
 /// armed `repl.apply` fault) severs the connection, and the bounded
 /// exponential backoff (ServeConfig::backoff_base/backoff_max — the
-/// same knobs the serve client retries with) paces the reconnect.  The
-/// connection attempt itself uses ServeConfig::connect_timeout and
-/// recv_timeout; a primary that stays silent past recv_timeout (it
-/// heartbeats every heartbeat_interval when idle) counts as dead.
+/// same knobs the serve client retries with) paces the reconnect.  A
+/// session that completed its handshake restarts the backoff, so a
+/// stream severed after it was established (a WAL GC, a primary
+/// restart) costs one backoff_base.  The connection is a
+/// serve::LineConn using ServeConfig::connect_timeout and recv_timeout;
+/// a primary that stays silent past recv_timeout (it heartbeats every
+/// heartbeat_interval when idle) counts as dead, and one that sends a
+/// control line over kMaxReplLineBytes or announces a frame over the
+/// store's kMaxFrameBytes is dropped before the bytes are buffered.
 ///
 /// Observability: the serve layer's ReplStatus letterbox (role, source,
 /// lag, applied generation — surfaced in STATS/HEALTH) plus repl.*
@@ -109,8 +114,6 @@ public:
     }
 
 private:
-    class Conn;
-
     void run();
     void run_once();
     void apply_frame(const std::string& frame, const std::string& origin);

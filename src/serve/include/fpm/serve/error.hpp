@@ -11,11 +11,9 @@
 ///
 /// The tokens are a closed, append-only set (`error_token()` /
 /// `parse_error_token()` below); the human-readable message after the
-/// token stays free-form and may change between releases.  Decoders keep
-/// accepting pre-v5 free-text ERR lines and map the well-known legacy
-/// texts onto the same codes, so a v5 client talking to an old server
-/// still gets typed errors (ErrorCode::kInternal when the text is
-/// unrecognised).
+/// token stays free-form and may change between releases.  A decoder
+/// that meets a token it does not know (a newer server added it) reports
+/// ErrorCode::kInternal and keeps the text.
 ///
 /// ServiceError is the exception that carries a code through the stack:
 /// the engine, the registry, the store and the protocol dispatcher all
@@ -38,7 +36,7 @@ namespace fpm::serve {
 enum class ErrorCode {
     kInternal = 0,      ///< unclassified server-side failure
     kBusy,              ///< admission control rejected the connection
-    kUnsupportedVerb,   ///< unknown request verb (e.g. v4 FEEDBACK at v3)
+    kUnsupportedVerb,   ///< unknown request verb
     kFeedbackDisabled,  ///< FEEDBACK without an installed adapt handler
     kBadRequest,        ///< malformed arguments or unknown model set
     kStoreUnavailable,  ///< durable model store rejected the mutation
@@ -49,15 +47,9 @@ enum class ErrorCode {
 [[nodiscard]] std::string_view error_token(ErrorCode code) noexcept;
 
 /// Maps a wire token back to its code; nullopt for unknown tokens (a
-/// newer server, or a pre-v5 free-text message).
+/// newer server).
 [[nodiscard]] std::optional<ErrorCode>
 parse_error_token(std::string_view token) noexcept;
-
-/// Classifies a pre-v5 free-text ERR message onto the code a v5 server
-/// would have used: "busy" -> kBusy, "unknown command..." ->
-/// kUnsupportedVerb, "feedback not enabled..." -> kFeedbackDisabled,
-/// anything else -> kInternal.
-[[nodiscard]] ErrorCode classify_legacy_error(std::string_view message) noexcept;
 
 /// An fpm::Error that knows its protocol error class.  Thrown by the
 /// serve/adapt/store layers where the class is known; handle_request()

@@ -18,10 +18,7 @@
 ///
 /// Failures are `ERR <code> [<message>]` since v5: the first token is a
 /// stable machine-readable ErrorCode token (see error.hpp) and the rest
-/// is the human diagnosis.  Pre-v5 servers sent free-text `ERR
-/// <message>`; decode() recognises both, classifying legacy text onto
-/// the nearest code, so a v5 client still types errors from an old
-/// server.  Doubles travel as shortest-exact decimal (%.17g), so a
+/// is the human diagnosis.  Doubles travel as shortest-exact decimal (%.17g), so a
 /// partition reply decoded by the client compares bit-for-bit with the
 /// direct library call.  kProtocolVersion is the single revision
 /// constant: PING carries it, ServeClient::ping() enforces it, and
@@ -58,10 +55,14 @@ namespace fpm::serve {
 /// gauges, queue-to-reply quantiles), the HEALTH request and the
 /// PARTITION `degraded=` flag.  Clients must refuse to talk to a
 /// server announcing a different revision (ServeClient::ping enforces
-/// this); a v6 client sending FEEDBACK to a v3 server receives the v3
-/// `ERR unknown command` reply, which ServeClient::report_feedback
-/// surfaces as a typed unsupported-verb ServiceError.
+/// this).
 inline constexpr int kProtocolVersion = 6;
+
+/// Longest line, in bytes before the newline, either direction carries:
+/// the reactor answers a longer request line `ERR bad_request` and
+/// closes; ServeClient fails a longer reply with TransportError
+/// kTooLong.
+inline constexpr std::size_t kMaxLineBytes = 1 << 20;
 
 /// A request message.  decode() parses a wire line (throws fpm::Error
 /// with a client-safe message on unknown verbs, arity errors or
@@ -148,9 +149,6 @@ struct ServerHealth {
     [[nodiscard]] static ServerHealth
     from_fields(const std::vector<StatField>& fields);
 };
-
-/// Pre-v5 name of ServerHealth, kept for source compatibility.
-using HealthReply = ServerHealth;
 
 /// One registry entry in an `OK MODELS` response.
 struct ModelSetInfo {
@@ -255,9 +253,9 @@ struct Response {
 
     Kind kind = Kind::kError;
     std::string error;                 ///< kError: human-readable message
-    /// kError: the stable machine-readable classification.  Set by both
-    /// make_error overloads and by decode() (which classifies pre-v5
-    /// free-text errors via classify_legacy_error).
+    /// kError: the stable machine-readable classification.  Set by
+    /// make_error and by decode() (kInternal for a token this build does
+    /// not know).
     ErrorCode error_code = ErrorCode::kInternal;
     int version = kProtocolVersion;    ///< kPong
     LoadedReply loaded;                ///< kLoaded
@@ -274,10 +272,6 @@ struct Response {
     /// token alone (`ERR busy`), which is also how it decodes.
     [[nodiscard]] static Response make_error(ErrorCode code,
                                              const std::string& message = {});
-
-    /// Legacy entry point: classifies the free-text message onto the
-    /// nearest ErrorCode (classify_legacy_error) and keeps the text.
-    [[nodiscard]] static Response make_error(const std::string& message);
 };
 
 /// Builds the typed partition payload for a served response.

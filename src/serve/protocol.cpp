@@ -223,16 +223,11 @@ Response Response::make_error(ErrorCode code, const std::string& message) {
     return response;
 }
 
-Response Response::make_error(const std::string& message) {
-    return make_error(classify_legacy_error(message), message);
-}
-
 std::string Response::encode() const {
     switch (kind) {
     case Kind::kError: {
         // `ERR <code>` when the message is just the token (or empty),
-        // `ERR <code> <message>` otherwise — so `ERR busy` stays the
-        // exact bytes pre-v5 peers expect.
+        // `ERR <code> <message>` otherwise.
         const std::string_view token = error_token(error_code);
         if (error.empty() || error == token) {
             return "ERR " + std::string(token);
@@ -345,9 +340,9 @@ Response Response::decode(const std::string& line) {
         response.kind = Kind::kError;
         const std::string body =
             line.size() > 4 ? line.substr(4) : std::string{};
-        // v5 grammar: first token is an ErrorCode token.  Anything else
-        // is a pre-v5 free-text error, classified onto the nearest code
-        // with the full text kept as the message.
+        // The first token is an ErrorCode token.  One this build does not
+        // know (a newer server added it) decodes as kInternal with the
+        // whole body kept as the message.
         const auto space = body.find(' ');
         const std::string head = body.substr(0, space);
         if (const auto code = parse_error_token(head)) {
@@ -356,7 +351,6 @@ Response Response::decode(const std::string& line) {
                                  ? head  // token alone; never empty
                                  : body.substr(space + 1);
         } else {
-            response.error_code = classify_legacy_error(body);
             response.error = body;
         }
         return response;

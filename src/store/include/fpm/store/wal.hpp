@@ -27,6 +27,14 @@
 
 namespace fpm::store {
 
+/// Bytes of a frame header: payload length, then payload CRC-32.
+inline constexpr std::size_t kFrameHeaderBytes = 8;
+
+/// Largest payload a frame may carry.  Replay treats a longer length as
+/// corruption (a real record is a few KiB of model CSV; 1 GiB means a
+/// garbage header), and a replica refuses a longer replicated frame.
+inline constexpr std::uint32_t kMaxFrameBytes = 1u << 30;
+
 /// CRC-32 (IEEE 802.3, the zlib polynomial) of `size` bytes.
 [[nodiscard]] std::uint32_t crc32(const void* data, std::size_t size) noexcept;
 

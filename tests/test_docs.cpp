@@ -204,6 +204,41 @@ TEST(DocsConsistency, ProtocolSpecTabulatesEveryErrorToken) {
     }
 }
 
+TEST(DocsConsistency, ProtocolSpecTabulatesEveryTransportErrorKind) {
+    // Every TransportError kind a peer can meet must appear in the
+    // spec's transport table, next to the bounds that raise kTooLong.
+    // The kinds are read from the enum in the header, so a kind added
+    // there without a row in the spec fails here.
+    const std::string spec = read_file("docs/protocol.md");
+    const std::string header =
+        read_file("src/serve/include/fpm/serve/line_conn.hpp");
+    const auto open = header.find("enum class Kind {");
+    ASSERT_NE(open, std::string::npos);
+    std::istringstream body(
+        header.substr(open, header.find("};", open) - open));
+    std::vector<std::string> kinds;
+    std::string line;
+    while (std::getline(body, line)) {
+        std::istringstream words(line);
+        std::string word;
+        words >> word;
+        if (word.size() > 2 && word[0] == 'k' && word.back() == ',') {
+            kinds.push_back(word.substr(0, word.size() - 1));
+        }
+    }
+    EXPECT_GE(kinds.size(), 7u);
+    for (const std::string& kind : kinds) {
+        EXPECT_NE(spec.find("`" + kind + "`"), std::string::npos)
+            << "TransportError kind '" << kind
+            << "' is missing from the docs/protocol.md transport table";
+    }
+    for (const char* bound :
+         {"kMaxLineBytes", "kMaxReplLineBytes", "kMaxFrameBytes"}) {
+        EXPECT_NE(spec.find(bound), std::string::npos)
+            << "'" << bound << "' is not documented in docs/protocol.md";
+    }
+}
+
 TEST(DocsConsistency, OperationsRunbookCoversTheDurableStore) {
     const std::string runbook = read_file("docs/operations.md");
     for (const char* token :

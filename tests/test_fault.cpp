@@ -325,7 +325,7 @@ TEST(FaultHealth, ReportsReadinessAndCounters) {
     SocketServer server(engine);
     server.start();
     ServeClient client("127.0.0.1", server.port());
-    const HealthReply health = client.health();
+    const ServerHealth health = client.health();
     EXPECT_TRUE(health.live);
     EXPECT_TRUE(health.ready);
     EXPECT_EQ(health.models, 1u);
@@ -333,16 +333,18 @@ TEST(FaultHealth, ReportsReadinessAndCounters) {
 }
 
 // ---------------------------------------------------------------------------
-// Client transport errors: clean close vs truncation
+// Client transport errors: each failure has its own kind
 // ---------------------------------------------------------------------------
 
 namespace {
 
 /// Minimal scripted server: accepts one connection, waits for any bytes,
-/// writes `reply` verbatim and closes.
+/// writes `reply` verbatim and closes — with a TCP reset instead of a
+/// clean FIN when `reset` is set.
 class ScriptedServer {
 public:
-    explicit ScriptedServer(std::string reply) : reply_(std::move(reply)) {
+    ScriptedServer(std::string reply, bool reset)
+        : reply_(std::move(reply)), reset_(reset) {
         listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
         sockaddr_in addr{};
         addr.sin_family = AF_INET;
@@ -366,6 +368,10 @@ public:
             if (!reply_.empty()) {
                 (void)::send(fd, reply_.data(), reply_.size(), MSG_NOSIGNAL);
             }
+            if (reset_) {
+                const linger hard{1, 0};  // close() sends RST
+                ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &hard, sizeof hard);
+            }
             ::close(fd);
         });
     }
@@ -379,6 +385,7 @@ public:
 
 private:
     std::string reply_;
+    bool reset_;
     int listen_fd_ = -1;
     std::uint16_t port_ = 0;
     std::thread thread_;
@@ -387,26 +394,34 @@ private:
 } // namespace
 
 TEST(FaultClient, CleanCloseAndTruncationAreDistinctErrors) {
-    {
-        ScriptedServer closer("");  // close without any reply bytes
-        ServeClient client("127.0.0.1", closer.port());
+    using Kind = TransportError::Kind;
+    const struct {
+        std::string reply;
+        bool reset;
+        Kind kind;
+        const char* detail;
+    } cases[] = {
+        // close without any reply bytes
+        {"", false, Kind::kPeerClosed, "closed the connection"},
+        // bytes but no newline, then close
+        {"OK PONG v3", false, Kind::kTruncated, "mid-reply"},
+        // an unterminated reply one byte over the line bound
+        {std::string(kMaxLineBytes + 1, 'x'), false, Kind::kTooLong,
+         "exceeds"},
+        // the server resets the connection instead of answering
+        {"", true, Kind::kRecv, "recv()"},
+    };
+    for (const auto& c : cases) {
+        ScriptedServer server(c.reply, c.reset);
+        ServeClient client("127.0.0.1", server.port());
         try {
             (void)client.request("PING");
-            FAIL() << "expected TransportError";
+            ADD_FAILURE() << "expected TransportError for " << c.detail;
         } catch (const TransportError& e) {
-            EXPECT_EQ(e.kind(), TransportError::Kind::kPeerClosed);
-        }
-    }
-    {
-        ScriptedServer torn("OK PONG v3");  // bytes but no newline, then close
-        ServeClient client("127.0.0.1", torn.port());
-        try {
-            (void)client.request("PING");
-            FAIL() << "expected TransportError";
-        } catch (const TransportError& e) {
-            EXPECT_EQ(e.kind(), TransportError::Kind::kTruncated);
-            EXPECT_NE(std::string(e.what()).find("mid-reply"),
-                      std::string::npos);
+            EXPECT_EQ(e.kind(), c.kind) << e.what();
+            EXPECT_NE(std::string(e.what()).find(c.detail),
+                      std::string::npos)
+                << e.what();
         }
     }
 }

@@ -177,7 +177,8 @@ TEST(ProtocolRequest, FeedbackDoublesRoundTripBitForBit) {
 // ---------------------------------------------------------------------------
 
 TEST(ProtocolResponse, ErrorRoundTrips) {
-    const Response error = Response::make_error("it\nbroke\rbadly");
+    const Response error =
+        Response::make_error(ErrorCode::kInternal, "it\nbroke\rbadly");
     const std::string line = error.encode();
     EXPECT_EQ(line.find('\n'), std::string::npos);
     const Response decoded = Response::decode(line);
@@ -322,11 +323,12 @@ TEST(ProtocolResponse, FeedbackRoundTripsAllFlagCombinations) {
 }
 
 TEST(ProtocolResponse, PreV4ErrorLinesDecodeAsTypedErrors) {
-    // What a v3 server answers when it sees FEEDBACK: must decode to
-    // kError (so ServeClient can translate it), never throw.
+    // An ERR line whose first token this build does not know decodes to
+    // kError as kInternal with the body kept, never throws.
     const Response response =
         Response::decode("ERR unknown command: FEEDBACK");
     EXPECT_EQ(response.kind, Response::Kind::kError);
+    EXPECT_EQ(response.error_code, ErrorCode::kInternal);
     EXPECT_EQ(response.error, "unknown command: FEEDBACK");
 }
 

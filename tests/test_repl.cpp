@@ -10,7 +10,9 @@
 // completes with zero torn replies.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -20,6 +22,7 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,12 +35,14 @@
 #include "fpm/repl/replicator.hpp"
 #include "fpm/serve/client.hpp"
 #include "fpm/serve/error.hpp"
+#include "fpm/serve/line_conn.hpp"
 #include "fpm/serve/model_registry.hpp"
 #include "fpm/serve/protocol.hpp"
 #include "fpm/serve/repl_status.hpp"
 #include "fpm/serve/request_engine.hpp"
 #include "fpm/serve/server.hpp"
 #include "fpm/store/model_store.hpp"
+#include "fpm/store/wal.hpp"
 
 namespace fpm::repl {
 namespace {
@@ -758,6 +763,154 @@ TEST(ReplChaos, ArmedReplFaultsOnlyDelayConvergence) {
     EXPECT_EQ(replica.registry.next_generation(),
               primary.registry.next_generation());
     EXPECT_EQ(max_generation(replica.registry), generation);
+}
+
+// ---------------------------------------------------------------------------
+// Hostile and severing peers: bounded reads, back-off reset
+// ---------------------------------------------------------------------------
+
+/// A fake primary: accepts replication connections one at a time, reads
+/// the replica's HELLO line and writes `reply`.  Then it hangs up, or,
+/// with `hold`, keeps the socket open until the replica drops it.  Each
+/// accept is timestamped.
+class ScriptedPrimary {
+public:
+    ScriptedPrimary(std::string reply, bool hold)
+        : reply_(std::move(reply)), hold_(hold),
+          listener_(serve::listen_tcp("127.0.0.1", 0, 4, false)) {
+        thread_ = std::thread([this] { run(); });
+    }
+    ~ScriptedPrimary() {
+        stop_.store(true);
+        thread_.join();
+        ::close(listener_.fd);
+    }
+
+    [[nodiscard]] std::uint16_t port() const { return listener_.port; }
+    [[nodiscard]] std::vector<std::chrono::steady_clock::time_point>
+    accepts() const {
+        std::lock_guard lock(mutex_);
+        return accepts_;
+    }
+
+private:
+    void run() {
+        while (!stop_.load()) {
+            pollfd pfd{listener_.fd, POLLIN, 0};
+            if (::poll(&pfd, 1, 20) <= 0) {
+                continue;
+            }
+            const int fd = ::accept4(listener_.fd, nullptr, nullptr,
+                                     SOCK_CLOEXEC);
+            if (fd < 0) {
+                continue;
+            }
+            {
+                std::lock_guard lock(mutex_);
+                accepts_.push_back(std::chrono::steady_clock::now());
+            }
+            serve::LineConn conn(fd, 0.02);
+            try {
+                (void)conn.read_line(kMaxReplLineBytes);  // REPL HELLO
+                conn.send(reply_);
+                while (hold_ && !stop_.load()) {
+                    try {
+                        (void)conn.read_line(kMaxReplLineBytes);
+                    } catch (const serve::TransportError& e) {
+                        if (e.kind() != serve::TransportError::Kind::kTimeout) {
+                            break;  // the replica hung up
+                        }
+                    }
+                }
+            } catch (const serve::TransportError&) {
+            }
+        }
+    }
+
+    const std::string reply_;
+    const bool hold_;
+    const serve::Listener listener_;
+    std::atomic<bool> stop_{false};
+    mutable std::mutex mutex_;
+    std::vector<std::chrono::steady_clock::time_point> accepts_;
+    std::thread thread_;
+};
+
+TEST(ReplHostile, OverLongLinesAndFramesAreRefusedBeforeBuffering) {
+    ReplStatusGuard status_guard;
+    const std::string over_long_frame =
+        "OK REPL STREAM pos=1:0\nREPL FRAME bytes=" +
+        std::to_string(store::kFrameHeaderBytes + store::kMaxFrameBytes + 1) +
+        " pos=1:64\n";
+    for (const std::string& reply :
+         {std::string(kMaxReplLineBytes + 1, 'x'), over_long_frame}) {
+        // Both replies leave the socket open, so only the bound can end
+        // the read: recv_timeout is far longer than the wait below.
+        ScriptedPrimary primary(reply, true);
+        ModelRegistry registry;
+        RequestEngine engine(registry, {.workers = 1, .cache_capacity = 8});
+        ReplicatorConfig config;
+        config.source = Endpoint{"127.0.0.1", primary.port()};
+        config.transport.recv_timeout = 60.0;
+        config.transport.backoff_base = 0.01;
+        Replicator replicator(engine, nullptr, config);
+        replicator.start();
+        EXPECT_TRUE(wait_until([&] { return primary.accepts().size() >= 2; },
+                               10.0))
+            << "the replica never dropped the hostile primary";
+        replicator.stop();
+        EXPECT_EQ(replicator.frames_applied(), 0u);
+        EXPECT_EQ(replicator.applied_generation(), 0u);
+        EXPECT_EQ(registry.size(), 0u);
+    }
+}
+
+TEST(ReplHostile, FollowerSendingAnUnterminatedLineIsDropped) {
+    TempDir dir;
+    Primary primary(dir.path);
+    // The follower waits 2 s for the hang-up, well under the session's
+    // own 5 s recv deadline: only the line bound can end it in time.
+    serve::LineConn follower(Endpoint{"127.0.0.1", primary.server->port()},
+                             2.0, 2.0);
+    follower.send(std::string(5000, 'x'));
+    try {
+        (void)follower.read_line(kMaxReplLineBytes);
+        ADD_FAILURE() << "expected the primary to hang up";
+    } catch (const serve::TransportError& e) {
+        EXPECT_EQ(e.kind(), serve::TransportError::Kind::kPeerClosed)
+            << e.what();
+    }
+    EXPECT_TRUE(wait_until([&] { return primary.server->sessions() == 0; }));
+    EXPECT_EQ(primary.server->frames_sent(), 0u);
+}
+
+TEST(ReplBackoff, EstablishedSessionResetsTheBackoff) {
+    // Every session completes its handshake and is then severed.  Each
+    // reconnect must wait about backoff_base; without the reset the
+    // waits double to 0.32 s, 0.64 s and 1.28 s by the seventh.
+    ReplStatusGuard status_guard;
+    ScriptedPrimary primary("OK REPL STREAM pos=1:0\n", false);
+    ModelRegistry registry;
+    RequestEngine engine(registry, {.workers = 1, .cache_capacity = 8});
+    ReplicatorConfig config;
+    config.source = Endpoint{"127.0.0.1", primary.port()};
+    config.transport.backoff_base = 0.02;
+    config.transport.backoff_max = 2.0;
+    Replicator replicator(engine, nullptr, config);
+    replicator.start();
+    ASSERT_TRUE(
+        wait_until([&] { return primary.accepts().size() >= 8; }, 10.0));
+    replicator.stop();
+
+    const auto accepts = primary.accepts();
+    for (std::size_t i = 1; i < 8; ++i) {
+        const double gap =
+            std::chrono::duration<double>(accepts[i] - accepts[i - 1])
+                .count();
+        EXPECT_GE(gap, config.transport.backoff_base) << "reconnect " << i;
+        EXPECT_LT(gap, 0.25) << "reconnect " << i;
+    }
+    EXPECT_GE(replicator.reconnects(), 7u);
 }
 
 // ---------------------------------------------------------------------------
