@@ -41,9 +41,9 @@
 /// control line over kMaxReplLineBytes or announces a frame over the
 /// store's kMaxFrameBytes is dropped before the bytes are buffered.
 ///
-/// Observability: the serve layer's ReplStatus letterbox (role, source,
-/// lag, applied generation — surfaced in STATS/HEALTH) plus repl.*
-/// counters/gauges/histograms (docs/operations.md).
+/// Observability: the replication status recorded on the engine (role,
+/// source, lag, applied generation — surfaced in its STATS/HEALTH) plus
+/// repl.* counters/gauges/histograms (docs/operations.md).
 #pragma once
 
 #include <atomic>

@@ -9,7 +9,6 @@
 #include "fpm/common/error.hpp"
 #include "fpm/fault/fault.hpp"
 #include "fpm/obs/metrics.hpp"
-#include "fpm/serve/repl_status.hpp"
 #include "fpm/store/wal.hpp"
 
 namespace fpm::repl {
@@ -108,9 +107,8 @@ void Replicator::start() {
         return;
     }
     started_ = true;
-    serve::ReplStatus::global().set_role("replica");
-    serve::ReplStatus::global().set_source(config_.source.to_string());
-    serve::ReplStatus::global().record_applied(
+    engine_.set_repl_source(config_.source.to_string());
+    engine_.record_repl_applied(
         applied_generation_.load(std::memory_order_relaxed));
     thread_ = std::thread([this] { run(); });
 }
@@ -205,7 +203,7 @@ void Replicator::run_once() {
     }
 
     connected_.store(true, std::memory_order_relaxed);
-    serve::ReplStatus::global().record_contact(
+    engine_.record_repl_contact(
         applied_generation_.load(std::memory_order_relaxed),
         applied_generation_.load(std::memory_order_relaxed));
 
@@ -220,14 +218,14 @@ void Replicator::run_once() {
             position_ = after;
             const std::uint64_t applied =
                 applied_generation_.load(std::memory_order_relaxed);
-            serve::ReplStatus::global().record_contact(applied, applied);
+            engine_.record_repl_contact(applied, applied);
             ReplicaMetrics::get().lag_frames.set(0);
         } else if (line.rfind("REPL PING ", 0) == 0) {
             const std::uint64_t committed =
                 parse_u64_field(line, "committed");
             const std::uint64_t applied =
                 applied_generation_.load(std::memory_order_relaxed);
-            serve::ReplStatus::global().record_contact(committed, applied);
+            engine_.record_repl_contact(committed, applied);
             ReplicaMetrics::get().lag_frames.set(
                 committed > applied
                     ? static_cast<std::int64_t>(committed - applied)
@@ -311,7 +309,7 @@ void Replicator::apply_record(const store::PublishRecord& record) {
     applied_generation_.store(record.generation,
                               std::memory_order_relaxed);
     frames_applied_.fetch_add(1, std::memory_order_relaxed);
-    serve::ReplStatus::global().record_applied(record.generation);
+    engine_.record_repl_applied(record.generation);
     ReplicaMetrics::get().frames_applied.add(1);
     ReplicaMetrics::get().apply_seconds.record(
         std::chrono::duration<double>(std::chrono::steady_clock::now() -

@@ -262,7 +262,7 @@ ServerHealth ServeClient::health() {
     }
     FPM_CHECK(response.kind == Response::Kind::kHealth,
               "malformed HEALTH reply");
-    return response.health;
+    return ServerHealth::from_fields(response.fields);
 }
 
 ServerStats ServeClient::stats() {
@@ -275,7 +275,7 @@ ServerStats ServeClient::stats() {
     }
     FPM_CHECK(response.kind == Response::Kind::kStats,
               "malformed STATS reply");
-    return ServerStats::from_fields(response.stats);
+    return ServerStats::from_fields(response.fields);
 }
 
 } // namespace fpm::serve

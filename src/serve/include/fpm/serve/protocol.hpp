@@ -117,12 +117,12 @@ struct StatField {
 
 /// Payload of an `OK HEALTH` response: liveness (the process answered),
 /// readiness (at least one model set is loaded), the degradation
-/// counters an operator watches during fault drills, and — when a
-/// durable store is configured — the generation recovered at startup.
-/// Since v5 the reply is an open key=value list like STATS: unknown
-/// fields land in `extras`, so probes keep working against newer
-/// servers.  Use from_fields() (or ServeClient::health()) instead of
-/// grepping the reply text.
+/// counters an operator watches during fault drills, the generation the
+/// durable store recovered at startup, and the replication status of
+/// the answering engine.  Like STATS, the reply is an open key=value
+/// list: from_fields() is the typed view (ServeClient::health() returns
+/// it), and unknown fields land in `extras`, so probes keep working
+/// against newer servers.
 struct ServerHealth {
     bool live = true;
     bool ready = false;
@@ -148,6 +148,9 @@ struct ServerHealth {
     /// `extras` untouched.
     [[nodiscard]] static ServerHealth
     from_fields(const std::vector<StatField>& fields);
+
+    /// The wire fields in wire order, then `extras`.
+    [[nodiscard]] std::vector<StatField> to_fields() const;
 };
 
 /// One registry entry in an `OK MODELS` response.
@@ -172,7 +175,9 @@ struct AlgorithmStats {
 /// ignore unknown keys, and this struct *preserves* them).  Produced by
 /// from_fields() over a decoded StatField vector; consumed by
 /// ServeClient::stats(), the fpmpart_serve shutdown dump and the tests,
-/// none of which grep raw reply text anymore.
+/// none of which grep raw reply text.  The wire name of each member is
+/// written once, in protocol.cpp's field list for the view, which both
+/// from_fields() and to_fields() walk.
 struct ServerStats {
     // -- engine -------------------------------------------------------
     std::uint64_t requests = 0;
@@ -242,6 +247,9 @@ struct ServerStats {
     /// `extras` untouched.
     [[nodiscard]] static ServerStats
     from_fields(const std::vector<StatField>& fields);
+
+    /// The wire fields in wire order, then `extras`.
+    [[nodiscard]] std::vector<StatField> to_fields() const;
 };
 
 /// A response message: a tagged struct mirroring Request.  decode()
@@ -260,8 +268,9 @@ struct Response {
     int version = kProtocolVersion;    ///< kPong
     LoadedReply loaded;                ///< kLoaded
     std::vector<ModelSetInfo> sets;    ///< kModels
-    std::vector<StatField> stats;      ///< kStats
-    ServerHealth health;               ///< kHealth
+    /// kStats, kHealth: the key=value list (typed views: ServerStats and
+    /// ServerHealth::from_fields).
+    std::vector<StatField> fields;
     PartitionReply partition;          ///< kPartition
     FeedbackReply feedback;            ///< kFeedback
 
@@ -280,12 +289,12 @@ make_partition_reply(const PartitionRequest& request,
                      const PartitionResponse& response);
 
 /// Builds the STATS response: engine counters, cache, per-algorithm
-/// latency quantiles, plus the reactor's gauges/counters, the
-/// queue-to-reply quantiles, the adaptation counters (adapt_*) and the
-/// durable-store instruments (store_*, recovered_generation), all read
-/// from the process-global obs::MetricsRegistry (zero when no
-/// server/adapter/store ran yet).
-[[nodiscard]] Response make_stats_reply(const EngineStats& stats,
+/// latency quantiles and replication status, plus the reactor's
+/// gauges/counters, the queue-to-reply quantiles, the adaptation
+/// counters (adapt_*) and the durable-store instruments (store_*,
+/// recovered_generation), all read from the process-global
+/// obs::MetricsRegistry (zero when no server/adapter/store ran yet).
+[[nodiscard]] Response make_stats_reply(const EngineStats& engine,
                                         std::size_t model_count);
 
 /// Executes one decoded request against the engine (and its registry)

@@ -18,8 +18,8 @@ struct ReactorMetrics {
     obs::Gauge& buffered_bytes;    ///< sum of per-connection in+out buffers
     obs::Gauge& pipeline_depth;    ///< in-flight requests on one connection
                                    ///  (max() is the interesting reading)
-    obs::Gauge& reactors;          ///< event-loop threads of the running
-                                   ///  server (0 before any start())
+    obs::Gauge& reactors;          ///< event-loop threads of every running
+                                   ///  server in the process
     obs::Counter& accepted;
     obs::Counter& rejected;        ///< admission-control `ERR busy` closes
     obs::Counter& idle_timeouts;   ///< timer-wheel evictions

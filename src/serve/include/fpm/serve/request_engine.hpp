@@ -10,9 +10,10 @@
 /// are *coalesced* (single-flight dedup): exactly one computation runs
 /// and every waiter shares its result — the micro-batching the service
 /// needs when a burst of clients asks for the same partition.  Per
-/// request the engine records wall-clock latency into a
-/// measure::RunningStats, surfaced through stats() and the STATS wire
-/// command.
+/// request the engine records wall-clock latency into one histogram per
+/// algorithm; those and the engine's own counters (all wait-free obs
+/// instruments, kept per engine) are surfaced through stats() and the
+/// STATS wire command.
 ///
 /// When Options::degraded is on (the default) the engine keeps serving
 /// through disturbances instead of failing hard: a request whose model
@@ -24,11 +25,17 @@
 /// constant-performance fallback (Algorithm::kEven even split), which
 /// needs no model quality at all.  Degraded responses are flagged
 /// (`PartitionResponse::degraded`, wire `degraded=1`) and counted in
-/// EngineStats::degraded and the `serve.degraded` obs counter.
+/// EngineStats::degraded.
+///
+/// A replica's engine also carries its replication status (role, source,
+/// lag): the fpm::repl::Replicator feeding its registry records them
+/// here, so STATS and HEALTH report the state of the engine that answers
+/// them, even with a primary and a replica in one process.
 #pragma once
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -38,7 +45,6 @@
 #include <optional>
 #include <vector>
 
-#include "fpm/measure/stats.hpp"
 #include "fpm/obs/metrics.hpp"
 #include "fpm/part/fpm_partitioner.hpp"
 #include "fpm/rt/thread_pool.hpp"
@@ -96,10 +102,9 @@ struct EngineStats {
     std::uint64_t computed = 0;   ///< full pipeline executions
     std::uint64_t coalesced = 0;  ///< requests served by single-flight dedup
     std::uint64_t degraded = 0;   ///< stale/fallback answers served
-    measure::Summary latency;     ///< per-request wall-clock seconds
     /// Per-algorithm request latency (seconds), indexed by
-    /// static_cast<std::size_t>(Algorithm) — p50/p95/p99 feed the STATS
-    /// wire reply.
+    /// static_cast<std::size_t>(Algorithm); every request lands in exactly
+    /// one, so together they hold the all-algorithm count, sum and max.
     std::array<obs::HistogramSnapshot, kAlgorithmCount> latency_by_algorithm{};
     CacheStats cache;
     /// Stripe count of the plan cache (a power of two, >= 1).
@@ -107,6 +112,13 @@ struct EngineStats {
     /// Per-stripe cache counters, indexed by shard; their field-wise sum
     /// equals `cache` (the STATS aggregation invariant the tests assert).
     std::vector<CacheStats> cache_by_shard;
+
+    // -- replication (docs/replication.md §3; defaults on a primary) ----
+    std::string role = "primary";        ///< "replica" once a source is set
+    std::string repl_source = "-";       ///< replica: upstream host:port
+    std::uint64_t repl_lag_frames = 0;   ///< committed minus applied gen
+    double repl_lag_seconds = 0.0;       ///< seconds since the last contact
+    std::uint64_t repl_applied_generation = 0;  ///< last applied gen
 };
 
 /// See file comment.
@@ -225,6 +237,21 @@ public:
     void invalidate_model(const std::string& name,
                           std::uint64_t old_fingerprint);
 
+    // -- replication status, recorded by the Replicator feeding this
+    //    engine (lag semantics in docs/replication.md §3) ---------------
+
+    /// Marks the engine a replica of `source` (host:port).
+    void set_repl_source(const std::string& source);
+
+    /// A frame or heartbeat arrived: the primary has committed
+    /// `committed_generation`, this replica has applied
+    /// `applied_generation`.  Restarts the staleness clock.
+    void record_repl_contact(std::uint64_t committed_generation,
+                             std::uint64_t applied_generation);
+
+    /// A record was applied locally; the staleness clock is untouched.
+    void record_repl_applied(std::uint64_t applied_generation);
+
     [[nodiscard]] EngineStats stats() const;
 
     [[nodiscard]] ModelRegistry& registry() noexcept { return registry_; }
@@ -277,15 +304,21 @@ private:
     std::mutex inflight_mutex_;
     std::map<PlanKey, std::shared_ptr<InFlight>> inflight_;
 
-    mutable std::mutex stats_mutex_;
-    std::uint64_t requests_ = 0;
-    std::uint64_t computed_ = 0;
-    std::uint64_t coalesced_ = 0;
-    std::uint64_t degraded_ = 0;
-    measure::RunningStats latency_;
+    obs::Counter requests_;
+    obs::Counter computed_;
+    obs::Counter coalesced_;
+    obs::Counter degraded_;
     /// Lock-free per-algorithm latency; indexed like
     /// EngineStats::latency_by_algorithm.
     std::array<obs::Histogram, kAlgorithmCount> latency_histograms_;
+
+    /// Replication status; written by the replication thread, read by
+    /// stats(), never touched by the partition hot path.
+    mutable std::mutex repl_mutex_;
+    std::string repl_source_;  ///< empty: not a replica
+    std::uint64_t repl_committed_ = 0;
+    std::uint64_t repl_applied_ = 0;
+    std::optional<std::chrono::steady_clock::time_point> repl_contact_;
 };
 
 } // namespace fpm::serve

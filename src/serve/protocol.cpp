@@ -1,15 +1,17 @@
 #include "fpm/serve/protocol.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cinttypes>
+#include <concepts>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <type_traits>
 
 #include "fpm/common/error.hpp"
 #include "fpm/fault/fault.hpp"
 #include "fpm/serve/reactor_metrics.hpp"
-#include "fpm/serve/repl_status.hpp"
 
 namespace fpm::serve {
 
@@ -92,14 +94,6 @@ std::vector<std::string> split(const std::string& text, char sep) {
         parts.push_back(part);
     }
     return parts;
-}
-
-void append_histogram_us(std::vector<StatField>& fields,
-                         const std::string& prefix,
-                         const obs::HistogramSnapshot& histogram) {
-    fields.push_back({prefix + "_p50_us", format_double(histogram.p50 * 1e6)});
-    fields.push_back({prefix + "_p95_us", format_double(histogram.p95 * 1e6)});
-    fields.push_back({prefix + "_p99_us", format_double(histogram.p99 * 1e6)});
 }
 
 } // namespace
@@ -260,30 +254,12 @@ std::string Response::encode() const {
         }
         return out.str();
     }
-    case Kind::kStats: {
-        std::ostringstream out;
-        out << "OK STATS";
-        for (const StatField& field : stats) {
-            out << ' ' << field.name << '=' << field.value;
-        }
-        return out.str();
-    }
+    case Kind::kStats:
     case Kind::kHealth: {
         std::ostringstream out;
-        out << "OK HEALTH live=" << (health.live ? 1 : 0)
-            << " ready=" << (health.ready ? 1 : 0)
-            << " models=" << health.models
-            << " faults=" << health.faults_injected
-            << " degraded=" << health.degraded
-            << " recovered_generation=" << health.recovered_generation
-            << " role=" << (health.role.empty() ? "primary" : health.role)
-            << " repl_lag_frames=" << health.repl_lag_frames
-            << " repl_lag_seconds=" << format_double(health.repl_lag_seconds)
-            << " repl_source="
-            << (health.repl_source.empty() ? "-" : health.repl_source)
-            << " repl_applied_generation=" << health.repl_applied_generation;
-        for (const auto& [key, value] : health.extras) {
-            out << ' ' << key << '=' << value;
+        out << (kind == Kind::kStats ? "OK STATS" : "OK HEALTH");
+        for (const StatField& field : fields) {
+            out << ' ' << field.name << '=' << field.value;
         }
         return out.str();
     }
@@ -402,28 +378,15 @@ Response Response::decode(const std::string& line) {
         }
         FPM_CHECK(response.sets.size() == count,
                   "MODELS count disagrees with its set list: " + line);
-    } else if (tag == "STATS") {
-        response.kind = Kind::kStats;
+    } else if (tag == "STATS" || tag == "HEALTH") {
+        response.kind = tag == "STATS" ? Kind::kStats : Kind::kHealth;
         for (std::size_t i = 2; i < tokens.size(); ++i) {
             const auto eq = tokens[i].find('=');
             FPM_CHECK(eq != std::string::npos && eq > 0,
-                      "malformed STATS field: " + tokens[i]);
-            response.stats.push_back(
+                      "malformed " + tag + " field: " + tokens[i]);
+            response.fields.push_back(
                 {tokens[i].substr(0, eq), tokens[i].substr(eq + 1)});
         }
-    } else if (tag == "HEALTH") {
-        // Open key=value list since v5 (a v3/v4 reply is a strict
-        // prefix, so it decodes through the same path).
-        response.kind = Kind::kHealth;
-        std::vector<StatField> fields;
-        for (std::size_t i = 2; i < tokens.size(); ++i) {
-            const auto eq = tokens[i].find('=');
-            FPM_CHECK(eq != std::string::npos && eq > 0,
-                      "malformed HEALTH field: " + tokens[i]);
-            fields.push_back(
-                {tokens[i].substr(0, eq), tokens[i].substr(eq + 1)});
-        }
-        response.health = ServerHealth::from_fields(fields);
     } else if (tag == "PARTITION") {
         FPM_CHECK(tokens.size() == 14, "malformed partition reply: " + line);
         response.kind = Kind::kPartition;
@@ -510,366 +473,255 @@ PartitionReply make_partition_reply(const PartitionRequest& request,
     return reply;
 }
 
-Response make_stats_reply(const EngineStats& stats, std::size_t model_count) {
-    Response response;
-    response.kind = Response::Kind::kStats;
-    auto& fields = response.stats;
-    fields.push_back({"requests", std::to_string(stats.requests)});
-    fields.push_back({"computed", std::to_string(stats.computed)});
-    fields.push_back({"coalesced", std::to_string(stats.coalesced)});
-    fields.push_back({"hits", std::to_string(stats.cache.hits)});
-    fields.push_back({"misses", std::to_string(stats.cache.misses)});
-    fields.push_back({"evictions", std::to_string(stats.cache.evictions)});
-    fields.push_back({"cache_size", std::to_string(stats.cache.size)});
-    fields.push_back({"cache_shards", std::to_string(stats.cache_shards)});
-    fields.push_back({"models", std::to_string(model_count)});
-    fields.push_back({"degraded", std::to_string(stats.degraded)});
-    fields.push_back({"faults", std::to_string(fault::injected_total())});
-    fields.push_back(
-        {"mean_latency_us", format_double(stats.latency.mean * 1e6)});
-    fields.push_back(
-        {"max_latency_us", format_double(stats.latency.max * 1e6)});
+// ---------------------------------------------------------------------------
+// STATS and HEALTH: one field list per typed view
+// ---------------------------------------------------------------------------
+
+namespace {
+
+template <class Self, class View>
+concept ViewOf = std::same_as<std::remove_const_t<Self>, View>;
+
+/// The STATS field list: every wire field in wire order, named once next
+/// to the member it binds.  `field(name, member)` renders or parses it.
+template <ViewOf<ServerStats> Self, class Field>
+void visit_fields(Self& s, Field&& field) {
+    field("requests", s.requests);
+    field("computed", s.computed);
+    field("coalesced", s.coalesced);
+    field("hits", s.hits);
+    field("misses", s.misses);
+    field("evictions", s.evictions);
+    field("cache_size", s.cache_size);
+    field("cache_shards", s.cache_shards);
+    field("models", s.models);
+    field("degraded", s.degraded);
+    field("faults", s.faults);
+    field("mean_latency_us", s.mean_latency_us);
+    field("max_latency_us", s.max_latency_us);
     for (std::size_t i = 0; i < kAlgorithmCount; ++i) {
-        const auto& histogram = stats.latency_by_algorithm[i];
         const std::string algo = part::to_string(static_cast<Algorithm>(i));
-        fields.push_back({algo + "_count", std::to_string(histogram.count)});
-        append_histogram_us(fields, algo, histogram);
+        auto& latency = s.by_algorithm[i];
+        field(algo + "_count", latency.count);
+        field(algo + "_p50_us", latency.p50_us);
+        field(algo + "_p95_us", latency.p95_us);
+        field(algo + "_p99_us", latency.p99_us);
     }
+    field("reactors", s.reactors);
+    field("open_conns", s.open_conns);
+    field("buffered_bytes", s.buffered_bytes);
+    field("accepted", s.accepted);
+    field("rejected", s.rejected);
+    field("idle_timeouts", s.idle_timeouts);
+    field("send_failures", s.send_failures);
+    field("pipelined", s.pipelined);
+    field("pipeline_depth_max", s.pipeline_depth_max);
+    field("q2r_p50_us", s.q2r_p50_us);
+    field("q2r_p95_us", s.q2r_p95_us);
+    field("q2r_p99_us", s.q2r_p99_us);
+    field("adapt_samples", s.adapt_samples);
+    field("adapt_reliable", s.adapt_reliable);
+    field("adapt_drift", s.adapt_drift);
+    field("adapt_republished", s.adapt_republished);
+    field("adapt_model_version", s.adapt_model_version);
+    field("store_appended", s.store_appended);
+    field("store_bytes", s.store_bytes);
+    field("store_snapshots", s.store_snapshots);
+    field("store_fsync_p50_us", s.store_fsync_p50_us);
+    field("store_fsync_p95_us", s.store_fsync_p95_us);
+    field("store_fsync_p99_us", s.store_fsync_p99_us);
+    field("recovered_generation", s.recovered_generation);
+    field("role", s.role);
+    field("repl_lag_frames", s.repl_lag_frames);
+    field("repl_lag_seconds", s.repl_lag_seconds);
+    field("repl_source", s.repl_source);
+    field("repl_applied_generation", s.repl_applied_generation);
+}
+
+/// The HEALTH field list, like the STATS one.
+template <ViewOf<ServerHealth> Self, class Field>
+void visit_fields(Self& h, Field&& field) {
+    field("live", h.live);
+    field("ready", h.ready);
+    field("models", h.models);
+    field("faults", h.faults_injected);
+    field("degraded", h.degraded);
+    field("recovered_generation", h.recovered_generation);
+    field("role", h.role);
+    field("repl_lag_frames", h.repl_lag_frames);
+    field("repl_lag_seconds", h.repl_lag_seconds);
+    field("repl_source", h.repl_source);
+    field("repl_applied_generation", h.repl_applied_generation);
+}
+
+/// Wire form of one member: 0/1, decimal integer, %.17g double, or the
+/// string verbatim.
+template <class T>
+std::string render_value(const T& value) {
+    if constexpr (std::is_same_v<T, bool>) {
+        return value ? "1" : "0";
+    } else if constexpr (std::is_same_v<T, double>) {
+        return format_double(value);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        return value;
+    } else {
+        return std::to_string(value);
+    }
+}
+
+/// Inverse of render_value(); throws fpm::Error on a malformed value
+/// (an empty string included).
+template <class T>
+void parse_value(T& member, const std::string& name, const std::string& text) {
+    if constexpr (std::is_same_v<T, bool>) {
+        member = parse_int(text, name.c_str()) != 0;
+    } else if constexpr (std::is_same_v<T, double>) {
+        member = parse_double(text, name.c_str());
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        FPM_CHECK(!text.empty(), "malformed value for " + name);
+        member = text;
+    } else {
+        member = static_cast<T>(parse_int(text, name.c_str()));
+    }
+}
+
+template <class View>
+std::vector<StatField> render_fields(const View& view) {
+    std::vector<StatField> fields;
+    visit_fields(view, [&](std::string name, const auto& member) {
+        fields.push_back({std::move(name), render_value(member)});
+    });
+    for (const auto& [name, value] : view.extras) {
+        fields.push_back({name, value});
+    }
+    return fields;
+}
+
+/// Every field starts in `extras` (a repeated name keeps its last
+/// value); the field list then moves each known one into its member.
+template <class View>
+View parse_fields(const std::vector<StatField>& fields) {
+    View view;
+    for (const StatField& field : fields) {
+        view.extras[field.name] = field.value;
+    }
+    visit_fields(view, [&](const std::string& name, auto& member) {
+        const auto it = view.extras.find(name);
+        if (it != view.extras.end()) {
+            parse_value(member, name, it->second);
+            view.extras.erase(it);
+        }
+    });
+    return view;
+}
+
+std::uint64_t recovered_generation() {
+    static auto& recovered =
+        obs::MetricsRegistry::global().gauge("store.recovered_generation");
+    return static_cast<std::uint64_t>(recovered.value());
+}
+
+} // namespace
+
+ServerStats ServerStats::from_fields(const std::vector<StatField>& fields) {
+    return parse_fields<ServerStats>(fields);
+}
+
+std::vector<StatField> ServerStats::to_fields() const {
+    return render_fields(*this);
+}
+
+ServerHealth ServerHealth::from_fields(const std::vector<StatField>& fields) {
+    return parse_fields<ServerHealth>(fields);
+}
+
+std::vector<StatField> ServerHealth::to_fields() const {
+    return render_fields(*this);
+}
+
+Response make_stats_reply(const EngineStats& engine, std::size_t model_count) {
+    ServerStats s;
+    s.requests = engine.requests;
+    s.computed = engine.computed;
+    s.coalesced = engine.coalesced;
+    s.degraded = engine.degraded;
+    s.hits = engine.cache.hits;
+    s.misses = engine.cache.misses;
+    s.evictions = engine.cache.evictions;
+    s.cache_size = engine.cache.size;
+    s.cache_shards = engine.cache_shards;
+    s.models = model_count;
+    s.faults = fault::injected_total();
+    // Every request lands in exactly one per-algorithm histogram, so
+    // their counts, sums and maxima cover all requests.
+    std::uint64_t count = 0;
+    double sum = 0.0;
+    for (std::size_t i = 0; i < kAlgorithmCount; ++i) {
+        const obs::HistogramSnapshot& latency = engine.latency_by_algorithm[i];
+        s.by_algorithm[i] = {latency.count, latency.p50 * 1e6,
+                             latency.p95 * 1e6, latency.p99 * 1e6};
+        count += latency.count;
+        sum += latency.sum;
+        s.max_latency_us = std::max(s.max_latency_us, latency.max * 1e6);
+    }
+    s.mean_latency_us =
+        count == 0 ? 0.0 : sum / static_cast<double>(count) * 1e6;
 
     // Reactor lifecycle: process-global, so STATS works identically over
     // the wire and in-process (all-zero until a server has run).
     const ReactorMetrics& reactor = ReactorMetrics::get();
-    fields.push_back({"reactors", std::to_string(reactor.reactors.value())});
-    fields.push_back(
-        {"open_conns", std::to_string(reactor.open_connections.value())});
-    fields.push_back(
-        {"buffered_bytes", std::to_string(reactor.buffered_bytes.value())});
-    fields.push_back({"accepted", std::to_string(reactor.accepted.value())});
-    fields.push_back({"rejected", std::to_string(reactor.rejected.value())});
-    fields.push_back(
-        {"idle_timeouts", std::to_string(reactor.idle_timeouts.value())});
-    fields.push_back(
-        {"send_failures", std::to_string(reactor.send_failures.value())});
-    fields.push_back({"pipelined", std::to_string(reactor.pipelined.value())});
-    fields.push_back({"pipeline_depth_max",
-                      std::to_string(reactor.pipeline_depth.max())});
-    append_histogram_us(fields, "q2r",
-                        reactor.queue_to_reply_seconds.snapshot());
+    s.reactors = static_cast<std::uint64_t>(reactor.reactors.value());
+    s.open_conns = reactor.open_connections.value();
+    s.buffered_bytes = reactor.buffered_bytes.value();
+    s.accepted = reactor.accepted.value();
+    s.rejected = reactor.rejected.value();
+    s.idle_timeouts = reactor.idle_timeouts.value();
+    s.send_failures = reactor.send_failures.value();
+    s.pipelined = reactor.pipelined.value();
+    s.pipeline_depth_max = reactor.pipeline_depth.max();
+    const obs::HistogramSnapshot q2r =
+        reactor.queue_to_reply_seconds.snapshot();
+    s.q2r_p50_us = q2r.p50 * 1e6;
+    s.q2r_p95_us = q2r.p95 * 1e6;
+    s.q2r_p99_us = q2r.p99 * 1e6;
 
-    // Online adaptation: also process-global (the adapt layer sits above
-    // serve, so the protocol reads the raw instruments by name).  All
-    // zero until an AdaptEngine has ingested feedback.
+    // Online adaptation and the durable store: also process-global (both
+    // layers sit above serve, so the raw instruments are read by name).
+    // All zero until an AdaptEngine ingested feedback / a store attached.
     static auto& metrics = obs::MetricsRegistry::global();
     static auto& adapt_samples = metrics.counter("adapt.samples");
     static auto& adapt_reliable = metrics.counter("adapt.reliable");
     static auto& adapt_drift = metrics.counter("adapt.drift");
     static auto& adapt_republished = metrics.counter("adapt.republished");
     static auto& adapt_version = metrics.gauge("adapt.model_version");
-    fields.push_back({"adapt_samples", std::to_string(adapt_samples.value())});
-    fields.push_back(
-        {"adapt_reliable", std::to_string(adapt_reliable.value())});
-    fields.push_back({"adapt_drift", std::to_string(adapt_drift.value())});
-    fields.push_back(
-        {"adapt_republished", std::to_string(adapt_republished.value())});
-    fields.push_back(
-        {"adapt_model_version", std::to_string(adapt_version.value())});
-
-    // Durable model store: process-global like the adapt layer (the
-    // store sits above serve).  All zero until a store is attached.
     static auto& store_appended = metrics.counter("store.appended");
     static auto& store_bytes = metrics.counter("store.bytes");
     static auto& store_snapshots = metrics.counter("store.snapshots");
     static auto& store_fsync = metrics.histogram("store.fsync_seconds");
-    static auto& recovered = metrics.gauge("store.recovered_generation");
-    fields.push_back({"store_appended", std::to_string(store_appended.value())});
-    fields.push_back({"store_bytes", std::to_string(store_bytes.value())});
-    fields.push_back(
-        {"store_snapshots", std::to_string(store_snapshots.value())});
-    append_histogram_us(fields, "store_fsync", store_fsync.snapshot());
-    fields.push_back(
-        {"recovered_generation", std::to_string(recovered.value())});
+    s.adapt_samples = adapt_samples.value();
+    s.adapt_reliable = adapt_reliable.value();
+    s.adapt_drift = adapt_drift.value();
+    s.adapt_republished = adapt_republished.value();
+    s.adapt_model_version = static_cast<std::uint64_t>(adapt_version.value());
+    s.store_appended = store_appended.value();
+    s.store_bytes = store_bytes.value();
+    s.store_snapshots = store_snapshots.value();
+    const obs::HistogramSnapshot fsync = store_fsync.snapshot();
+    s.store_fsync_p50_us = fsync.p50 * 1e6;
+    s.store_fsync_p95_us = fsync.p95 * 1e6;
+    s.store_fsync_p99_us = fsync.p99 * 1e6;
+    s.recovered_generation = recovered_generation();
 
-    // Replication (v6): role/source are process-global strings the repl
-    // layer publishes through ReplStatus (defaults on a plain primary).
-    const ReplStatusSnapshot repl = ReplStatus::global().snapshot();
-    fields.push_back({"role", repl.role.empty() ? "primary" : repl.role});
-    fields.push_back({"repl_lag_frames", std::to_string(repl.lag_frames)});
-    fields.push_back({"repl_lag_seconds", format_double(repl.lag_seconds)});
-    fields.push_back(
-        {"repl_source", repl.source.empty() ? "-" : repl.source});
-    fields.push_back({"repl_applied_generation",
-                      std::to_string(repl.applied_generation)});
+    s.role = engine.role;
+    s.repl_lag_frames = engine.repl_lag_frames;
+    s.repl_lag_seconds = engine.repl_lag_seconds;
+    s.repl_source = engine.repl_source;
+    s.repl_applied_generation = engine.repl_applied_generation;
+
+    Response response;
+    response.kind = Response::Kind::kStats;
+    response.fields = s.to_fields();
     return response;
-}
-
-namespace {
-
-/// One known STATS field: where it lands in ServerStats and how its
-/// value parses.  Captureless lambdas, so the table is plain function
-/// pointers.
-using StatSetter = void (*)(ServerStats&, const std::string&);
-
-std::uint64_t stat_u64(const std::string& value, const char* what) {
-    return static_cast<std::uint64_t>(parse_int(value, what));
-}
-
-const std::map<std::string, StatSetter, std::less<>>& stat_setters() {
-    auto algo_entries = [](std::map<std::string, StatSetter, std::less<>>& m) {
-        m["fpm_count"] = [](ServerStats& s, const std::string& v) {
-            s.by_algorithm[0].count = stat_u64(v, "fpm_count");
-        };
-        m["fpm_p50_us"] = [](ServerStats& s, const std::string& v) {
-            s.by_algorithm[0].p50_us = parse_double(v, "fpm_p50_us");
-        };
-        m["fpm_p95_us"] = [](ServerStats& s, const std::string& v) {
-            s.by_algorithm[0].p95_us = parse_double(v, "fpm_p95_us");
-        };
-        m["fpm_p99_us"] = [](ServerStats& s, const std::string& v) {
-            s.by_algorithm[0].p99_us = parse_double(v, "fpm_p99_us");
-        };
-        m["cpm_count"] = [](ServerStats& s, const std::string& v) {
-            s.by_algorithm[1].count = stat_u64(v, "cpm_count");
-        };
-        m["cpm_p50_us"] = [](ServerStats& s, const std::string& v) {
-            s.by_algorithm[1].p50_us = parse_double(v, "cpm_p50_us");
-        };
-        m["cpm_p95_us"] = [](ServerStats& s, const std::string& v) {
-            s.by_algorithm[1].p95_us = parse_double(v, "cpm_p95_us");
-        };
-        m["cpm_p99_us"] = [](ServerStats& s, const std::string& v) {
-            s.by_algorithm[1].p99_us = parse_double(v, "cpm_p99_us");
-        };
-        m["even_count"] = [](ServerStats& s, const std::string& v) {
-            s.by_algorithm[2].count = stat_u64(v, "even_count");
-        };
-        m["even_p50_us"] = [](ServerStats& s, const std::string& v) {
-            s.by_algorithm[2].p50_us = parse_double(v, "even_p50_us");
-        };
-        m["even_p95_us"] = [](ServerStats& s, const std::string& v) {
-            s.by_algorithm[2].p95_us = parse_double(v, "even_p95_us");
-        };
-        m["even_p99_us"] = [](ServerStats& s, const std::string& v) {
-            s.by_algorithm[2].p99_us = parse_double(v, "even_p99_us");
-        };
-    };
-    static const auto table = [&algo_entries]() {
-        std::map<std::string, StatSetter, std::less<>> m;
-        m["requests"] = [](ServerStats& s, const std::string& v) {
-            s.requests = stat_u64(v, "requests");
-        };
-        m["computed"] = [](ServerStats& s, const std::string& v) {
-            s.computed = stat_u64(v, "computed");
-        };
-        m["coalesced"] = [](ServerStats& s, const std::string& v) {
-            s.coalesced = stat_u64(v, "coalesced");
-        };
-        m["degraded"] = [](ServerStats& s, const std::string& v) {
-            s.degraded = stat_u64(v, "degraded");
-        };
-        m["mean_latency_us"] = [](ServerStats& s, const std::string& v) {
-            s.mean_latency_us = parse_double(v, "mean_latency_us");
-        };
-        m["max_latency_us"] = [](ServerStats& s, const std::string& v) {
-            s.max_latency_us = parse_double(v, "max_latency_us");
-        };
-        m["hits"] = [](ServerStats& s, const std::string& v) {
-            s.hits = stat_u64(v, "hits");
-        };
-        m["misses"] = [](ServerStats& s, const std::string& v) {
-            s.misses = stat_u64(v, "misses");
-        };
-        m["evictions"] = [](ServerStats& s, const std::string& v) {
-            s.evictions = stat_u64(v, "evictions");
-        };
-        m["cache_size"] = [](ServerStats& s, const std::string& v) {
-            s.cache_size = stat_u64(v, "cache_size");
-        };
-        m["cache_shards"] = [](ServerStats& s, const std::string& v) {
-            s.cache_shards = stat_u64(v, "cache_shards");
-        };
-        m["models"] = [](ServerStats& s, const std::string& v) {
-            s.models = stat_u64(v, "models");
-        };
-        m["faults"] = [](ServerStats& s, const std::string& v) {
-            s.faults = stat_u64(v, "faults");
-        };
-        m["reactors"] = [](ServerStats& s, const std::string& v) {
-            s.reactors = stat_u64(v, "reactors");
-        };
-        m["open_conns"] = [](ServerStats& s, const std::string& v) {
-            s.open_conns = parse_int(v, "open_conns");
-        };
-        m["buffered_bytes"] = [](ServerStats& s, const std::string& v) {
-            s.buffered_bytes = parse_int(v, "buffered_bytes");
-        };
-        m["accepted"] = [](ServerStats& s, const std::string& v) {
-            s.accepted = stat_u64(v, "accepted");
-        };
-        m["rejected"] = [](ServerStats& s, const std::string& v) {
-            s.rejected = stat_u64(v, "rejected");
-        };
-        m["idle_timeouts"] = [](ServerStats& s, const std::string& v) {
-            s.idle_timeouts = stat_u64(v, "idle_timeouts");
-        };
-        m["send_failures"] = [](ServerStats& s, const std::string& v) {
-            s.send_failures = stat_u64(v, "send_failures");
-        };
-        m["pipelined"] = [](ServerStats& s, const std::string& v) {
-            s.pipelined = stat_u64(v, "pipelined");
-        };
-        m["pipeline_depth_max"] = [](ServerStats& s, const std::string& v) {
-            s.pipeline_depth_max = parse_int(v, "pipeline_depth_max");
-        };
-        m["q2r_p50_us"] = [](ServerStats& s, const std::string& v) {
-            s.q2r_p50_us = parse_double(v, "q2r_p50_us");
-        };
-        m["q2r_p95_us"] = [](ServerStats& s, const std::string& v) {
-            s.q2r_p95_us = parse_double(v, "q2r_p95_us");
-        };
-        m["q2r_p99_us"] = [](ServerStats& s, const std::string& v) {
-            s.q2r_p99_us = parse_double(v, "q2r_p99_us");
-        };
-        m["adapt_samples"] = [](ServerStats& s, const std::string& v) {
-            s.adapt_samples = stat_u64(v, "adapt_samples");
-        };
-        m["adapt_reliable"] = [](ServerStats& s, const std::string& v) {
-            s.adapt_reliable = stat_u64(v, "adapt_reliable");
-        };
-        m["adapt_drift"] = [](ServerStats& s, const std::string& v) {
-            s.adapt_drift = stat_u64(v, "adapt_drift");
-        };
-        m["adapt_republished"] = [](ServerStats& s, const std::string& v) {
-            s.adapt_republished = stat_u64(v, "adapt_republished");
-        };
-        m["adapt_model_version"] = [](ServerStats& s, const std::string& v) {
-            s.adapt_model_version = stat_u64(v, "adapt_model_version");
-        };
-        m["store_appended"] = [](ServerStats& s, const std::string& v) {
-            s.store_appended = stat_u64(v, "store_appended");
-        };
-        m["store_bytes"] = [](ServerStats& s, const std::string& v) {
-            s.store_bytes = stat_u64(v, "store_bytes");
-        };
-        m["store_snapshots"] = [](ServerStats& s, const std::string& v) {
-            s.store_snapshots = stat_u64(v, "store_snapshots");
-        };
-        m["store_fsync_p50_us"] = [](ServerStats& s, const std::string& v) {
-            s.store_fsync_p50_us = parse_double(v, "store_fsync_p50_us");
-        };
-        m["store_fsync_p95_us"] = [](ServerStats& s, const std::string& v) {
-            s.store_fsync_p95_us = parse_double(v, "store_fsync_p95_us");
-        };
-        m["store_fsync_p99_us"] = [](ServerStats& s, const std::string& v) {
-            s.store_fsync_p99_us = parse_double(v, "store_fsync_p99_us");
-        };
-        m["recovered_generation"] = [](ServerStats& s, const std::string& v) {
-            s.recovered_generation = stat_u64(v, "recovered_generation");
-        };
-        m["role"] = [](ServerStats& s, const std::string& v) {
-            FPM_CHECK(!v.empty(), "malformed value for role");
-            s.role = v;
-        };
-        m["repl_lag_frames"] = [](ServerStats& s, const std::string& v) {
-            s.repl_lag_frames = stat_u64(v, "repl_lag_frames");
-        };
-        m["repl_lag_seconds"] = [](ServerStats& s, const std::string& v) {
-            s.repl_lag_seconds = parse_double(v, "repl_lag_seconds");
-        };
-        m["repl_source"] = [](ServerStats& s, const std::string& v) {
-            FPM_CHECK(!v.empty(), "malformed value for repl_source");
-            s.repl_source = v;
-        };
-        m["repl_applied_generation"] = [](ServerStats& s,
-                                          const std::string& v) {
-            s.repl_applied_generation =
-                stat_u64(v, "repl_applied_generation");
-        };
-        algo_entries(m);
-        return m;
-    }();
-    return table;
-}
-
-} // namespace
-
-ServerStats ServerStats::from_fields(const std::vector<StatField>& fields) {
-    ServerStats stats;
-    const auto& setters = stat_setters();
-    for (const StatField& field : fields) {
-        const auto it = setters.find(field.name);
-        if (it == setters.end()) {
-            stats.extras[field.name] = field.value;  // forward-compat
-            continue;
-        }
-        it->second(stats, field.value);
-    }
-    return stats;
-}
-
-namespace {
-
-/// The HEALTH analogue of stat_setters(): one entry per known field.
-using HealthSetter = void (*)(ServerHealth&, const std::string&);
-
-const std::map<std::string, HealthSetter, std::less<>>& health_setters() {
-    static const auto table = []() {
-        std::map<std::string, HealthSetter, std::less<>> m;
-        m["live"] = [](ServerHealth& h, const std::string& v) {
-            h.live = parse_int(v, "live") != 0;
-        };
-        m["ready"] = [](ServerHealth& h, const std::string& v) {
-            h.ready = parse_int(v, "ready") != 0;
-        };
-        m["models"] = [](ServerHealth& h, const std::string& v) {
-            h.models = stat_u64(v, "models");
-        };
-        m["faults"] = [](ServerHealth& h, const std::string& v) {
-            h.faults_injected = stat_u64(v, "faults");
-        };
-        m["degraded"] = [](ServerHealth& h, const std::string& v) {
-            h.degraded = stat_u64(v, "degraded");
-        };
-        m["recovered_generation"] = [](ServerHealth& h, const std::string& v) {
-            h.recovered_generation = stat_u64(v, "recovered_generation");
-        };
-        m["role"] = [](ServerHealth& h, const std::string& v) {
-            FPM_CHECK(!v.empty(), "malformed value for role");
-            h.role = v;
-        };
-        m["repl_lag_frames"] = [](ServerHealth& h, const std::string& v) {
-            h.repl_lag_frames = stat_u64(v, "repl_lag_frames");
-        };
-        m["repl_lag_seconds"] = [](ServerHealth& h, const std::string& v) {
-            h.repl_lag_seconds = parse_double(v, "repl_lag_seconds");
-        };
-        m["repl_source"] = [](ServerHealth& h, const std::string& v) {
-            FPM_CHECK(!v.empty(), "malformed value for repl_source");
-            h.repl_source = v;
-        };
-        m["repl_applied_generation"] = [](ServerHealth& h,
-                                          const std::string& v) {
-            h.repl_applied_generation =
-                stat_u64(v, "repl_applied_generation");
-        };
-        return m;
-    }();
-    return table;
-}
-
-} // namespace
-
-ServerHealth ServerHealth::from_fields(const std::vector<StatField>& fields) {
-    ServerHealth health;
-    const auto& setters = health_setters();
-    for (const StatField& field : fields) {
-        const auto it = setters.find(field.name);
-        if (it == setters.end()) {
-            health.extras[field.name] = field.value;  // forward-compat
-            continue;
-        }
-        it->second(health, field.value);
-    }
-    return health;
 }
 
 Response handle_request(RequestEngine& engine, const Request& request) {
@@ -909,22 +761,20 @@ Response handle_request(RequestEngine& engine, const Request& request) {
         case Request::Kind::kStats:
             return make_stats_reply(engine.stats(), engine.registry().size());
         case Request::Kind::kHealth: {
+            const EngineStats stats = engine.stats();
+            ServerHealth health;
+            health.models = engine.registry().size();
+            health.ready = health.models > 0;
+            health.faults_injected = fault::injected_total();
+            health.degraded = stats.degraded;
+            health.recovered_generation = recovered_generation();
+            health.role = stats.role;
+            health.repl_lag_frames = stats.repl_lag_frames;
+            health.repl_lag_seconds = stats.repl_lag_seconds;
+            health.repl_source = stats.repl_source;
+            health.repl_applied_generation = stats.repl_applied_generation;
             response.kind = Response::Kind::kHealth;
-            response.health.live = true;
-            response.health.models = engine.registry().size();
-            response.health.ready = response.health.models > 0;
-            response.health.faults_injected = fault::injected_total();
-            response.health.degraded = engine.stats().degraded;
-            static auto& recovered = obs::MetricsRegistry::global().gauge(
-                "store.recovered_generation");
-            response.health.recovered_generation =
-                static_cast<std::uint64_t>(recovered.value());
-            const ReplStatusSnapshot repl = ReplStatus::global().snapshot();
-            response.health.role = repl.role;
-            response.health.repl_lag_frames = repl.lag_frames;
-            response.health.repl_lag_seconds = repl.lag_seconds;
-            response.health.repl_source = repl.source;
-            response.health.repl_applied_generation = repl.applied_generation;
+            response.fields = health.to_fields();
             return response;
         }
         case Request::Kind::kPartition: {

@@ -1,5 +1,6 @@
 #include "fpm/serve/request_engine.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 #include "fpm/common/error.hpp"
@@ -11,27 +12,6 @@
 namespace fpm::serve {
 
 namespace {
-
-/// Process-global mirrors of the engine counters; per-engine state feeds
-/// STATS, these feed MetricsRegistry::snapshot() and the trace tooling.
-struct ServeMetrics {
-    obs::Counter& requests;
-    obs::Counter& computed;
-    obs::Counter& coalesced;
-    obs::Counter& cache_hits;
-    obs::Counter& degraded;
-
-    static const ServeMetrics& get() {
-        static auto& registry = obs::MetricsRegistry::global();
-        static const ServeMetrics metrics{
-            registry.counter("serve.requests"),
-            registry.counter("serve.computed"),
-            registry.counter("serve.coalesced"),
-            registry.counter("serve.cache_hits"),
-            registry.counter("serve.degraded")};
-        return metrics;
-    }
-};
 
 /// FNV-1a of a set *name* — the stale-plan cache key hash, deliberately
 /// independent of model content so it survives reloads.
@@ -80,10 +60,6 @@ PartitionResponse RequestEngine::finish(double latency, Algorithm algorithm,
                                         std::shared_ptr<const PartitionPlan> plan,
                                         bool cache_hit, bool coalesced,
                                         bool degraded) {
-    {
-        std::lock_guard lock(stats_mutex_);
-        latency_.add(latency);
-    }
     latency_histograms_[static_cast<std::size_t>(algorithm)].record(latency);
     return PartitionResponse{std::move(plan), cache_hit, coalesced, degraded,
                              latency};
@@ -121,24 +97,15 @@ RequestEngine::degrade(const PartitionRequest& request, const ModelSet* set,
     if (!plan) {
         return std::nullopt;
     }
-    {
-        std::lock_guard lock(stats_mutex_);
-        ++degraded_;
-    }
-    ServeMetrics::get().degraded.add();
+    degraded_.add();
     return finish(elapsed_seconds, request.algorithm, std::move(plan), false,
                   false, true);
 }
 
 PartitionResponse RequestEngine::execute(const PartitionRequest& request) {
     obs::Span span("serve.execute", static_cast<std::uint64_t>(request.n));
-    const ServeMetrics& metrics = ServeMetrics::get();
-    metrics.requests.add();
+    requests_.add();
     measure::WallTimer timer;
-    {
-        std::lock_guard lock(stats_mutex_);
-        ++requests_;
-    }
     FPM_CHECK(request.n > 0, "workload size must be positive");
     const auto set = registry_.find(request.model_set);
     if (!set) {
@@ -162,7 +129,6 @@ PartitionResponse RequestEngine::execute(const PartitionRequest& request) {
     {
         std::lock_guard lock(inflight_mutex_);
         if (auto plan = cache_.get(key)) {
-            metrics.cache_hits.add();
             return finish(timer.elapsed(), request.algorithm, std::move(plan),
                           true, false);
         }
@@ -200,11 +166,7 @@ PartitionResponse RequestEngine::execute(const PartitionRequest& request) {
             }
             throw;
         }
-        {
-            std::lock_guard lock(stats_mutex_);
-            ++coalesced_;
-        }
-        metrics.coalesced.add();
+        coalesced_.add();
         return finish(timer.elapsed(), request.algorithm, std::move(plan),
                       false, true);
     }
@@ -224,11 +186,7 @@ PartitionResponse RequestEngine::execute(const PartitionRequest& request) {
             stale_.put(stale_key(request), plan);
         }
         flight->promise.set_value(plan);
-        {
-            std::lock_guard lock(stats_mutex_);
-            ++computed_;
-        }
-        metrics.computed.add();
+        computed_.add();
         return finish(timer.elapsed(), request.algorithm, std::move(plan),
                       false, false);
     } catch (...) {
@@ -271,13 +229,7 @@ RequestEngine::try_execute_cached(const PartitionRequest& request) {
     if (!plan) {
         return std::nullopt;
     }
-    const ServeMetrics& metrics = ServeMetrics::get();
-    metrics.requests.add();
-    metrics.cache_hits.add();
-    {
-        std::lock_guard lock(stats_mutex_);
-        ++requests_;
-    }
+    requests_.add();
     return finish(timer.elapsed(), request.algorithm, std::move(plan), true,
                   false);
 }
@@ -372,22 +324,52 @@ void RequestEngine::invalidate_model(const std::string& name,
     stale_.erase_fingerprint(hash_name(name));
 }
 
+void RequestEngine::set_repl_source(const std::string& source) {
+    std::lock_guard lock(repl_mutex_);
+    repl_source_ = source;
+}
+
+void RequestEngine::record_repl_contact(std::uint64_t committed_generation,
+                                        std::uint64_t applied_generation) {
+    std::lock_guard lock(repl_mutex_);
+    repl_committed_ = committed_generation;
+    repl_applied_ = applied_generation;
+    repl_contact_ = std::chrono::steady_clock::now();
+}
+
+void RequestEngine::record_repl_applied(std::uint64_t applied_generation) {
+    std::lock_guard lock(repl_mutex_);
+    repl_applied_ = applied_generation;
+    repl_committed_ = std::max(repl_committed_, applied_generation);
+}
+
 EngineStats RequestEngine::stats() const {
     EngineStats stats;
-    {
-        std::lock_guard lock(stats_mutex_);
-        stats.requests = requests_;
-        stats.computed = computed_;
-        stats.coalesced = coalesced_;
-        stats.degraded = degraded_;
-        stats.latency = latency_.summary();
-    }
+    stats.requests = requests_.value();
+    stats.computed = computed_.value();
+    stats.coalesced = coalesced_.value();
+    stats.degraded = degraded_.value();
     for (std::size_t i = 0; i < kAlgorithmCount; ++i) {
         stats.latency_by_algorithm[i] = latency_histograms_[i].snapshot();
     }
     stats.cache = cache_.stats();
     stats.cache_shards = cache_.shard_count();
     stats.cache_by_shard = cache_.shard_stats();
+
+    std::lock_guard lock(repl_mutex_);
+    if (!repl_source_.empty()) {
+        stats.role = "replica";
+        stats.repl_source = repl_source_;
+    }
+    stats.repl_lag_frames =
+        repl_committed_ > repl_applied_ ? repl_committed_ - repl_applied_ : 0;
+    stats.repl_applied_generation = repl_applied_;
+    if (repl_contact_) {
+        stats.repl_lag_seconds =
+            std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          *repl_contact_)
+                .count();
+    }
     return stats;
 }
 

@@ -816,7 +816,8 @@ void SocketServer::start() {
     }
 
     running_.store(true);
-    ReactorMetrics::get().reactors.set(static_cast<std::int64_t>(pool));
+    // Process-wide like open_conns: every running server adds its pool.
+    ReactorMetrics::get().reactors.add(static_cast<std::int64_t>(pool));
     threads_.reserve(pool);
     for (auto& reactor : reactors_) {
         threads_.emplace_back(
@@ -841,8 +842,9 @@ void SocketServer::stop() {
     for (auto& reactor : reactors_) {
         reactor->completions->shutdown();  // closes the eventfd
     }
+    ReactorMetrics::get().reactors.add(
+        -static_cast<std::int64_t>(reactors_.size()));
     reactors_.clear();
-    ReactorMetrics::get().reactors.set(0);
 }
 
 } // namespace fpm::serve

@@ -483,7 +483,7 @@ TEST(AdaptWire, FeedbackRoundTripAndStatsCounters) {
         ASSERT_EQ(stats.kind, Response::Kind::kStats);
         std::uint64_t samples_seen = 0;
         std::size_t adapt_fields = 0;
-        for (const auto& field : stats.stats) {
+        for (const auto& field : stats.fields) {
             if (field.name.rfind("adapt_", 0) == 0) {
                 ++adapt_fields;
             }

@@ -1,11 +1,12 @@
 // Docs-consistency checks: the runbook, the protocol spec, the
 // adaptation guide and the benchmarking guide are kept honest against
 // the code they describe.  Every ServeConfig knob and every STATS field
-// must be documented in docs/operations.md, every protocol verb must
-// appear in docs/protocol.md, every AdaptConfig knob in
-// docs/adaptation.md, and every fpmpart_bench flag plus every
-// BENCH_loadgen.json field in docs/benchmarking.md.  The source tree's
-// location is baked in via FPMPART_SOURCE_DIR at configure time.
+// must be documented in docs/operations.md, every HEALTH field there and
+// in docs/protocol.md, every protocol verb in docs/protocol.md, every
+// AdaptConfig knob in docs/adaptation.md, and every fpmpart_bench flag
+// plus every BENCH_loadgen.json field in docs/benchmarking.md.  The
+// source tree's location is baked in via FPMPART_SOURCE_DIR at
+// configure time.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -147,11 +148,33 @@ TEST(DocsConsistency, OperationsRunbookCoversEveryStatsField) {
     const std::string runbook = read_file("docs/operations.md");
     const fpm::serve::Response stats =
         fpm::serve::make_stats_reply(fpm::serve::EngineStats{}, 0);
-    ASSERT_FALSE(stats.stats.empty());
-    for (const auto& field : stats.stats) {
+    ASSERT_FALSE(stats.fields.empty());
+    for (const auto& field : stats.fields) {
         EXPECT_NE(runbook.find(field.name), std::string::npos)
             << "STATS field '" << field.name << "' is not documented in "
             << "docs/operations.md";
+    }
+}
+
+TEST(DocsConsistency, BothDocsCoverEveryHealthField) {
+    // The field names come from a HEALTH reply the handler encodes, so a
+    // field added to the reply without docs fails here.
+    const std::string runbook = read_file("docs/operations.md");
+    const std::string spec = read_file("docs/protocol.md");
+    fpm::serve::ModelRegistry registry;
+    fpm::serve::RequestEngine engine(registry,
+                                     {.workers = 1, .cache_capacity = 1});
+    const fpm::serve::Response health = fpm::serve::Response::decode(
+        fpm::serve::handle_line(engine, "HEALTH"));
+    ASSERT_EQ(health.kind, fpm::serve::Response::Kind::kHealth);
+    EXPECT_GE(health.fields.size(), 11u);
+    for (const auto& field : health.fields) {
+        EXPECT_NE(runbook.find("`" + field.name + "`"), std::string::npos)
+            << "HEALTH field '" << field.name << "' is not documented in "
+            << "docs/operations.md";
+        EXPECT_NE(spec.find(field.name + "="), std::string::npos)
+            << "HEALTH field '" << field.name << "' is not documented in "
+            << "docs/protocol.md";
     }
 }
 
@@ -251,7 +274,7 @@ TEST(DocsConsistency, OperationsRunbookCoversTheDurableStore) {
     }
 }
 
-TEST(DocsConsistency, ProtocolSpecCoversEveryVerbAndHealthField) {
+TEST(DocsConsistency, ProtocolSpecCoversEveryVerb) {
     const std::string spec = read_file("docs/protocol.md");
     for (const char* verb :
          {"PING", "LOAD", "PARTITION", "FEEDBACK", "MODELS", "STATS",
@@ -261,7 +284,7 @@ TEST(DocsConsistency, ProtocolSpecCoversEveryVerbAndHealthField) {
     }
     for (const char* token :
          {"OK PONG", "OK HEALTH", "OK PARTITION", "OK FEEDBACK", "ERR ",
-          "degraded=", "live=", "ready=", "faults=", "coalesced=",
+          "degraded=", "coalesced=",
           "reliable=", "republished=", "feedback not enabled",
           "unknown command", "cache_shards=", "reactors=",
           "ServerStats"}) {

@@ -315,11 +315,12 @@ TEST(FaultHealth, ReportsReadinessAndCounters) {
     RequestEngine engine(registry, {.workers = 1, .cache_capacity = 8});
 
     // Not ready while the registry is empty.
-    const Response empty = Response::decode(handle_line(engine, "HEALTH"));
-    ASSERT_EQ(empty.kind, Response::Kind::kHealth);
-    EXPECT_TRUE(empty.health.live);
-    EXPECT_FALSE(empty.health.ready);
-    EXPECT_EQ(empty.health.models, 0u);
+    const Response reply = Response::decode(handle_line(engine, "HEALTH"));
+    ASSERT_EQ(reply.kind, Response::Kind::kHealth);
+    const ServerHealth empty = ServerHealth::from_fields(reply.fields);
+    EXPECT_TRUE(empty.live);
+    EXPECT_FALSE(empty.ready);
+    EXPECT_EQ(empty.models, 0u);
 
     registry.put("hybrid", synthetic_models(2, 16, 1.0));
     SocketServer server(engine);

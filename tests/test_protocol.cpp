@@ -12,6 +12,8 @@
 
 #include "fpm/common/error.hpp"
 #include "fpm/common/rng.hpp"
+#include "fpm/core/speed_function.hpp"
+#include "fpm/obs/metrics.hpp"
 #include "fpm/serve/protocol.hpp"
 
 namespace {
@@ -234,29 +236,33 @@ TEST(ProtocolResponse, ModelsRoundTripsEmptyAndFull) {
 TEST(ProtocolResponse, StatsRoundTrips) {
     Response stats;
     stats.kind = Response::Kind::kStats;
-    stats.stats = {{"requests", "10"}, {"q2r_p50_us", "1.5"}, {"empty", ""}};
+    stats.fields = {{"requests", "10"}, {"q2r_p50_us", "1.5"}, {"empty", ""}};
     const Response decoded = Response::decode(stats.encode());
-    ASSERT_EQ(decoded.stats.size(), 3u);
-    EXPECT_EQ(decoded.stats[0].name, "requests");
-    EXPECT_EQ(decoded.stats[0].value, "10");
-    EXPECT_EQ(decoded.stats[2].value, "");
+    ASSERT_EQ(decoded.fields.size(), 3u);
+    EXPECT_EQ(decoded.fields[0].name, "requests");
+    EXPECT_EQ(decoded.fields[0].value, "10");
+    EXPECT_EQ(decoded.fields[2].value, "");
 }
 
 TEST(ProtocolResponse, HealthRoundTrips) {
+    ServerHealth sent;
+    sent.live = true;
+    sent.ready = false;
+    sent.models = 0;
+    sent.faults_injected = 42;
+    sent.degraded = 7;
     Response health;
     health.kind = Response::Kind::kHealth;
-    health.health.live = true;
-    health.health.ready = false;
-    health.health.models = 0;
-    health.health.faults_injected = 42;
-    health.health.degraded = 7;
+    health.fields = sent.to_fields();
     const Response decoded = Response::decode(health.encode());
     EXPECT_EQ(decoded.kind, Response::Kind::kHealth);
-    EXPECT_TRUE(decoded.health.live);
-    EXPECT_FALSE(decoded.health.ready);
-    EXPECT_EQ(decoded.health.models, 0u);
-    EXPECT_EQ(decoded.health.faults_injected, 42u);
-    EXPECT_EQ(decoded.health.degraded, 7u);
+    const ServerHealth got = ServerHealth::from_fields(decoded.fields);
+    EXPECT_TRUE(got.live);
+    EXPECT_FALSE(got.ready);
+    EXPECT_EQ(got.models, 0u);
+    EXPECT_EQ(got.faults_injected, 42u);
+    EXPECT_EQ(got.degraded, 7u);
+    EXPECT_TRUE(got.extras.empty());
 }
 
 TEST(ProtocolResponse, PartitionRoundTripsAllFlagCombinations) {
@@ -362,6 +368,7 @@ TEST(ProtocolFuzz, EveryPrefixOfValidEncodingsIsHandled) {
     replies.push_back(part_reply.encode());
     Response health;
     health.kind = Response::Kind::kHealth;
+    health.fields = ServerHealth{}.to_fields();
     replies.push_back(health.encode());
     Response loaded;
     loaded.kind = Response::Kind::kLoaded;
@@ -486,7 +493,7 @@ TEST(ProtocolServerStats, FullStatsReplyParsesWithNoExtras) {
     const Response decoded = Response::decode(encoded.encode());
     ASSERT_EQ(decoded.kind, Response::Kind::kStats);
 
-    const ServerStats stats = ServerStats::from_fields(decoded.stats);
+    const ServerStats stats = ServerStats::from_fields(decoded.fields);
     EXPECT_EQ(stats.requests, 12u);
     EXPECT_EQ(stats.computed, 7u);
     EXPECT_EQ(stats.coalesced, 2u);
@@ -551,6 +558,115 @@ TEST(ProtocolFuzz, RandomStatFieldsNeverEscapeAsNonError) {
             // malformed known value: typed error, never a crash
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The STATS and HEALTH lines, byte for byte
+// ---------------------------------------------------------------------------
+
+/// Zeroes the registry, then gives every instrument STATS reads a
+/// distinct value.
+void set_registry_values() {
+    auto& metrics = obs::MetricsRegistry::global();
+    metrics.reset_values();
+    metrics.gauge("serve.reactor.reactors").set(3);
+    metrics.gauge("serve.reactor.open_connections").set(14);
+    metrics.gauge("serve.reactor.buffered_bytes").set(4096);
+    metrics.counter("serve.reactor.accepted").add(21);
+    metrics.counter("serve.reactor.rejected").add(2);
+    metrics.counter("serve.reactor.idle_timeouts").add(6);
+    metrics.counter("serve.reactor.send_failures").add(1);
+    metrics.counter("serve.reactor.pipelined").add(33);
+    metrics.gauge("serve.reactor.pipeline_depth").set(8);
+    metrics.gauge("serve.reactor.pipeline_depth").set(0);
+    metrics.histogram("serve.reactor.queue_to_reply_seconds").record(0.000125);
+    metrics.counter("adapt.samples").add(250);
+    metrics.counter("adapt.reliable").add(12);
+    metrics.counter("adapt.drift").add(4);
+    metrics.counter("adapt.republished").add(3);
+    metrics.gauge("adapt.model_version").set(19);
+    metrics.counter("store.appended").add(27);
+    metrics.counter("store.bytes").add(65536);
+    metrics.counter("store.snapshots").add(5);
+    metrics.histogram("store.fsync_seconds").record(0.0025);
+    metrics.gauge("store.recovered_generation").set(11);
+}
+
+TEST(ProtocolWire, StatsLineIsPinned) {
+    // Every field name, its order and its formatting are wire contract:
+    // a distinct value in every engine field and registry instrument,
+    // compared with the line the v6 encoder has always produced.
+    set_registry_values();
+    EngineStats engine;
+    engine.requests = 101;
+    engine.computed = 17;
+    engine.coalesced = 5;
+    engine.degraded = 3;
+    engine.cache.hits = 61;
+    engine.cache.misses = 40;
+    engine.cache.evictions = 9;
+    engine.cache.size = 31;
+    engine.cache_shards = 4;
+    const double sums[] = {0.001953125, 0.0009765625, 0.00048828125};
+    const std::uint64_t counts[] = {4, 2, 1};
+    const double maxima[] = {0.0009765625, 0.00048828125, 0.000732421875};
+    for (std::size_t i = 0; i < kAlgorithmCount; ++i) {
+        auto& latency = engine.latency_by_algorithm[i];
+        const double scale = static_cast<double>(i + 1);
+        latency.count = counts[i];
+        latency.sum = sums[i];
+        latency.max = maxima[i];
+        latency.p50 = 0.0001 * scale;
+        latency.p95 = 0.0002 * scale + 0.00003;
+        latency.p99 = 0.0004 * scale + 0.00007;
+    }
+    engine.role = "replica";
+    engine.repl_source = "10.0.0.7:9111";
+    engine.repl_lag_frames = 3;
+    engine.repl_lag_seconds = 0.75;
+    engine.repl_applied_generation = 9;
+
+    EXPECT_EQ(
+        make_stats_reply(engine, 2).encode(),
+        "OK STATS requests=101 computed=17 coalesced=5 hits=61 misses=40 "
+        "evictions=9 cache_size=31 cache_shards=4 models=2 degraded=3 "
+        "faults=0 mean_latency_us=488.28125 max_latency_us=976.5625 "
+        "fpm_count=4 fpm_p50_us=100 fpm_p95_us=230 "
+        "fpm_p99_us=470.00000000000006 cpm_count=2 cpm_p50_us=200 "
+        "cpm_p95_us=430.00000000000006 cpm_p99_us=870 even_count=1 "
+        "even_p50_us=300 even_p95_us=630 even_p99_us=1270 reactors=3 "
+        "open_conns=14 buffered_bytes=4096 accepted=21 rejected=2 "
+        "idle_timeouts=6 send_failures=1 pipelined=33 pipeline_depth_max=8 "
+        "q2r_p50_us=125 q2r_p95_us=125 q2r_p99_us=125 adapt_samples=250 "
+        "adapt_reliable=12 adapt_drift=4 adapt_republished=3 "
+        "adapt_model_version=19 store_appended=27 store_bytes=65536 "
+        "store_snapshots=5 store_fsync_p50_us=2500 store_fsync_p95_us=2500 "
+        "store_fsync_p99_us=2500 recovered_generation=11 role=replica "
+        "repl_lag_frames=3 repl_lag_seconds=0.75 repl_source=10.0.0.7:9111 "
+        "repl_applied_generation=9");
+    obs::MetricsRegistry::global().reset_values();
+}
+
+TEST(ProtocolWire, HealthLineIsPinned) {
+    set_registry_values();
+    ModelRegistry registry;
+    const core::SpeedFunction device({{1.0, 2.0}, {4.0, 3.0}}, "d0");
+    registry.put("a", {device});
+    registry.put("b", {device, device});
+    RequestEngine engine(registry, {.workers = 1, .cache_capacity = 4});
+    EXPECT_EQ(handle_line(engine, "HEALTH"),
+              "OK HEALTH live=1 ready=1 models=2 faults=0 degraded=0 "
+              "recovered_generation=11 role=primary repl_lag_frames=0 "
+              "repl_lag_seconds=0 repl_source=- repl_applied_generation=0");
+
+    engine.set_repl_source("10.0.0.7:9111");
+    engine.record_repl_applied(4);
+    EXPECT_EQ(handle_line(engine, "HEALTH"),
+              "OK HEALTH live=1 ready=1 models=2 faults=0 degraded=0 "
+              "recovered_generation=11 role=replica repl_lag_frames=0 "
+              "repl_lag_seconds=0 repl_source=10.0.0.7:9111 "
+              "repl_applied_generation=4");
+    obs::MetricsRegistry::global().reset_values();
 }
 
 // ---------------------------------------------------------------------------

@@ -3,11 +3,12 @@
 // when the segment was GC'd), primary → replica convergence over the
 // wire (streaming and snapshot-transfer paths, bit-for-bit plan
 // equality, replica-side durability), read-only write rejection, the
-// typed STATS/HEALTH replication fields, client endpoint failover, a
-// chaos run with every repl.* fault armed, and the headline
-// fork()+SIGKILL drill: primary killed mid-stream, the replica serves
-// the last acknowledged generation bit-for-bit and the failover client
-// completes with zero torn replies.
+// typed STATS/HEALTH replication fields (each engine reports its own
+// role, even with a primary and a replica in one process), client
+// endpoint failover, a chaos run with every repl.* fault armed, and the
+// headline fork()+SIGKILL drill: primary killed mid-stream, the replica
+// serves the last acknowledged generation bit-for-bit and the failover
+// client completes with zero torn replies.
 #include <gtest/gtest.h>
 
 #include <poll.h>
@@ -38,7 +39,6 @@
 #include "fpm/serve/line_conn.hpp"
 #include "fpm/serve/model_registry.hpp"
 #include "fpm/serve/protocol.hpp"
-#include "fpm/serve/repl_status.hpp"
 #include "fpm/serve/request_engine.hpp"
 #include "fpm/serve/server.hpp"
 #include "fpm/store/model_store.hpp"
@@ -53,7 +53,6 @@ using core::SpeedPoint;
 using serve::Endpoint;
 using serve::ErrorCode;
 using serve::ModelRegistry;
-using serve::ReplStatus;
 using serve::Request;
 using serve::RequestEngine;
 using serve::Response;
@@ -106,13 +105,6 @@ struct TempDir {
 /// Uninstalls any leftover fault plan when a test exits.
 struct FaultGuard {
     ~FaultGuard() { fault::uninstall(); }
-};
-
-/// ReplStatus is process-global; tests that replicate must not leak
-/// role=replica into later tests.
-struct ReplStatusGuard {
-    ReplStatusGuard() { ReplStatus::global().reset(); }
-    ~ReplStatusGuard() { ReplStatus::global().reset(); }
 };
 
 /// Polls `pred` until it holds or `seconds` elapse (sanitizer runs are
@@ -421,7 +413,6 @@ TEST(ReplicationLogTest, SealedSegmentStillOnDiskIsReadToItsEnd) {
 // ---------------------------------------------------------------------------
 
 TEST(ReplEndToEnd, ReplicaConvergesTailsAndServesIdenticalPlans) {
-    ReplStatusGuard status_guard;
     TempDir primary_dir;
     TempDir replica_dir;
     Primary primary(primary_dir.path);
@@ -480,7 +471,6 @@ TEST(ReplEndToEnd, ReplicaConvergesTailsAndServesIdenticalPlans) {
 }
 
 TEST(ReplEndToEnd, FreshReplicaBehindGcGetsASnapshotTransfer) {
-    ReplStatusGuard status_guard;
     TempDir primary_dir;
     TempDir replica_dir;
     // snapshot_every=2: by generation 4 the early segments are GC'd, so
@@ -508,7 +498,6 @@ TEST(ReplEndToEnd, FreshReplicaBehindGcGetsASnapshotTransfer) {
 }
 
 TEST(ReplEndToEnd, ReplicaAnswersWritesWithTypedReadOnlyErrors) {
-    ReplStatusGuard status_guard;
     TempDir primary_dir;
     TempDir replica_dir;
     Primary primary(primary_dir.path);
@@ -557,20 +546,62 @@ TEST(ReplEndToEnd, ReplicaAnswersWritesWithTypedReadOnlyErrors) {
     server.stop();
 }
 
+TEST(ReplEndToEnd, PrimaryAndReplicaInOneProcessReportTheirOwnRoles) {
+    // Replication status lives on each engine: a primary served next to
+    // a running replica in the same process still reports itself.
+    TempDir primary_dir;
+    TempDir replica_dir;
+    Primary primary(primary_dir.path);
+    primary.registry.put("alpha", synthetic_models(3, 32, 1.0));
+    RequestEngine primary_engine(primary.registry,
+                                 {.workers = 1, .cache_capacity = 16});
+    SocketServer primary_server(primary_engine);
+    primary_server.start();
+
+    Replica replica(replica_dir.path, primary.server->port());
+    ASSERT_TRUE(wait_until(
+        [&] { return replica.replicator->applied_generation() >= 1; }));
+    SocketServer replica_server(replica.engine);
+    replica_server.start();
+    {
+        ServeClient client("127.0.0.1", primary_server.port());
+        const auto stats = client.stats();
+        EXPECT_EQ(stats.role, "primary");
+        EXPECT_EQ(stats.repl_source, "-");
+        EXPECT_EQ(stats.repl_applied_generation, 0u);
+        const auto health = client.health();
+        EXPECT_EQ(health.role, "primary");
+        EXPECT_EQ(health.repl_source, "-");
+        EXPECT_EQ(health.repl_applied_generation, 0u);
+    }
+    {
+        ServeClient client("127.0.0.1", replica_server.port());
+        const std::string source =
+            "127.0.0.1:" + std::to_string(primary.server->port());
+        const auto stats = client.stats();
+        EXPECT_EQ(stats.role, "replica");
+        EXPECT_EQ(stats.repl_source, source);
+        const auto health = client.health();
+        EXPECT_EQ(health.role, "replica");
+        EXPECT_EQ(health.repl_source, source);
+        EXPECT_EQ(health.repl_applied_generation, 1u);
+    }
+    replica_server.stop();
+    primary_server.stop();
+}
+
 // ---------------------------------------------------------------------------
-// Typed STATS/HEALTH replication fields (setter table, extras, errors)
+// Typed STATS/HEALTH replication fields (field list, extras, errors)
 // ---------------------------------------------------------------------------
 
-TEST(ReplTypedViews, StatsReplyCarriesTheReplStatusLetterbox) {
-    ReplStatusGuard status_guard;
-    ReplStatus::global().set_role("replica");
-    ReplStatus::global().set_source("10.0.0.7:9111");
-    ReplStatus::global().record_contact(12, 9);
-
+TEST(ReplTypedViews, StatsReplyCarriesTheEngineReplicationStatus) {
     ModelRegistry registry;
     RequestEngine engine(registry, {.workers = 1, .cache_capacity = 4});
+    engine.set_repl_source("10.0.0.7:9111");
+    engine.record_repl_contact(12, 9);
+
     const Response reply = serve::make_stats_reply(engine.stats(), 0);
-    const auto stats = serve::ServerStats::from_fields(reply.stats);
+    const auto stats = serve::ServerStats::from_fields(reply.fields);
     EXPECT_EQ(stats.role, "replica");
     EXPECT_EQ(stats.repl_source, "10.0.0.7:9111");
     EXPECT_EQ(stats.repl_lag_frames, 3u);
@@ -578,32 +609,35 @@ TEST(ReplTypedViews, StatsReplyCarriesTheReplStatusLetterbox) {
     EXPECT_GE(stats.repl_lag_seconds, 0.0);
     EXPECT_TRUE(stats.extras.empty());
 
-    // record_applied() advances progress without touching the clock.
-    ReplStatus::global().record_applied(12);
-    const auto caught_up = ReplStatus::global().snapshot();
-    EXPECT_EQ(caught_up.lag_frames, 0u);
-    EXPECT_EQ(caught_up.applied_generation, 12u);
+    // record_repl_applied() advances progress without touching the clock.
+    engine.record_repl_applied(12);
+    const auto caught_up = engine.stats();
+    EXPECT_EQ(caught_up.repl_lag_frames, 0u);
+    EXPECT_EQ(caught_up.repl_applied_generation, 12u);
 }
 
 TEST(ReplTypedViews, HealthEncodeDecodeRoundTripsReplFields) {
+    serve::ServerHealth sent;
+    sent.live = true;
+    sent.ready = true;
+    sent.models = 2;
+    sent.role = "replica";
+    sent.repl_lag_frames = 5;
+    sent.repl_lag_seconds = 1.25;
+    sent.repl_source = "127.0.0.1:9000";
+    sent.repl_applied_generation = 41;
     Response health;
     health.kind = Response::Kind::kHealth;
-    health.health.live = true;
-    health.health.ready = true;
-    health.health.models = 2;
-    health.health.role = "replica";
-    health.health.repl_lag_frames = 5;
-    health.health.repl_lag_seconds = 1.25;
-    health.health.repl_source = "127.0.0.1:9000";
-    health.health.repl_applied_generation = 41;
+    health.fields = sent.to_fields();
 
     const Response decoded = Response::decode(health.encode());
     ASSERT_EQ(decoded.kind, Response::Kind::kHealth);
-    EXPECT_EQ(decoded.health.role, "replica");
-    EXPECT_EQ(decoded.health.repl_lag_frames, 5u);
-    EXPECT_DOUBLE_EQ(decoded.health.repl_lag_seconds, 1.25);
-    EXPECT_EQ(decoded.health.repl_source, "127.0.0.1:9000");
-    EXPECT_EQ(decoded.health.repl_applied_generation, 41u);
+    const auto got = serve::ServerHealth::from_fields(decoded.fields);
+    EXPECT_EQ(got.role, "replica");
+    EXPECT_EQ(got.repl_lag_frames, 5u);
+    EXPECT_DOUBLE_EQ(got.repl_lag_seconds, 1.25);
+    EXPECT_EQ(got.repl_source, "127.0.0.1:9000");
+    EXPECT_EQ(got.repl_applied_generation, 41u);
 }
 
 TEST(ReplTypedViews, UnknownFieldsLandInExtrasAndMalformedValuesThrow) {
@@ -716,7 +750,6 @@ TEST(ClientFailover, EndpointListParserAcceptsMixedForms) {
 
 TEST(ReplChaos, ArmedReplFaultsOnlyDelayConvergence) {
     FaultGuard fault_guard;
-    ReplStatusGuard status_guard;
     TempDir primary_dir;
     TempDir replica_dir;
     Primary primary(primary_dir.path);
@@ -837,7 +870,6 @@ private:
 };
 
 TEST(ReplHostile, OverLongLinesAndFramesAreRefusedBeforeBuffering) {
-    ReplStatusGuard status_guard;
     const std::string over_long_frame =
         "OK REPL STREAM pos=1:0\nREPL FRAME bytes=" +
         std::to_string(store::kFrameHeaderBytes + store::kMaxFrameBytes + 1) +
@@ -888,7 +920,6 @@ TEST(ReplBackoff, EstablishedSessionResetsTheBackoff) {
     // Every session completes its handshake and is then severed.  Each
     // reconnect must wait about backoff_base; without the reset the
     // waits double to 0.32 s, 0.64 s and 1.28 s by the seventh.
-    ReplStatusGuard status_guard;
     ScriptedPrimary primary("OK REPL STREAM pos=1:0\n", false);
     ModelRegistry registry;
     RequestEngine engine(registry, {.workers = 1, .cache_capacity = 8});
@@ -921,7 +952,6 @@ TEST(ReplBackoff, EstablishedSessionResetsTheBackoff) {
 // ---------------------------------------------------------------------------
 
 TEST(ReplDrill, PrimarySigkillFailsOverToAConvergedReplica) {
-    ReplStatusGuard status_guard;
     TempDir primary_dir;
     TempDir replica_dir;
     int port_pipe[2];

@@ -329,7 +329,7 @@ TEST(Protocol, HandleLineBasics) {
     const Response stats_response =
         Response::decode(handle_line(engine, "STATS"));
     ASSERT_EQ(stats_response.kind, Response::Kind::kStats);
-    const ServerStats stats = ServerStats::from_fields(stats_response.stats);
+    const ServerStats stats = ServerStats::from_fields(stats_response.fields);
     EXPECT_EQ(stats.requests, 2U);
     EXPECT_EQ(stats.computed, 1U);
 
@@ -459,7 +459,6 @@ TEST(RequestEngineTest, SingleFlightCoalescesIdenticalRequests) {
     // computation, every other request a cache hit or a coalesced waiter.
     EXPECT_EQ(stats.computed, 1U);
     EXPECT_EQ(stats.coalesced + stats.cache.hits, kClients - 1);
-    EXPECT_EQ(stats.latency.count, kClients);
     // Per-algorithm latency histogram saw every request (all were fpm).
     EXPECT_EQ(stats.latency_by_algorithm[static_cast<std::size_t>(
                   Algorithm::kFpm)].count,

@@ -7,9 +7,10 @@
 // STATS.  The ServeReactorPool suite reruns the parity and admission
 // workloads against a 4-reactor SO_REUSEPORT pool — replies must stay
 // bit-for-bit identical at every reactor count, the max_connections
-// budget must stay global, drain must complete on every reactor, and
-// the STATS aggregation invariant (per-shard cache counters summing to
-// the global ones) must hold.
+// budget must stay global, drain must complete on every reactor, the
+// STATS aggregation invariant (per-shard cache counters summing to the
+// global ones) must hold, and the `reactors` gauge must count every
+// running server in the process.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -228,7 +229,7 @@ TEST(ServeReactor, MixedPipelineKeepsRequestOrder) {
     // every known field lands in ServerStats, nothing leaks to extras.
     const Response stats_response = Response::decode(replies[5]);
     ASSERT_EQ(stats_response.kind, Response::Kind::kStats);
-    const ServerStats stats = ServerStats::from_fields(stats_response.stats);
+    const ServerStats stats = ServerStats::from_fields(stats_response.fields);
     EXPECT_GE(stats.open_conns, 1);
     EXPECT_GE(stats.q2r_p50_us, 0.0);
     EXPECT_EQ(stats.reactors, 1U);
@@ -536,6 +537,29 @@ TEST(ServeReactorPool, StatsAggregationSumsShardsToGlobalCounters) {
     EXPECT_TRUE(stats.extras.empty()) << stats.extras.begin()->first;
 
     server.stop();
+}
+
+// ---------------------------------------------------------------------------
+// The reactors gauge is process-wide: it sums the pools of every running
+// server, so stopping one server leaves the others counted.
+// ---------------------------------------------------------------------------
+TEST(ServeReactorPool, ReactorsGaugeCountsEveryRunningServer) {
+    ModelRegistry registry;
+    RequestEngine engine(registry, {.workers = 1, .cache_capacity = 8});
+    ServeConfig one;
+    one.num_reactors = 1;
+    SocketServer first(engine, one);
+    first.start();
+    ServeConfig two;
+    two.num_reactors = 2;
+    SocketServer second(engine, two);
+    second.start();
+
+    ServeClient client("127.0.0.1", first.port());
+    EXPECT_EQ(client.stats().reactors, 3U);
+    second.stop();
+    EXPECT_EQ(client.stats().reactors, 1U);
+    first.stop();
 }
 
 } // namespace

@@ -315,7 +315,7 @@ int main(int argc, char** argv) {
         // The shutdown dump reads the same typed ServerStats surface a
         // remote client gets from ServeClient::stats().
         const auto stats = serve::ServerStats::from_fields(
-            serve::make_stats_reply(engine.stats(), registry.size()).stats);
+            serve::make_stats_reply(engine.stats(), registry.size()).fields);
         std::printf("served %zu connection(s), %llu request(s) "
                     "(%llu computed, %llu coalesced, %llu cache hit(s))\n",
                     server.connections_accepted(),
