@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Replication drill for fpm::repl: configures (once) and builds the
 # ASan+UBSan tree, then runs every test labelled `repl` — the
-# ReplicationLog boundary suites, snapshot-transfer and read-only
-# serving tests, the repl.* fault-point chaos drill and the
-# fork()+SIGKILL primary-failover drill — under the sanitizers.  This
+# ReplicationLog catch-up suites, the fresh-join, restart and
+# ahead-of-primary tests, read-only serving, hostile primaries, the
+# repl.* fault-point chaos drill and the fork()+SIGKILL
+# primary-failover drill — under the sanitizers.  This
 # is the exact command documented in docs/operations.md and
 # docs/replication.md; keep them in sync.
 #

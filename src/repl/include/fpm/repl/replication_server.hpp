@@ -1,21 +1,22 @@
 /// \file replication_server.hpp
-/// \brief Primary-side replication listener: WAL shipping over TCP.
+/// \brief Primary-side replication listener: publish shipping over TCP.
 ///
 /// Speaks the v6 REPL verbs (docs/protocol.md) on a dedicated port:
 ///
-///     replica:  REPL HELLO <seg>:<off>\n
-///     primary:  OK REPL STREAM pos=<seg>:<off>\n            -- resume
-///           or  OK REPL SNAP sets=<k> next=<g> pos=<s>:<o>\n -- fallback
-///               k × (REPL SNAP bytes=<m>\n + m frame bytes)
+///     replica:  REPL HELLO <applied generation>\n
+///     primary:  OK REPL STREAM committed=<gen>\n
 ///     then an unbounded push stream of
-///               REPL FRAME bytes=<m> pos=<s>:<o>\n + m frame bytes
+///               REPL FRAME bytes=<m>\n + m frame bytes
 ///     interleaved, when idle, with
-///               REPL PING committed=<gen> pos=<s>:<o>\n
+///               REPL PING committed=<gen>\n
 ///
-/// Frame bytes are store WAL frames (length+CRC32 header + publish
-/// record payload), so the replica validates the stream with the same
-/// code recovery uses.  `pos=` on a FRAME is the position *after* the
-/// frame — exactly what the replica sends back in its next HELLO.
+/// The frames are the store's latest record of every set above the
+/// replica's generation, in strictly increasing generation order
+/// (ReplicationLog::next()), each in the store's WAL frame encoding
+/// (length+CRC32 header + publish record payload), so the replica
+/// validates the stream with the same decoder recovery uses.  A replica
+/// whose generation is above the primary's committed one holds history
+/// this primary never had: it gets `ERR internal ...` and is closed.
 ///
 /// Control lines are bounded by kMaxReplLineBytes in both directions; a
 /// follower that sends a longer one is dropped.
@@ -33,7 +34,7 @@
 /// Fault points: `repl.handshake` (drop the connection instead of
 /// answering HELLO) and `repl.send` (drop it instead of shipping a
 /// frame) — both simulate a primary crash mid-protocol; the replica's
-/// reconnect + position resume must make either invisible.
+/// reconnect + generation resume must make either invisible.
 #pragma once
 
 #include <atomic>
@@ -86,9 +87,6 @@ public:
     [[nodiscard]] std::uint64_t frames_sent() const noexcept {
         return frames_sent_.load(std::memory_order_relaxed);
     }
-    [[nodiscard]] std::uint64_t snapshots_sent() const noexcept {
-        return snapshots_sent_.load(std::memory_order_relaxed);
-    }
 
 private:
     /// One follower.  Its thread never closes `conn`: stop() and the
@@ -118,7 +116,6 @@ private:
     std::vector<std::unique_ptr<Session>> sessions_;
 
     std::atomic<std::uint64_t> frames_sent_{0};
-    std::atomic<std::uint64_t> snapshots_sent_{0};
 };
 
 } // namespace fpm::repl

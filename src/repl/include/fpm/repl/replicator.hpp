@@ -3,37 +3,38 @@
 ///
 /// The Replicator owns one background thread that keeps a replica's
 /// registry converged with its primary: it connects to the primary's
-/// replication port, sends `REPL HELLO <pos>` with the last position
-/// the stream handed it (0:0 on a fresh start — positions are primary
-/// WAL coordinates and are not persisted locally), applies whatever the
-/// primary answers (a full snapshot transfer or a resumed stream) and
-/// then tails FRAME/PING records until stopped or disconnected.
+/// replication port, sends `REPL HELLO <generation>` with the highest
+/// generation it has applied (after a restart, the one its own store
+/// recovered; 0 on a fresh start), and then applies the FRAME records
+/// the primary pushes — the latest record of every set above that
+/// generation, in generation order — and its PINGs, until stopped or
+/// disconnected.
 ///
 /// Applying a record goes through the same machinery a primary publish
 /// does, so everything downstream behaves identically on both roles:
 ///
 ///  * when the record's generation is exactly the registry's next one
-///    (the steady-state streaming case — frames arrive in generation
-///    order), ModelRegistry::put() installs it, reproducing the
-///    primary's generation bit-for-bit and firing the local store's
-///    write-ahead observer, so the replica's own WAL logs the record;
-///  * otherwise (snapshot records carry non-contiguous generations;
-///    overlap after a reconnect) ModelRegistry::restore() installs the
+///    (the steady-state streaming case), ModelRegistry::put() installs
+///    it, reproducing the primary's generation bit-for-bit and firing
+///    the local store's write-ahead observer, so the replica's own WAL
+///    logs the record;
+///  * otherwise (a catch-up skips generations that later records of the
+///    same set superseded) ModelRegistry::restore() installs the
 ///    explicit generation and the record is appended to the local store
 ///    directly;
 ///  * either way the engine's plan cache is invalidated under the old
 ///    fingerprint, exactly as ModelPublisher does on the primary —
 ///    cached plans for the superseded generation can never be served;
-///  * records at or below the last applied generation are dropped
-///    (reconnect overlap is idempotent).
+///  * records at or below the last applied generation are dropped.
 ///
 /// After every applied record the installed generation and fingerprint
 /// are checked against the ones the primary recorded; a mismatch (or an
 /// armed `repl.apply` fault) severs the connection, and the bounded
 /// exponential backoff (ServeConfig::backoff_base/backoff_max — the
-/// same knobs the serve client retries with) paces the reconnect.  A
-/// session that completed its handshake restarts the backoff, so a
-/// stream severed after it was established (a WAL GC, a primary
+/// same knobs the serve client retries with) paces the reconnect; so
+/// does a primary that refuses the handshake because the replica is
+/// ahead of it.  A session that completed its handshake restarts the
+/// backoff, so a stream severed after it was established (a primary
 /// restart) costs one backoff_base.  The connection is a
 /// serve::LineConn using ServeConfig::connect_timeout and recv_timeout;
 /// a primary that stays silent past recv_timeout (it heartbeats every
@@ -96,7 +97,7 @@ public:
     [[nodiscard]] std::uint64_t applied_generation() const noexcept {
         return applied_generation_.load(std::memory_order_relaxed);
     }
-    /// FRAME records applied (snapshot records included).
+    /// FRAME records applied.
     [[nodiscard]] std::uint64_t frames_applied() const noexcept {
         return frames_applied_.load(std::memory_order_relaxed);
     }
@@ -104,7 +105,8 @@ public:
     [[nodiscard]] std::uint64_t reconnects() const noexcept {
         return reconnects_.load(std::memory_order_relaxed);
     }
-    /// Full snapshot transfers received.
+    /// Sessions that started from generation 0 against a non-empty
+    /// primary: the only full-state transfer.
     [[nodiscard]] std::uint64_t snapshots_received() const noexcept {
         return snapshots_received_.load(std::memory_order_relaxed);
     }
@@ -116,7 +118,7 @@ public:
 private:
     void run();
     void run_once();
-    void apply_frame(const std::string& frame, const std::string& origin);
+    void apply_frame(const std::string& frame);
     void apply_record(const store::PublishRecord& record);
     void backoff(int consecutive_failures);
 
@@ -130,7 +132,6 @@ private:
     std::mutex stop_mutex_;
     std::condition_variable stop_cv_;
 
-    ReplPosition position_;  ///< replication-thread only
     std::atomic<std::uint64_t> applied_generation_{0};
     std::atomic<std::uint64_t> frames_applied_{0};
     std::atomic<std::uint64_t> reconnects_{0};

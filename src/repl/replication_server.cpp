@@ -5,8 +5,8 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 
-#include "fpm/common/error.hpp"
 #include "fpm/fault/fault.hpp"
 #include "fpm/obs/metrics.hpp"
 #include "fpm/store/wal.hpp"
@@ -18,7 +18,6 @@ namespace {
 /// Process-global replication-server counters.
 struct ServerMetrics {
     obs::Counter& frames_sent;
-    obs::Counter& snapshots_sent;
     obs::Counter& heartbeats_sent;
     obs::Gauge& sessions;
 
@@ -26,7 +25,6 @@ struct ServerMetrics {
         static auto& registry = obs::MetricsRegistry::global();
         static const ServerMetrics metrics{
             registry.counter("repl.frames_sent"),
-            registry.counter("repl.snapshots_sent"),
             registry.counter("repl.heartbeats_sent"),
             registry.gauge("repl.sessions")};
         return metrics;
@@ -39,6 +37,18 @@ constexpr int kBacklog = 16;
 /// Per-send/recv deadline of a follower socket: a follower that stops
 /// reading stalls its session's send at most this long.
 constexpr double kSessionIoTimeout = 5.0;
+
+/// Parses the applied generation of a `REPL HELLO <generation>` line.
+bool parse_hello(const std::string& line, std::uint64_t& generation) {
+    static const std::string kHello = "REPL HELLO ";
+    if (line.rfind(kHello, 0) != 0) {
+        return false;
+    }
+    const char* const end = line.data() + line.size();
+    const auto [ptr, ec] =
+        std::from_chars(line.data() + kHello.size(), end, generation);
+    return ec == std::errc() && ptr == end;
+}
 
 } // namespace
 
@@ -164,66 +174,49 @@ void ReplicationServer::serve_follower(serve::LineConn& conn) {
     if (handshake_fault.fire()) {
         return;  // primary "crashes" before answering
     }
-    static const std::string kHello = "REPL HELLO ";
-    if (hello.rfind(kHello, 0) != 0) {
+    std::uint64_t generation = 0;
+    if (!parse_hello(hello, generation)) {
         conn.send("ERR internal malformed REPL handshake\n");
         return;
     }
-    ReplPosition pos;
-    try {
-        pos = ReplPosition::parse(hello.substr(kHello.size()));
-    } catch (const Error&) {
-        conn.send("ERR internal malformed REPL position\n");
+    store::ModelStore& store = log_.store();
+    const std::uint64_t committed = store.committed_generation();
+    if (generation > committed) {
+        // The replica applied history this primary never committed (a
+        // node re-parented or demoted onto a primary behind it).
+        // Streaming on top would leave it serving fingerprints the
+        // primary never had, so refuse; the replica backs off and
+        // retries, and its lag keeps growing where operators look.
+        conn.send("ERR internal replica generation " +
+                  std::to_string(generation) +
+                  " is ahead of the primary's committed generation " +
+                  std::to_string(committed) + "\n");
         return;
     }
-
-    store::ModelStore& store = log_.store();
-    if (!log_.position_available(pos)) {
-        // Fresh follower (0:0) or one standing in a GC'd segment: ship
-        // the full compacted state, then stream from the position the
-        // snapshot was taken at.
-        const store::ReplSnapshot snap = store.replication_snapshot();
-        pos = ReplPosition{snap.segment, snap.offset};
-        conn.send("OK REPL SNAP sets=" + std::to_string(snap.payloads.size()) +
-                  " next=" + std::to_string(snap.next_generation) +
-                  " pos=" + pos.to_string() + "\n");
-        for (const std::string& payload : snap.payloads) {
-            const std::string frame = store::encode_frame(payload);
-            conn.send("REPL SNAP bytes=" + std::to_string(frame.size()) +
-                      "\n" + frame);
-        }
-        snapshots_sent_.fetch_add(1, std::memory_order_relaxed);
-        ServerMetrics::get().snapshots_sent.add(1);
-    } else {
-        conn.send("OK REPL STREAM pos=" + pos.to_string() + "\n");
-    }
+    conn.send("OK REPL STREAM committed=" + std::to_string(committed) + "\n");
 
     // -- push stream --------------------------------------------------
     static auto& send_fault = fault::point("repl.send");
-    std::string payload;
+    std::vector<store::StoredRecord> records;
     while (!stopped_.load(std::memory_order_relaxed)) {
-        switch (log_.next(pos, payload, config_.heartbeat_interval)) {
-        case ReplicationLog::Next::kFrame: {
-            if (send_fault.fire()) {
-                return;  // "crash" mid-ship
+        switch (log_.next(generation, records, config_.heartbeat_interval)) {
+        case ReplicationLog::Next::kRecords:
+            for (const store::StoredRecord& record : records) {
+                if (send_fault.fire()) {
+                    return;  // "crash" mid-ship
+                }
+                const std::string frame = store::encode_frame(record.payload);
+                conn.send("REPL FRAME bytes=" + std::to_string(frame.size()) +
+                          "\n" + frame);
+                frames_sent_.fetch_add(1, std::memory_order_relaxed);
+                ServerMetrics::get().frames_sent.add(1);
             }
-            const std::string frame = store::encode_frame(payload);
-            conn.send("REPL FRAME bytes=" + std::to_string(frame.size()) +
-                      " pos=" + pos.to_string() + "\n" + frame);
-            frames_sent_.fetch_add(1, std::memory_order_relaxed);
-            ServerMetrics::get().frames_sent.add(1);
             break;
-        }
         case ReplicationLog::Next::kTimeout:
             conn.send("REPL PING committed=" +
-                      std::to_string(store.committed_generation()) +
-                      " pos=" + pos.to_string() + "\n");
+                      std::to_string(store.committed_generation()) + "\n");
             ServerMetrics::get().heartbeats_sent.add(1);
             break;
-        case ReplicationLog::Next::kGap:
-            // The position fell behind a GC: sever so the follower
-            // reconnects and handshakes into the snapshot path.
-            return;
         case ReplicationLog::Next::kStopped:
             return;
         }

@@ -37,8 +37,8 @@ struct ReplicaMetrics {
     }
 };
 
-/// Largest `bytes=` a REPL FRAME/SNAP header may announce: one store
-/// frame whose payload recovery would also accept.
+/// Largest `bytes=` a REPL FRAME header may announce: one store frame
+/// whose payload recovery would also accept.
 constexpr std::size_t kMaxReplFrameBytes =
     store::kFrameHeaderBytes + store::kMaxFrameBytes;
 
@@ -56,13 +56,6 @@ public:
 private:
     std::atomic<int>& slot_;
 };
-
-std::uint32_t load_u32le(const unsigned char* p) noexcept {
-    return static_cast<std::uint32_t>(p[0]) |
-           static_cast<std::uint32_t>(p[1]) << 8 |
-           static_cast<std::uint32_t>(p[2]) << 16 |
-           static_cast<std::uint32_t>(p[3]) << 24;
-}
 
 /// "key=value" extraction from a REPL control line; throws on absence.
 std::string line_field(const std::string& line, const std::string& key) {
@@ -94,8 +87,8 @@ Replicator::Replicator(serve::RequestEngine& engine,
                        ReplicatorConfig config)
     : engine_(engine), local_store_(local_store),
       config_(std::move(config)) {
-    // Everything already recovered locally counts as applied: reconnect
-    // overlap and snapshot records at or below this are dropped.
+    // Everything already recovered locally counts as applied: a
+    // restarted replica resumes from the generation its store recovered.
     applied_generation_.store(engine_.registry().next_generation() - 1,
                               std::memory_order_relaxed);
 }
@@ -162,7 +155,7 @@ void Replicator::run() {
         }
         // A session that completed its handshake proved the primary
         // reachable, so the back-off starts over; a severed stream
-        // (WAL GC, primary restart) then costs one backoff_base.
+        // (primary restart, injected fault) then costs one backoff_base.
         if (connected_.exchange(false, std::memory_order_relaxed)) {
             failures = 0;
         }
@@ -180,86 +173,61 @@ void Replicator::run_once() {
                          config_.transport.recv_timeout);
     const FdHandoff handoff(fd_, conn.fd());
 
-    conn.send("REPL HELLO " + position_.to_string() + "\n");
+    std::uint64_t applied = applied_generation_.load(std::memory_order_relaxed);
+    conn.send("REPL HELLO " + std::to_string(applied) + "\n");
     const std::string greeting = conn.read_line(kMaxReplLineBytes);
+    FPM_CHECK(greeting.rfind("OK REPL STREAM ", 0) == 0,
+              "unexpected REPL handshake reply: " + greeting);
 
-    if (greeting.rfind("OK REPL SNAP ", 0) == 0) {
-        const std::uint64_t sets = parse_u64_field(greeting, "sets");
-        position_ = ReplPosition::parse(line_field(greeting, "pos"));
-        for (std::uint64_t i = 0; i < sets; ++i) {
-            const std::string header = conn.read_line(kMaxReplLineBytes);
-            FPM_CHECK(header.rfind("REPL SNAP ", 0) == 0,
-                      "unexpected snapshot record: " + header);
-            const std::uint64_t bytes = parse_u64_field(header, "bytes");
-            apply_frame(conn.read_exact(bytes, kMaxReplFrameBytes),
-                        "repl snapshot");
-        }
+    // The highest committed generation the primary announced: lag is
+    // reported against it after every frame, so a catch-up shows as
+    // lag until the last frame lands.
+    std::uint64_t committed = parse_u64_field(greeting, "committed");
+    if (applied == 0 && committed > 0) {
+        // Starting from nothing against a non-empty primary: the stream
+        // opens with the whole registry, the only full-state transfer.
         snapshots_received_.fetch_add(1, std::memory_order_relaxed);
         ReplicaMetrics::get().snapshots_received.add(1);
-    } else if (greeting.rfind("OK REPL STREAM ", 0) == 0) {
-        position_ = ReplPosition::parse(line_field(greeting, "pos"));
-    } else {
-        throw Error("unexpected REPL handshake reply: " + greeting);
     }
-
+    const auto record_contact = [&] {
+        applied = applied_generation_.load(std::memory_order_relaxed);
+        committed = std::max(committed, applied);
+        engine_.record_repl_contact(committed, applied);
+        ReplicaMetrics::get().lag_frames.set(
+            static_cast<std::int64_t>(committed - applied));
+    };
+    record_contact();
     connected_.store(true, std::memory_order_relaxed);
-    engine_.record_repl_contact(
-        applied_generation_.load(std::memory_order_relaxed),
-        applied_generation_.load(std::memory_order_relaxed));
 
     while (!stop_.load(std::memory_order_relaxed)) {
         const std::string line = conn.read_line(kMaxReplLineBytes);
         if (line.rfind("REPL FRAME ", 0) == 0) {
             const std::uint64_t bytes = parse_u64_field(line, "bytes");
-            const ReplPosition after =
-                ReplPosition::parse(line_field(line, "pos"));
-            apply_frame(conn.read_exact(bytes, kMaxReplFrameBytes),
-                        "repl stream");
-            position_ = after;
-            const std::uint64_t applied =
-                applied_generation_.load(std::memory_order_relaxed);
-            engine_.record_repl_contact(applied, applied);
-            ReplicaMetrics::get().lag_frames.set(0);
+            apply_frame(conn.read_exact(bytes, kMaxReplFrameBytes));
         } else if (line.rfind("REPL PING ", 0) == 0) {
-            const std::uint64_t committed =
-                parse_u64_field(line, "committed");
-            const std::uint64_t applied =
-                applied_generation_.load(std::memory_order_relaxed);
-            engine_.record_repl_contact(committed, applied);
-            ReplicaMetrics::get().lag_frames.set(
-                committed > applied
-                    ? static_cast<std::int64_t>(committed - applied)
-                    : 0);
+            committed = std::max(committed, parse_u64_field(line, "committed"));
             ReplicaMetrics::get().heartbeats.add(1);
         } else {
             throw Error("unexpected REPL stream line: " + line);
         }
+        record_contact();
     }
 }
 
-void Replicator::apply_frame(const std::string& frame,
-                             const std::string& origin) {
-    // The frame is a store WAL frame: validate it with the recovery
-    // framing rules before trusting the payload.
-    FPM_CHECK(frame.size() >= store::kFrameHeaderBytes,
-              origin + ": short replication frame");
-    const auto* header =
-        reinterpret_cast<const unsigned char*>(frame.data());
-    const std::uint32_t length = load_u32le(header);
-    const std::uint32_t expected_crc = load_u32le(header + 4);
-    FPM_CHECK(frame.size() == store::kFrameHeaderBytes + length,
-              origin + ": replication frame length mismatch");
-    const std::string payload = frame.substr(store::kFrameHeaderBytes);
-    FPM_CHECK(store::crc32(payload.data(), payload.size()) == expected_crc,
-              origin + ": replication frame CRC mismatch");
-
-    apply_record(store::decode_publish_record(payload, origin));
+void Replicator::apply_frame(const std::string& frame) {
+    // The frame is a store WAL frame: it must be exactly one frame that
+    // recovery would accept before the payload is trusted.
+    const auto decoded = store::decode_frame(frame);
+    FPM_CHECK(decoded && decoded->size == frame.size(),
+              "repl stream: torn or corrupt replication frame");
+    apply_record(store::decode_publish_record(std::string(decoded->payload),
+                                              "repl stream"));
 }
 
 void Replicator::apply_record(const store::PublishRecord& record) {
     if (record.generation <=
         applied_generation_.load(std::memory_order_relaxed)) {
-        return;  // reconnect/snapshot overlap: already applied
+        return;  // already applied
     }
 
     static auto& apply_fault = fault::point("repl.apply");
@@ -279,8 +247,8 @@ void Replicator::apply_record(const store::PublishRecord& record) {
         // fires the local store's write-ahead observer.
         installed = registry.put(record.name, record.models);
     } else {
-        // Snapshot records and post-reconnect overlap carry explicit,
-        // possibly non-contiguous generations: restore() installs them
+        // A catch-up skips the generations that later records of the
+        // same set superseded: restore() installs the explicit generation
         // verbatim (no observer), so the local store is fed directly.
         installed =
             registry.restore(record.name, record.models, record.generation);

@@ -51,11 +51,9 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "fpm/serve/model_registry.hpp"
@@ -119,15 +117,11 @@ struct StoreStats {
     std::uint64_t segment = 0;    ///< active WAL segment id
 };
 
-/// A consistent copy of the store's published content, taken under the
-/// store mutex for replication snapshot transfer: the encoded publish
-/// record of every live set plus the WAL position a stream resuming
-/// after this snapshot starts from.
-struct ReplSnapshot {
-    std::vector<std::string> payloads;     ///< encoded publish records
-    std::uint64_t next_generation = 1;     ///< registry counter to resume at
-    std::uint64_t segment = 0;             ///< active WAL segment id
-    std::uint64_t offset = 0;              ///< committed bytes in that segment
+/// A set's latest committed publish record: its generation and the
+/// encoded payload the WAL (or the snapshot recovery read) holds.
+struct StoredRecord {
+    std::uint64_t generation = 0;
+    std::string payload;
 };
 
 /// See file comment.
@@ -189,38 +183,21 @@ public:
 
     // -- replication hooks (consumed by fpm::repl) ---------------------
 
-    /// The file name of WAL segment `id` (`wal-NNNNNN.log`).
-    [[nodiscard]] static std::string segment_file_name(std::uint64_t id);
-
-    /// Absolute path of WAL segment `id` inside this store.
-    [[nodiscard]] std::string segment_path(std::uint64_t id) const {
-        return dir_ + "/" + segment_file_name(id);
-    }
-
-    /// The committed WAL position: (active segment id, committed bytes).
-    /// Readers tailing the active segment must clamp to this offset —
-    /// bytes past it may be a torn frame from an injected append fault.
-    [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> wal_position() const;
-
     /// Highest generation the store has committed (0 when empty).
     [[nodiscard]] std::uint64_t committed_generation() const;
 
-    /// Consistent snapshot of the published content for replication
-    /// transfer (see ReplSnapshot).
-    [[nodiscard]] ReplSnapshot replication_snapshot() const;
-
-    /// The seal point of the segment retired by the most recent WAL
-    /// rotation: (segment id, final committed bytes), or (0, 0) before
-    /// any rotation.  A follower standing exactly here has missed
-    /// nothing and resumes at the next segment; any other position in a
-    /// GC'd segment needs the snapshot fallback.
-    [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> last_seal() const;
+    /// The latest record of every set whose generation is above
+    /// `generation`, in generation order.  Appends commit in generation
+    /// order, so a follower that applied everything up to `generation`
+    /// lacks exactly these records, whatever the WAL rotated or GC'd.
+    [[nodiscard]] std::vector<StoredRecord> records_after(
+        std::uint64_t generation) const;
 
     /// Installs (or clears, with an empty function) a hook invoked —
     /// outside the store mutex, on the appending thread — after every
-    /// committed append and after every snapshot rotation.  The
-    /// ReplicationLog uses it to wake tailing sessions; the hook must be
-    /// cheap and must not call back into the store.
+    /// committed append.  The ReplicationLog uses it to wake tailing
+    /// sessions; the hook must be cheap and must not call back into the
+    /// store.
     void set_commit_hook(std::function<void()> hook);
 
 private:
@@ -234,17 +211,15 @@ private:
 
     mutable std::mutex mutex_;
     serve::ModelRegistry* attached_ = nullptr;
-    /// The store's own view of the published content — snapshots are
+    /// Each set's latest committed record, by name — snapshots are
     /// written from here so the snapshot path never re-enters the
     /// registry (whose mutex is held while the observer runs).
-    std::map<std::string, std::shared_ptr<const serve::ModelSet>> mirror_;
+    std::map<std::string, StoredRecord> mirror_;
     std::uint64_t next_generation_ = 1;
     WalFile wal_;
     std::uint64_t segment_id_ = 0;
     std::uint64_t appends_since_snapshot_ = 0;
     std::uint64_t last_snapshot_generation_ = 0;
-    std::uint64_t last_seal_segment_ = 0;
-    std::uint64_t last_seal_offset_ = 0;
     bool stopped_ = false;
     RecoveryReport recovery_;
     StoreStats stats_;

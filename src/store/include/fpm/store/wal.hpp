@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -102,6 +103,19 @@ private:
 /// Encodes one frame (header + payload) — exposed for the snapshot
 /// writer and the tests' corruption harness.
 [[nodiscard]] std::string encode_frame(std::string_view payload);
+
+/// One intact frame found at the start of a byte range.
+struct DecodedFrame {
+    std::string_view payload;  ///< points into the decoded range
+    std::size_t size = 0;      ///< header plus payload bytes consumed
+};
+
+/// Decodes the frame at the start of `bytes`.  Returns nothing for a
+/// torn or corrupt frame: a short header, a length over kMaxFrameBytes,
+/// a short payload or a CRC mismatch.  replay_wal() and a replica's
+/// frame check both use it, so they accept exactly the same frames.
+[[nodiscard]] std::optional<DecodedFrame> decode_frame(
+    std::string_view bytes) noexcept;
 
 /// fsync()s a directory so a just-created or just-renamed entry is
 /// durable.  Best-effort: ignores file systems that reject dir fsync.

@@ -177,7 +177,7 @@ RecoveryReport ModelStore::recover(serve::ModelRegistry& registry) {
     // mutex — which live put() observers hold while waiting on the store
     // mutex (registry -> store).  Holding the store mutex across
     // restore() would close that cycle into a deadlock.
-    std::map<std::string, std::shared_ptr<const serve::ModelSet>> mirror;
+    std::map<std::string, StoredRecord> mirror;
     std::uint64_t next_generation = 1;
     std::uint64_t snapshot_generation = 0;
 
@@ -209,7 +209,7 @@ RecoveryReport ModelStore::recover(serve::ModelRegistry& registry) {
     for (const std::uint64_t generation : snapshots) {
         const std::string path = dir_ + "/" + snapshot_name(generation);
         try {
-            const ReplayResult replay = replay_wal(path, /*repair=*/false);
+            ReplayResult replay = replay_wal(path, /*repair=*/false);
             FPM_CHECK(replay.truncated_bytes == 0 && !replay.payloads.empty(),
                       "torn snapshot");
             std::istringstream header(replay.payloads.front());
@@ -231,15 +231,14 @@ RecoveryReport ModelStore::recover(serve::ModelRegistry& registry) {
                           std::to_string(replay.payloads.size() - 1) +
                           " sets, header promises " + std::to_string(sets));
 
-            std::map<std::string, std::shared_ptr<const serve::ModelSet>>
-                restored;
+            std::map<std::string, StoredRecord> restored;
             for (std::size_t i = 1; i < replay.payloads.size(); ++i) {
                 PublishRecord record =
                     decode_publish_record(replay.payloads[i], path);
-                auto set = registry.restore(record.name,
-                                            std::move(record.models),
-                                            record.generation);
-                restored[set->name] = set;
+                registry.restore(record.name, std::move(record.models),
+                                 record.generation);
+                restored[record.name] = {record.generation,
+                                         std::move(replay.payloads[i])};
             }
             mirror = std::move(restored);
             next_generation = std::max<std::uint64_t>(next, 1);
@@ -265,17 +264,17 @@ RecoveryReport ModelStore::recover(serve::ModelRegistry& registry) {
             fs::remove(path, ec);
             continue;
         }
-        const ReplayResult replay = replay_wal(path, /*repair=*/true);
+        ReplayResult replay = replay_wal(path, /*repair=*/true);
         report.truncated_bytes += replay.truncated_bytes;
         torn = replay.truncated_bytes > 0;
-        for (const std::string& payload : replay.payloads) {
+        for (std::string& payload : replay.payloads) {
             PublishRecord record = decode_publish_record(payload, path);
             if (record.generation < next_generation) {
                 continue;  // already covered by the snapshot
             }
-            auto set = registry.restore(record.name, std::move(record.models),
-                                        record.generation);
-            mirror[set->name] = set;
+            registry.restore(record.name, std::move(record.models),
+                             record.generation);
+            mirror[record.name] = {record.generation, std::move(payload)};
             next_generation = record.generation + 1;
             ++report.wal_records;
         }
@@ -332,14 +331,19 @@ void ModelStore::attach(serve::ModelRegistry& registry) {
     }
     // Content the registry already holds that the log does not (sets
     // loaded before the store existed) is logged now, so attach() is a
-    // durability barrier, not just a subscription.
-    for (const auto& set : registry.snapshot()) {
+    // durability barrier, not just a subscription.  Generation order
+    // keeps the log's order the registry's (see records_after()).
+    auto sets = registry.snapshot();
+    std::sort(sets.begin(), sets.end(), [](const auto& a, const auto& b) {
+        return a->generation < b->generation;
+    });
+    for (const auto& set : sets) {
         bool logged = false;
         {
             std::lock_guard lock(mutex_);
             const auto it = mirror_.find(set->name);
             logged = it != mirror_.end() &&
-                     it->second->generation == set->generation;
+                     it->second.generation == set->generation;
         }
         if (!logged) {
             append(*set);
@@ -362,7 +366,7 @@ void ModelStore::append(const serve::ModelSet& set) {
         FPM_CHECK(!stopped_, "store is stopped");
         FPM_CHECK(wal_.is_open(), "store log is not open");
 
-        const std::string payload = encode_publish_record(set);
+        std::string payload = encode_publish_record(set);
         const std::uint64_t before = wal_.committed_bytes();
         const std::uint64_t frame_size = wal_.append(payload);
         if (options_.fsync_policy == FsyncPolicy::kAlways) {
@@ -381,7 +385,7 @@ void ModelStore::append(const serve::ModelSet& set) {
                 std::chrono::duration<double>(Clock::now() - start).count());
         }
 
-        mirror_[set.name] = std::make_shared<const serve::ModelSet>(set);
+        mirror_[set.name] = {set.generation, std::move(payload)};
         next_generation_ = std::max(next_generation_, set.generation + 1);
         ++stats_.appended;
         stats_.bytes += frame_size;
@@ -404,12 +408,9 @@ void ModelStore::append(const serve::ModelSet& set) {
 }
 
 void ModelStore::snapshot() {
-    {
-        std::lock_guard lock(mutex_);
-        FPM_CHECK(!stopped_, "store is stopped");
-        snapshot_locked();
-    }
-    fire_commit_hook();
+    std::lock_guard lock(mutex_);
+    FPM_CHECK(!stopped_, "store is stopped");
+    snapshot_locked();
 }
 
 void ModelStore::snapshot_locked() {
@@ -425,8 +426,8 @@ void ModelStore::snapshot_locked() {
                << " next=" << next_generation_ << " sets=" << mirror_.size();
         contents += encode_frame(header.str());
     }
-    for (const auto& [name, set] : mirror_) {
-        contents += encode_frame(encode_publish_record(*set));
+    for (const auto& [name, record] : mirror_) {
+        contents += encode_frame(record.payload);
     }
 
     const std::string final_name = snapshot_name(generation);
@@ -452,8 +453,6 @@ void ModelStore::snapshot_locked() {
     // The snapshot now covers everything: rotate to a fresh segment and
     // drop the old segments and older snapshots it superseded.
     const std::uint64_t old_segment = segment_id_;
-    last_seal_segment_ = old_segment;
-    last_seal_offset_ = wal_.committed_bytes();
     open_segment_locked(segment_id_ + 1, 0);
     fsync_dir(dir_);
     for (std::uint64_t id = 1; id <= old_segment; ++id) {
@@ -521,36 +520,27 @@ StoreStats ModelStore::stats() const {
     return stats_;
 }
 
-std::string ModelStore::segment_file_name(std::uint64_t id) {
-    return segment_name(id);
-}
-
-std::pair<std::uint64_t, std::uint64_t> ModelStore::wal_position() const {
-    std::lock_guard lock(mutex_);
-    return {segment_id_, wal_.is_open() ? wal_.committed_bytes() : 0};
-}
-
 std::uint64_t ModelStore::committed_generation() const {
     std::lock_guard lock(mutex_);
     return next_generation_ - 1;
 }
 
-ReplSnapshot ModelStore::replication_snapshot() const {
-    std::lock_guard lock(mutex_);
-    ReplSnapshot snap;
-    snap.payloads.reserve(mirror_.size());
-    for (const auto& [name, set] : mirror_) {
-        snap.payloads.push_back(encode_publish_record(*set));
+std::vector<StoredRecord> ModelStore::records_after(
+    std::uint64_t generation) const {
+    std::vector<StoredRecord> records;
+    {
+        std::lock_guard lock(mutex_);
+        for (const auto& [name, record] : mirror_) {
+            if (record.generation > generation) {
+                records.push_back(record);
+            }
+        }
     }
-    snap.next_generation = next_generation_;
-    snap.segment = segment_id_;
-    snap.offset = wal_.is_open() ? wal_.committed_bytes() : 0;
-    return snap;
-}
-
-std::pair<std::uint64_t, std::uint64_t> ModelStore::last_seal() const {
-    std::lock_guard lock(mutex_);
-    return {last_seal_segment_, last_seal_offset_};
+    std::sort(records.begin(), records.end(),
+              [](const StoredRecord& a, const StoredRecord& b) {
+                  return a.generation < b.generation;
+              });
+    return records;
 }
 
 void ModelStore::set_commit_hook(std::function<void()> hook) {

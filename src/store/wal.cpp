@@ -79,6 +79,23 @@ std::string encode_frame(std::string_view payload) {
     return frame;
 }
 
+std::optional<DecodedFrame> decode_frame(std::string_view bytes) noexcept {
+    if (bytes.size() < kFrameHeaderBytes) {
+        return std::nullopt;
+    }
+    const auto* header = reinterpret_cast<const unsigned char*>(bytes.data());
+    const std::uint32_t length = get_u32_le(header);
+    if (length > kMaxFrameBytes ||
+        bytes.size() - kFrameHeaderBytes < length) {
+        return std::nullopt;  // garbage length or short payload
+    }
+    const std::string_view payload = bytes.substr(kFrameHeaderBytes, length);
+    if (crc32(payload.data(), payload.size()) != get_u32_le(header + 4)) {
+        return std::nullopt;
+    }
+    return DecodedFrame{payload, kFrameHeaderBytes + length};
+}
+
 ReplayResult replay_wal(const std::string& path, bool repair) {
     const int fd = ::open(path.c_str(), repair ? O_RDWR : O_RDONLY, 0);
     FPM_CHECK(fd >= 0, "cannot open log: " + path + ": " +
@@ -102,26 +119,17 @@ ReplayResult replay_wal(const std::string& path, bool repair) {
             contents.append(chunk, static_cast<std::size_t>(n));
         }
 
-        std::size_t offset = 0;
-        const auto* bytes =
-            reinterpret_cast<const unsigned char*>(contents.data());
-        while (contents.size() - offset >= kFrameHeaderBytes) {
-            const std::uint32_t length = get_u32_le(bytes + offset);
-            const std::uint32_t expected_crc = get_u32_le(bytes + offset + 4);
-            if (length > kMaxFrameBytes ||
-                contents.size() - offset - kFrameHeaderBytes < length) {
-                break;  // torn or garbage header: tail starts here
-            }
-            const char* payload = contents.data() + offset + kFrameHeaderBytes;
-            if (crc32(payload, length) != expected_crc) {
-                break;  // corrupt record: everything from here is suspect
-            }
-            result.payloads.emplace_back(payload, length);
-            offset += kFrameHeaderBytes + length;
+        // The first torn or corrupt frame ends the replay: everything
+        // from there on is suspect.
+        std::string_view rest = contents;
+        while (const auto frame = decode_frame(rest)) {
+            result.payloads.emplace_back(frame->payload);
+            rest.remove_prefix(frame->size);
         }
-        result.truncated_bytes = contents.size() - offset;
+        result.truncated_bytes = rest.size();
         if (result.truncated_bytes > 0 && repair) {
-            FPM_CHECK(::ftruncate(fd, static_cast<off_t>(offset)) == 0,
+            const auto intact = static_cast<off_t>(contents.size() - rest.size());
+            FPM_CHECK(::ftruncate(fd, intact) == 0,
                       "ftruncate(" + path + "): " + std::strerror(errno));
         }
     } catch (...) {

@@ -295,11 +295,13 @@ TEST(DocsConsistency, ProtocolSpecCoversEveryVerb) {
 
 TEST(DocsConsistency, ProtocolSpecCoversTheReplVerbs) {
     // v6: the replication sub-protocol and the read_only rejection are
-    // part of the wire contract and must be specified.
+    // part of the wire contract and must be specified, line by line.
     const std::string spec = read_file("docs/protocol.md");
     for (const char* token :
-         {"REPL HELLO", "OK REPL STREAM", "OK REPL SNAP", "REPL FRAME",
-          "REPL SNAP bytes=", "REPL PING", "committed=", "pos=",
+         {"REPL HELLO <generation>\n",
+          "OK REPL STREAM committed=<generation>",
+          "REPL FRAME bytes=<m>\n", "REPL PING committed=<generation>\n",
+          "generation order", "ahead of",
           "`read_only`", "role=", "repl_lag_frames=", "repl_lag_seconds=",
           "repl_source=", "repl_applied_generation=",
           "docs/replication.md"}) {
@@ -313,9 +315,9 @@ TEST(DocsConsistency, ReplicationGuideCoversTheSubsystem) {
     // Topology + handshake + lag semantics + the failover runbook: the
     // operator-facing surface of fpm::repl, kept honest by name.
     for (const char* token :
-         {"WAL shipping", "REPL HELLO", "REPL FRAME", "REPL SNAP",
-          "REPL PING", "snapshot transfer", "seal point",
-          "--repl-listen", "--replica-of", "read_only",
+         {"WAL shipping", "REPL HELLO <generation>", "REPL FRAME",
+          "REPL PING", "generation order", "records_after",
+          "repl.snapshots_received", "--repl-listen", "--replica-of", "read_only",
           "repl_lag_frames", "repl_lag_seconds", "repl_source",
           "repl_applied_generation", "role=replica", "failover",
           "promotion", "repl.handshake", "repl.send", "repl.apply",

@@ -1,14 +1,16 @@
-// fpm::repl suite: ReplicationLog position iteration at segment
-// boundaries (exact-frame resume after WAL rotation, snapshot fallback
-// when the segment was GC'd), primary → replica convergence over the
-// wire (streaming and snapshot-transfer paths, bit-for-bit plan
-// equality, replica-side durability), read-only write rejection, the
-// typed STATS/HEALTH replication fields (each engine reports its own
-// role, even with a primary and a replica in one process), client
-// endpoint failover, a chaos run with every repl.* fault armed, and the
-// headline fork()+SIGKILL drill: primary killed mid-stream, the replica
-// serves the last acknowledged generation bit-for-bit and the failover
-// client completes with zero torn replies.
+// fpm::repl suite: ReplicationLog catch-up by generation (the store's
+// latest records above a generation, in generation order, surviving
+// WAL rotation, GC and recovery), primary → replica convergence over
+// the wire (fresh join, tailing across rotations, restart from the
+// replica's recovered generation, refusal of a replica ahead of the
+// primary, bit-for-bit plan equality, replica-side durability),
+// read-only write rejection, the typed STATS/HEALTH replication fields
+// (each engine reports its own role, even with a primary and a replica
+// in one process), client endpoint failover, a chaos run with every
+// repl.* fault armed, hostile primaries (over-long and corrupt frames),
+// and the headline fork()+SIGKILL drill: primary killed mid-stream, the
+// replica serves the last acknowledged generation bit-for-bit and the
+// failover client completes with zero torn replies.
 #include <gtest/gtest.h>
 
 #include <poll.h>
@@ -192,22 +194,18 @@ std::uint64_t max_generation(const ModelRegistry& registry) {
     return top;
 }
 
-// ---------------------------------------------------------------------------
-// ReplPosition
-// ---------------------------------------------------------------------------
-
-TEST(ReplPositionTest, ParsesItsOwnRendering) {
-    const ReplPosition pos{3, 128};
-    EXPECT_EQ(pos.to_string(), "3:128");
-    EXPECT_EQ(ReplPosition::parse("3:128"), pos);
-    EXPECT_EQ(ReplPosition::parse("0:0"), (ReplPosition{0, 0}));
-    for (const char* bad : {"", "3", ":", "3:", ":128", "a:b", "3:12x"}) {
-        EXPECT_THROW((void)ReplPosition::parse(bad), fpm::Error) << bad;
+/// The generations of `records`, in order.
+std::vector<std::uint64_t> generations_of(
+    const std::vector<store::StoredRecord>& records) {
+    std::vector<std::uint64_t> generations;
+    for (const auto& record : records) {
+        generations.push_back(record.generation);
     }
+    return generations;
 }
 
 // ---------------------------------------------------------------------------
-// ReplicationLog: committed-frame iteration and live tailing
+// ReplicationLog: catch-up by generation and live tailing
 // ---------------------------------------------------------------------------
 
 TEST(ReplicationLogTest, StreamsCommittedFramesInOrderThenTimesOut) {
@@ -219,26 +217,34 @@ TEST(ReplicationLogTest, StreamsCommittedFramesInOrderThenTimesOut) {
     store.recover(registry);
     store.attach(registry);
     registry.put("alpha", synthetic_models(2, 16, 1.0));
-    registry.put("alpha", synthetic_models(2, 16, 2.0));
+    registry.put("beta", synthetic_models(2, 16, 2.0));
+    registry.put("alpha", synthetic_models(2, 16, 3.0));
 
+    // From nothing: the latest record of every set, in generation order
+    // (beta@2 before alpha@3, although alpha sorts first by name).
     ReplicationLog log(store);
-    ReplPosition pos{1, 0};
-    std::string payload;
-    ASSERT_EQ(log.next(pos, payload, 1.0), ReplicationLog::Next::kFrame);
-    auto record = store::decode_publish_record(payload, "test");
+    std::uint64_t generation = 0;
+    std::vector<store::StoredRecord> records;
+    ASSERT_EQ(log.next(generation, records, 1.0),
+              ReplicationLog::Next::kRecords);
+    EXPECT_EQ(generations_of(records), (std::vector<std::uint64_t>{2, 3}));
+    EXPECT_EQ(generation, 3u);
+    const auto record = store::decode_publish_record(records[1].payload, "test");
     EXPECT_EQ(record.name, "alpha");
-    EXPECT_EQ(record.generation, 1u);
-    ASSERT_EQ(log.next(pos, payload, 1.0), ReplicationLog::Next::kFrame);
-    record = store::decode_publish_record(payload, "test");
-    EXPECT_EQ(record.generation, 2u);
+    EXPECT_EQ(record.generation, 3u);
     EXPECT_EQ(record.fingerprint,
-              serve::fingerprint_models(synthetic_models(2, 16, 2.0)));
+              serve::fingerprint_models(synthetic_models(2, 16, 3.0)));
 
-    // Caught up: the position equals the commit point and next() waits.
-    const auto [segment, committed] = store.wal_position();
-    EXPECT_EQ(pos, (ReplPosition{segment, committed}));
-    EXPECT_EQ(log.next(pos, payload, 0.02), ReplicationLog::Next::kTimeout);
-    EXPECT_EQ(pos, (ReplPosition{segment, committed}));
+    // From generation 2: only what came after it.
+    generation = 2;
+    ASSERT_EQ(log.next(generation, records, 1.0),
+              ReplicationLog::Next::kRecords);
+    EXPECT_EQ(generations_of(records), (std::vector<std::uint64_t>{3}));
+
+    // Caught up: next() waits, then times out with the generation kept.
+    EXPECT_EQ(log.next(generation, records, 0.02),
+              ReplicationLog::Next::kTimeout);
+    EXPECT_EQ(generation, 3u);
     store.abandon();
 }
 
@@ -252,20 +258,21 @@ TEST(ReplicationLogTest, TailingNextWakesOnCommit) {
     store.attach(registry);
     ReplicationLog log(store);
 
-    ReplPosition pos{1, 0};
-    std::string payload;
+    std::uint64_t generation = 0;
+    std::vector<store::StoredRecord> records;
     std::atomic<int> result{-1};
     std::thread tail([&] {
-        result.store(static_cast<int>(log.next(pos, payload, 20.0)));
+        result.store(static_cast<int>(log.next(generation, records, 20.0)));
     });
-    // Give the tail a moment to block at the (empty) commit point, then
+    // Give the tail a moment to block on the (empty) store, then
     // publish: the commit hook must wake it well before the timeout.
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     registry.put("alpha", synthetic_models(2, 16, 1.0));
     tail.join();
     EXPECT_EQ(result.load(),
-              static_cast<int>(ReplicationLog::Next::kFrame));
-    EXPECT_EQ(store::decode_publish_record(payload, "test").generation, 1u);
+              static_cast<int>(ReplicationLog::Next::kRecords));
+    EXPECT_EQ(generations_of(records), (std::vector<std::uint64_t>{1}));
+    EXPECT_EQ(generation, 1u);
     store.abandon();
 }
 
@@ -277,134 +284,58 @@ TEST(ReplicationLogTest, StopWakesBlockedReaders) {
     store.attach(registry);
     ReplicationLog log(store);
 
-    ReplPosition pos{1, 0};
-    std::string payload;
+    std::uint64_t generation = 0;
+    std::vector<store::StoredRecord> records;
     std::atomic<int> result{-1};
     std::thread tail([&] {
-        result.store(static_cast<int>(log.next(pos, payload, 60.0)));
+        result.store(static_cast<int>(log.next(generation, records, 60.0)));
     });
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     log.stop();
     tail.join();
     EXPECT_EQ(result.load(),
               static_cast<int>(ReplicationLog::Next::kStopped));
-    EXPECT_EQ(log.next(pos, payload, 1.0), ReplicationLog::Next::kStopped);
+    EXPECT_EQ(log.next(generation, records, 1.0),
+              ReplicationLog::Next::kStopped);
     store.abandon();
 }
 
-// ---------------------------------------------------------------------------
-// ReplicationLog: segment boundaries
-// ---------------------------------------------------------------------------
-
-TEST(ReplicationLogTest, SealPointResumesExactlyAcrossRotationAndGc) {
+TEST(ReplicationLogTest, RecordsSurviveRotationGcAndRecovery) {
+    // The records a follower catches up from live in the store, not in
+    // its WAL segments: rotations, GC and a restart change none of them.
     TempDir dir;
-    ModelRegistry registry;
     StoreOptions options;
-    options.snapshot_every = 0;
-    ModelStore store(dir.path, options);
-    store.recover(registry);
-    store.attach(registry);
-    registry.put("alpha", synthetic_models(2, 16, 1.0));
-    registry.put("alpha", synthetic_models(2, 16, 2.0));
-
-    ReplicationLog log(store);
-    ReplPosition pos{1, 0};
-    std::string payload;
-    ASSERT_EQ(log.next(pos, payload, 1.0), ReplicationLog::Next::kFrame);
-    ASSERT_EQ(log.next(pos, payload, 1.0), ReplicationLog::Next::kFrame);
-    const ReplPosition caught_up = pos;
-
-    // Rotation GCs segment 1, but a follower standing exactly at its
-    // seal point has missed nothing: the position stays resumable and
-    // the next frame arrives from segment 2 without a snapshot.
-    store.snapshot();
-    EXPECT_FALSE(fs::exists(store.segment_path(1)));
-    EXPECT_EQ(store.last_seal(),
-              std::make_pair(caught_up.segment, caught_up.offset));
-    EXPECT_TRUE(log.position_available(caught_up));
-
-    registry.put("alpha", synthetic_models(2, 16, 3.0));
-    ASSERT_EQ(log.next(pos, payload, 1.0), ReplicationLog::Next::kFrame);
-    EXPECT_EQ(pos.segment, 2u);
-    const auto record = store::decode_publish_record(payload, "test");
-    EXPECT_EQ(record.generation, 3u);
-    store.abandon();
-}
-
-TEST(ReplicationLogTest, GcdSegmentOffTheSealPointIsAGap) {
-    TempDir dir;
-    ModelRegistry registry;
-    StoreOptions options;
-    options.snapshot_every = 0;
-    ModelStore store(dir.path, options);
-    store.recover(registry);
-    store.attach(registry);
-    registry.put("alpha", synthetic_models(2, 16, 1.0));
-    registry.put("alpha", synthetic_models(2, 16, 2.0));
-    store.snapshot();  // rotates to segment 2, GCs segment 1
-
-    ReplicationLog log(store);
-    // A follower that had only frame 1 of the GC'd segment: its frames
-    // are gone for good — the handshake must refuse the resume so the
-    // server falls back to a snapshot transfer.
-    ReplPosition behind{1, 0};
-    std::string payload;
-    EXPECT_FALSE(log.position_available(behind));
-    EXPECT_EQ(log.next(behind, payload, 0.05), ReplicationLog::Next::kGap);
-    EXPECT_EQ(behind, (ReplPosition{1, 0}));
-
-    // Future segments and the reserved segment 0 are gaps too.
-    EXPECT_FALSE(log.position_available(ReplPosition{0, 0}));
-    EXPECT_FALSE(log.position_available(ReplPosition{9, 0}));
-    ReplPosition future{9, 0};
-    EXPECT_EQ(log.next(future, payload, 0.05), ReplicationLog::Next::kGap);
-
-    // The snapshot fallback hands exactly the live content plus the
-    // resume position at the new segment's commit point.
-    const auto snap = store.replication_snapshot();
-    EXPECT_EQ(snap.payloads.size(), 1u);
-    EXPECT_EQ(snap.next_generation, 3u);
-    EXPECT_EQ(snap.segment, 2u);
-    EXPECT_EQ(store::decode_publish_record(snap.payloads[0], "snap").generation,
-              2u);
-    store.abandon();
-}
-
-TEST(ReplicationLogTest, SealedSegmentStillOnDiskIsReadToItsEnd) {
-    TempDir dir;
-    ModelRegistry registry;
-    StoreOptions options;
-    options.snapshot_every = 0;
-    ModelStore store(dir.path, options);
-    store.recover(registry);
-    store.attach(registry);
-    registry.put("alpha", synthetic_models(2, 16, 1.0));
-    registry.put("alpha", synthetic_models(2, 16, 2.0));
-
-    // Preserve segment 1 across the rotation's GC, simulating a lazier
-    // collector: a sealed-but-present segment must be read to its end
-    // before the position advances to the next segment.
-    const std::string segment1 = store.segment_path(1);
-    const std::string stash = dir.path + "/stash.bin";
-    ASSERT_TRUE(fs::copy_file(segment1, stash));
-    store.snapshot();
-    ASSERT_FALSE(fs::exists(segment1));
-    ASSERT_TRUE(fs::copy_file(stash, segment1));
-    registry.put("alpha", synthetic_models(2, 16, 3.0));
-
-    ReplicationLog log(store);
-    EXPECT_TRUE(log.position_available(ReplPosition{1, 0}));
-    ReplPosition pos{1, 0};
-    std::string payload;
-    std::vector<std::uint64_t> generations;
-    for (int i = 0; i < 3; ++i) {
-        ASSERT_EQ(log.next(pos, payload, 1.0), ReplicationLog::Next::kFrame);
-        generations.push_back(
-            store::decode_publish_record(payload, "test").generation);
+    options.snapshot_every = 2;
+    std::vector<store::StoredRecord> before;
+    {
+        ModelRegistry registry;
+        ModelStore store(dir.path, options);
+        store.recover(registry);
+        store.attach(registry);
+        for (int g = 1; g <= 7; ++g) {
+            registry.put(g % 3 == 0 ? "gamma" : (g % 2 == 0 ? "beta" : "alpha"),
+                         synthetic_models(2, 16, static_cast<double>(g)));
+        }
+        EXPECT_EQ(store.stats().snapshots, 3u);
+        EXPECT_EQ(store.stats().segment, 4u);
+        before = store.records_after(0);
+        store.abandon();
     }
-    EXPECT_EQ(generations, (std::vector<std::uint64_t>{1, 2, 3}));
-    EXPECT_EQ(pos.segment, 2u);
-    EXPECT_EQ(log.next(pos, payload, 0.02), ReplicationLog::Next::kTimeout);
+    // alpha@7, beta@4, gamma@6 — in generation order.
+    EXPECT_EQ(generations_of(before), (std::vector<std::uint64_t>{4, 6, 7}));
+
+    ModelRegistry registry;
+    ModelStore store(dir.path, options);
+    store.recover(registry);
+    const auto after = store.records_after(0);
+    ASSERT_EQ(after.size(), before.size());
+    for (std::size_t i = 0; i < before.size(); ++i) {
+        EXPECT_EQ(after[i].generation, before[i].generation);
+        EXPECT_EQ(after[i].payload, before[i].payload) << "record " << i;
+    }
+    EXPECT_EQ(generations_of(store.records_after(6)),
+              (std::vector<std::uint64_t>{7}));
+    EXPECT_TRUE(store.records_after(7).empty());
     store.abandon();
 }
 
@@ -470,31 +401,129 @@ TEST(ReplEndToEnd, ReplicaConvergesTailsAndServesIdenticalPlans) {
               primary.registry.next_generation());
 }
 
-TEST(ReplEndToEnd, FreshReplicaBehindGcGetsASnapshotTransfer) {
+TEST(ReplEndToEnd, FreshReplicaReceivesEverySetInGenerationOrder) {
+    // beta is older than alpha but sorts after it by name: a fresh
+    // replica must still end with both sets.
     TempDir primary_dir;
     TempDir replica_dir;
-    // snapshot_every=2: by generation 4 the early segments are GC'd, so
-    // a fresh replica (HELLO 0:0) cannot stream from the beginning.
-    Primary primary(primary_dir.path, 2);
-    for (int g = 1; g <= 4; ++g) {
-        primary.registry.put("alpha",
-                             synthetic_models(3, 32, static_cast<double>(g)));
-    }
-    ASSERT_FALSE(fs::exists(primary.store.segment_path(1)));
+    Primary primary(primary_dir.path);
+    primary.registry.put("beta", synthetic_models(2, 24, 1.0));
+    primary.registry.put("alpha", synthetic_models(3, 32, 2.0));
 
     Replica replica(replica_dir.path, primary.server->port());
     ASSERT_TRUE(wait_until(
-        [&] { return replica.replicator->applied_generation() >= 4; }));
-    EXPECT_GE(replica.replicator->snapshots_received(), 1u);
-    EXPECT_GE(primary.server->snapshots_sent(), 1u);
+        [&] { return replica.replicator->applied_generation() >= 2; }));
+    ASSERT_EQ(replica.registry.size(), 2u);
+    for (const auto& set : primary.registry.snapshot()) {
+        const auto mirrored = replica.registry.find(set->name);
+        ASSERT_NE(mirrored, nullptr) << set->name;
+        EXPECT_EQ(mirrored->generation, set->generation);
+        EXPECT_EQ(mirrored->fingerprint, set->fingerprint);
+    }
+    EXPECT_EQ(replica.replicator->frames_applied(), 2u);
+    EXPECT_EQ(replica.replicator->snapshots_received(), 1u);
+}
+
+TEST(ReplEndToEnd, FreshReplicaBehindGcTailsRotationsWithoutReconnecting) {
+    TempDir primary_dir;
+    TempDir replica_dir;
+    // snapshot_every=2: every second publish rotates the WAL and GCs the
+    // segment a tailing replica was just shipped from.
+    Primary primary(primary_dir.path, 2);
+    std::uint64_t generation = 0;
+    for (; generation < 4; ++generation) {
+        primary.registry.put(generation % 2 == 0 ? "alpha" : "beta",
+                             synthetic_models(3, 32,
+                                              static_cast<double>(generation)));
+    }
+    ASSERT_GE(primary.store.stats().snapshots, 2u);
+
+    // The early segments are gone; the replica gets one frame per set.
+    Replica replica(replica_dir.path, primary.server->port());
+    ASSERT_TRUE(wait_until([&] {
+        return replica.replicator->applied_generation() == generation;
+    }));
+    EXPECT_EQ(replica.replicator->frames_applied(), 2u);
+
+    // Tail five rotations, one publish applied at a time.
+    const std::uint64_t segment = primary.store.stats().segment;
+    for (int i = 0; i < 10; ++i) {
+        ++generation;
+        primary.registry.put("alpha", synthetic_models(
+                                          3, 32, static_cast<double>(generation)));
+        ASSERT_TRUE(wait_until([&] {
+            return replica.replicator->applied_generation() == generation;
+        })) << "generation " << generation;
+    }
+    EXPECT_GE(primary.store.stats().segment, segment + 5);
+    EXPECT_EQ(replica.replicator->frames_applied(), 12u);
+    EXPECT_EQ(replica.replicator->reconnects(), 0u);
+    EXPECT_EQ(replica.replicator->snapshots_received(), 1u);
     EXPECT_EQ(replica.registry.get("alpha")->fingerprint,
               primary.registry.get("alpha")->fingerprint);
+    EXPECT_EQ(replica.registry.get("beta")->fingerprint,
+              primary.registry.get("beta")->fingerprint);
+}
 
-    // The stream keeps tailing after the snapshot hand-off.
-    primary.registry.put("alpha", synthetic_models(3, 32, 9.0));
+TEST(ReplEndToEnd, RestartedReplicaResumesFromItsRecoveredGeneration) {
+    TempDir primary_dir;
+    TempDir replica_dir;
+    Primary primary(primary_dir.path);
+    for (int g = 1; g <= 14; ++g) {
+        primary.registry.put(g % 2 == 0 ? "beta" : "alpha",
+                             synthetic_models(2, 16, static_cast<double>(g)));
+    }
+    {
+        Replica replica(replica_dir.path, primary.server->port());
+        ASSERT_TRUE(wait_until(
+            [&] { return replica.replicator->applied_generation() == 14; }));
+    }
+
+    // Published while the replica is down: beta@15, beta@16, alpha@17.
+    primary.registry.put("beta", synthetic_models(2, 16, 15.0));
+    primary.registry.put("beta", synthetic_models(2, 16, 16.0));
+    primary.registry.put("alpha", synthetic_models(2, 16, 17.0));
+
+    // Restarted on its own store, the replica says HELLO 14 and lacks
+    // exactly beta@16 and alpha@17.
+    Replica replica(replica_dir.path, primary.server->port());
     ASSERT_TRUE(wait_until(
-        [&] { return replica.replicator->applied_generation() >= 5; }));
-    EXPECT_EQ(replica.registry.get("alpha")->generation, 5u);
+        [&] { return replica.replicator->applied_generation() == 17; }));
+    EXPECT_EQ(replica.replicator->frames_applied(), 2u);
+    EXPECT_EQ(replica.replicator->snapshots_received(), 0u);
+    EXPECT_EQ(replica.registry.get("beta")->generation, 16u);
+    EXPECT_EQ(replica.registry.get("beta")->fingerprint,
+              primary.registry.get("beta")->fingerprint);
+    EXPECT_EQ(replica.registry.get("alpha")->generation, 17u);
+    EXPECT_EQ(replica.registry.next_generation(),
+              primary.registry.next_generation());
+}
+
+TEST(ReplEndToEnd, ReplicaAheadOfThePrimaryIsRefused) {
+    TempDir primary_dir;
+    TempDir replica_dir;
+    {
+        // The replica's store already holds alpha@3 ...
+        ModelRegistry registry;
+        ModelStore store(replica_dir.path);
+        store.recover(registry);
+        store.attach(registry);
+        for (int g = 1; g <= 3; ++g) {
+            registry.put("alpha", synthetic_models(2, 16, 10.0 + g));
+        }
+        store.stop();
+    }
+    // ... and the primary is only at generation 1.
+    Primary primary(primary_dir.path);
+    primary.registry.put("alpha", synthetic_models(2, 16, 1.0));
+
+    Replica replica(replica_dir.path, primary.server->port());
+    ASSERT_TRUE(wait_until(
+        [&] { return replica.replicator->reconnects() >= 2; }, 10.0));
+    EXPECT_EQ(replica.replicator->frames_applied(), 0u);
+    EXPECT_FALSE(replica.replicator->connected());
+    EXPECT_EQ(primary.server->frames_sent(), 0u);
+    EXPECT_EQ(replica.registry.get("alpha")->generation, 3u);
 }
 
 TEST(ReplEndToEnd, ReplicaAnswersWritesWithTypedReadOnlyErrors) {
@@ -871,13 +900,27 @@ private:
 
 TEST(ReplHostile, OverLongLinesAndFramesAreRefusedBeforeBuffering) {
     const std::string over_long_frame =
-        "OK REPL STREAM pos=1:0\nREPL FRAME bytes=" +
+        "OK REPL STREAM committed=1\nREPL FRAME bytes=" +
         std::to_string(store::kFrameHeaderBytes + store::kMaxFrameBytes + 1) +
-        " pos=1:64\n";
+        "\n";
+    // A valid publish record whose frame carries a wrong CRC: only the
+    // frame check stands between it and the registry.
+    serve::ModelSet set;
+    set.name = "alpha";
+    set.models = synthetic_models(2, 16, 1.0);
+    set.generation = 1;
+    set.fingerprint = serve::fingerprint_models(set.models);
+    std::string corrupt = store::encode_frame(store::encode_publish_record(set));
+    corrupt[4] ^= 0x01;  // low byte of the CRC field
+    const std::string corrupt_frame =
+        "OK REPL STREAM committed=1\nREPL FRAME bytes=" +
+        std::to_string(corrupt.size()) + "\n" + corrupt;
     for (const std::string& reply :
-         {std::string(kMaxReplLineBytes + 1, 'x'), over_long_frame}) {
-        // Both replies leave the socket open, so only the bound can end
-        // the read: recv_timeout is far longer than the wait below.
+         {std::string(kMaxReplLineBytes + 1, 'x'), over_long_frame,
+          corrupt_frame}) {
+        // Every reply leaves the socket open, so only the replica's own
+        // checks can end the session: recv_timeout is far longer than
+        // the wait below.
         ScriptedPrimary primary(reply, true);
         ModelRegistry registry;
         RequestEngine engine(registry, {.workers = 1, .cache_capacity = 8});
@@ -916,11 +959,33 @@ TEST(ReplHostile, FollowerSendingAnUnterminatedLineIsDropped) {
     EXPECT_EQ(primary.server->frames_sent(), 0u);
 }
 
+TEST(ReplHostile, MalformedHelloIsRefusedAndTheHandshakeIsPinned) {
+    TempDir dir;
+    Primary primary(dir.path);
+    const Endpoint endpoint{"127.0.0.1", primary.server->port()};
+    // A pre-generation replica's WAL position is refused like any other
+    // malformed HELLO: a mixed pair fails at the handshake.
+    for (const char* bad :
+         {"REPL HELLO 0:0", "REPL HELLO -1", "REPL HELLO ", "REPL HELLO 1x",
+          "REPL HELLO 18446744073709551616", "HELLO 0"}) {
+        serve::LineConn follower(endpoint, 2.0, 2.0);
+        follower.send(std::string(bad) + "\n");
+        EXPECT_EQ(follower.read_line(kMaxReplLineBytes),
+                  "ERR internal malformed REPL handshake")
+            << bad;
+    }
+    serve::LineConn follower(endpoint, 2.0, 2.0);
+    follower.send("REPL HELLO 0\n");
+    EXPECT_EQ(follower.read_line(kMaxReplLineBytes),
+              "OK REPL STREAM committed=0");
+    EXPECT_EQ(primary.server->frames_sent(), 0u);
+}
+
 TEST(ReplBackoff, EstablishedSessionResetsTheBackoff) {
     // Every session completes its handshake and is then severed.  Each
     // reconnect must wait about backoff_base; without the reset the
     // waits double to 0.32 s, 0.64 s and 1.28 s by the seventh.
-    ScriptedPrimary primary("OK REPL STREAM pos=1:0\n", false);
+    ScriptedPrimary primary("OK REPL STREAM committed=0\n", false);
     ModelRegistry registry;
     RequestEngine engine(registry, {.workers = 1, .cache_capacity = 8});
     ReplicatorConfig config;
@@ -942,6 +1007,24 @@ TEST(ReplBackoff, EstablishedSessionResetsTheBackoff) {
         EXPECT_LT(gap, 0.25) << "reconnect " << i;
     }
     EXPECT_GE(replicator.reconnects(), 7u);
+}
+
+TEST(ReplLag, CatchUpReportsLagAgainstTheAnnouncedCommit) {
+    // The primary announces generation 7 and then sends nothing: until
+    // frames land, the replica is seven publishes behind.
+    ScriptedPrimary primary("OK REPL STREAM committed=7\n", true);
+    ModelRegistry registry;
+    RequestEngine engine(registry, {.workers = 1, .cache_capacity = 8});
+    ReplicatorConfig config;
+    config.source = Endpoint{"127.0.0.1", primary.port()};
+    config.transport.recv_timeout = 60.0;
+    Replicator replicator(engine, nullptr, config);
+    replicator.start();
+    ASSERT_TRUE(wait_until([&] { return replicator.connected(); }, 10.0));
+    const auto stats = engine.stats();
+    EXPECT_EQ(stats.repl_lag_frames, 7u);
+    EXPECT_EQ(stats.repl_applied_generation, 0u);
+    replicator.stop();
 }
 
 // ---------------------------------------------------------------------------

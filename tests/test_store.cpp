@@ -315,20 +315,25 @@ TEST(ModelStoreTest, AttachMirrorsPreloadedRegistryContent) {
     TempDir dir;
     {
         // Content loaded *before* attach (the --models path) must become
-        // durable at attach time, not silently stay RAM-only.
+        // durable at attach time, not silently stay RAM-only — logged in
+        // generation order, although "zeta" sorts after "preloaded".
         ModelRegistry registry;
+        registry.put("zeta", synthetic_models(2, 16, 2.0));
         registry.put("preloaded", synthetic_models(2, 16, 1.0));
         ModelStore store(dir.path);
         store.recover(registry);
         store.attach(registry);
-        EXPECT_EQ(store.stats().appended, 1u);
+        EXPECT_EQ(store.stats().appended, 2u);
         store.abandon();
     }
     ModelRegistry recovered;
     ModelStore store(dir.path);
     const auto report = store.recover(recovered);
-    EXPECT_EQ(report.sets, 1u);
-    EXPECT_NE(recovered.find("preloaded"), nullptr);
+    EXPECT_EQ(report.sets, 2u);
+    ASSERT_NE(recovered.find("zeta"), nullptr);
+    EXPECT_EQ(recovered.find("zeta")->generation, 1u);
+    ASSERT_NE(recovered.find("preloaded"), nullptr);
+    EXPECT_EQ(recovered.find("preloaded")->generation, 2u);
     store.abandon();
 }
 
