@@ -1,10 +1,11 @@
 // google-benchmark micro-benchmarks of the partition service: cold
 // partition computes, cached lookups, single-connection socket round
-// trips and multi-threaded engine throughput — the serving-path numbers
-// the ROADMAP's traffic goals are measured against.
+// trips and multi-threaded engine throughput.  They locate costs inside
+// the serving path; the service's benchmark, whose end-to-end metrics
+// judge a change, is perfbench/ (BENCHMARK.json).  JSON output:
+// --benchmark_out=FILE --benchmark_out_format=json.
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -245,33 +246,4 @@ BENCHMARK(BM_SocketPingRoundTrip);
 
 } // namespace
 
-// Machine-readable output by default: unless the caller passes an
-// explicit --benchmark_out, results land in BENCH_serve.json (cwd, or
-// the path named by FPMPART_BENCH_JSON) alongside the console table,
-// so CI and the perf-tracking scripts never have to scrape stdout.
-int main(int argc, char** argv) {
-    std::vector<char*> args(argv, argv + argc);
-    bool has_out = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]).rfind("--benchmark_out", 0) == 0) {
-            has_out = true;
-        }
-    }
-    std::string out_flag;
-    std::string format_flag = "--benchmark_out_format=json";
-    if (!has_out) {
-        const char* path = std::getenv("FPMPART_BENCH_JSON");
-        out_flag = std::string("--benchmark_out=") +
-                   (path != nullptr ? path : "BENCH_serve.json");
-        args.push_back(out_flag.data());
-        args.push_back(format_flag.data());
-    }
-    int args_count = static_cast<int>(args.size());
-    benchmark::Initialize(&args_count, args.data());
-    if (benchmark::ReportUnrecognizedArguments(args_count, args.data())) {
-        return 1;
-    }
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-}
+BENCHMARK_MAIN();

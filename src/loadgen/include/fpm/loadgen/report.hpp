@@ -6,11 +6,8 @@
 /// Report: achieved request rate, latency quantiles up to p99.9, error /
 /// degraded / drop counts and the per-verb breakdown.  to_json() renders
 /// the BENCH_loadgen.json document (schema `fpmpart-loadgen-v1`,
-/// documented field-by-field in docs/benchmarking.md) and from_json()
-/// parses it back *exactly* — doubles travel as shortest-exact %.17g, so
-/// a Report is closed under the round trip and the perf gate can compare
-/// a fresh run against a checked-in baseline without tolerance being
-/// eaten by formatting.
+/// documented field-by-field in docs/benchmarking.md); doubles print as
+/// %.17g, so every number parses back to the same bits.
 ///
 /// Drop accounting: `scheduled` counts every arrival of the open-loop
 /// schedule, `sent` the ones actually dispatched, `dropped` the ones
@@ -43,8 +40,6 @@ struct LatencyReport {
 
     /// Converts a snapshot recorded in seconds.
     [[nodiscard]] static LatencyReport from(const obs::HistogramSnapshot& s);
-
-    bool operator==(const LatencyReport&) const = default;
 };
 
 /// Per-verb slice of the run.
@@ -54,8 +49,6 @@ struct VerbReport {
     std::uint64_t errors = 0;     ///< ERR replies + transport failures
     std::uint64_t degraded = 0;   ///< PARTITION replies with degraded=1
     LatencyReport latency;
-
-    bool operator==(const VerbReport&) const = default;
 };
 
 /// See file comment.
@@ -90,13 +83,6 @@ struct Report {
 
     /// The BENCH_loadgen.json document (schema fpmpart-loadgen-v1).
     [[nodiscard]] std::string to_json() const;
-
-    /// Exact inverse of to_json().  Throws fpm::Error on malformed JSON,
-    /// a wrong `schema` tag or a missing known field; unknown fields are
-    /// ignored (forward compatibility).
-    [[nodiscard]] static Report from_json(const std::string& text);
-
-    bool operator==(const Report&) const = default;
 };
 
 } // namespace fpm::loadgen

@@ -1,12 +1,7 @@
 #include "fpm/loadgen/report.hpp"
 
-#include <cctype>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <map>
-
-#include "fpm/common/error.hpp"
 
 namespace fpm::loadgen {
 
@@ -29,166 +24,6 @@ std::string hex64(std::uint64_t value) {
     return buffer;
 }
 
-/// Minimal JSON value for the documents this module itself writes:
-/// objects, strings and numbers (numbers are kept as source text so
-/// integer and double consumers both parse losslessly).
-struct JsonValue {
-    enum class Kind { kNumber, kString, kObject };
-    Kind kind = Kind::kNumber;
-    std::string text;  ///< number source text or string contents
-    std::map<std::string, JsonValue> members;
-};
-
-class JsonParser {
-public:
-    explicit JsonParser(const std::string& text) : text_(text) {}
-
-    JsonValue parse() {
-        JsonValue value = parse_value();
-        skip_space();
-        FPM_CHECK(pos_ == text_.size(), "trailing bytes after JSON document");
-        return value;
-    }
-
-private:
-    void skip_space() {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-            ++pos_;
-        }
-    }
-
-    char peek() {
-        skip_space();
-        FPM_CHECK(pos_ < text_.size(), "truncated JSON document");
-        return text_[pos_];
-    }
-
-    void expect(char c) {
-        FPM_CHECK(peek() == c, std::string("expected '") + c +
-                                   "' at JSON offset " + std::to_string(pos_));
-        ++pos_;
-    }
-
-    JsonValue parse_value() {
-        const char c = peek();
-        if (c == '{') {
-            return parse_object();
-        }
-        if (c == '"') {
-            JsonValue value;
-            value.kind = JsonValue::Kind::kString;
-            value.text = parse_string();
-            return value;
-        }
-        FPM_CHECK(c == '-' || std::isdigit(static_cast<unsigned char>(c)),
-                  std::string("unsupported JSON value starting with '") + c +
-                      "'");
-        JsonValue value;
-        value.kind = JsonValue::Kind::kNumber;
-        const std::size_t start = pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '-' || text_[pos_] == '+' ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E')) {
-            ++pos_;
-        }
-        value.text = text_.substr(start, pos_ - start);
-        return value;
-    }
-
-    JsonValue parse_object() {
-        expect('{');
-        JsonValue object;
-        object.kind = JsonValue::Kind::kObject;
-        if (peek() == '}') {
-            ++pos_;
-            return object;
-        }
-        for (;;) {
-            const std::string key = parse_string();
-            expect(':');
-            object.members.emplace(key, parse_value());
-            const char c = peek();
-            ++pos_;
-            if (c == '}') {
-                return object;
-            }
-            FPM_CHECK(c == ',', "expected ',' or '}' in JSON object");
-        }
-    }
-
-    std::string parse_string() {
-        expect('"');
-        std::string out;
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            char c = text_[pos_++];
-            if (c == '\\') {
-                FPM_CHECK(pos_ < text_.size(), "truncated JSON escape");
-                c = text_[pos_++];
-                FPM_CHECK(c == '"' || c == '\\' || c == '/',
-                          "unsupported JSON escape in report");
-            }
-            out += c;
-        }
-        FPM_CHECK(pos_ < text_.size(), "unterminated JSON string");
-        ++pos_;  // closing quote
-        return out;
-    }
-
-    const std::string& text_;
-    std::size_t pos_ = 0;
-};
-
-const JsonValue& member(const JsonValue& object, const std::string& key) {
-    FPM_CHECK(object.kind == JsonValue::Kind::kObject,
-              "expected a JSON object holding '" + key + "'");
-    const auto it = object.members.find(key);
-    FPM_CHECK(it != object.members.end(),
-              "BENCH_loadgen.json is missing field '" + key + "'");
-    return it->second;
-}
-
-std::string get_string(const JsonValue& object, const std::string& key) {
-    const JsonValue& value = member(object, key);
-    FPM_CHECK(value.kind == JsonValue::Kind::kString,
-              "field '" + key + "' is not a JSON string");
-    return value.text;
-}
-
-double get_double(const JsonValue& object, const std::string& key) {
-    const JsonValue& value = member(object, key);
-    FPM_CHECK(value.kind == JsonValue::Kind::kNumber,
-              "field '" + key + "' is not a JSON number");
-    char* end = nullptr;
-    const double parsed = std::strtod(value.text.c_str(), &end);
-    FPM_CHECK(end != value.text.c_str() && *end == '\0',
-              "malformed number in field '" + key + "': " + value.text);
-    return parsed;
-}
-
-std::uint64_t get_u64(const JsonValue& object, const std::string& key) {
-    const JsonValue& value = member(object, key);
-    FPM_CHECK(value.kind == JsonValue::Kind::kNumber,
-              "field '" + key + "' is not a JSON number");
-    char* end = nullptr;
-    const unsigned long long parsed =
-        std::strtoull(value.text.c_str(), &end, 10);
-    FPM_CHECK(end != value.text.c_str() && *end == '\0',
-              "malformed count in field '" + key + "': " + value.text);
-    return parsed;
-}
-
-std::uint64_t get_hex64(const JsonValue& object, const std::string& key) {
-    const std::string text = get_string(object, key);
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(text.c_str(), &end, 16);
-    FPM_CHECK(end != text.c_str() && *end == '\0',
-              "malformed fingerprint in field '" + key + "': " + text);
-    return parsed;
-}
-
 std::string latency_json(const LatencyReport& latency) {
     std::string out = "{";
     out += "\"count\": " + number(latency.count);
@@ -201,19 +36,6 @@ std::string latency_json(const LatencyReport& latency) {
     out += ", \"p999_us\": " + number(latency.p999_us);
     out += "}";
     return out;
-}
-
-LatencyReport latency_from(const JsonValue& object) {
-    LatencyReport latency;
-    latency.count = get_u64(object, "count");
-    latency.mean_us = get_double(object, "mean_us");
-    latency.min_us = get_double(object, "min_us");
-    latency.max_us = get_double(object, "max_us");
-    latency.p50_us = get_double(object, "p50_us");
-    latency.p95_us = get_double(object, "p95_us");
-    latency.p99_us = get_double(object, "p99_us");
-    latency.p999_us = get_double(object, "p999_us");
-    return latency;
 }
 
 } // namespace
@@ -269,46 +91,6 @@ std::string Report::to_json() const {
     out += "  }\n";
     out += "}\n";
     return out;
-}
-
-Report Report::from_json(const std::string& text) {
-    const JsonValue root = JsonParser(text).parse();
-    const std::string schema = get_string(root, "schema");
-    FPM_CHECK(schema == "fpmpart-loadgen-v1",
-              "unsupported BENCH_loadgen.json schema: " + schema);
-
-    Report report;
-    report.mode = get_string(root, "mode");
-    report.arrival = get_string(root, "arrival");
-    report.seed = get_u64(root, "seed");
-    report.connections = get_u64(root, "connections");
-    report.max_outstanding = get_u64(root, "max_outstanding");
-    report.think_time_seconds = get_double(root, "think_time_seconds");
-    report.duration_seconds = get_double(root, "duration_seconds");
-    report.target_rps = get_double(root, "target_rps");
-    report.achieved_rps = get_double(root, "achieved_rps");
-    report.scheduled = get_u64(root, "scheduled");
-    report.sent = get_u64(root, "sent");
-    report.completed = get_u64(root, "completed");
-    report.errors = get_u64(root, "errors");
-    report.degraded = get_u64(root, "degraded");
-    report.dropped = get_u64(root, "dropped");
-    report.failovers = get_u64(root, "failovers");
-    report.stream_fingerprint = get_hex64(root, "stream_fingerprint");
-    report.latency = latency_from(member(root, "latency"));
-
-    const JsonValue& verbs = member(root, "verbs");
-    for (std::size_t v = 0; v < kVerbCount; ++v) {
-        const JsonValue& entry =
-            member(verbs, verb_name(static_cast<Verb>(v)));
-        VerbReport& verb = report.by_verb[v];
-        verb.sent = get_u64(entry, "sent");
-        verb.completed = get_u64(entry, "completed");
-        verb.errors = get_u64(entry, "errors");
-        verb.degraded = get_u64(entry, "degraded");
-        verb.latency = latency_from(member(entry, "latency"));
-    }
-    return report;
 }
 
 } // namespace fpm::loadgen

@@ -62,9 +62,10 @@ public:
     void set_put_observer(PutObserver observer);
 
     /// Installs (or replaces) the set under `name`; returns the new
-    /// snapshot.  Throws fpm::Error for an empty name or empty model
-    /// list, and rethrows a veto from the put observer (registry
-    /// untouched).
+    /// snapshot.  Throws ServiceError(kBadRequest) for a name that is
+    /// empty or holds whitespace, ',', '=' or ':' (the MODELS reply's
+    /// separators), fpm::Error for an empty model list, and rethrows a
+    /// veto from the put observer (registry untouched).
     std::shared_ptr<const ModelSet> put(const std::string& name,
                                         std::vector<core::SpeedFunction> models);
 
@@ -72,7 +73,8 @@ public:
     /// *explicit* generation it carried before the crash, advancing the
     /// registry's generation counter past it.  Bypasses the put observer
     /// (recovery must not re-log what it replays) and the serve.reload
-    /// fault point.  Throws fpm::Error on invalid input.
+    /// fault point.  Refuses the names put() refuses, and throws
+    /// fpm::Error on other invalid input.
     std::shared_ptr<const ModelSet>
     restore(const std::string& name, std::vector<core::SpeedFunction> models,
             std::uint64_t generation);

@@ -15,17 +15,16 @@
 /// instruments, kept per engine) are surfaced through stats() and the
 /// STATS wire command.
 ///
-/// When Options::degraded is on (the default) the engine keeps serving
-/// through disturbances instead of failing hard: a request whose model
-/// set vanished, whose compute failed (e.g. a serve.compute fault
-/// injection), or whose coalesced leader blew Options::coalesce_deadline
-/// is answered from the *stale-plan cache* — the last plan computed for
-/// the same (set name, n, algorithm, layout), surviving reloads that
-/// change the content fingerprint — or, failing that, from a
-/// constant-performance fallback (Algorithm::kEven even split), which
-/// needs no model quality at all.  Degraded responses are flagged
-/// (`PartitionResponse::degraded`, wire `degraded=1`) and counted in
-/// EngineStats::degraded.
+/// The engine keeps serving through disturbances instead of failing
+/// hard: a request whose model set vanished, whose compute failed (e.g.
+/// a serve.compute fault injection), or whose coalesced leader blew
+/// Options::coalesce_deadline is answered from the *stale-plan cache* —
+/// the last plan computed for the same (set name, n, algorithm, layout),
+/// surviving reloads that change the content fingerprint — or, failing
+/// that, from a constant-performance fallback (Algorithm::kEven even
+/// split), which needs no model quality at all.  Degraded responses are
+/// flagged (`PartitionResponse::degraded`, wire `degraded=1`) and
+/// counted in EngineStats::degraded.
 ///
 /// A replica's engine also carries its replication status (role, source,
 /// lag): the fpm::repl::Replicator feeding its registry records them
@@ -46,7 +45,6 @@
 #include <vector>
 
 #include "fpm/obs/metrics.hpp"
-#include "fpm/part/fpm_partitioner.hpp"
 #include "fpm/rt/thread_pool.hpp"
 #include "fpm/serve/error.hpp"
 #include "fpm/serve/model_registry.hpp"
@@ -132,10 +130,6 @@ public:
         /// so concurrent cache probes from N reactors do not serialize on
         /// one mutex; 1 keeps the exact single-LRU semantics.
         std::size_t cache_shards = 1;
-        part::FpmPartitionOptions partition{};  ///< forwarded to the bisection
-        /// Serve stale/fallback plans instead of failing when the model
-        /// is missing or a compute fails (see file comment).
-        bool degraded = true;
         /// Seconds a coalesced waiter waits for its leader before
         /// degrading (<= 0: wait forever, prior behaviour).
         double coalesce_deadline = 0.0;
@@ -262,8 +256,7 @@ public:
     /// bit-for-bit.
     [[nodiscard]] static PartitionPlan
     compute_plan(const ModelSet& set, std::int64_t n, Algorithm algorithm,
-                 bool with_layout,
-                 const part::FpmPartitionOptions& options = {});
+                 bool with_layout);
 
 private:
     struct InFlight {
@@ -282,8 +275,8 @@ private:
 
     /// Degraded answer for `request`: stale plan first, else an even
     /// split over `set` (pass nullptr when no snapshot is available —
-    /// then only the stale path can serve).  nullopt when degradation is
-    /// disabled or impossible; the caller surfaces the original error.
+    /// then only the stale path can serve).  nullopt when neither can;
+    /// the caller surfaces the original error.
     [[nodiscard]] std::optional<PartitionResponse>
     degrade(const PartitionRequest& request, const ModelSet* set,
             double elapsed_seconds);

@@ -34,6 +34,18 @@ void hash_double(std::uint64_t& h, double value) {
     hash_bytes(h, &bits, sizeof bits);
 }
 
+/// The one set-name rule of put() and restore(): MODELS separates its
+/// entries with ',' and an entry's fields with ':', and the line
+/// protocol splits on whitespace and '=', so a name holding any of them
+/// would make every later MODELS reply undecodable.
+void check_set_name(const std::string& name) {
+    if (name.empty() || name.find_first_of(" \t\r\n,=:") != std::string::npos) {
+        throw ServiceError(ErrorCode::kBadRequest,
+                           "model set name must be non-empty without "
+                           "whitespace, ',', '=' or ':': '" + name + "'");
+    }
+}
+
 } // namespace
 
 std::uint64_t fingerprint_models(const std::vector<core::SpeedFunction>& models) {
@@ -56,9 +68,7 @@ std::uint64_t fingerprint_models(const std::vector<core::SpeedFunction>& models)
 std::shared_ptr<const ModelSet>
 ModelRegistry::put(const std::string& name,
                    std::vector<core::SpeedFunction> models) {
-    FPM_CHECK(!name.empty(), "model set name must not be empty");
-    FPM_CHECK(name.find_first_of(" \t\r\n,=") == std::string::npos,
-              "model set name must not contain whitespace, ',' or '=': " + name);
+    check_set_name(name);
     FPM_CHECK(!models.empty(), "model set must hold at least one model");
 
     static auto& reload_fault = fault::point("serve.reload");
@@ -98,7 +108,7 @@ std::shared_ptr<const ModelSet>
 ModelRegistry::restore(const std::string& name,
                        std::vector<core::SpeedFunction> models,
                        std::uint64_t generation) {
-    FPM_CHECK(!name.empty(), "model set name must not be empty");
+    check_set_name(name);
     FPM_CHECK(!models.empty(), "model set must hold at least one model");
     FPM_CHECK(generation > 0, "restored generation must be positive");
 

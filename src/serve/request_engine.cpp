@@ -39,15 +39,13 @@ RequestEngine::RequestEngine(ModelRegistry& registry)
     : RequestEngine(registry, Options{}) {}
 
 PartitionPlan RequestEngine::compute_plan(const ModelSet& set, std::int64_t n,
-                                          Algorithm algorithm, bool with_layout,
-                                          const part::FpmPartitionOptions& options) {
+                                          Algorithm algorithm, bool with_layout) {
     obs::Span span("serve.compute", static_cast<std::uint64_t>(n));
     part::PartitionRequest request;
     request.models = set.models;
     request.n = n;
     request.algorithm = algorithm;
     request.with_layout = with_layout;
-    request.options = options;
 
     PartitionPlan plan;
     static_cast<part::PartitionPlan&>(plan) = part::partition(request);
@@ -73,9 +71,6 @@ PlanKey RequestEngine::stale_key(const PartitionRequest& request) {
 std::optional<PartitionResponse>
 RequestEngine::degrade(const PartitionRequest& request, const ModelSet* set,
                        double elapsed_seconds) {
-    if (!options_.degraded) {
-        return std::nullopt;
-    }
     std::shared_ptr<const PartitionPlan> plan;
     {
         std::lock_guard lock(inflight_mutex_);
@@ -89,7 +84,7 @@ RequestEngine::degrade(const PartitionRequest& request, const ModelSet* set,
         try {
             plan = std::make_shared<const PartitionPlan>(
                 compute_plan(*set, request.n, Algorithm::kEven,
-                             request.with_layout, options_.partition));
+                             request.with_layout));
         } catch (...) {
             plan = nullptr;  // infeasible workload: nothing to serve
         }
@@ -177,8 +172,7 @@ PartitionResponse RequestEngine::execute(const PartitionRequest& request) {
             throw Error("injected fault: serve.compute");
         }
         auto plan = std::make_shared<const PartitionPlan>(compute_plan(
-            *set, request.n, request.algorithm, request.with_layout,
-            options_.partition));
+            *set, request.n, request.algorithm, request.with_layout));
         cache_.put(key, plan);
         {
             std::lock_guard lock(inflight_mutex_);

@@ -245,6 +245,11 @@ RecoveryReport ModelStore::recover(serve::ModelRegistry& registry) {
             report.snapshot_generation = generation;
             snapshot_generation = generation;
             break;
+        } catch (const serve::ServiceError&) {
+            // The registry refused a set (its name breaks the name rule):
+            // the file is intact, and falling back would silently drop
+            // every set it holds.
+            throw;
         } catch (const Error&) {
             // Fall through to the next-older snapshot; this one stays on
             // disk for post-mortems until the next GC.

@@ -407,14 +407,29 @@ TEST(DocsConsistency, BenchmarkingGuideCoversEveryReportField) {
             << "' is not documented in docs/benchmarking.md";
     }
     // The methodology the numbers depend on must be spelled out, and
-    // the gate workflow must be findable from the guide.
+    // the revision comparison must be findable from the guide.
     for (const char* token :
          {"fpmpart-loadgen-v1", "coordinated omission",
-          "scheduled == sent + dropped", "ci/perf_gate.sh",
-          "bench/baselines/serve_smoke.json", "FPMPART_PERF_TOLERANCE",
-          "FPMPART_PERF_UPDATE"}) {
+          "scheduled == sent + dropped", "ci/perf_compare.py",
+          "unresolved", "within bound"}) {
         EXPECT_NE(guide.find(token), std::string::npos)
             << "'" << token << "' is not documented in docs/benchmarking.md";
+    }
+}
+
+TEST(DocsConsistency, NoDocNamesTheRetiredPerfGate) {
+    // The single-shot gate, its checked-in baseline and the report
+    // parser it needed were replaced by ci/perf_compare.py.
+    for (const char* doc :
+         {"README.md", "DESIGN.md", "docs/benchmarking.md",
+          "docs/operations.md", "docs/protocol.md", "docs/adaptation.md",
+          "docs/replication.md", "perfbench/README.md"}) {
+        const std::string text = read_file(doc);
+        for (const char* retired :
+             {"ci/perf_gate.sh", "bench/baselines", "from_json"}) {
+            EXPECT_EQ(text.find(retired), std::string::npos)
+                << doc << " still names '" << retired << "'";
+        }
     }
 }
 

@@ -116,6 +116,36 @@ TEST(ModelRegistryTest, Validation) {
     EXPECT_EQ(registry.find("missing"), nullptr);
 }
 
+TEST(ModelRegistryTest, PutAndRestoreShareOneNameRule) {
+    // ':' separates a MODELS entry's fields: a set named "a:b" would
+    // make every later MODELS reply undecodable.
+    const std::string csv = "/tmp/fpmpart_serve_set_name.csv";
+    core::save_speed_functions_csv(csv, synthetic_models(2, 8, 1.0));
+    ModelRegistry registry;
+    registry.put("ok", synthetic_models(2, 8, 1.0));
+    RequestEngine engine(registry, {.workers = 1, .cache_capacity = 4});
+
+    const Response refused =
+        Response::decode(handle_line(engine, "LOAD a:b " + csv));
+    ASSERT_EQ(refused.kind, Response::Kind::kError);
+    EXPECT_EQ(refused.error_code, ErrorCode::kBadRequest) << refused.error;
+    EXPECT_EQ(registry.size(), 1U);
+    EXPECT_EQ(registry.next_generation(), 2U);
+    const Response models = Response::decode(handle_line(engine, "MODELS"));
+    ASSERT_EQ(models.kind, Response::Kind::kModels);
+    ASSERT_EQ(models.sets.size(), 1U);
+    EXPECT_EQ(models.sets[0].name, "ok");
+
+    // Recovery and the replica install sets through restore().
+    for (const char* name : {"x,y", "a:b", "a=b", "a b", ""}) {
+        EXPECT_THROW(registry.restore(name, synthetic_models(2, 8, 1.0), 9),
+                     ServiceError)
+            << name;
+    }
+    EXPECT_EQ(registry.size(), 1U);
+    std::remove(csv.c_str());
+}
+
 TEST(PartitionCacheTest, LruEvictionAndCounters) {
     PartitionCache cache(2);
     const PlanKey k1{1, 10, Algorithm::kFpm, true};

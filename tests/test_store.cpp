@@ -311,6 +311,35 @@ TEST(ModelStoreTest, RecoversExactGenerationsAndFingerprintsAfterAbandon) {
     }
 }
 
+TEST(ModelStoreTest, RecoveryStopsAtASetNameTheRegistryRefuses) {
+    // A store written before ':' joined the set-name rule may hold such
+    // a set.  Recovery must fail loudly, from the WAL and from a
+    // snapshot alike, rather than serve it or skip the snapshot.
+    for (const bool snapshotted : {false, true}) {
+        TempDir dir;
+        {
+            ModelRegistry registry;
+            ModelStore store(dir.path);
+            store.recover(registry);
+            serve::ModelSet set;
+            set.name = "a:b";
+            set.models = synthetic_models(2, 16, 1.0);
+            set.generation = 1;
+            set.fingerprint = serve::fingerprint_models(set.models);
+            store.append(set);
+            if (snapshotted) {
+                store.snapshot();
+            }
+            store.abandon();
+        }
+        ModelRegistry recovered;
+        ModelStore store(dir.path);
+        EXPECT_THROW(store.recover(recovered), serve::ServiceError)
+            << "snapshotted=" << snapshotted;
+        store.abandon();
+    }
+}
+
 TEST(ModelStoreTest, AttachMirrorsPreloadedRegistryContent) {
     TempDir dir;
     {

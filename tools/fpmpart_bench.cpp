@@ -6,8 +6,7 @@
 //   * spawn:  `--models NAME=FILE ...` starts an in-process reactor pool
 //     (same engine/server stack as fpmpart_serve, honouring --reactors/
 //     --threads/--cache/--cache-shards) on an ephemeral loopback port,
-//     benches it, and tears it down.  This is what the perf gate uses —
-//     one command, no orchestration.
+//     benches it, and tears it down — one command, no orchestration.
 //   * attach: `--port P[,HOST:P...]` (with optional `--host` for bare
 //     ports) benches an already running server.  More than one entry
 //     makes the list a failover chain: every client walks it on typed
@@ -23,13 +22,6 @@
 // arrival and counts queue-full arrivals as drops, so coordinated
 // omission shows up in the numbers instead of hiding in them — see
 // docs/benchmarking.md for the methodology and the full JSON schema.
-//
-// With `--baseline FILE` the run additionally compares itself against a
-// checked-in report (ci/perf_gate.sh wires this up): achieved rate may
-// not fall more than `--tolerance` below the baseline, latency
-// (mean/p50/p99) may not rise more than `--tolerance` above it, and
-// errors/drops may not appear where the baseline had none.  Exit code 3
-// means "measurably worse than baseline".
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -43,8 +35,6 @@
 #include "tool_args.hpp"
 
 namespace {
-
-using fpm::loadgen::Report;
 
 bool parse_mix(const std::string& text, fpm::loadgen::WorkloadSpec* spec) {
     std::vector<double> weights;
@@ -67,59 +57,6 @@ bool parse_mix(const std::string& text, fpm::loadgen::WorkloadSpec* spec) {
     return true;
 }
 
-/// One gate check; prints its own PASS/FAIL line.
-bool check(const char* what, bool ok, double fresh, double base) {
-    std::printf("  %s  %-28s fresh %.6g vs baseline %.6g\n",
-                ok ? "PASS" : "FAIL", what, fresh, base);
-    return ok;
-}
-
-/// Compares a fresh report against the baseline; returns the number of
-/// failed checks.  Rates may fall at most `tol` below the baseline,
-/// latencies rise at most `tol` above it (tol is a fraction, 0.25 = 25%).
-int compare_reports(const Report& fresh, const Report& base, double tol) {
-    const auto ratio = [](std::uint64_t part, std::uint64_t whole) {
-        return whole == 0 ? 0.0
-                          : static_cast<double>(part) /
-                                static_cast<double>(whole);
-    };
-    int failures = 0;
-    failures += !check("achieved_rps",
-                       fresh.achieved_rps >= base.achieved_rps * (1.0 - tol),
-                       fresh.achieved_rps, base.achieved_rps);
-    failures += !check("latency.mean_us",
-                       fresh.latency.mean_us <=
-                           base.latency.mean_us * (1.0 + tol),
-                       fresh.latency.mean_us, base.latency.mean_us);
-    failures += !check("latency.p50_us",
-                       fresh.latency.p50_us <=
-                           base.latency.p50_us * (1.0 + tol),
-                       fresh.latency.p50_us, base.latency.p50_us);
-    failures += !check("latency.p99_us",
-                       fresh.latency.p99_us <=
-                           base.latency.p99_us * (1.0 + tol),
-                       fresh.latency.p99_us, base.latency.p99_us);
-    failures += !check("error_ratio",
-                       ratio(fresh.errors, fresh.sent) <=
-                           ratio(base.errors, base.sent) + tol,
-                       ratio(fresh.errors, fresh.sent),
-                       ratio(base.errors, base.sent));
-    failures += !check("drop_ratio",
-                       ratio(fresh.dropped, fresh.scheduled) <=
-                           ratio(base.dropped, base.scheduled) + tol,
-                       ratio(fresh.dropped, fresh.scheduled),
-                       ratio(base.dropped, base.scheduled));
-    return failures;
-}
-
-std::string read_file(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    FPM_CHECK(in.good(), "cannot read " + path);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
@@ -133,8 +70,6 @@ int main(int argc, char** argv) {
         std::string mix = "1:0:0:0";
         std::string algorithm = "fpm";
         std::string out_path = "BENCH_loadgen.json";
-        std::string baseline_path;
-        double tolerance = 0.5;
         loadgen::WorkloadSpec spec;
         loadgen::LoadConfig load;
         serve::ServeConfig server_config;
@@ -165,8 +100,6 @@ int main(int argc, char** argv) {
             .bind("--cache", "N", &engine_options.cache_capacity, 1)
             .bind("--cache-shards", "N", &engine_options.cache_shards, 1, 4096)
             .bind("--out", "FILE", &out_path)
-            .bind("--baseline", "FILE", &baseline_path)
-            .bind("--tolerance", "X", &tolerance, 0.0)
             .trace();
         if (!flags.parse(argc, argv)) {
             return 2;
@@ -285,7 +218,7 @@ int main(int argc, char** argv) {
         }
         spec.model_sets = sets;
 
-        const Report report = loadgen::run(spec, load);
+        const loadgen::Report report = loadgen::run(spec, load);
         if (server) {
             server->stop();
         }
@@ -317,20 +250,6 @@ int main(int argc, char** argv) {
         std::printf("stream fingerprint %016llx; report written to %s\n",
                     static_cast<unsigned long long>(report.stream_fingerprint),
                     out_path.c_str());
-
-        if (!baseline_path.empty()) {
-            const Report base = Report::from_json(read_file(baseline_path));
-            std::printf("gate: comparing against %s (tolerance %.3g)\n",
-                        baseline_path.c_str(), tolerance);
-            const int failures = compare_reports(report, base, tolerance);
-            if (failures > 0) {
-                std::printf("gate: FAIL — %d check(s) regressed beyond "
-                            "tolerance\n",
-                            failures);
-                return 3;
-            }
-            std::printf("gate: PASS\n");
-        }
         return 0;
     } catch (const std::exception& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
