@@ -1,10 +1,14 @@
 #!/usr/bin/env bash
-# Crash-recovery job for the durable model store: configures (once) and
-# builds the ASan+UBSan tree, then runs every test labelled `store` —
-# the WAL framing, torn-tail/corrupt-snapshot recovery, write-ahead
-# veto, fork()+SIGKILL crash and store-fault chaos suites — under the
-# sanitizers.  This is the exact command documented in
-# docs/operations.md; keep the two in sync.
+# Crash-recovery job for the durable model store and replication:
+# configures (once) and builds the ASan+UBSan tree, then runs every test
+# labelled `store` or `repl` under the sanitizers — the WAL framing,
+# torn-tail/corrupt-snapshot recovery, write-ahead veto, fork()+SIGKILL
+# crash and store-fault chaos suites, and the repl drills: the
+# ReplicationLog catch-up suites, the fresh-join, restart and
+# ahead-of-primary tests, read-only serving, hostile primaries, the
+# repl.* fault-point chaos drill, the fork()+SIGKILL primary-failover
+# drill and the `fpmpart_serve` replica flag check.  This is the exact
+# command documented in docs/operations.md; keep the two in sync.
 #
 # Usage: ci/crash_recovery.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -21,4 +25,4 @@ fi
 
 cmake --build "$build" -j "$jobs"
 ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" \
-  ctest --test-dir "$build" -L store --output-on-failure -j 1
+  ctest --test-dir "$build" -L "store|repl" --output-on-failure -j 1

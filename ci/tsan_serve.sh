@@ -16,8 +16,7 @@ jobs="${FPMPART_BUILD_JOBS:-2}"
 if [ ! -f "$build/CMakeCache.txt" ]; then
   cmake -B "$build" -S "$repo" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
+    -DFPMPART_TSAN=ON
 fi
 
 cmake --build "$build" -j "$jobs"

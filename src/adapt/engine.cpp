@@ -9,7 +9,6 @@
 
 #include "fpm/adapt/drift.hpp"
 #include "fpm/adapt/feedback.hpp"
-#include "fpm/adapt/publisher.hpp"
 #include "fpm/adapt/refiner.hpp"
 #include "fpm/common/error.hpp"
 #include "fpm/fault/fault.hpp"
@@ -64,15 +63,13 @@ struct AdaptEngine::Impl {
     };
 
     Impl(serve::RequestEngine& request_engine, const AdaptConfig& cfg)
-        : engine(request_engine), config(cfg), refiner(cfg),
-          publisher(request_engine) {}
+        : engine(request_engine), config(cfg), refiner(cfg) {}
 
     serve::FeedbackReply ingest(const serve::FeedbackSample& sample);
 
     serve::RequestEngine& engine;
     AdaptConfig config;
     OnlineRefiner refiner;
-    ModelPublisher publisher;
 
     mutable std::mutex mutex;
     std::map<std::string, SetState> sets;
@@ -166,8 +163,15 @@ AdaptEngine::Impl::ingest(const serve::FeedbackSample& sample) {
         metrics.drift.add();
     }
     if (decision.republish && state.dirty) {
-        auto published = publisher.publish(sample.model_set, state.working,
-                                           snapshot->fingerprint);
+        // The fault fires before the put (write-ahead logged when a store
+        // is attached), so an injected failure leaves the registry on the
+        // previous version.
+        static auto& publish_fault = fault::point("adapt.publish");
+        if (publish_fault.fire()) {
+            throw Error("injected fault: adapt.publish");
+        }
+        auto published = engine.registry().put(sample.model_set, state.working);
+        engine.invalidate_model(sample.model_set, snapshot->fingerprint);
         state.synced_fingerprint = published->fingerprint;
         state.dirty = false;
         state.drift.reset();

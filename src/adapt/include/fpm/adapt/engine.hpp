@@ -11,10 +11,12 @@
 /// the set's speed functions under bounded-update and monotonicity
 /// guards (OnlineRefiner), watches the model error for sustained drift
 /// (DriftDetector), and when the CUSUM crosses its limit atomically
-/// hot-publishes the refined models as a new registry version and
+/// hot-publishes the refined models as a new registry version
+/// (ModelRegistry::put, write-ahead logged when a store is attached) and
 /// invalidates every cached plan derived from the old content
-/// (ModelPublisher).  The next PARTITION after a republish is computed
-/// from models that match what the hardware is doing *now*.
+/// (RequestEngine::invalidate_model).  The next PARTITION after a
+/// republish is computed from models that match what the hardware is
+/// doing *now*.
 ///
 /// Threading: the engine installs itself as the RequestEngine's
 /// feedback handler, so ingestion runs on the rt pool's worker threads

@@ -13,8 +13,8 @@
 ///
 /// One path covers every case: a fresh follower (generation 0) receives
 /// the whole registry, a reconnecting or restarted one exactly what it
-/// lacks, and WAL rotation or GC changes nothing, because the records
-/// come from the store's memory, not from its segment files.
+/// lacks, and a snapshot truncating the log changes nothing, because the
+/// records come from the store's memory, not from its files.
 ///
 /// Locking: next() never holds the log mutex while calling into the
 /// store (the store's commit hook — which takes the log mutex — runs

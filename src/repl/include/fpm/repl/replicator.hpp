@@ -23,7 +23,7 @@
 ///    explicit generation and the record is appended to the local store
 ///    directly;
 ///  * either way the engine's plan cache is invalidated under the old
-///    fingerprint, exactly as ModelPublisher does on the primary —
+///    fingerprint, exactly as an adapt republish does on the primary —
 ///    cached plans for the superseded generation can never be served;
 ///  * records at or below the last applied generation are dropped.
 ///

@@ -269,7 +269,7 @@ void Replicator::apply_record(const store::PublishRecord& record) {
               "replicated fingerprint mismatch for " + record.name);
 
     if (old != nullptr) {
-        // Same cache hygiene as the primary's publisher: plans computed
+        // Same cache hygiene as an adapt republish: plans computed
         // against the superseded snapshot can never be served again.
         engine_.invalidate_model(record.name, old->fingerprint);
     }

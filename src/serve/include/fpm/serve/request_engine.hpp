@@ -227,7 +227,7 @@ public:
     /// of model set `name`: plan-cache entries keyed on
     /// `old_fingerprint` *and* the name-keyed stale-plan entries (which
     /// survive reloads by design and therefore need an explicit drop on
-    /// republish).  Called by the model publisher after a hot republish.
+    /// republish).  Called by the adapt engine after a hot republish.
     void invalidate_model(const std::string& name,
                           std::uint64_t old_fingerprint);
 

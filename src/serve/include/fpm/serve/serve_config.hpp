@@ -73,9 +73,9 @@ struct ServeConfig {
     /// the publish is acknowledged (crash loses nothing acknowledged);
     /// "never" leaves flushing to the OS (bounded loss, no fsync stall).
     std::string fsync_policy = "always";
-    /// Publishes between automatic compacted snapshots (WAL rotation +
-    /// segment GC); 0 disables auto-snapshots — the final snapshot at
-    /// graceful stop still happens.
+    /// Publishes between automatic compacted snapshots (each one
+    /// truncates the log); 0 disables auto-snapshots — the final snapshot
+    /// at graceful stop still happens.
     std::uint64_t snapshot_every = 8;
 };
 

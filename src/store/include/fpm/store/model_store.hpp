@@ -14,22 +14,24 @@
 ///    write-ahead veto semantics: a failed append fails the publish and
 ///    the registry keeps its previous content);
 ///  * every StoreOptions::snapshot_every appends the full registry
-///    content is compacted into a snapshot file (written to a temp name
-///    and rename()d into place, so a snapshot is atomically either
-///    complete or absent), after which the WAL rotates to a fresh
-///    segment and fully-covered old segments and snapshots are deleted
-///    (GC);
-///  * recover() rebuilds a registry from the newest *valid* snapshot
-///    plus the WAL suffix, truncating a torn or CRC-corrupt tail instead
-///    of failing — after a kill -9 the reconstructed registry carries
-///    the same content fingerprints and the same generation counters as
-///    the pre-crash one, so served plans are bit-for-bit identical.
+///    content is compacted into the snapshot file (written to a temp
+///    name and rename()d into place, so a snapshot is atomically either
+///    complete or absent), after which the log is truncated;
+///  * recover() rebuilds a registry from the snapshot plus the log,
+///    truncating a torn or CRC-corrupt log tail instead of failing —
+///    after a kill -9 the reconstructed registry carries the same content
+///    fingerprints and the same generation counters as the pre-crash
+///    one, so served plans are bit-for-bit identical.  A snapshot that
+///    does not validate fails recovery: nothing else on disk holds its
+///    sets.
 ///
 /// Layout of the store directory:
 ///
-///     wal-NNNNNN.log          active + not-yet-GC'd log segments
-///     snapshot-NNNNNNNNNNNN.fpms   compacted registry at generation N
-///     *.tmp                   in-progress snapshot (ignored, removed)
+///     wal.log             publish records since the last snapshot
+///     snapshot.fpms       compacted registry (header frame
+///                         `fpmstore v1 next=<n> sets=<k>`, then one
+///                         publish record per set)
+///     snapshot.fpms.tmp   in-progress snapshot (ignored, removed)
 ///
 /// Durability knob: FsyncPolicy::kAlways fdatasync()s after every append
 /// (a crash loses nothing that was acknowledged); kNever leaves flushing
@@ -37,9 +39,9 @@
 ///
 /// Fault points for chaos drills: `store.append` (torn half-frame +
 /// failed publish), `store.fsync` (append rolled back + failed publish),
-/// `store.snapshot` (temp file abandoned before rename; appends keep the
-/// old segment).  Metrics: store.appended, store.bytes, store.snapshots
-/// counters, the store.fsync_seconds histogram and the
+/// `store.snapshot` (temp file abandoned before rename; appends keep
+/// extending the log).  Metrics: store.appended, store.bytes,
+/// store.snapshots counters, the store.fsync_seconds histogram and the
 /// store.recovered_generation gauge — all surfaced in the STATS wire
 /// reply and documented in docs/operations.md.
 ///
@@ -114,7 +116,6 @@ struct StoreStats {
     std::uint64_t appended = 0;   ///< WAL records written
     std::uint64_t bytes = 0;      ///< WAL bytes written
     std::uint64_t snapshots = 0;  ///< compacted snapshots taken
-    std::uint64_t segment = 0;    ///< active WAL segment id
 };
 
 /// A set's latest committed publish record: its generation and the
@@ -137,12 +138,14 @@ public:
     ModelStore(const ModelStore&) = delete;
     ModelStore& operator=(const ModelStore&) = delete;
 
-    /// Rebuilds `registry` from the newest valid snapshot plus the WAL
-    /// suffix (see file comment); repairs a torn tail in place.  Must be
-    /// called before attach(), on a registry with no conflicting
-    /// content.  Idempotent per store lifetime only in the trivial
-    /// empty-store case; call exactly once.  Throws fpm::Error on
-    /// unreadable files (not on torn tails — those truncate).
+    /// Rebuilds `registry` from the snapshot plus the log (see file
+    /// comment); repairs a torn log tail in place.  Must be called before
+    /// attach(), on a registry with no conflicting content.  Idempotent
+    /// per store lifetime only in the trivial empty-store case; call
+    /// exactly once.  Throws fpm::Error naming the file on an unreadable
+    /// file, a snapshot that does not validate, or a directory holding a
+    /// numbered `wal-*.log` / `snapshot-*.fpms` file of the older layout
+    /// (not on a torn log tail — that truncates).
     RecoveryReport recover(serve::ModelRegistry& registry);
 
     /// Mirrors the registry's current content into the store and
@@ -159,10 +162,9 @@ public:
     void append(const serve::ModelSet& set);
 
     /// Takes a compacted snapshot now (no-op when nothing was appended
-    /// since the last one), rotates the WAL and GCs covered segments.
-    /// Throws serve::ServiceError on an injected store.snapshot fault
-    /// (the temp file is abandoned; the store keeps appending to the
-    /// current segment).
+    /// since the last one) and truncates the log.  Throws
+    /// serve::ServiceError on an injected store.snapshot fault (the temp
+    /// file is abandoned; the store keeps appending to the log).
     void snapshot();
 
     /// Graceful shutdown: detaches from the registry, takes the final
@@ -189,7 +191,7 @@ public:
     /// The latest record of every set whose generation is above
     /// `generation`, in generation order.  Appends commit in generation
     /// order, so a follower that applied everything up to `generation`
-    /// lacks exactly these records, whatever the WAL rotated or GC'd.
+    /// lacks exactly these records, whatever the snapshots truncated.
     [[nodiscard]] std::vector<StoredRecord> records_after(
         std::uint64_t generation) const;
 
@@ -201,7 +203,6 @@ public:
     void set_commit_hook(std::function<void()> hook);
 
 private:
-    void open_segment_locked(std::uint64_t segment_id, std::uint64_t committed);
     void snapshot_locked();
     void detach();
     void fire_commit_hook();
@@ -217,7 +218,6 @@ private:
     std::map<std::string, StoredRecord> mirror_;
     std::uint64_t next_generation_ = 1;
     WalFile wal_;
-    std::uint64_t segment_id_ = 0;
     std::uint64_t appends_since_snapshot_ = 0;
     std::uint64_t last_snapshot_generation_ = 0;
     bool stopped_ = false;

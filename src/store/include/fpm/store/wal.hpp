@@ -63,7 +63,7 @@ public:
 
     /// Opens (creating if missing) `path` for appending and adopts
     /// `committed` as the valid prefix length — pass the replayed size
-    /// after recovery, or 0 for a fresh segment.  Closes any previously
+    /// after recovery, or 0 for a fresh log.  Closes any previously
     /// open file.  Throws fpm::Error on failure.
     void open(const std::string& path, std::uint64_t committed);
 

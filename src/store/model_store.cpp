@@ -1,7 +1,6 @@
 #include "fpm/store/model_store.hpp"
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -28,45 +27,14 @@ namespace {
 
 constexpr const char* kSnapshotMagic = "fpmstore";
 constexpr const char* kSnapshotVersion = "v1";
-
-std::string segment_name(std::uint64_t id) {
-    char buffer[32];
-    std::snprintf(buffer, sizeof buffer, "wal-%06llu.log",
-                  static_cast<unsigned long long>(id));
-    return buffer;
-}
-
-std::string snapshot_name(std::uint64_t generation) {
-    char buffer[40];
-    std::snprintf(buffer, sizeof buffer, "snapshot-%012llu.fpms",
-                  static_cast<unsigned long long>(generation));
-    return buffer;
-}
+constexpr const char* kWalName = "wal.log";
+constexpr const char* kSnapshotName = "snapshot.fpms";
 
 std::string fingerprint_hex(std::uint64_t fingerprint) {
     char buffer[20];
     std::snprintf(buffer, sizeof buffer, "%016llx",
                   static_cast<unsigned long long>(fingerprint));
     return buffer;
-}
-
-/// Extracts the numeric infix of `wal-NNNNNN.log` / `snapshot-NNN.fpms`
-/// file names; returns false for anything else in the directory.
-bool parse_numbered_name(const std::string& name, std::string_view prefix,
-                         std::string_view suffix, std::uint64_t& value) {
-    if (name.size() <= prefix.size() + suffix.size() ||
-        name.compare(0, prefix.size(), prefix) != 0 ||
-        name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
-        return false;
-    }
-    const std::string digits =
-        name.substr(prefix.size(), name.size() - prefix.size() - suffix.size());
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos) {
-        return false;
-    }
-    value = std::strtoull(digits.c_str(), nullptr, 10);
-    return true;
 }
 
 void write_file_durably(const std::string& path, const std::string& contents) {
@@ -179,101 +147,75 @@ RecoveryReport ModelStore::recover(serve::ModelRegistry& registry) {
     // restore() would close that cycle into a deadlock.
     std::map<std::string, StoredRecord> mirror;
     std::uint64_t next_generation = 1;
-    std::uint64_t snapshot_generation = 0;
+    RecoveryReport report;
 
-    // Inventory the directory: in-progress snapshot leftovers go away,
-    // everything else is sorted for replay.
-    std::vector<std::uint64_t> snapshots;
-    std::vector<std::uint64_t> segments;
+    // In-progress snapshot leftovers go away.  A numbered `wal-*.log` or
+    // `snapshot-*.fpms` means an older build wrote this directory:
+    // recovering beside it would come up empty, so it is refused instead.
     for (const auto& entry : fs::directory_iterator(dir_)) {
         const std::string name = entry.path().filename().string();
-        std::uint64_t value = 0;
         if (name.size() > 4 && name.ends_with(".tmp")) {
             std::error_code ec;
             fs::remove(entry.path(), ec);
-        } else if (parse_numbered_name(name, "snapshot-", ".fpms", value)) {
-            snapshots.push_back(value);
-        } else if (parse_numbered_name(name, "wal-", ".log", value)) {
-            segments.push_back(value);
         }
-    }
-    std::sort(snapshots.rbegin(), snapshots.rend());
-    std::sort(segments.begin(), segments.end());
-
-    RecoveryReport report;
-
-    // Newest snapshot that validates end to end wins; an unreadable or
-    // torn one (crash during rename on a weaker filesystem) falls back
-    // to the next-older.  A snapshot is one framed file: header frame
-    // plus one publish record per set, so replay_wal() is the validator.
-    for (const std::uint64_t generation : snapshots) {
-        const std::string path = dir_ + "/" + snapshot_name(generation);
-        try {
-            ReplayResult replay = replay_wal(path, /*repair=*/false);
-            FPM_CHECK(replay.truncated_bytes == 0 && !replay.payloads.empty(),
-                      "torn snapshot");
-            std::istringstream header(replay.payloads.front());
-            std::string magic;
-            std::string version;
-            std::string next_field;
-            std::string sets_field;
-            header >> magic >> version >> next_field >> sets_field;
-            FPM_CHECK(magic == kSnapshotMagic && version == kSnapshotVersion &&
-                          next_field.starts_with("next=") &&
-                          sets_field.starts_with("sets="),
-                      "malformed snapshot header");
-            const std::uint64_t next =
-                std::strtoull(next_field.c_str() + 5, nullptr, 10);
-            const std::uint64_t sets =
-                std::strtoull(sets_field.c_str() + 5, nullptr, 10);
-            FPM_CHECK(replay.payloads.size() == sets + 1,
-                      "snapshot holds " +
-                          std::to_string(replay.payloads.size() - 1) +
-                          " sets, header promises " + std::to_string(sets));
-
-            std::map<std::string, StoredRecord> restored;
-            for (std::size_t i = 1; i < replay.payloads.size(); ++i) {
-                PublishRecord record =
-                    decode_publish_record(replay.payloads[i], path);
-                registry.restore(record.name, std::move(record.models),
-                                 record.generation);
-                restored[record.name] = {record.generation,
-                                         std::move(replay.payloads[i])};
-            }
-            mirror = std::move(restored);
-            next_generation = std::max<std::uint64_t>(next, 1);
-            report.snapshot_generation = generation;
-            snapshot_generation = generation;
-            break;
-        } catch (const serve::ServiceError&) {
-            // The registry refused a set (its name breaks the name rule):
-            // the file is intact, and falling back would silently drop
-            // every set it holds.
-            throw;
-        } catch (const Error&) {
-            // Fall through to the next-older snapshot; this one stays on
-            // disk for post-mortems until the next GC.
-        }
+        FPM_CHECK(!(name.starts_with("wal-") && name.ends_with(".log")) &&
+                      !(name.starts_with("snapshot-") &&
+                        name.ends_with(".fpms")),
+                  entry.path().string() +
+                      " belongs to the numbered store layout; convert the "
+                      "directory first (docs/operations.md section 6)");
     }
 
-    // Replay the WAL suffix.  A torn tail ends recovery at that exact
-    // point: later segments cannot exist legitimately (rotation only
-    // happens after a successful snapshot), so they are dropped too.
-    bool torn = false;
-    for (std::size_t i = 0; i < segments.size(); ++i) {
-        const std::string path = dir_ + "/" + segment_name(segments[i]);
-        if (torn) {
-            std::error_code ec;
-            const auto size = fs::file_size(path, ec);
-            report.truncated_bytes += ec ? 0 : size;
-            fs::remove(path, ec);
-            continue;
+    // The log was truncated when the snapshot was written, so no other
+    // file holds its sets: it validates end to end or recovery fails.  A
+    // snapshot is one framed file (a header frame, then one publish
+    // record per set), so replay_wal() checks its framing.
+    const std::string snapshot_path = dir_ + "/" + kSnapshotName;
+    if (fs::exists(snapshot_path)) {
+        ReplayResult replay = replay_wal(snapshot_path, /*repair=*/false);
+        FPM_CHECK(replay.truncated_bytes == 0 && !replay.payloads.empty(),
+                  snapshot_path + ": torn snapshot");
+        std::istringstream header(replay.payloads.front());
+        std::string magic;
+        std::string version;
+        std::string next_field;
+        std::string sets_field;
+        header >> magic >> version >> next_field >> sets_field;
+        FPM_CHECK(magic == kSnapshotMagic && version == kSnapshotVersion &&
+                      next_field.starts_with("next=") &&
+                      sets_field.starts_with("sets="),
+                  snapshot_path + ": malformed snapshot header");
+        const std::uint64_t next =
+            std::strtoull(next_field.c_str() + 5, nullptr, 10);
+        const std::uint64_t sets =
+            std::strtoull(sets_field.c_str() + 5, nullptr, 10);
+        FPM_CHECK(replay.payloads.size() == sets + 1,
+                  snapshot_path + ": holds " +
+                      std::to_string(replay.payloads.size() - 1) +
+                      " sets, header promises " + std::to_string(sets));
+        for (std::size_t i = 1; i < replay.payloads.size(); ++i) {
+            PublishRecord record =
+                decode_publish_record(replay.payloads[i], snapshot_path);
+            registry.restore(record.name, std::move(record.models),
+                             record.generation);
+            mirror[record.name] = {record.generation,
+                                   std::move(replay.payloads[i])};
         }
-        ReplayResult replay = replay_wal(path, /*repair=*/true);
-        report.truncated_bytes += replay.truncated_bytes;
-        torn = replay.truncated_bytes > 0;
+        next_generation = std::max<std::uint64_t>(next, 1);
+        report.snapshot_generation = next_generation - 1;
+    }
+
+    // Replay the log with repair: a torn tail is truncated, and records
+    // the snapshot covers (left by a crash before the log's truncation)
+    // are skipped.  The repaired size is the committed prefix.
+    const std::string wal_path = dir_ + "/" + kWalName;
+    std::uint64_t committed = 0;
+    if (fs::exists(wal_path)) {
+        ReplayResult replay = replay_wal(wal_path, /*repair=*/true);
+        report.truncated_bytes = replay.truncated_bytes;
         for (std::string& payload : replay.payloads) {
-            PublishRecord record = decode_publish_record(payload, path);
+            committed += kFrameHeaderBytes + payload.size();
+            PublishRecord record = decode_publish_record(payload, wal_path);
             if (record.generation < next_generation) {
                 continue;  // already covered by the snapshot
             }
@@ -285,33 +227,13 @@ RecoveryReport ModelStore::recover(serve::ModelRegistry& registry) {
         }
     }
 
-    // Reopen the newest surviving segment for appending (its replayed,
-    // repaired size is the committed prefix), or start segment 1 fresh.
-    std::uint64_t active = segments.empty() ? 1 : segments.back();
-    if (torn && !segments.empty()) {
-        // The torn segment itself was repaired in place and stays active;
-        // dropped later segments (if any) were removed above.
-        for (auto it = segments.rbegin(); it != segments.rend(); ++it) {
-            if (fs::exists(dir_ + "/" + segment_name(*it))) {
-                active = *it;
-                break;
-            }
-        }
-    }
-    struct stat st{};
-    const std::string active_path = dir_ + "/" + segment_name(active);
-    const std::uint64_t committed =
-        ::stat(active_path.c_str(), &st) == 0
-            ? static_cast<std::uint64_t>(st.st_size)
-            : 0;
-
     std::lock_guard lock(mutex_);
     FPM_CHECK(!stopped_ && !wal_.is_open(),
               "store went live while recover() was replaying");
     mirror_ = std::move(mirror);
     next_generation_ = next_generation;
-    last_snapshot_generation_ = snapshot_generation;
-    open_segment_locked(active, committed);
+    last_snapshot_generation_ = report.snapshot_generation;
+    wal_.open(wal_path, committed);
     fsync_dir(dir_);
 
     report.recovered_generation = next_generation_ - 1;
@@ -330,7 +252,7 @@ void ModelStore::attach(serve::ModelRegistry& registry) {
         FPM_CHECK(!stopped_, "store is stopped");
         FPM_CHECK(attached_ == nullptr, "store is already attached");
         if (!wal_.is_open()) {
-            open_segment_locked(1, 0);
+            wal_.open(dir_ + "/" + kWalName, 0);
         }
         attached_ = &registry;
     }
@@ -435,9 +357,8 @@ void ModelStore::snapshot_locked() {
         contents += encode_frame(record.payload);
     }
 
-    const std::string final_name = snapshot_name(generation);
-    const std::string tmp_path = dir_ + "/" + final_name + ".tmp";
-    const std::string final_path = dir_ + "/" + final_name;
+    const std::string final_path = dir_ + "/" + kSnapshotName;
+    const std::string tmp_path = final_path + ".tmp";
     write_file_durably(tmp_path, contents);
 
     static auto& snapshot_fault = fault::point("store.snapshot");
@@ -455,17 +376,11 @@ void ModelStore::snapshot_locked() {
                        "): " + ec.message());
     fsync_dir(dir_);
 
-    // The snapshot now covers everything: rotate to a fresh segment and
-    // drop the old segments and older snapshots it superseded.
-    const std::uint64_t old_segment = segment_id_;
-    open_segment_locked(segment_id_ + 1, 0);
-    fsync_dir(dir_);
-    for (std::uint64_t id = 1; id <= old_segment; ++id) {
-        fs::remove(dir_ + "/" + segment_name(id), ec);
-    }
-    if (last_snapshot_generation_ > 0) {
-        fs::remove(dir_ + "/" + snapshot_name(last_snapshot_generation_), ec);
-    }
+    // The rename is durable, so the snapshot now covers every record in
+    // the log.  The truncation needs no fsync: a crash that leaves the
+    // log untruncated leaves only records below the snapshot's next=,
+    // and recover() skips those.
+    wal_.truncate_to(0);
 
     last_snapshot_generation_ = generation;
     appends_since_snapshot_ = 0;
@@ -562,13 +477,6 @@ void ModelStore::fire_commit_hook() {
     if (hook) {
         hook();
     }
-}
-
-void ModelStore::open_segment_locked(std::uint64_t segment_id,
-                                     std::uint64_t committed) {
-    wal_.open(dir_ + "/" + segment_name(segment_id), committed);
-    segment_id_ = segment_id;
-    stats_.segment = segment_id;
 }
 
 } // namespace fpm::store

@@ -20,7 +20,6 @@
 #include "fpm/adapt/drift.hpp"
 #include "fpm/adapt/engine.hpp"
 #include "fpm/adapt/feedback.hpp"
-#include "fpm/adapt/publisher.hpp"
 #include "fpm/adapt/refiner.hpp"
 #include "fpm/fault/fault.hpp"
 #include "fpm/part/request.hpp"
@@ -291,13 +290,13 @@ TEST(AdaptInvalidate, RepublishForcesRecomputeOfCachedPlans) {
     const auto cached = engine.execute({"hybrid", 40, Algorithm::kFpm, true});
     EXPECT_TRUE(cached.cache_hit);
 
-    // Republish changed content under the same name (what the publisher
-    // does): the cached plan keyed on the old fingerprint must go.
-    ModelPublisher publisher(engine);
+    // Republish changed content under the same name (what an adapt
+    // republish does): the cached plan keyed on the old fingerprint must
+    // go.
     auto refined = synthetic_models(3, 24, 1.0);
     refined[0] = refined[0].scaled(0.5);
-    const auto after =
-        publisher.publish("hybrid", std::move(refined), before->fingerprint);
+    const auto after = registry.put("hybrid", std::move(refined));
+    engine.invalidate_model("hybrid", before->fingerprint);
     EXPECT_NE(after->fingerprint, before->fingerprint);
     EXPECT_GT(after->generation, before->generation);
 

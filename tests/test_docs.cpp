@@ -266,7 +266,7 @@ TEST(DocsConsistency, OperationsRunbookCoversTheDurableStore) {
     const std::string runbook = read_file("docs/operations.md");
     for (const char* token :
          {"--store", "--store-fsync", "--store-snapshot-every",
-          "fpm::store", "wal-", "snapshot-", "fpmmodel v2",
+          "fpm::store", "wal.log", "snapshot.fpms", "fpmmodel v2",
           "store_unavailable", "kill -9", "ci/crash_recovery.sh",
           "recovered generation"}) {
         EXPECT_NE(runbook.find(token), std::string::npos)
@@ -315,13 +315,13 @@ TEST(DocsConsistency, ReplicationGuideCoversTheSubsystem) {
     // Topology + handshake + lag semantics + the failover runbook: the
     // operator-facing surface of fpm::repl, kept honest by name.
     for (const char* token :
-         {"WAL shipping", "REPL HELLO <generation>", "REPL FRAME",
+         {"record shipping", "REPL HELLO <generation>", "REPL FRAME",
           "REPL PING", "generation order", "records_after",
           "repl.snapshots_received", "--repl-listen", "--replica-of", "read_only",
           "repl_lag_frames", "repl_lag_seconds", "repl_source",
           "repl_applied_generation", "role=replica", "failover",
           "promotion", "repl.handshake", "repl.send", "repl.apply",
-          "ci/repl_drill.sh", "heartbeat", "ReplicationLog",
+          "ci/crash_recovery.sh", "heartbeat", "ReplicationLog",
           "Replicator", "thread-per-follower"}) {
         EXPECT_NE(guide.find(token), std::string::npos)
             << "'" << token << "' is not documented in docs/replication.md";
@@ -331,7 +331,7 @@ TEST(DocsConsistency, ReplicationGuideCoversTheSubsystem) {
     const std::string runbook = read_file("docs/operations.md");
     for (const char* token :
          {"docs/replication.md", "--replica-of", "--repl-listen",
-          "ci/repl_drill.sh"}) {
+          "ci/crash_recovery.sh"}) {
         EXPECT_NE(runbook.find(token), std::string::npos)
             << "'" << token << "' is not documented in docs/operations.md";
     }

@@ -1,9 +1,10 @@
 // fpm::repl suite: ReplicationLog catch-up by generation (the store's
 // latest records above a generation, in generation order, surviving
-// WAL rotation, GC and recovery), primary → replica convergence over
-// the wire (fresh join, tailing across rotations, restart from the
-// replica's recovered generation, refusal of a replica ahead of the
-// primary, bit-for-bit plan equality, replica-side durability),
+// snapshots that truncate the log and recovery), primary → replica
+// convergence over the wire (fresh join, tailing across snapshots,
+// restart from the replica's recovered generation, refusal of a replica
+// ahead of the primary, bit-for-bit plan equality, replica-side
+// durability),
 // read-only write rejection, the typed STATS/HEALTH replication fields
 // (each engine reports its own role, even with a primary and a replica
 // in one process), client endpoint failover, a chaos run with every
@@ -300,9 +301,9 @@ TEST(ReplicationLogTest, StopWakesBlockedReaders) {
     store.abandon();
 }
 
-TEST(ReplicationLogTest, RecordsSurviveRotationGcAndRecovery) {
+TEST(ReplicationLogTest, RecordsSurviveSnapshotsAndRecovery) {
     // The records a follower catches up from live in the store, not in
-    // its WAL segments: rotations, GC and a restart change none of them.
+    // its log: snapshots truncating it and a restart change none of them.
     TempDir dir;
     StoreOptions options;
     options.snapshot_every = 2;
@@ -317,7 +318,6 @@ TEST(ReplicationLogTest, RecordsSurviveRotationGcAndRecovery) {
                          synthetic_models(2, 16, static_cast<double>(g)));
         }
         EXPECT_EQ(store.stats().snapshots, 3u);
-        EXPECT_EQ(store.stats().segment, 4u);
         before = store.records_after(0);
         store.abandon();
     }
@@ -424,11 +424,11 @@ TEST(ReplEndToEnd, FreshReplicaReceivesEverySetInGenerationOrder) {
     EXPECT_EQ(replica.replicator->snapshots_received(), 1u);
 }
 
-TEST(ReplEndToEnd, FreshReplicaBehindGcTailsRotationsWithoutReconnecting) {
+TEST(ReplEndToEnd, FreshReplicaTailsSnapshotsWithoutReconnecting) {
     TempDir primary_dir;
     TempDir replica_dir;
-    // snapshot_every=2: every second publish rotates the WAL and GCs the
-    // segment a tailing replica was just shipped from.
+    // snapshot_every=2: every second publish snapshots and truncates the
+    // log a tailing replica was just shipped from.
     Primary primary(primary_dir.path, 2);
     std::uint64_t generation = 0;
     for (; generation < 4; ++generation) {
@@ -438,15 +438,16 @@ TEST(ReplEndToEnd, FreshReplicaBehindGcTailsRotationsWithoutReconnecting) {
     }
     ASSERT_GE(primary.store.stats().snapshots, 2u);
 
-    // The early segments are gone; the replica gets one frame per set.
+    // The early records are gone from the log; the replica gets one
+    // frame per set.
     Replica replica(replica_dir.path, primary.server->port());
     ASSERT_TRUE(wait_until([&] {
         return replica.replicator->applied_generation() == generation;
     }));
     EXPECT_EQ(replica.replicator->frames_applied(), 2u);
 
-    // Tail five rotations, one publish applied at a time.
-    const std::uint64_t segment = primary.store.stats().segment;
+    // Tail five snapshots, one publish applied at a time.
+    const std::uint64_t snapshots = primary.store.stats().snapshots;
     for (int i = 0; i < 10; ++i) {
         ++generation;
         primary.registry.put("alpha", synthetic_models(
@@ -455,7 +456,7 @@ TEST(ReplEndToEnd, FreshReplicaBehindGcTailsRotationsWithoutReconnecting) {
             return replica.replicator->applied_generation() == generation;
         })) << "generation " << generation;
     }
-    EXPECT_GE(primary.store.stats().segment, segment + 5);
+    EXPECT_GE(primary.store.stats().snapshots, snapshots + 5);
     EXPECT_EQ(replica.replicator->frames_applied(), 12u);
     EXPECT_EQ(replica.replicator->reconnects(), 0u);
     EXPECT_EQ(replica.replicator->snapshots_received(), 1u);

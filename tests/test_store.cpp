@@ -1,12 +1,13 @@
 // fpm::store crash-recovery suite: WAL framing (CRC, torn-tail
 // truncation, self-healing appends), ModelStore write-ahead veto
-// semantics through the registry put observer, snapshot + rotation + GC,
-// the store.append/store.fsync/store.snapshot fault points, a real
-// fork()+SIGKILL crash test whose recovered registry must serve
-// bit-for-bit identical plans at the pre-crash generation, and a chaos
-// run with every store fault armed against the live serve stack — zero
-// torn replies, and post-chaos recovery must reproduce the served state
-// exactly.
+// semantics through the registry put observer, snapshots that truncate
+// the log, a corrupt snapshot or a numbered older-layout directory
+// failing recovery loudly, the store.append/store.fsync/store.snapshot
+// fault points, a real fork()+SIGKILL crash test whose recovered
+// registry must serve bit-for-bit identical plans at the pre-crash
+// generation, and a chaos run with every store fault armed against the
+// live serve stack — zero torn replies, and post-chaos recovery must
+// reproduce the served state exactly.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -102,23 +103,32 @@ void append_raw(const std::string& path, std::string_view bytes) {
     ASSERT_TRUE(out.good());
 }
 
-/// Store-directory census: (wal segment count, snapshot count, tmp count).
+std::string read_bytes(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+/// Store-directory census, by file name.
 struct DirCensus {
-    std::size_t segments = 0;
-    std::size_t snapshots = 0;
-    std::size_t tmps = 0;
+    std::size_t logs = 0;       ///< wal.log
+    std::size_t snapshots = 0;  ///< snapshot.fpms
+    std::size_t tmps = 0;       ///< snapshot.fpms.tmp
+    std::size_t others = 0;     ///< anything else
 };
 
 DirCensus census(const std::string& dir) {
     DirCensus c;
     for (const auto& entry : fs::directory_iterator(dir)) {
         const std::string name = entry.path().filename().string();
-        if (name.size() > 4 && name.compare(name.size() - 4, 4, ".tmp") == 0) {
-            ++c.tmps;
-        } else if (name.rfind("wal-", 0) == 0) {
-            ++c.segments;
-        } else if (name.rfind("snapshot-", 0) == 0) {
+        if (name == "wal.log") {
+            ++c.logs;
+        } else if (name == "snapshot.fpms") {
             ++c.snapshots;
+        } else if (name == "snapshot.fpms.tmp") {
+            ++c.tmps;
+        } else {
+            ++c.others;
         }
     }
     return c;
@@ -154,7 +164,7 @@ TEST(Wal, FramesAreLengthCrcPayload) {
 
 TEST(Wal, AppendReplayRoundTrip) {
     TempDir dir;
-    const std::string path = dir.path + "/wal-000001.log";
+    const std::string path = dir.path + "/wal.log";
     const std::vector<std::string> payloads = {"first", "", "third record",
                                                std::string(4096, 'x')};
     WalFile wal;
@@ -173,7 +183,7 @@ TEST(Wal, AppendReplayRoundTrip) {
 
 TEST(Wal, TornTailIsReportedAndRepairTruncatesIt) {
     TempDir dir;
-    const std::string path = dir.path + "/wal-000001.log";
+    const std::string path = dir.path + "/wal.log";
     WalFile wal;
     wal.open(path, 0);
     wal.append("alpha");
@@ -202,7 +212,7 @@ TEST(Wal, TornTailIsReportedAndRepairTruncatesIt) {
 
 TEST(Wal, CrcCorruptionEndsTheReplayAtTheLastGoodRecord) {
     TempDir dir;
-    const std::string path = dir.path + "/wal-000001.log";
+    const std::string path = dir.path + "/wal.log";
     WalFile wal;
     wal.open(path, 0);
     wal.append("keep me");
@@ -226,7 +236,7 @@ TEST(Wal, CrcCorruptionEndsTheReplayAtTheLastGoodRecord) {
 TEST(Wal, FailedAppendSelfHealsAtTheNextAppend) {
     FaultGuard guard;
     TempDir dir;
-    const std::string path = dir.path + "/wal-000001.log";
+    const std::string path = dir.path + "/wal.log";
     WalFile wal;
     wal.open(path, 0);
     wal.append("durable");
@@ -368,7 +378,6 @@ TEST(ModelStoreTest, AttachMirrorsPreloadedRegistryContent) {
 
 TEST(ModelStoreTest, TornWalTailTruncatesCleanlyOnRecovery) {
     TempDir dir;
-    std::string segment;
     {
         ModelRegistry registry;
         ModelStore store(dir.path);
@@ -377,14 +386,11 @@ TEST(ModelStoreTest, TornWalTailTruncatesCleanlyOnRecovery) {
         registry.put("alpha", synthetic_models(2, 16, 1.0));
         registry.put("alpha", synthetic_models(2, 16, 2.0));
         registry.put("alpha", synthetic_models(2, 16, 3.0));
-        char name[32];
-        std::snprintf(name, sizeof name, "wal-%06llu.log",
-                      static_cast<unsigned long long>(store.stats().segment));
-        segment = dir.path + "/" + name;
+        EXPECT_EQ(store.stats().snapshots, 0u);  // the log holds all three
         store.abandon();
     }
     // A crash mid-append leaves a torn frame after generation 3.
-    append_raw(segment, std::string("\xff\xff\x00\x00half", 8));
+    append_raw(dir.path + "/wal.log", std::string("\xff\xff\x00\x00half", 8));
 
     ModelRegistry recovered;
     ModelStore store(dir.path);
@@ -406,7 +412,7 @@ TEST(ModelStoreTest, TornWalTailTruncatesCleanlyOnRecovery) {
     second.abandon();
 }
 
-TEST(ModelStoreTest, SnapshotCompactsRotatesAndCollectsGarbage) {
+TEST(ModelStoreTest, SnapshotCompactsAndTruncatesTheLog) {
     TempDir dir;
     std::vector<std::uint64_t> fingerprints;
     {
@@ -416,17 +422,21 @@ TEST(ModelStoreTest, SnapshotCompactsRotatesAndCollectsGarbage) {
         ModelStore store(dir.path, options);
         store.recover(registry);
         store.attach(registry);
-        for (int round = 0; round < 5; ++round) {
-            registry.put("alpha", synthetic_models(2, 16, 1.0 + round));
-        }
         // 5 appends with snapshot_every=2 -> snapshots at 2 and 4, each
-        // rotating to a fresh segment and GCing everything it covers.
-        EXPECT_EQ(store.stats().snapshots, 2u);
-        EXPECT_EQ(store.stats().segment, 3u);
+        // leaving the log empty.
+        for (int round = 1; round <= 5; ++round) {
+            registry.put("alpha",
+                         synthetic_models(2, 16, static_cast<double>(round)));
+            EXPECT_EQ(store.stats().snapshots,
+                      static_cast<std::uint64_t>(round / 2));
+            EXPECT_EQ(file_size(dir.path + "/wal.log") == 0, round % 2 == 0)
+                << "after append " << round;
+        }
         const auto on_disk = census(dir.path);
-        EXPECT_EQ(on_disk.snapshots, 1u);  // older snapshot GC'd
-        EXPECT_EQ(on_disk.segments, 1u);   // covered segments GC'd
+        EXPECT_EQ(on_disk.logs, 1u);
+        EXPECT_EQ(on_disk.snapshots, 1u);
         EXPECT_EQ(on_disk.tmps, 0u);
+        EXPECT_EQ(on_disk.others, 0u);
         for (const auto& set : registry.snapshot()) {
             fingerprints.push_back(set->fingerprint);
         }
@@ -524,11 +534,8 @@ TEST(ModelStoreFaults, FsyncFaultRollsTheRecordBackBeforeVetoing) {
     store.recover(registry);
     store.attach(registry);
     registry.put("alpha", synthetic_models(2, 16, 1.0));
-    char name[32];
-    std::snprintf(name, sizeof name, "wal-%06llu.log",
-                  static_cast<unsigned long long>(store.stats().segment));
-    const std::string segment = dir.path + "/" + name;
-    const std::uint64_t committed = file_size(segment);
+    const std::string log = dir.path + "/wal.log";
+    const std::uint64_t committed = file_size(log);
 
     fault::install(fault::FaultPlan::parse("seed=4,store.fsync=1"));
     try {
@@ -539,7 +546,7 @@ TEST(ModelStoreFaults, FsyncFaultRollsTheRecordBackBeforeVetoing) {
     }
     // The un-synced record was truncated away, not left as a valid frame
     // that recovery would replay despite the failed acknowledgement.
-    EXPECT_EQ(file_size(segment), committed);
+    EXPECT_EQ(file_size(log), committed);
     EXPECT_EQ(store.stats().appended, 1u);
     fault::uninstall();
     store.abandon();
@@ -564,7 +571,7 @@ TEST(ModelStoreFaults, SnapshotFaultAbandonsTheTempFileAndKeepsAppending) {
     EXPECT_EQ(census(dir.path).snapshots, 0u);
     EXPECT_EQ(census(dir.path).tmps, 1u);
 
-    // The store keeps working on the old segment after the failure.
+    // The store keeps appending to the log after the failure.
     registry.put("alpha", synthetic_models(2, 16, 2.0));
     store.snapshot();
     EXPECT_EQ(census(dir.path).snapshots, 1u);
@@ -579,9 +586,8 @@ TEST(ModelStoreFaults, SnapshotFaultAbandonsTheTempFileAndKeepsAppending) {
     second.abandon();
 }
 
-TEST(ModelStoreTest, CorruptSnapshotFallsBackToTheOlderOneplusWal) {
+TEST(ModelStoreTest, CorruptSnapshotFailsRecovery) {
     TempDir dir;
-    std::uint64_t expected_fingerprint = 0;
     {
         ModelRegistry registry;
         StoreOptions options;
@@ -590,28 +596,115 @@ TEST(ModelStoreTest, CorruptSnapshotFallsBackToTheOlderOneplusWal) {
         store.recover(registry);
         store.attach(registry);
         registry.put("alpha", synthetic_models(2, 16, 1.0));
-        store.snapshot();  // snapshot at generation 1
-        registry.put("alpha", synthetic_models(2, 16, 2.0));
-        expected_fingerprint = registry.get("alpha")->fingerprint;
+        registry.put("beta", synthetic_models(2, 16, 2.0));
+        store.snapshot();  // the only copy of beta from here on
+        registry.put("alpha", synthetic_models(2, 16, 3.0));
         store.abandon();
     }
-    // Corrupt the (only) snapshot: recovery must reject it and rebuild
-    // from the WAL alone...
-    for (const auto& entry : fs::directory_iterator(dir.path)) {
-        const std::string name = entry.path().filename().string();
-        if (name.rfind("snapshot-", 0) == 0) {
-            append_raw(entry.path().string(), "garbage tail");
-        }
-    }
-    // ...except the generation-1 segment was GC'd by the snapshot, so
-    // only generation 2's record survives — still the newest state.
+    const std::string snapshot = dir.path + "/snapshot.fpms";
+    ASSERT_TRUE(fs::exists(snapshot));
+    append_raw(snapshot, "garbage tail");
+
+    // The log was truncated by the snapshot, so recovering without it
+    // would silently drop beta: recovery must fail and name the file.
     ModelRegistry recovered;
     ModelStore store(dir.path);
-    const auto report = store.recover(recovered);
-    EXPECT_EQ(report.snapshot_generation, 0u);
-    EXPECT_EQ(report.recovered_generation, 2u);
-    EXPECT_EQ(recovered.get("alpha")->fingerprint, expected_fingerprint);
+    try {
+        (void)store.recover(recovered);
+        FAIL() << "recovered past a corrupt snapshot; beta "
+               << (recovered.find("beta") != nullptr ? "present" : "lost");
+    } catch (const fpm::Error& e) {
+        EXPECT_NE(std::string(e.what()).find(snapshot), std::string::npos)
+            << e.what();
+    }
     store.abandon();
+}
+
+TEST(ModelStoreTest, CrashBeforeTheLogTruncationReplaysNothingTwice) {
+    // A crash between the snapshot's rename and the log's truncation
+    // leaves the log holding records the snapshot already covers.
+    TempDir dir;
+    const std::string log = dir.path + "/wal.log";
+    std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> before;
+    {
+        ModelRegistry registry;
+        StoreOptions options;
+        options.snapshot_every = 0;
+        ModelStore store(dir.path, options);
+        store.recover(registry);
+        store.attach(registry);
+        registry.put("alpha", synthetic_models(2, 16, 1.0));
+        registry.put("beta", synthetic_models(3, 16, 2.0));
+        registry.put("alpha", synthetic_models(2, 16, 3.0));
+        const std::string covered = read_bytes(log);
+        store.snapshot();
+        EXPECT_EQ(file_size(log), 0u);
+        store.abandon();
+        append_raw(log, covered);
+        for (const auto& set : registry.snapshot()) {
+            before[set->name] = {set->generation, set->fingerprint};
+        }
+    }
+    std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> after;
+    {
+        ModelRegistry recovered;
+        ModelStore store(dir.path);
+        const auto report = store.recover(recovered);
+        EXPECT_EQ(report.snapshot_generation, 3u);
+        EXPECT_EQ(report.wal_records, 0u);
+        EXPECT_EQ(report.truncated_bytes, 0u);
+        EXPECT_EQ(report.recovered_generation, 3u);
+        for (const auto& set : recovered.snapshot()) {
+            after[set->name] = {set->generation, set->fingerprint};
+        }
+        // Appends extend the untruncated log past the covered records.
+        store.attach(recovered);
+        recovered.put("beta", synthetic_models(3, 16, 4.0));
+        store.abandon();
+    }
+    EXPECT_EQ(after, before);
+
+    ModelRegistry again;
+    ModelStore store(dir.path);
+    const auto report = store.recover(again);
+    EXPECT_EQ(report.wal_records, 1u);
+    EXPECT_EQ(report.recovered_generation, 4u);
+    EXPECT_EQ(again.get("beta")->generation, 4u);
+    EXPECT_EQ(again.get("alpha")->fingerprint, before["alpha"].second);
+    store.abandon();
+}
+
+TEST(ModelStoreTest, NumberedOlderLayoutIsRefusedByName) {
+    // Valid files of the numbered layout an older build wrote: recovering
+    // beside them would come up empty, so recovery refuses the directory,
+    // naming the file and leaving it where it is.
+    serve::ModelSet set;
+    set.name = "alpha";
+    set.models = synthetic_models(2, 16, 1.0);
+    set.generation = 1;
+    set.fingerprint = serve::fingerprint_models(set.models);
+    const std::string record = encode_frame(encode_publish_record(set));
+    const std::map<std::string, std::string> older = {
+        {"wal-000001.log", record},
+        {"snapshot-000000000001.fpms",
+         encode_frame("fpmstore v1 next=2 sets=1") + record}};
+    for (const auto& [name, bytes] : older) {
+        TempDir dir;
+        const std::string path = dir.path + "/" + name;
+        append_raw(path, bytes);
+        ModelRegistry registry;
+        ModelStore store(dir.path);
+        try {
+            (void)store.recover(registry);
+            FAIL() << "recovered beside " << name;
+        } catch (const fpm::Error& e) {
+            EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+                << e.what();
+        }
+        EXPECT_EQ(read_bytes(path), bytes);
+        EXPECT_EQ(census(dir.path).logs, 0u);
+        store.abandon();
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -28,12 +28,13 @@
 // `--models` sets already present in the recovered state are skipped.
 //
 // Replication (fpm::repl, docs/replication.md): `--repl-listen P` makes
-// this server a primary that ships its WAL to connecting replicas
-// (requires --store); `--replica-of HOST:PORT` makes it a hot-standby
-// replica instead — it pulls the primary's publish stream, applies it
-// through the same registry machinery, answers PARTITION/STATS/HEALTH/
-// MODELS and rejects writes (LOAD, FEEDBACK) with `ERR read_only`.
-// A replica may itself carry `--store` for local durability.
+// this server a primary that ships its store's publish records to
+// connecting replicas (requires --store); `--replica-of HOST:PORT` makes
+// it a hot-standby replica instead — it pulls the primary's publish
+// stream, applies it through the same registry machinery, answers
+// PARTITION/STATS/HEALTH/MODELS and rejects writes (LOAD, FEEDBACK) with
+// `ERR read_only`, so it refuses `--models` and `--adapt on`.  A replica
+// may itself carry `--store` for local durability.
 //
 // Fault drills: set FPMPART_FAULTS (see docs/operations.md) before
 // launch to arm deterministic injection points; the armed rule count is
@@ -106,9 +107,17 @@ int main(int argc, char** argv) {
                          flags.usage().c_str());
             return 2;
         }
+        // A replica's registry belongs to the replication stream;
+        // generations published locally, by --models loads or adapt
+        // republishes, would collide with it.
+        if (!replica_of.empty() && !model_specs.empty()) {
+            std::fprintf(stderr,
+                         "error: --models cannot be combined with "
+                         "--replica-of (models arrive from the primary)\n%s",
+                         flags.usage().c_str());
+            return 2;
+        }
         if (!replica_of.empty() && adapt_enabled) {
-            // A replica's registry belongs to the replication stream;
-            // locally-published adapt generations would collide with it.
             std::fprintf(stderr,
                          "error: --adapt cannot be combined with "
                          "--replica-of (replicas are read-only)\n%s",
@@ -118,7 +127,7 @@ int main(int argc, char** argv) {
         if (flags.seen("--repl-listen") && config.store_dir.empty()) {
             std::fprintf(stderr,
                          "error: --repl-listen requires --store "
-                         "(replication ships the WAL)\n%s",
+                         "(replication ships the store's records)\n%s",
                          flags.usage().c_str());
             return 2;
         }
@@ -258,7 +267,7 @@ int main(int argc, char** argv) {
             repl_config.port = repl_listen;
             repl_server = std::make_unique<repl::ReplicationServer>(
                 *repl_log, repl_config);
-            std::printf("replication primary: shipping WAL on %s:%u\n",
+            std::printf("replication primary: shipping records on %s:%u\n",
                         repl_config.bind_address.c_str(),
                         repl_server->port());
         }
