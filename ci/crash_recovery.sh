@@ -20,7 +20,8 @@ jobs="${FPMPART_BUILD_JOBS:-2}"
 if [ ! -f "$build/CMakeCache.txt" ]; then
   cmake -B "$build" -S "$repo" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DFPMPART_SANITIZE=address,undefined
+    -DFPMPART_SANITIZE=address,undefined \
+    -DFPMPART_WERROR=ON
 fi
 
 cmake --build "$build" -j "$jobs"

@@ -16,7 +16,8 @@ jobs="${FPMPART_BUILD_JOBS:-2}"
 if [ ! -f "$build/CMakeCache.txt" ]; then
   cmake -B "$build" -S "$repo" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DFPMPART_TSAN=ON
+    -DFPMPART_TSAN=ON \
+    -DFPMPART_WERROR=ON
 fi
 
 cmake --build "$build" -j "$jobs"

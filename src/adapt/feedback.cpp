@@ -7,6 +7,14 @@
 
 namespace fpm::adapt {
 
+namespace {
+
+/// Geometric width of a size region: problem sizes within a factor of
+/// 1.25 share a bucket.
+constexpr double kBucketResolution = 0.25;
+
+} // namespace
+
 FeedbackIngestor::FeedbackIngestor(const AdaptConfig& config)
     : config_(config) {
     FPM_CHECK(config.min_samples >= 1, "min_samples must be >= 1");
@@ -14,8 +22,6 @@ FeedbackIngestor::FeedbackIngestor(const AdaptConfig& config)
               "max_samples must be >= min_samples");
     FPM_CHECK(config.target_relative_error > 0.0,
               "target_relative_error must be positive");
-    FPM_CHECK(config.bucket_resolution > 0.0,
-              "bucket_resolution must be positive");
     FPM_CHECK(config.max_buckets >= 1, "max_buckets must be >= 1");
     reliability_.min_repetitions = config.min_samples;
     reliability_.max_repetitions = config.max_samples;
@@ -29,7 +35,7 @@ IngestResult FeedbackIngestor::add(std::int64_t device, double problem_size,
     FPM_CHECK(seconds > 0.0, "measured time must be positive");
 
     const std::int64_t region = static_cast<std::int64_t>(std::floor(
-        std::log(problem_size) / std::log1p(config_.bucket_resolution)));
+        std::log(problem_size) / std::log1p(kBucketResolution)));
     const BucketKey key{device, region};
 
     if (buckets_.find(key) == buckets_.end() &&

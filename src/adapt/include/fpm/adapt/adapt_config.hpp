@@ -29,17 +29,11 @@ struct AdaptConfig {
     double target_relative_error = 0.05;
 
     // -- size-region bucketing ----------------------------------------
-    /// Geometric width of a size region: problem sizes within a factor
-    /// of (1 + bucket_resolution) share a bucket.
-    double bucket_resolution = 0.25;
     /// Staleness/memory bound per model set: beyond this many live
     /// buckets the one with the least evidence is dropped.
     std::size_t max_buckets = 64;
 
     // -- refiner ------------------------------------------------------
-    /// Existing model points within this fraction of the spliced x are
-    /// replaced by the measured point (keeps knots strictly increasing).
-    double merge_radius = 0.1;
     /// Bounded update: one refinement moves the model speed at x by at
     /// most this fraction of its current value, so a single bad window
     /// cannot fold an outlier straight into the model.

@@ -76,7 +76,8 @@ public:
     AdaptEngine& operator=(const AdaptEngine&) = delete;
 
     /// Ingests one sample synchronously (test/tool entry point; the
-    /// serve path goes through RequestEngine::submit_feedback_async).
+    /// reactor runs FEEDBACK through handle_request() on the engine
+    /// pool, which reaches this through the installed handler).
     serve::FeedbackReply ingest(const serve::FeedbackSample& sample);
 
     [[nodiscard]] AdaptStats stats() const;

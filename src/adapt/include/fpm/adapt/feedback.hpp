@@ -22,7 +22,7 @@ namespace fpm::adapt {
 /// One (device, size-region) accumulation bucket.
 struct BucketKey {
     std::int64_t device = 0;
-    std::int64_t region = 0;  ///< floor(log(x) / log(1 + resolution))
+    std::int64_t region = 0;  ///< floor(log(x) / log(1.25))
 
     auto operator<=>(const BucketKey&) const = default;
 };
@@ -41,7 +41,7 @@ struct IngestResult {
 class FeedbackIngestor {
 public:
     /// Throws fpm::Error on inconsistent config (min > max, non-positive
-    /// resolution/target, zero bucket budget).
+    /// target, zero bucket budget).
     explicit FeedbackIngestor(const AdaptConfig& config);
 
     /// Ingests one measurement (x > 0 blocks in `seconds` > 0 wall time)

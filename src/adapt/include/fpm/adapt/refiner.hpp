@@ -31,8 +31,8 @@ struct RefineResult {
 /// See file comment.  Stateless apart from the config; thread-safe.
 class OnlineRefiner {
 public:
-    /// Throws fpm::Error for a non-positive max_speed_step, negative
-    /// merge_radius or negative min_speed_change.
+    /// Throws fpm::Error for a non-positive max_speed_step or a
+    /// negative min_speed_change.
     explicit OnlineRefiner(const AdaptConfig& config);
 
     /// Refines models[device] with the bucket mean (x, observed_speed).

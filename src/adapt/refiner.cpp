@@ -7,9 +7,16 @@
 
 namespace fpm::adapt {
 
+namespace {
+
+/// Existing model points within this fraction of the spliced x are
+/// replaced by the measured point (keeps knots strictly increasing).
+constexpr double kMergeRadius = 0.1;
+
+} // namespace
+
 OnlineRefiner::OnlineRefiner(const AdaptConfig& config) : config_(config) {
     FPM_CHECK(config.max_speed_step > 0.0, "max_speed_step must be positive");
-    FPM_CHECK(config.merge_radius >= 0.0, "merge_radius must be non-negative");
     FPM_CHECK(config.min_speed_change >= 0.0,
               "min_speed_change must be non-negative");
 }
@@ -63,7 +70,7 @@ RefineResult OnlineRefiner::refine(std::vector<core::SpeedFunction>& models,
     }
     const core::SpeedFunction rescaled(std::move(points), model.name(),
                                        model.max_problem());
-    models[device] = rescaled.spliced(anchor, target, config_.merge_radius);
+    models[device] = rescaled.spliced(anchor, target, kMergeRadius);
     result.applied = true;
     return result;
 }

@@ -75,13 +75,25 @@ int parse_magic(const std::string& line, const std::string& origin) {
     return static_cast<int>(parsed);
 }
 
+/// `origin:line` plus `:column` when known.  Appended piece by piece:
+/// GCC 12 misreports `":" + std::to_string(column)` under -Wrestrict.
+std::string location(const std::string& origin, std::size_t line,
+                     std::size_t column) {
+    std::string text = origin;
+    text += ':';
+    text += std::to_string(line);
+    if (column > 0) {
+        text += ':';
+        text += std::to_string(column);
+    }
+    return text;
+}
+
 } // namespace
 
 ParseError::ParseError(std::string origin, std::size_t line,
                        std::size_t column, std::string reason)
-    : Error(origin + ":" + std::to_string(line) +
-            (column > 0 ? ":" + std::to_string(column) : std::string{}) +
-            ": " + reason),
+    : Error(location(origin, line, column) + ": " + reason),
       origin_(std::move(origin)), line_(line), column_(column),
       reason_(std::move(reason)) {}
 

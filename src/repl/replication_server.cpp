@@ -31,9 +31,6 @@ struct ServerMetrics {
     }
 };
 
-/// Pending connections the replication listener queues.
-constexpr int kBacklog = 16;
-
 /// Per-send/recv deadline of a follower socket: a follower that stops
 /// reading stalls its session's send at most this long.
 constexpr double kSessionIoTimeout = 5.0;
@@ -55,8 +52,8 @@ bool parse_hello(const std::string& line, std::uint64_t& generation) {
 ReplicationServer::ReplicationServer(ReplicationLog& log,
                                      ReplServerConfig config)
     : log_(log), config_(std::move(config)) {
-    const serve::Listener listener = serve::listen_tcp(
-        config_.bind_address, config_.port, kBacklog, false);
+    const serve::Listener listener =
+        serve::listen_tcp(config_.bind_address, config_.port, false);
     listen_fd_ = listener.fd;
     port_ = listener.port;
     acceptor_ = std::thread([this] { accept_loop(); });

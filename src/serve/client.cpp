@@ -155,9 +155,9 @@ Response ServeClient::call(const Request& req) {
     }
 
     // Retry mode: the encoded line is computed once and re-sent verbatim
-    // on every attempt (idempotent re-send), and the jitter stream is
-    // seeded from the request fingerprint so a given config + request
-    // replays the same backoff schedule.
+    // on every attempt, and the jitter stream is seeded from the request
+    // fingerprint so a given config + request replays the same backoff
+    // schedule.
     const std::string line = req.encode();
     Rng jitter(config_.retry_seed ^ request_fingerprint(req));
     const auto backoff = [&](int attempt) {
@@ -195,11 +195,14 @@ Response ServeClient::call(const Request& req) {
         } catch (const TransportError&) {
             // The connection is in an unknown state (a late reply would
             // desynchronise the stream): always drop it before deciding.
-            // With a failover list, the next attempt starts against the
-            // next endpoint — the active one just proved unreachable or
+            // A FEEDBACK the server may already have ingested is not
+            // re-sent: a second copy would count the sample twice.  With
+            // a failover list, the next attempt starts against the next
+            // endpoint — the active one just proved unreachable or
             // unresponsive.
             conn_.close();
-            if (attempt >= config_.max_retries) {
+            if (attempt >= config_.max_retries ||
+                req.kind == Request::Kind::kFeedback) {
                 throw;
             }
             advance_endpoint();
@@ -214,28 +217,14 @@ PartitionReply ServeClient::partition(const PartitionRequest& req) {
     Request wire;
     wire.kind = Request::Kind::kPartition;
     wire.partition = req;
-    const Response response = call(wire);
-    if (response.kind == Response::Kind::kError) {
-        throw ServiceError(response.error_code,
-                           "server error: " + response.error);
-    }
-    FPM_CHECK(response.kind == Response::Kind::kPartition,
-              "malformed partition reply");
-    return response.partition;
+    return expect_reply(call(wire), Response::Kind::kPartition).partition;
 }
 
 FeedbackReply ServeClient::report_feedback(const FeedbackSample& sample) {
     Request wire;
     wire.kind = Request::Kind::kFeedback;
     wire.feedback = sample;
-    const Response response = call(wire);
-    if (response.kind == Response::Kind::kError) {
-        throw ServiceError(response.error_code,
-                           "server error: " + response.error);
-    }
-    FPM_CHECK(response.kind == Response::Kind::kFeedback,
-              "malformed FEEDBACK reply");
-    return response.feedback;
+    return expect_reply(call(wire), Response::Kind::kFeedback).feedback;
 }
 
 void ServeClient::ping() {
@@ -255,27 +244,15 @@ void ServeClient::ping() {
 ServerHealth ServeClient::health() {
     Request wire;
     wire.kind = Request::Kind::kHealth;
-    const Response response = call(wire);
-    if (response.kind == Response::Kind::kError) {
-        throw ServiceError(response.error_code,
-                           "server error: " + response.error);
-    }
-    FPM_CHECK(response.kind == Response::Kind::kHealth,
-              "malformed HEALTH reply");
-    return ServerHealth::from_fields(response.fields);
+    return ServerHealth::from_fields(
+        expect_reply(call(wire), Response::Kind::kHealth).fields);
 }
 
 ServerStats ServeClient::stats() {
     Request wire;
     wire.kind = Request::Kind::kStats;
-    const Response response = call(wire);
-    if (response.kind == Response::Kind::kError) {
-        throw ServiceError(response.error_code,
-                           "server error: " + response.error);
-    }
-    FPM_CHECK(response.kind == Response::Kind::kStats,
-              "malformed STATS reply");
-    return ServerStats::from_fields(response.fields);
+    return ServerStats::from_fields(
+        expect_reply(call(wire), Response::Kind::kStats).fields);
 }
 
 } // namespace fpm::serve

@@ -21,10 +21,13 @@
 /// ServeConfig::max_retries > 0, call() (and the typed helpers built on
 /// it) retries transport failures and `ERR busy` rejections with
 /// exponential backoff + deterministic jitter, reconnecting and
-/// re-sending the identical encoded line (requests are idempotent; the
-/// jitter stream is keyed on the request fingerprint, so a given
-/// config + request replays the same schedule).  Raw request()/
-/// pipeline() never retry — batch callers own their own policy.
+/// re-sending the identical encoded line (the jitter stream is keyed on
+/// the request fingerprint, so a given config + request replays the
+/// same schedule).  FEEDBACK is the exception: the server may have
+/// ingested a sample whose reply was lost, so after a transport error it
+/// is not re-sent and the error reaches the caller; its `ERR busy`
+/// (nothing ran) is still retried.  Raw request()/pipeline() never
+/// retry — batch callers own their own policy.
 #pragma once
 
 #include <cstdint>
@@ -97,7 +100,8 @@ public:
 
     /// Typed request round trip: encode, send, decode.  With
     /// ServeConfig::max_retries > 0 this is the retrying entry point
-    /// (see file comment); QUIT is never retried.
+    /// (see file comment); QUIT is never retried, FEEDBACK only after
+    /// `ERR busy`.
     Response call(const Request& request);
 
     /// PARTITION round trip with a decoded reply; throws ServiceError
@@ -107,7 +111,8 @@ public:
     /// FEEDBACK round trip: reports one served-execution measurement and
     /// returns what the server's adaptation layer did with it.  Throws
     /// ServiceError (carrying the server's ErrorCode) when the server
-    /// answers ERR.
+    /// answers ERR, and TransportError without re-sending when the
+    /// exchange fails (the sample may or may not have been ingested).
     FeedbackReply report_feedback(const FeedbackSample& sample);
 
     /// PING round trip; throws fpm::Error unless the server answers a
@@ -125,8 +130,8 @@ public:
 
     /// STATS round trip, fully typed: every known field parsed into
     /// ServerStats, unknown `key=value` pairs preserved in
-    /// ServerStats::extras.  Throws fpm::Error when the server answers
-    /// ERR or a known field carries a malformed value.
+    /// ServerStats::extras.  Throws ServiceError when the server answers
+    /// ERR, fpm::Error when a known field carries a malformed value.
     ServerStats stats();
 
     /// The endpoint the client is currently pointed at (it may not be

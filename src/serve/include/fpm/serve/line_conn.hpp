@@ -67,11 +67,11 @@ struct Listener {
 };
 
 /// Binds `bind_address:port` with SO_REUSEADDR (plus SO_REUSEPORT when
-/// `reuse_port`) and listens.  Port 0 binds an ephemeral port.  The
-/// caller owns the returned fd.  Throws fpm::Error; nothing leaks.
+/// `reuse_port`) and listens with a backlog of 64 pending connections.
+/// Port 0 binds an ephemeral port.  The caller owns the returned fd.
+/// Throws fpm::Error; nothing leaks.
 [[nodiscard]] Listener listen_tcp(const std::string& bind_address,
-                                  std::uint16_t port, int backlog,
-                                  bool reuse_port);
+                                  std::uint16_t port, bool reuse_port);
 
 /// See file comment.  Move-only owner of one socket fd.
 class LineConn {

@@ -298,11 +298,12 @@ make_partition_reply(const PartitionRequest& request,
                                         std::size_t model_count);
 
 /// Executes one decoded request against the engine (and its registry)
-/// and returns the typed response; never throws — failures become
-/// kError.  PARTITION and FEEDBACK run synchronously on the calling
-/// thread; the reactor handles kPartition/kFeedback itself
-/// (asynchronously, off the event loop) and uses this for everything
-/// else.
+/// and returns the typed response; failures become kError (a ServiceError
+/// keeps its code, any other std::exception is kInternal).  Everything
+/// runs on the calling thread: the reactor calls this inline for the
+/// cheap verbs and on the engine pool for FEEDBACK, and answers
+/// PARTITION itself (cache probe on the loop, submit_async() on a
+/// miss).
 [[nodiscard]] Response handle_request(RequestEngine& engine,
                                       const Request& request);
 
@@ -312,9 +313,15 @@ make_partition_reply(const PartitionRequest& request,
 [[nodiscard]] std::string handle_line(RequestEngine& engine,
                                       const std::string& line);
 
-/// Decodes a reply expected to be `OK PARTITION ...`; throws fpm::Error
-/// on `ERR` responses (carrying the server message) and on malformed or
-/// differently-typed replies.
+/// Returns `response` when it is of kind `expected`; an `ERR` reply
+/// throws ServiceError (carrying the server's code and message), any
+/// other kind fpm::Error.  Every typed client call checks its reply
+/// through this.
+[[nodiscard]] Response expect_reply(Response response,
+                                    Response::Kind expected);
+
+/// Decodes a reply expected to be `OK PARTITION ...`; throws like
+/// expect_reply(), and fpm::Error on a malformed line.
 [[nodiscard]] PartitionReply parse_partition_reply(const std::string& reply);
 
 /// Stable 64-bit fingerprint of a request's encoded wire line (FNV-1a).

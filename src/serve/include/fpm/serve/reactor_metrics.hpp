@@ -22,7 +22,7 @@ struct ReactorMetrics {
                                    ///  server in the process
     obs::Counter& accepted;
     obs::Counter& rejected;        ///< admission-control `ERR busy` closes
-    obs::Counter& idle_timeouts;   ///< timer-wheel evictions
+    obs::Counter& idle_timeouts;   ///< idle-timeout evictions
     obs::Counter& send_failures;   ///< write errors that closed a connection
     obs::Counter& pipelined;       ///< requests that arrived while earlier
                                    ///  ones were still in flight

@@ -16,15 +16,16 @@
 /// STATS wire command.
 ///
 /// The engine keeps serving through disturbances instead of failing
-/// hard: a request whose model set vanished, whose compute failed (e.g.
-/// a serve.compute fault injection), or whose coalesced leader blew
-/// Options::coalesce_deadline is answered from the *stale-plan cache* —
-/// the last plan computed for the same (set name, n, algorithm, layout),
-/// surviving reloads that change the content fingerprint — or, failing
-/// that, from a constant-performance fallback (Algorithm::kEven even
-/// split), which needs no model quality at all.  Degraded responses are
-/// flagged (`PartitionResponse::degraded`, wire `degraded=1`) and
-/// counted in EngineStats::degraded.
+/// hard: a request whose compute failed (e.g. a serve.compute fault
+/// injection), directly or in the coalesced leader it waited on, is
+/// answered from the *stale-plan cache* — the last plan computed for the
+/// same (set name, n, algorithm, layout), surviving reloads that change
+/// the content fingerprint — or, failing that, from a
+/// constant-performance fallback (Algorithm::kEven even split), which
+/// needs no model quality at all.  Degraded responses are flagged
+/// (`PartitionResponse::degraded`, wire `degraded=1`) and counted in
+/// EngineStats::degraded.  An unknown model set is the caller's mistake
+/// and never degrades.
 ///
 /// A replica's engine also carries its replication status (role, source,
 /// lag): the fpm::repl::Replicator feeding its registry records them
@@ -123,16 +124,13 @@ struct EngineStats {
 class RequestEngine {
 public:
     struct Options {
-        unsigned workers = 4;             ///< thread-pool size for submit()
+        unsigned workers = 4;             ///< thread-pool size
         std::size_t cache_capacity = 1024;
         /// Lock stripes of the plan cache (rounded up to a power of two;
         /// 0 is treated as 1).  Raise alongside ServeConfig::num_reactors
         /// so concurrent cache probes from N reactors do not serialize on
         /// one mutex; 1 keeps the exact single-LRU semantics.
         std::size_t cache_shards = 1;
-        /// Seconds a coalesced waiter waits for its leader before
-        /// degrading (<= 0: wait forever, prior behaviour).
-        double coalesce_deadline = 0.0;
     };
 
     /// The registry must outlive the engine.
@@ -143,9 +141,6 @@ public:
     /// Throws fpm::Error for unknown model sets, n <= 0 or infeasible
     /// workloads; coalesced waiters rethrow the leader's exception.
     PartitionResponse execute(const PartitionRequest& request);
-
-    /// Schedules execute() on the engine's thread pool.
-    std::future<PartitionResponse> submit(const PartitionRequest& request);
 
     /// Outcome of an asynchronous execution: exactly one of response
     /// (when `error` is empty) or `error` (a client-safe message, with
@@ -207,21 +202,12 @@ public:
     /// the sample.
     FeedbackReply execute_feedback(const FeedbackSample& sample);
 
-    /// Outcome of an asynchronous feedback execution, mirroring
-    /// AsyncResult: exactly one of `reply` or `error` is meaningful.
-    struct FeedbackAsyncResult {
-        FeedbackReply reply;
-        std::string error;
-        ErrorCode code = ErrorCode::kInternal;  ///< meaningful iff !ok()
-        [[nodiscard]] bool ok() const noexcept { return error.empty(); }
-    };
-
-    /// Schedules execute_feedback() on the engine's thread pool — the
-    /// off-hot-path routing the reactor uses, so ingest/refine/publish
-    /// work never runs on the event loop.  Same lifetime rules as
-    /// submit_async().
-    void submit_feedback_async(const FeedbackSample& sample,
-                               std::function<void(FeedbackAsyncResult)> done);
+    /// Runs `task` on the engine's thread pool and returns at once.  The
+    /// reactor hands FEEDBACK to handle_request() this way, so
+    /// ingest/refine/publish never runs on the event loop.  An exception
+    /// escaping `task` is dropped, so `task` reports its own failures;
+    /// same lifetime rules as submit_async().
+    void post(std::function<void()> task);
 
     /// Invalidates every cached answer derived from the previous content
     /// of model set `name`: plan-cache entries keyed on
@@ -274,18 +260,15 @@ private:
     [[nodiscard]] static PlanKey stale_key(const PartitionRequest& request);
 
     /// Degraded answer for `request`: stale plan first, else an even
-    /// split over `set` (pass nullptr when no snapshot is available —
-    /// then only the stale path can serve).  nullopt when neither can;
-    /// the caller surfaces the original error.
+    /// split over `set`.  nullopt when neither can serve; the caller
+    /// surfaces the original error.
     [[nodiscard]] std::optional<PartitionResponse>
-    degrade(const PartitionRequest& request, const ModelSet* set,
+    degrade(const PartitionRequest& request, const ModelSet& set,
             double elapsed_seconds);
 
     ModelRegistry& registry_;
-    Options options_;
     PartitionCache cache_;
     PartitionCache stale_;  ///< name-keyed last-known-good plans
-    rt::ThreadPool pool_;
 
     /// Shared so an in-flight pool task keeps the handler alive across a
     /// concurrent set_feedback_handler(); never touched by the partition
@@ -312,6 +295,11 @@ private:
     std::uint64_t repl_committed_ = 0;
     std::uint64_t repl_applied_ = 0;
     std::optional<std::chrono::steady_clock::time_point> repl_contact_;
+
+    /// Declared last, so destroyed first: its destructor runs the tasks
+    /// still queued and joins the workers while every member they touch
+    /// is alive.
+    rt::ThreadPool pool_;
 };
 
 } // namespace fpm::serve

@@ -4,10 +4,9 @@
 /// Server (reactor), client and the fpmpart_serve tool all consume the
 /// same struct, so a deployment's transport behaviour is described in
 /// exactly one place: where the server binds, how many connections it
-/// admits, when it evicts idle peers, how long stop() drains, and the
-/// deadlines a client applies to connect and I/O.  Engine-side knobs
-/// (workers, cache capacity) stay on RequestEngine::Options — they size
-/// compute, not transport.
+/// admits, when it evicts idle peers, and the deadlines a client applies
+/// to connect and I/O.  Engine-side knobs (workers, cache capacity) stay
+/// on RequestEngine::Options — they size compute, not transport.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +20,6 @@ struct ServeConfig {
     // -- listener -----------------------------------------------------
     std::uint16_t port = 0;                 ///< 0 = ephemeral
     std::string bind_address = "127.0.0.1";
-    int backlog = 64;
 
     // -- reactor pool -------------------------------------------------
     /// Event-loop threads.  Each reactor owns its own epoll instance and
@@ -38,12 +36,9 @@ struct ServeConfig {
     /// The budget is global — shared by every reactor in the pool, not
     /// multiplied by num_reactors.
     std::size_t max_connections = 256;
-    /// A connection with no read activity and nothing in flight for this
-    /// long is evicted by the reactor's timer wheel.  <= 0 disables.
+    /// A connection with nothing in flight that has neither sent a byte
+    /// nor been sent a reply for this long is evicted.  <= 0 disables.
     double idle_timeout = 60.0;
-    /// stop() stops accepting, then flushes in-flight responses for at
-    /// most this long before force-closing the remaining connections.
-    double drain_deadline = 5.0;
 
     // -- client deadlines ---------------------------------------------
     double connect_timeout = 5.0;  ///< non-blocking connect + poll
@@ -51,8 +46,9 @@ struct ServeConfig {
 
     // -- client retry (off by default) --------------------------------
     /// Extra attempts after the first failure of a retryable request
-    /// (transport errors and `ERR busy`).  0 disables retry entirely:
-    /// every failure surfaces immediately, as prior releases did.
+    /// (transport errors and `ERR busy`; for FEEDBACK only `ERR busy`).
+    /// 0 disables retry entirely: every failure surfaces immediately, as
+    /// prior releases did.
     int max_retries = 0;
     /// First backoff; attempt k sleeps backoff_base * 2^(k-1), capped
     /// at backoff_max, then widened by +-(backoff_jitter/2) fraction.

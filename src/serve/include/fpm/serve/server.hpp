@@ -10,20 +10,21 @@
 /// life on one reactor — there is no cross-reactor handoff on the hot
 /// path and no shared reactor state to lock.  Connections carry
 /// read/write buffers and a response pipeline, so a client may send many
-/// request lines back-to-back; partition compute runs on the engine's
-/// thread pool and each completion is posted back to the owning loop,
-/// which writes responses strictly in request order.  Lifecycle
+/// request lines back-to-back; partition compute and FEEDBACK run on the
+/// engine's thread pool and each completion is posted back to the owning
+/// loop, which writes responses strictly in request order.  Lifecycle
 /// management:
 ///
 ///  * admission control — the ServeConfig::max_connections budget is
 ///    *global* (one atomic shared by the pool); accepts beyond it are
 ///    answered `ERR busy` and closed (serve.reactor.rejected);
-///  * idle eviction — each reactor's timer wheel closes connections
-///    with no read activity and nothing in flight for
-///    ServeConfig::idle_timeout;
+///  * idle eviction — each connection carries the time of its last
+///    read or flushed reply; once per tick (idle_timeout / 8, clamped
+///    to 5 ms .. 1 s) each reactor closes the connections with nothing
+///    in flight whose stamp is ServeConfig::idle_timeout old;
 ///  * graceful drain — stop() stops accepting on every listener, lets
-///    each reactor flush its in-flight responses for at most
-///    ServeConfig::drain_deadline, then closes.
+///    each reactor flush its in-flight responses for at most 5 s, then
+///    closes.
 ///
 /// Cheap commands (PING, STATS, MODELS) run inline on the owning loop;
 /// LOAD also runs inline, so a slow model-CSV read briefly stalls that
@@ -64,8 +65,8 @@ public:
 
     /// Graceful drain: stops accepting on every listener, lets each
     /// reactor's in-flight requests finish and their responses flush
-    /// (up to ServeConfig::drain_deadline), closes everything and joins
-    /// the reactor threads.  Idempotent.
+    /// (for at most 5 s), joins the reactor threads and closes
+    /// everything.  Idempotent.
     void stop();
 
     /// Bound port (valid after start()).
@@ -94,7 +95,8 @@ public:
     }
 
 private:
-    struct Reactor;  ///< one loop's state; lives only while running
+    struct Reactor;  ///< one loop's state and descriptors; lives only
+                     ///  while running
 
     RequestEngine& engine_;
     ServeConfig config_;

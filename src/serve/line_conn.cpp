@@ -23,6 +23,9 @@ using Kind = TransportError::Kind;
 /// One recv() reads at most this much.
 constexpr std::size_t kChunkBytes = 4096;
 
+/// Pending connections a listener queues (the listen(2) backlog).
+constexpr int kListenBacklog = 64;
+
 sockaddr_in parse_address(const std::string& host, std::uint16_t port) {
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
@@ -109,7 +112,7 @@ int connected_socket(const Endpoint& target, double connect_timeout) {
 } // namespace
 
 Listener listen_tcp(const std::string& bind_address, std::uint16_t port,
-                    int backlog, bool reuse_port) {
+                    bool reuse_port) {
     const sockaddr_in addr = parse_address(bind_address, port);
     Listener listener;
     listener.fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
@@ -129,7 +132,7 @@ Listener listen_tcp(const std::string& bind_address, std::uint16_t port,
                          sizeof addr) == 0,
                   "bind(" + bind_address + ":" + std::to_string(port) +
                       "): " + std::strerror(errno));
-        FPM_CHECK(::listen(listener.fd, backlog) == 0,
+        FPM_CHECK(::listen(listener.fd, kListenBacklog) == 0,
                   std::string("listen(): ") + std::strerror(errno));
 
         sockaddr_in bound{};

@@ -820,17 +820,21 @@ std::uint64_t request_fingerprint(const Request& request) {
     return h;
 }
 
-PartitionReply parse_partition_reply(const std::string& reply) {
-    const Response response = Response::decode(reply);
+Response expect_reply(Response response, Response::Kind expected) {
     if (response.kind == Response::Kind::kError) {
         // Preserve the typed classification for callers that catch
-        // ServiceError; the message keeps the legacy shape.
+        // ServiceError.
         throw ServiceError(response.error_code,
                            "server error: " + response.error);
     }
-    FPM_CHECK(response.kind == Response::Kind::kPartition,
-              "malformed partition reply: " + reply);
-    return response.partition;
+    FPM_CHECK(response.kind == expected,
+              "unexpected reply: " + response.encode());
+    return response;
+}
+
+PartitionReply parse_partition_reply(const std::string& reply) {
+    return expect_reply(Response::decode(reply), Response::Kind::kPartition)
+        .partition;
 }
 
 } // namespace fpm::serve

@@ -28,7 +28,6 @@ std::uint64_t hash_name(const std::string& name) {
 
 RequestEngine::RequestEngine(ModelRegistry& registry, Options options)
     : registry_(registry),
-      options_(options),
       cache_(options.cache_capacity,
              options.cache_shards == 0 ? 1 : options.cache_shards),
       stale_(options.cache_capacity),  // name-keyed, engine-lock guarded:
@@ -69,21 +68,21 @@ PlanKey RequestEngine::stale_key(const PartitionRequest& request) {
 }
 
 std::optional<PartitionResponse>
-RequestEngine::degrade(const PartitionRequest& request, const ModelSet* set,
+RequestEngine::degrade(const PartitionRequest& request, const ModelSet& set,
                        double elapsed_seconds) {
     std::shared_ptr<const PartitionPlan> plan;
     {
         std::lock_guard lock(inflight_mutex_);
         plan = stale_.get(stale_key(request));
     }
-    if (!plan && set != nullptr) {
+    if (!plan) {
         // Constant-performance fallback: an even split needs no model
         // quality, only the device count.  Computed directly (no cache,
         // no dedup, no injection point) so it cannot fail the same way
         // the primary path just did.
         try {
             plan = std::make_shared<const PartitionPlan>(
-                compute_plan(*set, request.n, Algorithm::kEven,
+                compute_plan(set, request.n, Algorithm::kEven,
                              request.with_layout));
         } catch (...) {
             plan = nullptr;  // infeasible workload: nothing to serve
@@ -104,9 +103,6 @@ PartitionResponse RequestEngine::execute(const PartitionRequest& request) {
     FPM_CHECK(request.n > 0, "workload size must be positive");
     const auto set = registry_.find(request.model_set);
     if (!set) {
-        if (auto fallback = degrade(request, nullptr, timer.elapsed())) {
-            return *std::move(fallback);
-        }
         // Caller mistake, not a server fault: `ERR bad_request ...`.
         throw ServiceError(ErrorCode::kBadRequest,
                            "unknown model set: " + request.model_set);
@@ -138,25 +134,11 @@ PartitionResponse RequestEngine::execute(const PartitionRequest& request) {
     }
 
     if (!leader) {
-        if (options_.coalesce_deadline > 0.0) {
-            const auto deadline = std::chrono::duration<double>(
-                options_.coalesce_deadline);
-            if (flight->future.wait_for(deadline) ==
-                std::future_status::timeout) {
-                // The leader is stuck (or fault-delayed); answer degraded
-                // rather than stall the caller.  Without a degraded
-                // answer we fall through and wait it out as before.
-                if (auto fallback =
-                        degrade(request, set.get(), timer.elapsed())) {
-                    return *std::move(fallback);
-                }
-            }
-        }
         std::shared_ptr<const PartitionPlan> plan;
         try {
             plan = flight->future.get();  // rethrows the leader's failure
         } catch (...) {
-            if (auto fallback = degrade(request, set.get(), timer.elapsed())) {
+            if (auto fallback = degrade(request, *set, timer.elapsed())) {
                 return *std::move(fallback);
             }
             throw;
@@ -189,16 +171,11 @@ PartitionResponse RequestEngine::execute(const PartitionRequest& request) {
             inflight_.erase(key);
         }
         flight->promise.set_exception(std::current_exception());
-        if (auto fallback = degrade(request, set.get(), timer.elapsed())) {
+        if (auto fallback = degrade(request, *set, timer.elapsed())) {
             return *std::move(fallback);
         }
         throw;
     }
-}
-
-std::future<PartitionResponse>
-RequestEngine::submit(const PartitionRequest& request) {
-    return pool_.submit([this, request]() { return execute(request); });
 }
 
 std::optional<PartitionResponse>
@@ -283,29 +260,8 @@ FeedbackReply RequestEngine::execute_feedback(const FeedbackSample& sample) {
     return (*handler)(sample);
 }
 
-void RequestEngine::submit_feedback_async(
-    const FeedbackSample& sample,
-    std::function<void(FeedbackAsyncResult)> done) {
-    (void)pool_.submit([this, sample, done = std::move(done)]() {
-        FeedbackAsyncResult result;
-        try {
-            result.reply = execute_feedback(sample);
-        } catch (const ServiceError& e) {
-            result.error = e.what();
-            result.code = e.code();
-            if (result.error.empty()) {
-                result.error = "feedback failed";
-            }
-        } catch (const std::exception& e) {
-            result.error = e.what();
-            if (result.error.empty()) {
-                result.error = "feedback failed";
-            }
-        } catch (...) {
-            result.error = "feedback failed";
-        }
-        done(std::move(result));
-    });
+void RequestEngine::post(std::function<void()> task) {
+    (void)pool_.submit(std::move(task));
 }
 
 void RequestEngine::invalidate_model(const std::string& name,

@@ -33,12 +33,9 @@ constexpr std::uint64_t kListenTag = 0;
 constexpr std::uint64_t kEventTag = 1;
 constexpr std::uint64_t kFirstConnId = 2;
 
-std::uint64_t now_ms() {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            Clock::now().time_since_epoch())
-            .count());
-}
+/// stop() flushes in-flight replies for at most this long before
+/// force-closing the remaining connections.
+constexpr auto kDrainDeadline = std::chrono::seconds(5);
 
 void set_nonblocking(int fd) {
     const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -66,6 +63,7 @@ struct Connection {
     bool closing = false;     ///< stop parsing; close once drained
     bool want_write = false;  ///< EPOLLOUT currently registered
     std::size_t accounted_bytes = 0;  ///< share of the buffered-bytes gauge
+    Clock::time_point last_active;    ///< last read or flushed reply
 };
 
 /// An engine completion travelling from a worker thread to the loop.
@@ -131,83 +129,6 @@ private:
     bool open_ = true;
 };
 
-/// Hashed timing wheel for idle deadlines: schedule/cancel are O(1),
-/// advance() visits only the slots the clock passed (capped at one lap).
-class TimerWheel {
-public:
-    TimerWheel(std::uint64_t tick_ms, std::size_t slots)
-        : tick_ms_(std::max<std::uint64_t>(tick_ms, 1)),
-          buckets_(std::max<std::size_t>(slots, 2)) {}
-
-    void reset(std::uint64_t now) { current_tick_ = now / tick_ms_; }
-
-    void schedule(std::uint64_t id, std::uint64_t deadline_ms) {
-        cancel(id);
-        // Fire on the first tick strictly past the deadline, so an entry
-        // never expires early.
-        const std::uint64_t tick = deadline_ms / tick_ms_ + 1;
-        const std::size_t slot = tick % buckets_.size();
-        buckets_[slot][id] = deadline_ms;
-        slot_of_[id] = slot;
-    }
-
-    void cancel(std::uint64_t id) {
-        const auto it = slot_of_.find(id);
-        if (it == slot_of_.end()) {
-            return;
-        }
-        buckets_[it->second].erase(id);
-        slot_of_.erase(it);
-    }
-
-    void advance(std::uint64_t now, std::vector<std::uint64_t>& expired) {
-        const std::uint64_t target = now / tick_ms_;
-        if (target <= current_tick_) {
-            return;
-        }
-        const std::uint64_t steps = std::min<std::uint64_t>(
-            target - current_tick_, buckets_.size());
-        for (std::uint64_t step = 1; step <= steps; ++step) {
-            auto& bucket = buckets_[(current_tick_ + step) % buckets_.size()];
-            for (auto it = bucket.begin(); it != bucket.end();) {
-                if (it->second <= now) {  // lapped entries stay for later
-                    expired.push_back(it->first);
-                    slot_of_.erase(it->first);
-                    it = bucket.erase(it);
-                } else {
-                    ++it;
-                }
-            }
-        }
-        current_tick_ = target;
-    }
-
-    [[nodiscard]] std::uint64_t tick_ms() const noexcept { return tick_ms_; }
-
-private:
-    std::uint64_t tick_ms_;
-    std::vector<std::unordered_map<std::uint64_t, std::uint64_t>> buckets_;
-    std::unordered_map<std::uint64_t, std::size_t> slot_of_;
-    std::uint64_t current_tick_ = 0;
-};
-
-std::uint64_t seconds_to_ms(double seconds) {
-    return static_cast<std::uint64_t>(seconds * 1e3);
-}
-
-/// Wheel geometry for a given idle timeout: ~8 ticks per timeout for
-/// <= 12.5 % lateness, with enough slots that one timeout fits in a lap.
-TimerWheel make_wheel(double idle_timeout) {
-    if (idle_timeout <= 0.0) {
-        return TimerWheel(1000, 16);
-    }
-    const std::uint64_t idle_ms =
-        std::max<std::uint64_t>(seconds_to_ms(idle_timeout), 8);
-    const std::uint64_t tick =
-        std::clamp<std::uint64_t>(idle_ms / 8, 5, 1000);
-    return TimerWheel(tick, static_cast<std::size_t>(idle_ms / tick + 4));
-}
-
 } // namespace
 
 // ---------------------------------------------------------------------------
@@ -218,33 +139,81 @@ struct SocketServer::Reactor {
     SocketServer& server;
     RequestEngine& engine;
     const ServeConfig config;
+    /// ServeConfig::idle_timeout (<= 0: no eviction) and the eviction
+    /// sweep period, clamp(idle / 8, 5 ms, 1 s), so a connection is
+    /// evicted at most one tick late.
+    const std::chrono::duration<double> idle;
+    const std::chrono::milliseconds sweep_tick;
     int epoll_fd = -1;
     int listen_fd = -1;
     std::shared_ptr<CompletionQueue> completions;
     std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> conns;
-    TimerWheel wheel;
     std::atomic<bool> stop_requested{false};
     std::uint64_t next_id = kFirstConnId;
+    Clock::time_point now;  ///< read once per epoll wakeup
+    Clock::time_point next_sweep;
 
     Reactor(SocketServer& server_in, RequestEngine& engine_in,
-            ServeConfig config_in, int epoll, int listener,
-            std::shared_ptr<CompletionQueue> queue)
+            ServeConfig config_in)
         : server(server_in),
           engine(engine_in),
           config(std::move(config_in)),
-          epoll_fd(epoll),
-          listen_fd(listener),
-          completions(std::move(queue)),
-          wheel(make_wheel(config.idle_timeout)) {}
+          idle(config.idle_timeout),
+          sweep_tick(std::chrono::duration_cast<std::chrono::milliseconds>(
+              std::clamp(idle / 8, std::chrono::duration<double>(0.005),
+                         std::chrono::duration<double>(1.0)))) {}
+
+    Reactor(const Reactor&) = delete;
+    Reactor& operator=(const Reactor&) = delete;
+
+    /// Closes whatever the reactor still holds: its connections (keeping
+    /// the gauges and the admission budget exact), the listener, the
+    /// epoll instance and the mailbox's eventfd.
+    ~Reactor() {
+        while (!conns.empty()) {
+            close_conn(conns.begin()->first);
+        }
+        if (completions) {
+            completions->shutdown();
+        }
+        if (listen_fd >= 0) {
+            ::close(listen_fd);
+        }
+        if (epoll_fd >= 0) {
+            ::close(epoll_fd);
+        }
+    }
+
+    /// Binds the listener, creates the epoll instance and the mailbox,
+    /// and returns the bound port.  On a throw the destructor releases
+    /// whatever was already open.
+    std::uint16_t open(std::uint16_t port, bool reuse_port) {
+        const Listener listener =
+            listen_tcp(config.bind_address, port, reuse_port);
+        listen_fd = listener.fd;
+        set_nonblocking(listen_fd);
+        epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
+        FPM_CHECK(epoll_fd >= 0,
+                  std::string("epoll_create1(): ") + std::strerror(errno));
+        const int event_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+        FPM_CHECK(event_fd >= 0,
+                  std::string("eventfd(): ") + std::strerror(errno));
+        completions = std::make_shared<CompletionQueue>(event_fd);
+        FPM_CHECK(watch(listen_fd, kListenTag) && watch(event_fd, kEventTag),
+                  std::string("epoll_ctl(): ") + std::strerror(errno));
+        return listener.port;
+    }
+
+    /// Registers `fd` for input events under `tag`; false on failure.
+    bool watch(int fd, std::uint64_t tag) {
+        epoll_event event{};
+        event.events = EPOLLIN;
+        event.data.u64 = tag;
+        return ::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &event) == 0;
+    }
 
     [[nodiscard]] static const ReactorMetrics& metrics() {
         return ReactorMetrics::get();
-    }
-
-    void reschedule_idle(std::uint64_t id) {
-        if (config.idle_timeout > 0.0) {
-            wheel.schedule(id, now_ms() + seconds_to_ms(config.idle_timeout));
-        }
     }
 
     void update_buffered(Connection& conn) {
@@ -264,7 +233,6 @@ struct SocketServer::Reactor {
         Connection& conn = *it->second;
         (void)::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, conn.fd, nullptr);
         ::close(conn.fd);
-        wheel.cancel(id);
         metrics().open_connections.add(-1);
         metrics().buffered_bytes.add(
             -static_cast<std::int64_t>(conn.accounted_bytes));
@@ -324,10 +292,8 @@ struct SocketServer::Reactor {
             auto conn = std::make_unique<Connection>();
             conn->fd = fd;
             conn->id = next_id++;
-            epoll_event event{};
-            event.events = EPOLLIN;
-            event.data.u64 = conn->id;
-            if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &event) != 0) {
+            conn->last_active = now;
+            if (!watch(fd, conn->id)) {
                 server.open_.fetch_sub(1);
                 ::close(fd);
                 continue;
@@ -335,14 +301,13 @@ struct SocketServer::Reactor {
             metrics().accepted.add();
             metrics().open_connections.add(1);
             server.accepted_.fetch_add(1);
-            reschedule_idle(conn->id);
             conns.emplace(conn->id, std::move(conn));
         }
     }
 
     /// Enqueues one request line into the connection's pipeline and
-    /// either answers it inline (cheap commands, parse errors) or hands
-    /// it to the engine pool (PARTITION).
+    /// either answers it inline (cheap commands, parse errors, cache
+    /// hits) or hands it to the engine pool (PARTITION misses, FEEDBACK).
     void handle_line_on(Connection& conn, const std::string& line) {
         const std::uint64_t seq = conn.next_seq++;
         if (!conn.pipeline.empty()) {
@@ -410,25 +375,23 @@ struct SocketServer::Reactor {
         }
         if (request.kind == Request::Kind::kFeedback) {
             // Feedback never runs on the event loop: ingest/refine/
-            // publish goes to the engine pool exactly like a partition
-            // compute, so a burst of reports cannot stall PARTITION
-            // replies (the off-hot-path requirement of fpm::adapt).
-            engine.submit_feedback_async(
-                request.feedback,
-                [queue = completions, conn_id = conn.id,
-                 seq](RequestEngine::FeedbackAsyncResult result) {
-                    std::string text;
-                    if (result.ok()) {
-                        Response response;
-                        response.kind = Response::Kind::kFeedback;
-                        response.feedback = std::move(result.reply);
-                        text = response.encode();
-                    } else {
-                        text = Response::make_error(result.code, result.error)
-                                   .encode();
-                    }
-                    queue->push(Completion{conn_id, seq, std::move(text)});
-                });
+            // publish goes to the engine pool like a partition compute,
+            // so a burst of reports cannot stall PARTITION replies (the
+            // off-hot-path requirement of fpm::adapt).  The slot gets
+            // exactly one reply whatever the handler throws.
+            engine.post([&engine = engine, queue = completions,
+                         conn_id = conn.id, seq,
+                         request = std::move(request)]() {
+                std::string text;
+                try {
+                    text = handle_request(engine, request).encode();
+                } catch (...) {  // handle_request maps std::exceptions
+                    text = Response::make_error(ErrorCode::kInternal,
+                                                "feedback failed")
+                               .encode();
+                }
+                queue->push(Completion{conn_id, seq, std::move(text)});
+            });
             return;
         }
         if (request.kind == Request::Kind::kQuit) {
@@ -479,6 +442,7 @@ struct SocketServer::Reactor {
             conn.outbuf += front.text;
             conn.outbuf += '\n';
             conn.pipeline.pop_front();
+            conn.last_active = now;
         }
         return try_write(conn);
     }
@@ -563,7 +527,7 @@ struct SocketServer::Reactor {
             return false;
         }
         if (got_bytes) {
-            reschedule_idle(conn.id);
+            conn.last_active = now;
             if (!parse_lines(conn)) {
                 return false;
             }
@@ -597,84 +561,73 @@ struct SocketServer::Reactor {
         }
     }
 
+    /// At most once per tick, closes every connection with nothing in
+    /// flight whose last read or reply is at least `idle` old.
     void expire_idle() {
-        if (config.idle_timeout <= 0.0) {
+        if (config.idle_timeout <= 0.0 || now < next_sweep) {
             return;
         }
-        std::vector<std::uint64_t> expired;
-        wheel.advance(now_ms(), expired);
-        for (const std::uint64_t id : expired) {
-            const auto it = conns.find(id);
-            if (it == conns.end()) {
-                continue;
+        next_sweep = now + sweep_tick;
+        for (auto it = conns.begin(); it != conns.end();) {
+            const Connection& conn = *(it++)->second;  // before close_conn
+            if (conn.pipeline.empty() && now - conn.last_active >= idle) {
+                metrics().idle_timeouts.add();
+                close_conn(conn.id);
             }
-            if (!it->second->pipeline.empty()) {
-                reschedule_idle(id);  // waiting on compute, not idle
-                continue;
-            }
-            metrics().idle_timeouts.add();
-            close_conn(id);
         }
     }
 
     void run() {
-        wheel.reset(now_ms());
+        now = Clock::now();
+        next_sweep = now + sweep_tick;
         std::vector<epoll_event> events(128);
         bool draining = false;
-        std::uint64_t drain_deadline = 0;
+        Clock::time_point drain_until;
         for (;;) {
             if (!draining && stop_requested.load(std::memory_order_acquire)) {
                 draining = true;
-                if (listen_fd >= 0) {  // stop accepting
-                    (void)::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, listen_fd,
-                                      nullptr);
-                    ::close(listen_fd);
-                    listen_fd = -1;
-                }
-                drain_deadline =
-                    now_ms() + (config.drain_deadline > 0.0
-                                    ? seconds_to_ms(config.drain_deadline)
-                                    : 0);
+                (void)::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, listen_fd, nullptr);
+                ::close(listen_fd);  // stop accepting
+                listen_fd = -1;
+                drain_until = now + kDrainDeadline;
                 for (auto& [id, conn] : conns) {
                     conn->closing = true;
                 }
             }
             if (draining) {
-                const bool force = now_ms() >= drain_deadline;
-                std::vector<std::uint64_t> done;
-                for (const auto& [id, conn] : conns) {
-                    if (force || (conn->pipeline.empty() &&
-                                  conn->out_pos >= conn->outbuf.size())) {
-                        done.push_back(id);
+                const bool force = now >= drain_until;
+                for (auto it = conns.begin(); it != conns.end();) {
+                    const Connection& conn = *(it++)->second;
+                    if (force || (conn.pipeline.empty() &&
+                                  conn.out_pos >= conn.outbuf.size())) {
+                        close_conn(conn.id);
                     }
                 }
-                for (const std::uint64_t id : done) {
-                    close_conn(id);
-                }
                 if (conns.empty()) {
-                    break;
+                    return;
                 }
             }
 
-            int timeout_ms;
+            int timeout_ms = -1;  // the eventfd wakes us for stop()
             if (draining) {
-                const std::uint64_t now = now_ms();
-                timeout_ms = static_cast<int>(std::min<std::uint64_t>(
-                    drain_deadline > now ? drain_deadline - now : 0, 50));
+                timeout_ms = static_cast<int>(std::clamp<std::int64_t>(
+                    std::chrono::duration_cast<std::chrono::milliseconds>(
+                        drain_until - now)
+                        .count(),
+                    0, 50));
             } else if (config.idle_timeout > 0.0 && !conns.empty()) {
-                timeout_ms = static_cast<int>(wheel.tick_ms());
-            } else {
-                timeout_ms = -1;  // eventfd wakes us for stop()
+                timeout_ms = static_cast<int>(sweep_tick.count());
             }
 
             const int n = ::epoll_wait(epoll_fd, events.data(),
                                        static_cast<int>(events.size()),
                                        timeout_ms);
+            now = Clock::now();
             if (n < 0) {
                 if (errno == EINTR) {
                     continue;
                 }
-                break;  // epoll fd gone; bail out
+                return;  // epoll fd gone; the destructor cleans up
             }
             for (int i = 0; i < n; ++i) {
                 const std::uint64_t tag = events[i].data.u64;
@@ -708,21 +661,6 @@ struct SocketServer::Reactor {
             }
             expire_idle();
         }
-
-        std::vector<std::uint64_t> remaining;
-        remaining.reserve(conns.size());
-        for (const auto& [id, conn] : conns) {
-            remaining.push_back(id);
-        }
-        for (const std::uint64_t id : remaining) {
-            close_conn(id);
-        }
-        if (listen_fd >= 0) {
-            ::close(listen_fd);
-            listen_fd = -1;
-        }
-        ::close(epoll_fd);
-        epoll_fd = -1;
     }
 };
 
@@ -743,7 +681,6 @@ void SocketServer::start() {
     const std::size_t pool =
         std::max<std::size_t>(config_.num_reactors, 1);
     port_ = config_.port;
-
     try {
         for (std::size_t i = 0; i < pool; ++i) {
             // Every listener of the pool binds the same port; the kernel
@@ -752,65 +689,12 @@ void SocketServer::start() {
             // reproduces prior releases exactly.  port_ is config_.port
             // for the first listener (possibly 0 = ephemeral) and the
             // concrete bound port after it.
-            const Listener listener = listen_tcp(
-                config_.bind_address, port_, config_.backlog, pool > 1);
-            const int fd = listener.fd;
-            port_ = listener.port;
-
-            int epoll_fd = -1;
-            int event_fd = -1;
-            try {
-                set_nonblocking(fd);
-                epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
-                FPM_CHECK(epoll_fd >= 0,
-                          std::string("epoll_create1(): ") +
-                              std::strerror(errno));
-                event_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-                FPM_CHECK(event_fd >= 0,
-                          std::string("eventfd(): ") + std::strerror(errno));
-
-                epoll_event listen_event{};
-                listen_event.events = EPOLLIN;
-                listen_event.data.u64 = kListenTag;
-                FPM_CHECK(::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd,
-                                      &listen_event) == 0,
-                          std::string("epoll_ctl(listen): ") +
-                              std::strerror(errno));
-                epoll_event wake_event{};
-                wake_event.events = EPOLLIN;
-                wake_event.data.u64 = kEventTag;
-                FPM_CHECK(::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, event_fd,
-                                      &wake_event) == 0,
-                          std::string("epoll_ctl(eventfd): ") +
-                              std::strerror(errno));
-            } catch (...) {
-                ::close(fd);
-                if (epoll_fd >= 0) {
-                    ::close(epoll_fd);
-                }
-                if (event_fd >= 0) {
-                    ::close(event_fd);
-                }
-                throw;
-            }
-
-            auto queue = std::make_shared<CompletionQueue>(event_fd);
-            reactors_.push_back(std::make_unique<Reactor>(
-                *this, engine_, config_, epoll_fd, fd, std::move(queue)));
+            reactors_.push_back(
+                std::make_unique<Reactor>(*this, engine_, config_));
+            port_ = reactors_.back()->open(port_, pool > 1);
         }
     } catch (...) {
-        // Roll back the reactors already built (no threads run yet, so
-        // their fds are still ours to close).
-        for (auto& reactor : reactors_) {
-            reactor->completions->shutdown();  // closes the eventfd
-            if (reactor->listen_fd >= 0) {
-                ::close(reactor->listen_fd);
-            }
-            if (reactor->epoll_fd >= 0) {
-                ::close(reactor->epoll_fd);
-            }
-        }
-        reactors_.clear();
+        reactors_.clear();  // no thread runs yet; each closes its own fds
         port_ = 0;
         throw;
     }
@@ -839,9 +723,6 @@ void SocketServer::stop() {
         }
     }
     threads_.clear();
-    for (auto& reactor : reactors_) {
-        reactor->completions->shutdown();  // closes the eventfd
-    }
     ReactorMetrics::get().reactors.add(
         -static_cast<std::int64_t>(reactors_.size()));
     reactors_.clear();

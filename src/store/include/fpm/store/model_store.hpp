@@ -151,7 +151,10 @@ public:
     /// Mirrors the registry's current content into the store and
     /// installs the write-ahead put observer: from here on every put is
     /// logged before it commits.  The store must outlive the registry's
-    /// use of the observer; stop()/destruction detaches it.
+    /// use of the observer; stop()/destruction detaches it.  Without a
+    /// prior recover() the directory must hold no store yet: a
+    /// non-empty `wal.log` or a `snapshot.fpms` throws fpm::Error naming
+    /// the file (the first append would otherwise overwrite the log).
     void attach(serve::ModelRegistry& registry);
 
     /// Appends one publish record (called by the put observer; exposed

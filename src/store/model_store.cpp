@@ -252,7 +252,16 @@ void ModelStore::attach(serve::ModelRegistry& registry) {
         FPM_CHECK(!stopped_, "store is stopped");
         FPM_CHECK(attached_ == nullptr, "store is already attached");
         if (!wal_.is_open()) {
-            wal_.open(dir_ + "/" + kWalName, 0);
+            const std::string wal_path = dir_ + "/" + kWalName;
+            const std::string snapshot_path = dir_ + "/" + kSnapshotName;
+            std::error_code ec;
+            FPM_CHECK(fs::file_size(wal_path, ec) == 0 || ec,
+                      wal_path + " holds records; recover() must run "
+                                 "before attach()");
+            FPM_CHECK(!fs::exists(snapshot_path),
+                      snapshot_path + " exists; recover() must run before "
+                                      "attach()");
+            wal_.open(wal_path, 0);
         }
         attached_ = &registry;
     }

@@ -58,8 +58,8 @@ TEST(Matrix, BlockViewAddressesSubrectangle) {
 
 TEST(Matrix, BlockOutOfRangeThrows) {
     Matrix<float> m(3, 3);
-    EXPECT_THROW(m.block(1, 1, 3, 1), fpm::Error);
-    EXPECT_THROW(m.block(0, 2, 1, 2), fpm::Error);
+    EXPECT_THROW((void)m.block(1, 1, 3, 1), fpm::Error);
+    EXPECT_THROW((void)m.block(0, 2, 1, 2), fpm::Error);
 }
 
 TEST(Matrix, MaxAbsDiff) {

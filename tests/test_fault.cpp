@@ -1,10 +1,11 @@
 // fpm::fault chaos suite: spec parsing and deterministic replay of the
 // injection layer, degraded-mode serving (stale plans, even-split
-// fallback, coalesce deadlines), client retry/backoff + typed transport
-// errors, the HEALTH endpoint, and the headline chaos test — randomized
-// fault schedules against the pipelined reactor harness where every
-// request must succeed bit-for-bit, come back as a well-formed degraded
-// plan, or fail cleanly.  No hangs, no torn replies — at one reactor
+// fallback), client retry/backoff (a FEEDBACK is never re-sent after a
+// transport error) + typed transport errors, the HEALTH endpoint, and
+// the headline chaos test — randomized fault schedules against the
+// pipelined reactor harness where every request must succeed
+// bit-for-bit, come back as a well-formed degraded plan, or fail
+// cleanly.  No hangs, no torn replies — at one reactor
 // and across the 4-reactor SO_REUSEPORT pool with a sharded plan cache.
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "fpm/adapt/engine.hpp"
 #include "fpm/fault/fault.hpp"
 #include "fpm/measure/timer.hpp"
 #include "fpm/serve/client.hpp"
@@ -261,35 +263,6 @@ TEST(FaultDegraded, UnknownModelSetStillFailsCleanly) {
     EXPECT_EQ(reply.rfind("ERR ", 0), 0u) << reply;
 }
 
-TEST(FaultDegraded, CoalescedWaiterDegradesPastDeadline) {
-    FaultGuard guard;
-    ModelRegistry registry;
-    registry.put("hybrid", synthetic_models(3, 64, 1.0));
-    RequestEngine engine(registry,
-                         {.workers = 2,
-                          .cache_capacity = 16,
-                          .coalesce_deadline = 0.05});
-    const PartitionRequest request{"hybrid", 56, Algorithm::kFpm, true};
-
-    // Warm the stale cache, then force a cache miss via reload.
-    const PartitionResponse warm = engine.execute(request);
-    registry.put("hybrid", synthetic_models(3, 64, 1.3));
-
-    // The leader's compute stalls 400 ms inside the injection point;
-    // the waiter times out at 50 ms and serves the stale plan.
-    fault::install(fault::FaultPlan::parse("serve.compute=1:delay:400"));
-
-    PartitionResponse leader_response;
-    std::thread leader([&]() { leader_response = engine.execute(request); });
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    const PartitionResponse waiter = engine.execute(request);
-    leader.join();
-
-    EXPECT_TRUE(waiter.degraded);
-    EXPECT_EQ(waiter.plan->blocks, warm.plan->blocks);
-    EXPECT_FALSE(leader_response.degraded);  // the leader finished for real
-}
-
 TEST(FaultDegraded, RegistryReloadFaultLeavesOldSnapshot) {
     FaultGuard guard;
     ModelRegistry registry;
@@ -454,6 +427,56 @@ TEST(FaultClient, RetriesThroughBusyRejections) {
     release.join();
     EXPECT_EQ(response.kind, Response::Kind::kPong);
 
+    server.stop();
+}
+
+/// Installs the first plan, by seed, whose serve.send schedule at rate
+/// 0.5 drops the server's first reply and lets the second through.
+void install_drop_first_reply() {
+    for (std::uint64_t seed = 1;; ++seed) {
+        std::string spec = "serve.send=0.5,seed=";
+        spec += std::to_string(seed);
+        const auto plan = fault::FaultPlan::parse(spec);
+        fault::install(plan);
+        auto& send = fault::point("serve.send");
+        const bool first = static_cast<bool>(send.fire());
+        if (first && !send.fire()) {
+            fault::install(plan);  // rewinds the schedule
+            return;
+        }
+    }
+}
+
+TEST(FaultClient, FeedbackIsNotResentAfterATransportError) {
+    FaultGuard guard;
+    ModelRegistry registry;
+    registry.put("hybrid", synthetic_models(2, 16, 1.0));
+    RequestEngine engine(registry, {.workers = 1, .cache_capacity = 8});
+    adapt::AdaptEngine adapter(engine, adapt::AdaptConfig{});
+    SocketServer server(engine);
+    server.start();
+    ServeConfig retrying;
+    retrying.max_retries = 2;
+    retrying.backoff_base = 0.01;
+
+    // The sample is ingested and its reply lost: a re-send would ingest
+    // it a second time, so the transport error reaches the caller.
+    // (AdaptStats::samples is process-wide, hence the difference.)
+    const std::uint64_t samples = adapter.stats().samples;
+    install_drop_first_reply();
+    {
+        ServeClient client("127.0.0.1", server.port(), retrying);
+        EXPECT_THROW((void)client.report_feedback({"hybrid", 0, 1000.0, 2.0}),
+                     TransportError);
+    }
+    EXPECT_EQ(adapter.stats().samples, samples + 1);
+
+    // A PARTITION under the same schedule is re-sent and succeeds.
+    install_drop_first_reply();
+    const std::uint64_t dropped = fault::point("serve.send").injected();
+    ServeClient client("127.0.0.1", server.port(), retrying);
+    EXPECT_EQ(client.partition({"hybrid", 24, Algorithm::kFpm, true}).n, 24);
+    EXPECT_EQ(fault::point("serve.send").injected(), dropped + 1);
     server.stop();
 }
 

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include "fpm/common/rng.hpp"
 #include "fpm/part/column2d.hpp"
@@ -17,6 +18,14 @@ namespace {
 
 using core::SpeedFunction;
 using core::SpeedPoint;
+
+/// `d<i>`, appended piece by piece: GCC 12 misreports
+/// `"d" + std::to_string(i)` under -Wrestrict.
+std::string device_name(std::size_t i) {
+    std::string name = "d";
+    name += std::to_string(i);
+    return name;
+}
 
 /// A random plausible speed function: ramp to a peak, optional cliff,
 /// optional capacity bound.
@@ -55,7 +64,7 @@ TEST(FuzzPartition, InvariantsHoldAcrossRandomPopulations) {
         std::vector<SpeedFunction> models;
         double capacity = 0.0;
         for (std::size_t i = 0; i < devices; ++i) {
-            models.push_back(random_model(rng, "d" + std::to_string(i)));
+            models.push_back(random_model(rng, device_name(i)));
             capacity += models.back().max_problem();
             if (std::isinf(capacity)) {
                 capacity = std::numeric_limits<double>::infinity();
@@ -90,7 +99,7 @@ TEST(FuzzPartition, IntegerRoundingPreservesEverything) {
         const std::size_t devices = 1 + rng.uniform_int(0, 5);
         std::vector<SpeedFunction> models;
         for (std::size_t i = 0; i < devices; ++i) {
-            models.push_back(random_model(rng, "d" + std::to_string(i)));
+            models.push_back(random_model(rng, device_name(i)));
         }
         double capacity = 0.0;
         for (const auto& model : models) {

@@ -168,7 +168,7 @@ TEST(Timer, MeasuresElapsedTime) {
     WallTimer timer;
     volatile double sink = 0.0;
     for (int i = 0; i < 100000; ++i) {
-        sink += std::sqrt(static_cast<double>(i));
+        sink = sink + std::sqrt(static_cast<double>(i));
     }
     EXPECT_GT(timer.elapsed(), 0.0);
     (void)sink;
@@ -180,7 +180,7 @@ TEST(Timer, ScopedTimerAccumulates) {
         ScopedTimer scoped(total);
         volatile int sink = 0;
         for (int i = 0; i < 1000; ++i) {
-            sink += i;
+            sink = sink + i;
         }
         (void)sink;
     }

@@ -840,7 +840,7 @@ class ScriptedPrimary {
 public:
     ScriptedPrimary(std::string reply, bool hold)
         : reply_(std::move(reply)), hold_(hold),
-          listener_(serve::listen_tcp("127.0.0.1", 0, 4, false)) {
+          listener_(serve::listen_tcp("127.0.0.1", 0, false)) {
         thread_ = std::thread([this] { run(); });
     }
     ~ScriptedPrimary() {

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -503,17 +504,47 @@ TEST(RequestEngineTest, SubmitRunsOnPool) {
     registry.put("hybrid", synthetic_models(3, 16, 1.0));
     RequestEngine engine(registry, {.workers = 4, .cache_capacity = 32});
 
-    std::vector<std::future<PartitionResponse>> futures;
+    std::vector<std::promise<RequestEngine::AsyncResult>> done(24);
     for (int i = 0; i < 24; ++i) {
-        futures.push_back(engine.submit(
-            {"hybrid", 16 + (i % 6) * 8, Algorithm::kFpm, true}));
+        engine.submit_async(
+            {"hybrid", 16 + (i % 6) * 8, Algorithm::kFpm, true},
+            [&promise = done[static_cast<std::size_t>(i)]](
+                RequestEngine::AsyncResult result) {
+                promise.set_value(std::move(result));
+            });
     }
-    for (auto& future : futures) {
-        const auto response = future.get();
-        ASSERT_NE(response.plan, nullptr);
-        EXPECT_GT(response.plan->makespan, 0.0);
+    for (auto& promise : done) {
+        const auto result = promise.get_future().get();
+        ASSERT_TRUE(result.ok()) << result.error;
+        ASSERT_NE(result.response.plan, nullptr);
+        EXPECT_GT(result.response.plan->makespan, 0.0);
     }
     EXPECT_EQ(engine.stats().requests, 24U);
+}
+
+TEST(RequestEngineTest, DestructionFinishesInFlightWorkAgainstLiveMembers) {
+    struct FaultGuard {
+        ~FaultGuard() { fault::uninstall(); }
+    } guard;
+    ModelRegistry registry;
+    registry.put("hybrid", synthetic_models(3, 16, 1.0));
+    auto& compute = fault::point("serve.compute");
+    const std::uint64_t evaluated = compute.evaluated();
+    fault::install(fault::FaultPlan::parse("serve.compute=1:delay:100"));
+
+    std::promise<RequestEngine::AsyncResult> done;
+    {
+        RequestEngine engine(registry, {.workers = 1, .cache_capacity = 8});
+        engine.submit_async({"hybrid", 24, Algorithm::kFpm, true},
+                            [&done](RequestEngine::AsyncResult result) {
+                                done.set_value(std::move(result));
+                            });
+        while (compute.evaluated() == evaluated) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+    }  // destroyed while the compute sleeps in its fault point
+    const auto result = done.get_future().get();
+    EXPECT_TRUE(result.ok()) << result.error;
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 // Tests for the serve reactor's connection lifecycle: request
 // pipelining (many lines in flight per connection, responses strictly in
 // request order, bit-for-bit equal to the direct library call under 64
-// concurrent pipelined clients), slow-loris eviction by the idle-timeout
-// timer wheel, max_connections admission control, graceful drain of
-// in-flight requests on stop(), and the reactor fields surfaced through
-// STATS.  The ServeReactorPool suite reruns the parity and admission
+// concurrent pipelined clients), idle-timeout eviction (slow loris out;
+// in-flight and talking clients kept), FEEDBACK on the engine pool
+// answering exactly like handle_line(), max_connections admission
+// control, graceful drain of in-flight requests on stop(), and the
+// reactor fields surfaced through STATS.  The ServeReactorPool suite reruns the parity and admission
 // workloads against a 4-reactor SO_REUSEPORT pool — replies must stay
 // bit-for-bit identical at every reactor count, the max_connections
 // budget must stay global, drain must complete on every reactor, the
@@ -26,8 +27,10 @@
 #include <tuple>
 #include <vector>
 
+#include "fpm/fault/fault.hpp"
 #include "fpm/measure/timer.hpp"
 #include "fpm/serve/client.hpp"
+#include "fpm/serve/line_conn.hpp"
 #include "fpm/serve/model_registry.hpp"
 #include "fpm/serve/protocol.hpp"
 #include "fpm/serve/reactor_metrics.hpp"
@@ -241,7 +244,7 @@ TEST(ServeReactor, MixedPipelineKeepsRequestOrder) {
 
 // ---------------------------------------------------------------------------
 // Slow loris: a connection that trickles a partial line and then stalls
-// is evicted by the timer wheel after idle_timeout.
+// is evicted after idle_timeout.
 // ---------------------------------------------------------------------------
 TEST(ServeReactor, SlowLorisEvictedByIdleTimeout) {
     ModelRegistry registry;
@@ -281,6 +284,91 @@ TEST(ServeReactor, SlowLorisEvictedByIdleTimeout) {
     // A live client is unaffected as long as it keeps talking.
     ServeClient client("127.0.0.1", server.port());
     client.ping();
+    server.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Idle eviction spares a connection waiting on its reply (and restarts
+// its clock at the reply) and one that keeps talking; the waiter, once
+// silent for longer, is evicted.
+// ---------------------------------------------------------------------------
+TEST(ServeReactor, IdleTimeoutSparesInFlightAndTalkingClients) {
+    struct FaultGuard {
+        ~FaultGuard() { fault::uninstall(); }
+    } guard;
+    ModelRegistry registry;
+    registry.put("hybrid", synthetic_models(2, 16, 1.0));
+    RequestEngine engine(registry, {.workers = 1, .cache_capacity = 8});
+    ServeConfig config;
+    config.idle_timeout = 0.2;
+    SocketServer server(engine, config);
+    server.start();
+    const auto half_idle = std::chrono::milliseconds(100);
+
+    // The compute stalls 400 ms, twice the idle timeout, then answers.
+    fault::install(fault::FaultPlan::parse("serve.compute=1:delay:400"));
+    ServeClient waiting("127.0.0.1", server.port());
+    measure::WallTimer timer;
+    const PartitionReply reply = parse_partition_reply(
+        waiting.request(partition_line("hybrid", 24, Algorithm::kFpm)));
+    EXPECT_GT(timer.elapsed(), config.idle_timeout);
+    EXPECT_EQ(reply.n, 24);
+    fault::uninstall();
+    std::this_thread::sleep_for(half_idle);
+    waiting.ping();  // the reply restarted the idle clock
+
+    // One request line trickled a byte every 40 ms, across three idle
+    // periods without a reply: every read restarts the idle clock.
+    LineConn talking(Endpoint{"127.0.0.1", server.port()}, 5.0, 5.0);
+    const std::string line = partition_line("hybrid", 32, Algorithm::kFpm);
+    timer.reset();
+    for (const char byte : line + "\n") {
+        std::this_thread::sleep_for(std::chrono::milliseconds(40));
+        talking.send(std::string(1, byte));
+    }
+    EXPECT_GT(timer.elapsed(), 3.0 * config.idle_timeout);
+    EXPECT_EQ(parse_partition_reply(talking.read_line(kMaxLineBytes)).n, 32);
+
+    // The waiter has been silent all that time.
+    EXPECT_THROW((void)waiting.request("PING"), TransportError);
+    server.stop();
+}
+
+// ---------------------------------------------------------------------------
+// FEEDBACK runs handle_request() on the engine pool: over the socket it
+// answers byte for byte what handle_line() answers in process, and a
+// handler throwing something that is no std::exception still gets one
+// reply.
+// ---------------------------------------------------------------------------
+TEST(ServeReactor, FeedbackRepliesMatchHandleLine) {
+    ModelRegistry registry;
+    registry.put("hybrid", synthetic_models(2, 16, 1.0));
+    RequestEngine engine(registry, {.workers = 2, .cache_capacity = 8});
+    SocketServer server(engine);
+    server.start();
+    ServeClient client("127.0.0.1", server.port());
+    const std::string line = "FEEDBACK hybrid 1 1000 2.5";
+
+    const auto same_reply = [&](const std::string& expected_prefix) {
+        const std::string wire = client.request(line);
+        EXPECT_EQ(wire, handle_line(engine, line));
+        EXPECT_EQ(wire.rfind(expected_prefix, 0), 0U) << wire;
+    };
+    same_reply("ERR feedback_disabled");
+    engine.set_feedback_handler([](const FeedbackSample& sample) {
+        return FeedbackReply{sample.model_set, sample.device, 3, true,
+                             false, false, 7};
+    });
+    same_reply("OK FEEDBACK set=hybrid device=1 samples=3 ");
+    engine.set_read_only(true);
+    same_reply("ERR read_only");
+    engine.set_read_only(false);
+
+    engine.set_feedback_handler([](const FeedbackSample&) -> FeedbackReply {
+        throw 42;  // not a std::exception
+    });
+    EXPECT_EQ(client.request(line), "ERR internal feedback failed");
+    client.ping();  // the connection stays in step
     server.stop();
 }
 

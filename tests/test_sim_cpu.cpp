@@ -14,9 +14,9 @@ SocketModel ig_socket(Precision precision = Precision::kSingle) {
 
 TEST(SocketModel, RejectsBadArguments) {
     const SocketModel model = ig_socket();
-    EXPECT_THROW(model.core_rate(0.0, 1), fpm::Error);
-    EXPECT_THROW(model.core_rate(10.0, 0), fpm::Error);
-    EXPECT_THROW(model.core_rate(10.0, 7), fpm::Error);  // socket has 6 cores
+    EXPECT_THROW((void)model.core_rate(0.0, 1), fpm::Error);
+    EXPECT_THROW((void)model.core_rate(10.0, 0), fpm::Error);
+    EXPECT_THROW((void)model.core_rate(10.0, 7), fpm::Error);  // 6 cores
     EXPECT_THROW(SocketModel(SocketSpec{}, Precision::kSingle, 0), fpm::Error);
 }
 

@@ -44,7 +44,7 @@ TEST(SpeedFunction, BoundedDeviceHasInfiniteTimeBeyondMax) {
     const SpeedFunction fn({{10.0, 10.0}, {100.0, 20.0}}, "gpu", 150.0);
     EXPECT_TRUE(std::isfinite(fn.time(150.0)));
     EXPECT_TRUE(std::isinf(fn.time(151.0)));
-    EXPECT_THROW(fn.speed(151.0), fpm::Error);
+    EXPECT_THROW((void)fn.speed(151.0), fpm::Error);
 }
 
 TEST(SpeedFunction, PointsSortedOnConstruction) {
@@ -59,8 +59,8 @@ TEST(SpeedFunction, Validation) {
     EXPECT_THROW(SpeedFunction({{1.0, 0.0}}), fpm::Error);     // speed > 0
     EXPECT_THROW(SpeedFunction({{1.0, 5.0}, {1.0, 6.0}}), fpm::Error);  // dup x
     const SpeedFunction fn = ramp_function();
-    EXPECT_THROW(fn.speed(0.0), fpm::Error);
-    EXPECT_THROW(fn.time(-1.0), fpm::Error);
+    EXPECT_THROW((void)fn.speed(0.0), fpm::Error);
+    EXPECT_THROW((void)fn.time(-1.0), fpm::Error);
 }
 
 TEST(SpeedFunction, ConstantFactory) {

@@ -2,12 +2,13 @@
 // truncation, self-healing appends), ModelStore write-ahead veto
 // semantics through the registry put observer, snapshots that truncate
 // the log, a corrupt snapshot or a numbered older-layout directory
-// failing recovery loudly, the store.append/store.fsync/store.snapshot
-// fault points, a real fork()+SIGKILL crash test whose recovered
-// registry must serve bit-for-bit identical plans at the pre-crash
-// generation, and a chaos run with every store fault armed against the
-// live serve stack — zero torn replies, and post-chaos recovery must
-// reproduce the served state exactly.
+// failing recovery loudly, attach() refusing an unrecovered store, the
+// store.append/store.fsync/store.snapshot fault points, a real
+// fork()+SIGKILL crash test whose recovered registry must serve
+// bit-for-bit identical plans at the pre-crash generation, and a chaos
+// run with every store fault armed against the live serve stack — zero
+// torn replies, and post-chaos recovery must reproduce the served state
+// exactly.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -705,6 +706,67 @@ TEST(ModelStoreTest, NumberedOlderLayoutIsRefusedByName) {
         EXPECT_EQ(census(dir.path).logs, 0u);
         store.abandon();
     }
+}
+
+TEST(ModelStoreTest, AttachWithoutRecoverRefusesAnExistingStore) {
+    // attach() without recover() opens the log at size 0, so over a
+    // directory that already holds a store the first append would
+    // overwrite it.  Store A logs alpha (and, in the second case,
+    // compacts it into the snapshot); store B attaches without recovering
+    // and must be refused, naming the file; store C still recovers alpha.
+    for (const bool snapshotted : {false, true}) {
+        TempDir dir;
+        {
+            ModelRegistry registry;
+            ModelStore store(dir.path);
+            store.recover(registry);
+            store.attach(registry);
+            registry.put("alpha", synthetic_models(2, 16, 1.0));
+            if (snapshotted) {
+                store.snapshot();
+            }
+            store.abandon();
+        }
+        const std::string named =
+            dir.path + (snapshotted ? "/snapshot.fpms" : "/wal.log");
+        {
+            ModelRegistry registry;
+            ModelStore store(dir.path);
+            try {
+                store.attach(registry);
+                registry.put("beta", synthetic_models(2, 16, 2.0));
+                ADD_FAILURE() << "attached without recover() beside "
+                              << named;
+            } catch (const fpm::Error& e) {
+                EXPECT_NE(std::string(e.what()).find(named),
+                          std::string::npos)
+                    << e.what();
+            }
+            store.abandon();
+        }
+        ModelRegistry recovered;
+        ModelStore store(dir.path);
+        const auto report = store.recover(recovered);
+        EXPECT_EQ(report.sets, 1u) << "snapshotted=" << snapshotted;
+        EXPECT_EQ(report.recovered_generation, 1u);
+        EXPECT_NE(recovered.find("alpha"), nullptr);
+        EXPECT_EQ(recovered.find("beta"), nullptr);
+        store.abandon();
+    }
+
+    // A fresh directory needs no recovery: attach() alone starts the log.
+    TempDir fresh;
+    {
+        ModelRegistry registry;
+        ModelStore store(fresh.path);
+        store.attach(registry);
+        registry.put("alpha", synthetic_models(2, 16, 1.0));
+        store.abandon();
+    }
+    ModelRegistry recovered;
+    ModelStore store(fresh.path);
+    EXPECT_EQ(store.recover(recovered).sets, 1u);
+    store.abandon();
 }
 
 // ---------------------------------------------------------------------------

@@ -88,8 +88,8 @@ TEST(Timeline, Validation) {
     const auto r = tl.add_resource("r");
     EXPECT_THROW(tl.add_op(r, -1.0), fpm::Error);
     EXPECT_THROW(tl.add_op(r, 1.0, {42}), fpm::Error);  // dep not submitted
-    EXPECT_THROW(tl.op(7), fpm::Error);
-    EXPECT_THROW(tl.busy_time(3), fpm::Error);
+    EXPECT_THROW((void)tl.op(7), fpm::Error);
+    EXPECT_THROW((void)tl.busy_time(3), fpm::Error);
 }
 
 TEST(Timeline, ZeroDurationOpsAllowed) {
