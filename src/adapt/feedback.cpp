@@ -13,6 +13,10 @@ namespace {
 /// 1.25 share a bucket.
 constexpr double kBucketResolution = 0.25;
 
+/// Staleness/memory bound per model set: beyond this many live buckets
+/// the one with the least evidence is dropped.
+constexpr std::size_t kMaxBuckets = 64;
+
 } // namespace
 
 FeedbackIngestor::FeedbackIngestor(const AdaptConfig& config)
@@ -22,7 +26,6 @@ FeedbackIngestor::FeedbackIngestor(const AdaptConfig& config)
               "max_samples must be >= min_samples");
     FPM_CHECK(config.target_relative_error > 0.0,
               "target_relative_error must be positive");
-    FPM_CHECK(config.max_buckets >= 1, "max_buckets must be >= 1");
     reliability_.min_repetitions = config.min_samples;
     reliability_.max_repetitions = config.max_samples;
     reliability_.target_relative_error = config.target_relative_error;
@@ -39,7 +42,7 @@ IngestResult FeedbackIngestor::add(std::int64_t device, double problem_size,
     const BucketKey key{device, region};
 
     if (buckets_.find(key) == buckets_.end() &&
-        buckets_.size() >= config_.max_buckets) {
+        buckets_.size() >= kMaxBuckets) {
         // Evidence budget: drop the thinnest bucket to admit the new one.
         auto victim = buckets_.begin();
         for (auto it = buckets_.begin(); it != buckets_.end(); ++it) {

@@ -28,16 +28,7 @@ struct AdaptConfig {
     /// within this fraction of the mean.
     double target_relative_error = 0.05;
 
-    // -- size-region bucketing ----------------------------------------
-    /// Staleness/memory bound per model set: beyond this many live
-    /// buckets the one with the least evidence is dropped.
-    std::size_t max_buckets = 64;
-
     // -- refiner ------------------------------------------------------
-    /// Bounded update: one refinement moves the model speed at x by at
-    /// most this fraction of its current value, so a single bad window
-    /// cannot fold an outlier straight into the model.
-    double max_speed_step = 0.5;
     /// Refinements smaller than this fraction are skipped entirely —
     /// no splice, no republish pressure (anti-churn deadband).
     double min_speed_change = 0.02;

@@ -4,7 +4,7 @@
 /// One refinement folds a bucket mean (x, observed speed) into the
 /// device's piecewise-linear SpeedFunction via SpeedFunction::spliced,
 /// under two guards: the *bounded update* (the model speed at x moves by
-/// at most AdaptConfig::max_speed_step per window, so an outlier window
+/// at most half its current value per window, so an outlier window
 /// cannot rewrite the model in one step — sustained drift converges over
 /// a few windows instead) and the *deadband* (changes below
 /// min_speed_change are skipped entirely).  The splice itself
@@ -31,8 +31,7 @@ struct RefineResult {
 /// See file comment.  Stateless apart from the config; thread-safe.
 class OnlineRefiner {
 public:
-    /// Throws fpm::Error for a non-positive max_speed_step or a
-    /// negative min_speed_change.
+    /// Throws fpm::Error for a negative min_speed_change.
     explicit OnlineRefiner(const AdaptConfig& config);
 
     /// Refines models[device] with the bucket mean (x, observed_speed).

@@ -13,10 +13,14 @@ namespace {
 /// replaced by the measured point (keeps knots strictly increasing).
 constexpr double kMergeRadius = 0.1;
 
+/// Bounded update: one refinement moves the model speed at x by at most
+/// this fraction of its current value, so a single bad window cannot
+/// fold an outlier straight into the model.
+constexpr double kMaxSpeedStep = 0.5;
+
 } // namespace
 
 OnlineRefiner::OnlineRefiner(const AdaptConfig& config) : config_(config) {
-    FPM_CHECK(config.max_speed_step > 0.0, "max_speed_step must be positive");
     FPM_CHECK(config.min_speed_change >= 0.0,
               "min_speed_change must be non-negative");
 }
@@ -38,9 +42,9 @@ RefineResult OnlineRefiner::refine(std::vector<core::SpeedFunction>& models,
         std::abs(observed_speed - predicted) / predicted;
 
     // Bounded update: one window moves the model by at most
-    // max_speed_step relative to the current prediction.
-    const double lo = predicted * (1.0 - config_.max_speed_step);
-    const double hi = predicted * (1.0 + config_.max_speed_step);
+    // kMaxSpeedStep relative to the current prediction.
+    const double lo = predicted * (1.0 - kMaxSpeedStep);
+    const double hi = predicted * (1.0 + kMaxSpeedStep);
     const double target = std::clamp(observed_speed, std::max(lo, 1e-300), hi);
     result.applied_speed = target;
 
@@ -58,7 +62,7 @@ RefineResult OnlineRefiner::refine(std::vector<core::SpeedFunction>& models,
     // values those knots let the partitioner sidestep the corrected
     // point round after round; scaling them by the measured ratio
     // extrapolates the shift (throttling and contention are
-    // multiplicative across sizes), stays bounded by max_speed_step,
+    // multiplicative across sizes), stays bounded by kMaxSpeedStep,
     // and windows at the smaller sizes correct any over-extrapolation
     // as soon as plans land there.
     const double ratio = target / predicted;

@@ -91,13 +91,13 @@ private:
 /// inverse of its execution-time function: x(T) = the largest problem
 /// solvable within time T.  Real measured speed functions can make
 /// t(x) = x/s(x) locally non-monotone (e.g. the super-linear speed ramp of
-/// a GPU); MonotoneTime samples t on a refined grid, takes the running
-/// maximum (the canonical monotone envelope used by the partitioner) and
-/// supports O(log n) inversion.
+/// a GPU); MonotoneTime samples t on a refined grid (eight samples per
+/// segment between knots), takes the running maximum (the canonical
+/// monotone envelope used by the partitioner) and supports O(log n)
+/// inversion.  The envelope is a pure function of the SpeedFunction.
 class MonotoneTime {
 public:
-    /// `samples_per_segment` controls the inversion grid resolution.
-    explicit MonotoneTime(const SpeedFunction& fn, std::size_t samples_per_segment = 8);
+    explicit MonotoneTime(const SpeedFunction& fn);
 
     /// Monotone (non-decreasing) execution time at x in [0, max_problem].
     /// For unbounded devices, sizes beyond the measured range extrapolate

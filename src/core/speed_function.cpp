@@ -98,9 +98,8 @@ SpeedFunction SpeedFunction::spliced(double x, double speed,
     return SpeedFunction(std::move(merged), name_, max_problem_);
 }
 
-MonotoneTime::MonotoneTime(const SpeedFunction& fn, std::size_t samples_per_segment) {
+MonotoneTime::MonotoneTime(const SpeedFunction& fn) {
     FPM_CHECK(!fn.empty(), "cannot build MonotoneTime from an empty function");
-    FPM_CHECK(samples_per_segment >= 1, "need at least one sample per segment");
 
     const auto& pts = fn.points();
     max_problem_ = fn.max_problem();
@@ -112,6 +111,7 @@ MonotoneTime::MonotoneTime(const SpeedFunction& fn, std::size_t samples_per_segm
 
     // Sample grid: knots plus uniform subsamples per segment, extended to
     // max_x_ when the feasible range exceeds the measured range.
+    constexpr std::size_t kSamplesPerSegment = 8;
     xs_.push_back(0.0);
     ts_.push_back(0.0);
     auto push_sample = [&](double x) {
@@ -122,9 +122,9 @@ MonotoneTime::MonotoneTime(const SpeedFunction& fn, std::size_t samples_per_segm
         ts_.push_back(fn.time(xs_.back()));
     };
     for (std::size_t i = 0; i + 1 < pts.size(); ++i) {
-        for (std::size_t s = 0; s < samples_per_segment; ++s) {
+        for (std::size_t s = 0; s < kSamplesPerSegment; ++s) {
             const double t = static_cast<double>(s) /
-                             static_cast<double>(samples_per_segment);
+                             static_cast<double>(kSamplesPerSegment);
             push_sample(lerp(pts[i].x, pts[i + 1].x, t));
         }
     }

@@ -10,31 +10,12 @@
 #include <thread>
 
 #include "fpm/common/error.hpp"
+#include "fpm/common/hash.hpp"
 #include "fpm/obs/metrics.hpp"
 
 namespace fpm::fault {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv1a(std::string_view text) {
-    std::uint64_t h = kFnvOffset;
-    for (const char ch : text) {
-        h ^= static_cast<unsigned char>(ch);
-        h *= kFnvPrime;
-    }
-    return h;
-}
-
-/// splitmix64 finalizer: full-avalanche mix of one 64-bit word.
-std::uint64_t mix64(std::uint64_t x) noexcept {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
 
 std::atomic<std::uint64_t> g_seed{0};
 std::atomic<std::uint64_t> g_injected_total{0};

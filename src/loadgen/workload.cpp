@@ -3,20 +3,12 @@
 #include <cmath>
 
 #include "fpm/common/error.hpp"
+#include "fpm/common/hash.hpp"
 #include "fpm/common/rng.hpp"
 
 namespace fpm::loadgen {
 
 namespace {
-
-/// splitmix64 finalizer: decorrelates (seed, index) pairs before they
-/// seed the per-request Rng, so neighbouring indices share no structure.
-std::uint64_t mix(std::uint64_t z) noexcept {
-    z += 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
 
 double total_weight(const WorkloadSpec& spec) {
     return spec.partition_weight + spec.stats_weight + spec.health_weight +
@@ -61,8 +53,10 @@ const char* arrival_name(Arrival arrival) noexcept {
 serve::Request nth_request(const WorkloadSpec& spec, std::uint64_t index) {
     validate(spec);
     // One private stream per index: identical across threads, runs and
-    // loop modes (the determinism the replay tests pin down).
-    Rng rng(mix(spec.seed) ^ mix(index));
+    // loop modes (the determinism the replay tests pin down).  Mixing
+    // decorrelates (seed, index) pairs, so neighbouring indices share no
+    // structure.
+    Rng rng(mix64(spec.seed) ^ mix64(index));
 
     serve::Request request;
     double pick = rng.uniform() * total_weight(spec);
@@ -108,17 +102,9 @@ Verb verb_of(const serve::Request& request) noexcept {
 
 std::uint64_t stream_fingerprint(const WorkloadSpec& spec,
                                  std::uint64_t count) {
-    std::uint64_t hash = 1469598103934665603ULL;  // FNV-1a offset basis
-    const auto fold = [&hash](const std::string& text) {
-        for (const char c : text) {
-            hash ^= static_cast<unsigned char>(c);
-            hash *= 1099511628211ULL;
-        }
-        hash ^= static_cast<unsigned char>('\n');
-        hash *= 1099511628211ULL;
-    };
+    std::uint64_t hash = kFnv1aOffset;
     for (std::uint64_t i = 0; i < count; ++i) {
-        fold(nth_request(spec, i).encode());
+        hash = fnv1a("\n", fnv1a(nth_request(spec, i).encode(), hash));
     }
     return hash;
 }

@@ -11,6 +11,11 @@ namespace fpm::part {
 
 namespace {
 
+/// The bisection stops once |sum x_i - n| <= kTolerance * n, or after
+/// kMaxIterations steps (counted in part.fpm.unconverged).
+constexpr double kTolerance = 1e-9;
+constexpr std::size_t kMaxIterations = 200;
+
 struct FpmMetrics {
     obs::Counter& calls;
     obs::Counter& iterations;
@@ -31,24 +36,11 @@ struct FpmMetrics {
 } // namespace
 
 FpmPartitionResult partition_fpm(std::span<const core::SpeedFunction> models,
-                                 double total,
-                                 const FpmPartitionOptions& options) {
+                                 double total) {
     obs::Span span("part.fpm_partition",
                    static_cast<std::uint64_t>(std::max(total, 0.0)));
     FPM_CHECK(!models.empty(), "need at least one device");
     FPM_CHECK(total >= 0.0, "total workload must be non-negative");
-    FPM_CHECK(options.tolerance > 0.0, "tolerance must be positive");
-    FPM_CHECK(options.max_iterations >= 1, "need at least one iteration");
-    FPM_CHECK(options.fixed_overheads.empty() ||
-                  options.fixed_overheads.size() == models.size(),
-              "fixed_overheads must be empty or match the model count");
-    for (const double overhead : options.fixed_overheads) {
-        FPM_CHECK(overhead >= 0.0, "overheads must be non-negative");
-    }
-    auto overhead_of = [&](std::size_t i) {
-        return options.fixed_overheads.empty() ? 0.0
-                                               : options.fixed_overheads[i];
-    };
 
     const std::size_t p = models.size();
     FpmPartitionResult result;
@@ -62,22 +54,16 @@ FpmPartitionResult partition_fpm(std::span<const core::SpeedFunction> models,
     envelopes.reserve(p);
     double capacity = 0.0;
     for (const auto& model : models) {
-        envelopes.emplace_back(model, options.envelope_samples_per_segment);
+        envelopes.emplace_back(model);
         capacity += envelopes.back().max_problem();
     }
     FPM_CHECK(capacity >= total,
               "combined device capacity cannot hold the requested workload");
 
-    // A device with fixed overhead c solves x units in c + t_env(x): its
-    // share at deadline T is x(max(0, T - c)); a device whose overhead
-    // alone exceeds T stays idle.
     auto assigned_at = [&](double t) {
         double sum = 0.0;
-        for (std::size_t i = 0; i < envelopes.size(); ++i) {
-            const double budget = t - overhead_of(i);
-            if (budget > 0.0) {
-                sum += envelopes[i].invert(budget);
-            }
+        for (const auto& envelope : envelopes) {
+            sum += envelope.invert(t);
         }
         return sum;
     };
@@ -90,7 +76,7 @@ FpmPartitionResult partition_fpm(std::span<const core::SpeedFunction> models,
     for (std::size_t i = 0; i < models.size(); ++i) {
         const double probe = std::min(total, envelopes[i].max_problem());
         if (probe > 0.0) {
-            const double t = models[i].time(probe) + overhead_of(i);
+            const double t = models[i].time(probe);
             if (std::isfinite(t)) {
                 hi = std::max(hi, t);
             }
@@ -109,11 +95,11 @@ FpmPartitionResult partition_fpm(std::span<const core::SpeedFunction> models,
     // Bisection on T; sum_i x_i(T) is monotone non-decreasing.
     double assigned = 0.0;
     bool converged = false;
-    for (std::size_t it = 0; it < options.max_iterations; ++it) {
+    for (std::size_t it = 0; it < kMaxIterations; ++it) {
         const double mid = 0.5 * (lo + hi);
         assigned = assigned_at(mid);
         result.iterations = it + 1;
-        if (std::fabs(assigned - total) <= options.tolerance * total) {
+        if (std::fabs(assigned - total) <= kTolerance * total) {
             hi = mid;
             converged = true;
             break;
@@ -136,9 +122,7 @@ FpmPartitionResult partition_fpm(std::span<const core::SpeedFunction> models,
     result.balanced_time = hi;
     double sum = 0.0;
     for (std::size_t i = 0; i < p; ++i) {
-        const double budget = hi - overhead_of(i);
-        result.partition.share[i] = budget > 0.0 ? envelopes[i].invert(budget)
-                                                 : 0.0;
+        result.partition.share[i] = envelopes[i].invert(hi);
         sum += result.partition.share[i];
     }
 

@@ -4,17 +4,17 @@
 #include <cmath>
 
 #include "fpm/common/error.hpp"
-#include "fpm/common/math.hpp"
 
 namespace fpm::part {
 
 core::SpeedFunction aggregate_speed_function(
     std::span<const core::SpeedFunction> devices, const std::string& name,
     const AggregateOptions& options) {
+    // The sampling grid: kPoints sizes, geometric from kXMin to x_max.
+    constexpr double kXMin = 4.0;
+    constexpr std::size_t kPoints = 24;
     FPM_CHECK(!devices.empty(), "need at least one device");
-    FPM_CHECK(options.x_min > 0.0 && options.x_max > options.x_min,
-              "invalid aggregate range");
-    FPM_CHECK(options.points >= 2, "need at least two aggregate points");
+    FPM_CHECK(options.x_max > kXMin, "invalid aggregate range");
 
     // Combined capacity bounds both the sampling range and the aggregate's
     // own max_problem.
@@ -27,19 +27,16 @@ core::SpeedFunction aggregate_speed_function(
         }
     }
     const double x_max = std::min(options.x_max, capacity);
-    FPM_CHECK(x_max > options.x_min,
+    FPM_CHECK(x_max > kXMin,
               "node capacity below the aggregate sampling range");
 
     std::vector<core::SpeedPoint> points;
-    points.reserve(options.points);
-    for (std::size_t i = 0; i < options.points; ++i) {
+    points.reserve(kPoints);
+    for (std::size_t i = 0; i < kPoints; ++i) {
         const double f =
-            static_cast<double>(i) / static_cast<double>(options.points - 1);
-        const double x = options.geometric_grid
-                             ? options.x_min *
-                                   std::pow(x_max / options.x_min, f)
-                             : lerp(options.x_min, x_max, f);
-        const auto balanced = partition_fpm(devices, x, options.fpm);
+            static_cast<double>(i) / static_cast<double>(kPoints - 1);
+        const double x = kXMin * std::pow(x_max / kXMin, f);
+        const auto balanced = partition_fpm(devices, x);
         FPM_CHECK(balanced.balanced_time > 0.0,
                   "degenerate balanced time in aggregate construction");
         points.push_back(core::SpeedPoint{x, x / balanced.balanced_time});
@@ -69,8 +66,7 @@ HierarchicalResult partition_hierarchical(
         aggregates.push_back(aggregate_speed_function(
             node_models[i], "node" + std::to_string(i), options));
     }
-    const auto inter = partition_fpm(aggregates, static_cast<double>(total),
-                                     options.fpm);
+    const auto inter = partition_fpm(aggregates, static_cast<double>(total));
     const auto node_blocks =
         round_partition(inter.partition, total, aggregates);
 
@@ -84,9 +80,8 @@ HierarchicalResult partition_hierarchical(
             result.device_blocks[i].assign(node_models[i].size(), 0);
             continue;
         }
-        const auto intra = partition_fpm(node_models[i],
-                                         static_cast<double>(share),
-                                         options.fpm);
+        const auto intra =
+            partition_fpm(node_models[i], static_cast<double>(share));
         result.device_blocks[i] =
             round_partition(intra.partition, share, node_models[i]).blocks;
         result.makespan = std::max(

@@ -8,8 +8,8 @@
 /// line through the origin; the algorithm bisects on the execution time T
 /// (equivalently, the slope of that line).  Because each device's monotone
 /// execution-time envelope x(T) is non-decreasing in T, the total assigned
-/// work sum_i x_i(T) is monotone and the bisection converges to any
-/// requested tolerance.
+/// work sum_i x_i(T) is monotone and the bisection converges; it stops
+/// once the assigned total is within a relative 1e-9 of n.
 ///
 /// Devices with a finite maximum problem size (a GPU without out-of-core
 /// support) simply saturate at that maximum; the algorithm remains correct
@@ -17,29 +17,10 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "fpm/part/partition.hpp"
 
 namespace fpm::part {
-
-/// Options for the geometric bisection.
-struct FpmPartitionOptions {
-    /// Relative tolerance on the assigned total: |sum x_i - n| <= tol * n.
-    double tolerance = 1e-9;
-    std::size_t max_iterations = 200;
-    /// Grid resolution of the monotone time envelopes.
-    std::size_t envelope_samples_per_segment = 8;
-
-    /// Optional fixed per-invocation overhead of each device (seconds):
-    /// device i completes x units in c_i + x / s_i(x).  A device whose
-    /// overhead alone exceeds the balanced time receives nothing — the
-    /// partitioner decides *whether* to use a device, not only how much
-    /// to give it (e.g. a GPU whose launch + staging cost dwarfs a tiny
-    /// problem).  Empty = no overheads.  Must match the model count when
-    /// non-empty.
-    std::vector<double> fixed_overheads{};
-};
 
 /// Result of the continuous FPM partitioning.
 struct FpmPartitionResult {
@@ -51,7 +32,6 @@ struct FpmPartitionResult {
 /// Computes the balanced continuous partition.  Throws fpm::Error when the
 /// combined capacity of all devices cannot hold `total`.
 FpmPartitionResult partition_fpm(std::span<const core::SpeedFunction> models,
-                                 double total,
-                                 const FpmPartitionOptions& options = {});
+                                 double total);
 
 } // namespace fpm::part

@@ -28,15 +28,13 @@ namespace fpm::part {
 
 /// Options of the aggregate-model construction.
 struct AggregateOptions {
-    double x_min = 4.0;
+    /// Largest sampled node size (capped at the node's capacity).
     double x_max = 5000.0;
-    std::size_t points = 24;
-    bool geometric_grid = true;
-    FpmPartitionOptions fpm{};
 };
 
 /// Builds the node-level FPM of a device group; see file comment.  The
-/// aggregate's max_problem is the sum of the members' capacities.
+/// aggregate samples 24 sizes on a geometric grid from 4 blocks to
+/// x_max; its max_problem is the sum of the members' capacities.
 core::SpeedFunction aggregate_speed_function(
     std::span<const core::SpeedFunction> devices, const std::string& name,
     const AggregateOptions& options = {});

@@ -30,11 +30,10 @@ struct IntPartition1D {
 IntPartition1D round_largest_remainder(const Partition1D& partition,
                                        std::int64_t total);
 
-/// Rounding plus makespan-reducing local search under `models`.  Devices
-/// never exceed their max_problem(); throws if the continuous partition
-/// already violates capacity.
+/// Rounding plus makespan-reducing local search under `models` (at most
+/// 256 single-block moves).  Devices never exceed their max_problem();
+/// throws if the continuous partition already violates capacity.
 IntPartition1D round_partition(const Partition1D& partition, std::int64_t total,
-                               std::span<const core::SpeedFunction> models,
-                               std::size_t max_moves = 256);
+                               std::span<const core::SpeedFunction> models);
 
 } // namespace fpm::part

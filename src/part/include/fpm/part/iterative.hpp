@@ -15,7 +15,8 @@
 ///   2. query the true per-device time for the *actual* rectangles;
 ///   3. fold the deviation into each device's model (multiplicative
 ///      correction at the assigned size) and repartition;
-///   4. stop when the makespan stops improving (or max_rounds).
+///   4. stop when the makespan improves by less than 0.5 % (at most six
+///      rounds).
 ///
 /// The best layout seen across rounds is returned, so the result is never
 /// worse than the one-shot area-based partitioning.
@@ -33,28 +34,19 @@ namespace fpm::part {
 /// rectangle `rect` (seconds).  Must be positive for non-empty rectangles.
 using RectTimeFn = std::function<double(std::size_t device, const Rect& rect)>;
 
-/// Options of the refinement loop.
-struct IterativeOptions {
-    std::size_t max_rounds = 6;
-    /// Stop when the relative makespan improvement falls below this.
-    double convergence_tolerance = 0.005;
-    FpmPartitionOptions fpm{};
-};
-
 /// Result of the refinement.
 struct IterativeResult {
     IntPartition1D blocks;    ///< best integer partition found
     ColumnLayout layout;      ///< its 2-D layout
     double makespan = 0.0;    ///< true (shape-aware) makespan of `layout`
     std::size_t rounds = 0;   ///< refinement rounds executed
-    bool converged = false;   ///< tolerance reached before max_rounds
+    bool converged = false;   ///< a round improved by less than 0.5 %
 };
 
 /// Runs the loop; `models` are the area-based FPMs, `rect_time` the
 /// shape-aware oracle (simulator or measurement).  Throws fpm::Error on
 /// inconsistent inputs.
 IterativeResult partition_iterative(std::span<const core::SpeedFunction> models,
-                                    std::int64_t n, const RectTimeFn& rect_time,
-                                    const IterativeOptions& options = {});
+                                    std::int64_t n, const RectTimeFn& rect_time);
 
 } // namespace fpm::part

@@ -1,13 +1,13 @@
 /// \file request.hpp
 /// \brief The unified partitioning entry point.
 ///
-/// Every consumer of the 1-D partitioners — the CLI tools, the serve
-/// subsystem, tests and benches — used to hand-roll the same pipeline
-/// (algorithm dispatch → continuous partition → integer rounding →
-/// column 2-D layout) and its string→algorithm mapping.  This facade is
-/// now the single code path: build a PartitionRequest, call
-/// partition(), get a PartitionPlan.  Algorithm and its one
-/// to_string()/parse_algorithm() pair live here and nowhere else.
+/// The pipeline algorithm dispatch → continuous partition → integer
+/// rounding → column 2-D layout behind one call: build a
+/// PartitionRequest, call partition(), get a PartitionPlan.  The serve
+/// subsystem and `fpmpart_partition` plan through it; the paper benches
+/// and examples that need the continuous shares or one stage alone call
+/// partition_fpm() and round_partition() directly.  Algorithm and its
+/// one to_string()/parse_algorithm() pair live here and nowhere else.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +18,6 @@
 
 #include "fpm/core/speed_function.hpp"
 #include "fpm/part/column2d.hpp"
-#include "fpm/part/fpm_partitioner.hpp"
 
 namespace fpm::part {
 
@@ -41,7 +40,6 @@ struct PartitionRequest {
     std::int64_t n = 0;  ///< matrix size in blocks (workload = n * n)
     Algorithm algorithm = Algorithm::kFpm;
     bool with_layout = true;  ///< also compute the column 2-D layout
-    FpmPartitionOptions options{};  ///< forwarded to the FPM bisection
 };
 
 /// The full answer: integer shares plus (optionally) the column-based
@@ -55,7 +53,6 @@ struct PartitionPlan {
     double balanced_time = 0.0; ///< equalised time T (0 for cpm/even)
     double makespan = 0.0;      ///< predicted max_i t_i under the models
     std::int64_t comm_cost = 0; ///< half-perimeter sum (0 without layout)
-    std::size_t iterations = 0; ///< FPM bisection steps (0 for cpm/even)
 };
 
 /// Runs the full pipeline for `request`.  Throws fpm::Error for n <= 0,

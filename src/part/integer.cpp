@@ -48,8 +48,7 @@ IntPartition1D round_largest_remainder(const Partition1D& partition,
 }
 
 IntPartition1D round_partition(const Partition1D& partition, std::int64_t total,
-                               std::span<const core::SpeedFunction> models,
-                               std::size_t max_moves) {
+                               std::span<const core::SpeedFunction> models) {
     FPM_CHECK(models.size() == partition.share.size(),
               "models and partition must have equal length");
     IntPartition1D result = round_largest_remainder(partition, total);
@@ -81,10 +80,11 @@ IntPartition1D round_partition(const Partition1D& partition, std::int64_t total,
 
     // Local search: repeatedly move one block from the straggler to the
     // device whose time grows least, while the makespan strictly improves.
+    constexpr std::size_t kMaxMoves = 256;
     auto device_time = [&](std::size_t i, std::int64_t blocks) {
         return models[i].time(static_cast<double>(blocks));
     };
-    for (std::size_t move = 0; move < max_moves; ++move) {
+    for (std::size_t move = 0; move < kMaxMoves; ++move) {
         // Find the straggler.
         std::size_t worst = p;
         double worst_time = 0.0;

@@ -27,13 +27,14 @@ double layout_makespan(const ColumnLayout& layout, const RectTimeFn& rect_time) 
 } // namespace
 
 IterativeResult partition_iterative(std::span<const core::SpeedFunction> models,
-                                    std::int64_t n, const RectTimeFn& rect_time,
-                                    const IterativeOptions& options) {
+                                    std::int64_t n, const RectTimeFn& rect_time) {
+    // The loop stops after kMaxRounds rounds, or once a round improves the
+    // makespan by less than kConvergence (relative).
+    constexpr std::size_t kMaxRounds = 6;
+    constexpr double kConvergence = 0.005;
     FPM_CHECK(!models.empty(), "need at least one device");
     FPM_CHECK(n >= 1, "matrix size must be positive");
     FPM_CHECK(static_cast<bool>(rect_time), "need a shape-aware time oracle");
-    FPM_CHECK(options.max_rounds >= 1, "need at least one round");
-    FPM_CHECK(options.convergence_tolerance > 0.0, "tolerance must be positive");
 
     const double total = static_cast<double>(n) * static_cast<double>(n);
 
@@ -43,8 +44,8 @@ IterativeResult partition_iterative(std::span<const core::SpeedFunction> models,
     IterativeResult best;
     double previous_makespan = std::numeric_limits<double>::infinity();
 
-    for (std::size_t round = 0; round < options.max_rounds; ++round) {
-        const auto continuous = partition_fpm(corrected, total, options.fpm);
+    for (std::size_t round = 0; round < kMaxRounds; ++round) {
+        const auto continuous = partition_fpm(corrected, total);
         const auto blocks =
             round_partition(continuous.partition, n * n, corrected);
         ColumnLayout layout = column_partition(n, blocks.blocks);
@@ -60,7 +61,7 @@ IterativeResult partition_iterative(std::span<const core::SpeedFunction> models,
         if (round > 0) {
             const double improvement =
                 (previous_makespan - makespan) / previous_makespan;
-            if (improvement < options.convergence_tolerance) {
+            if (improvement < kConvergence) {
                 best.converged = true;
                 break;
             }

@@ -4,6 +4,7 @@
 
 #include "fpm/common/error.hpp"
 #include "fpm/obs/trace.hpp"
+#include "fpm/part/fpm_partitioner.hpp"
 #include "fpm/part/integer.hpp"
 #include "fpm/part/partition.hpp"
 
@@ -49,10 +50,9 @@ PartitionPlan partition(const PartitionRequest& request) {
     plan.with_layout = request.with_layout;
     switch (request.algorithm) {
     case Algorithm::kFpm: {
-        auto result = partition_fpm(models, total, request.options);
+        auto result = partition_fpm(models, total);
         continuous = std::move(result.partition);
         plan.balanced_time = result.balanced_time;
-        plan.iterations = result.iterations;
         break;
     }
     case Algorithm::kCpm: {

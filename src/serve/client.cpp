@@ -14,6 +14,10 @@ namespace fpm::serve {
 
 namespace {
 
+/// Width of the uniform jitter on each retry sleep (+-25 %): clients that
+/// failed together do not retry in lockstep.
+constexpr double kBackoffJitter = 0.5;
+
 /// Process-global client-side counters (mirroring the engine's style).
 struct ClientMetrics {
     obs::Counter& retries;
@@ -112,35 +116,54 @@ void ServeClient::open_connection() {
     }
 }
 
+template <typename Exchange>
+auto ServeClient::exchange(Exchange&& io) -> decltype(io()) {
+    if (!conn_.is_open()) {
+        ClientMetrics::get().reconnects.add();
+        open_connection();
+    }
+    try {
+        return io();
+    } catch (...) {
+        // A failed exchange leaves the stream in an unknown state: a late
+        // reply would answer the next request.  Drop it.
+        conn_.close();
+        throw;
+    }
+}
+
 std::string ServeClient::request(const std::string& line) {
-    FPM_CHECK(conn_.is_open(), "client is not connected");
-    const auto start = std::chrono::steady_clock::now();
-    conn_.send(line + "\n");
-    std::string reply = conn_.read_line(kMaxLineBytes);
-    last_rtt_seconds_ = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
-    return reply;
+    return exchange([&] {
+        const auto start = std::chrono::steady_clock::now();
+        conn_.send(line + "\n");
+        std::string reply = conn_.read_line(kMaxLineBytes);
+        last_rtt_seconds_ = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+        return reply;
+    });
 }
 
 void ServeClient::send_lines(const std::vector<std::string>& lines) {
-    FPM_CHECK(conn_.is_open(), "client is not connected");
-    std::string framed;
-    for (const std::string& line : lines) {
-        framed += line;
-        framed += '\n';
-    }
-    conn_.send(framed);
+    exchange([&] {
+        std::string framed;
+        for (const std::string& line : lines) {
+            framed += line;
+            framed += '\n';
+        }
+        conn_.send(framed);
+    });
 }
 
 std::vector<std::string> ServeClient::read_replies(std::size_t count) {
-    FPM_CHECK(conn_.is_open(), "client is not connected");
-    std::vector<std::string> replies;
-    replies.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        replies.push_back(conn_.read_line(kMaxLineBytes));
-    }
-    return replies;
+    return exchange([&] {
+        std::vector<std::string> replies;
+        replies.reserve(count);
+        for (std::size_t i = 0; i < count; ++i) {
+            replies.push_back(conn_.read_line(kMaxLineBytes));
+        }
+        return replies;
+    });
 }
 
 std::vector<std::string>
@@ -166,7 +189,7 @@ Response ServeClient::call(const Request& req) {
             delay *= 2.0;
         }
         delay = std::min(delay, config_.backoff_max);
-        delay *= 1.0 + config_.backoff_jitter * (jitter.uniform() - 0.5);
+        delay *= 1.0 + kBackoffJitter * (jitter.uniform() - 0.5);
         if (delay > 0.0) {
             std::this_thread::sleep_for(std::chrono::duration<double>(delay));
         }
@@ -175,10 +198,6 @@ Response ServeClient::call(const Request& req) {
     int attempt = 0;
     for (;;) {
         try {
-            if (!conn_.is_open()) {
-                ClientMetrics::get().reconnects.add();
-                open_connection();
-            }
             const Response response = Response::decode(request(line));
             if (response.kind == Response::Kind::kError &&
                 response.error_code == ErrorCode::kBusy &&
@@ -193,14 +212,11 @@ Response ServeClient::call(const Request& req) {
             }
             return response;
         } catch (const TransportError&) {
-            // The connection is in an unknown state (a late reply would
-            // desynchronise the stream): always drop it before deciding.
-            // A FEEDBACK the server may already have ingested is not
-            // re-sent: a second copy would count the sample twice.  With
-            // a failover list, the next attempt starts against the next
-            // endpoint — the active one just proved unreachable or
-            // unresponsive.
-            conn_.close();
+            // request() already dropped the connection.  A FEEDBACK the
+            // server may already have ingested is not re-sent: a second
+            // copy would count the sample twice.  With a failover list,
+            // the next attempt starts against the next endpoint — the
+            // active one just proved unreachable or unresponsive.
             if (attempt >= config_.max_retries ||
                 req.kind == Request::Kind::kFeedback) {
                 throw;

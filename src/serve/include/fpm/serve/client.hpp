@@ -71,6 +71,9 @@ public:
     /// Sends one request line (without trailing newline) and returns the
     /// response line.  Throws fpm::Error on I/O failure, server hangup
     /// or a reply that does not arrive within ServeConfig::recv_timeout.
+    /// A failed exchange drops the connection, so a late reply can never
+    /// answer a later request; the next call reconnects to the active
+    /// endpoint.  The failed request is not re-sent.
     std::string request(const std::string& line);
 
     /// Wall-clock duration of the most recent completed request() round
@@ -87,9 +90,8 @@ public:
 
     /// Pipelines a batch: writes every line back-to-back, then reads
     /// exactly lines.size() response lines (the server answers in
-    /// request order).  Throws like request(); on failure the
-    /// connection state is unspecified and the client should be
-    /// discarded.
+    /// request order).  Throws like request() and, like it, drops the
+    /// connection on failure; the next call reconnects.
     std::vector<std::string> pipeline(const std::vector<std::string>& lines);
 
     /// Half-duplex halves of pipeline(), for callers that keep several
@@ -149,6 +151,10 @@ public:
 private:
     void open_connection();
     void advance_endpoint();
+    /// Runs `io` on the connection, reconnecting first when it is
+    /// closed and closing it when `io` throws.
+    template <typename Exchange>
+    auto exchange(Exchange&& io) -> decltype(io());
 
     LineConn conn_;
     double last_rtt_seconds_ = 0.0;

@@ -51,10 +51,9 @@ struct ServeConfig {
     /// prior releases did.
     int max_retries = 0;
     /// First backoff; attempt k sleeps backoff_base * 2^(k-1), capped
-    /// at backoff_max, then widened by +-(backoff_jitter/2) fraction.
+    /// at backoff_max, then widened by a uniform +-25 % jitter.
     double backoff_base = 0.02;
     double backoff_max = 0.5;
-    double backoff_jitter = 0.5;
     /// Seed for the deterministic per-request jitter stream (xor'd with
     /// the request fingerprint, so identical configs replay exactly).
     std::uint64_t retry_seed = 0;

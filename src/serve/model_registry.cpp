@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "fpm/common/error.hpp"
+#include "fpm/common/hash.hpp"
 #include "fpm/core/model_io.hpp"
 #include "fpm/fault/fault.hpp"
 #include "fpm/serve/error.hpp"
@@ -13,15 +14,8 @@ namespace fpm::serve {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
 void hash_bytes(std::uint64_t& h, const void* data, std::size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-        h ^= bytes[i];
-        h *= kFnvPrime;
-    }
+    h = fnv1a(std::string_view(static_cast<const char*>(data), size), h);
 }
 
 void hash_double(std::uint64_t& h, double value) {
@@ -49,7 +43,7 @@ void check_set_name(const std::string& name) {
 } // namespace
 
 std::uint64_t fingerprint_models(const std::vector<core::SpeedFunction>& models) {
-    std::uint64_t h = kFnvOffset;
+    std::uint64_t h = kFnv1aOffset;
     const std::uint64_t count = models.size();
     hash_bytes(h, &count, sizeof count);
     for (const auto& model : models) {

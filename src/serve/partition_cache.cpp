@@ -4,22 +4,9 @@
 #include <limits>
 
 #include "fpm/common/error.hpp"
+#include "fpm/common/hash.hpp"
 
 namespace fpm::serve {
-
-namespace {
-
-/// splitmix64 finalizer: the fingerprint is already a content hash, but
-/// shard selection masks the *low* bits, so run them through a full
-/// avalanche mix first.
-std::uint64_t mix64(std::uint64_t x) {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
-}  // namespace
 
 PartitionCache::PartitionCache(std::size_t capacity, std::size_t shards) {
     FPM_CHECK(capacity >= 1, "cache capacity must be positive");
@@ -34,11 +21,15 @@ PartitionCache::PartitionCache(std::size_t capacity, std::size_t shards) {
 }
 
 PartitionCache::Shard& PartitionCache::shard_for(const PlanKey& key) {
+    // The fingerprint is already a content hash, but the mask keeps only
+    // its low bits, so run them through a full avalanche mix first.
     return *shards_[mix64(key.fingerprint) & (shards_.size() - 1)];
 }
 
 const PartitionCache::Shard&
 PartitionCache::shard_for(const PlanKey& key) const {
+    // The fingerprint is already a content hash, but the mask keeps only
+    // its low bits, so run them through a full avalanche mix first.
     return *shards_[mix64(key.fingerprint) & (shards_.size() - 1)];
 }
 

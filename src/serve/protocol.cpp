@@ -10,6 +10,7 @@
 #include <type_traits>
 
 #include "fpm/common/error.hpp"
+#include "fpm/common/hash.hpp"
 #include "fpm/fault/fault.hpp"
 #include "fpm/serve/reactor_metrics.hpp"
 
@@ -811,13 +812,7 @@ std::string handle_line(RequestEngine& engine, const std::string& line) {
 }
 
 std::uint64_t request_fingerprint(const Request& request) {
-    const std::string line = request.encode();
-    std::uint64_t h = 1469598103934665603ULL;  // FNV-1a
-    for (const char ch : line) {
-        h ^= static_cast<unsigned char>(ch);
-        h *= 1099511628211ULL;
-    }
-    return h;
+    return fnv1a(request.encode());
 }
 
 Response expect_reply(Response response, Response::Kind expected) {

@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "fpm/common/error.hpp"
+#include "fpm/common/hash.hpp"
 #include "fpm/fault/fault.hpp"
 #include "fpm/measure/timer.hpp"
 #include "fpm/obs/trace.hpp"
@@ -16,12 +17,7 @@ namespace {
 /// FNV-1a of a set *name* — the stale-plan cache key hash, deliberately
 /// independent of model content so it survives reloads.
 std::uint64_t hash_name(const std::string& name) {
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const char ch : name) {
-        h ^= static_cast<unsigned char>(ch);
-        h *= 1099511628211ULL;
-    }
-    return h;
+    return fnv1a(name);
 }
 
 } // namespace

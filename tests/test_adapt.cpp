@@ -133,15 +133,21 @@ TEST(AdaptIngestor, NoisyBucketIsForcedReliableAtMaxSamples) {
 
 TEST(AdaptIngestor, BucketBudgetEvictsThinnestBucket) {
     AdaptConfig config;
-    config.max_buckets = 2;
     FeedbackIngestor ingestor(config);
-    ingestor.add(0, 100.0, 1.0);
-    ingestor.add(0, 100.0, 1.0);  // device 0: two samples
-    ingestor.add(1, 100.0, 1.0);  // device 1: one sample (thinnest)
-    ingestor.add(2, 100.0, 1.0);  // evicts device 1's bucket
-    EXPECT_EQ(ingestor.buckets(), 2u);
+    // Fill the 64-bucket budget: every device two samples, except
+    // device 1 with one (the thinnest).
+    for (std::int64_t device = 0; device < 64; ++device) {
+        ingestor.add(device, 100.0, 1.0);
+        if (device != 1) {
+            ingestor.add(device, 100.0, 1.0);
+        }
+    }
+    EXPECT_EQ(ingestor.buckets(), 64u);
+    ingestor.add(64, 100.0, 1.0);  // evicts device 1's bucket
+    EXPECT_EQ(ingestor.buckets(), 64u);
     // Device 1 restarts from zero; device 0 kept its evidence.
     EXPECT_EQ(ingestor.add(1, 100.0, 1.0).samples, 1u);
+    EXPECT_EQ(ingestor.add(0, 100.0, 1.0).samples, 3u);
 }
 
 TEST(AdaptIngestor, RejectsNonsenseSamplesAndConfig) {
@@ -199,7 +205,6 @@ TEST(AdaptSplice, HonoursMaxProblemBound) {
 
 TEST(AdaptRefiner, ClampsStepAndSkipsDeadband) {
     AdaptConfig config;
-    config.max_speed_step = 0.5;
     config.min_speed_change = 0.02;
     const OnlineRefiner refiner(config);
     auto models = synthetic_models(2, 16, 1.0);

@@ -1,4 +1,5 @@
-// Unit tests for fpm::common: error handling, RNG, formatting, math.
+// Unit tests for fpm::common: error handling, hashing, RNG, formatting,
+// math.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -6,6 +7,7 @@
 
 #include "fpm/common/error.hpp"
 #include "fpm/common/format.hpp"
+#include "fpm/common/hash.hpp"
 #include "fpm/common/math.hpp"
 #include "fpm/common/rng.hpp"
 
@@ -31,6 +33,27 @@ TEST(Error, CheckPassesSilently) {
 TEST(Error, AssertThrowsLogicError) {
     EXPECT_THROW(FPM_ASSERT(false), LogicError);
     EXPECT_NO_THROW(FPM_ASSERT(true));
+}
+
+TEST(Hash, Fnv1aMatchesPublishedVectors) {
+    // The reference implementation's 64-bit vectors, from its basis.
+    constexpr std::uint64_t kPublishedBasis = 14695981039346656037ULL;
+    EXPECT_EQ(fnv1a("", kPublishedBasis), 0xcbf29ce484222325ULL);
+    EXPECT_EQ(fnv1a("a", kPublishedBasis), 0xaf63dc4c8601ec8cULL);
+    EXPECT_EQ(fnv1a("foobar", kPublishedBasis), 0x85944171f73967e8ULL);
+    // fpmpart's own basis, which persisted fingerprints depend on.
+    EXPECT_EQ(fnv1a(""), 0x14650fb0739d0383ULL);
+    EXPECT_EQ(fnv1a("a"), 0x44bd8ad473cd9906ULL);
+    // Hashing in pieces continues one hash.
+    EXPECT_EQ(fnv1a("bar", fnv1a("foo")), fnv1a("foobar"));
+}
+
+TEST(Hash, Splitmix64MatchesReference) {
+    // The first output of the reference splitmix64 seeded with 0.
+    std::uint64_t state = 0;
+    EXPECT_EQ(splitmix64(state), 0xe220a8397b1dcdafULL);
+    EXPECT_EQ(state, 0x9e3779b97f4a7c15ULL);
+    EXPECT_EQ(mix64(0), 0xe220a8397b1dcdafULL);
 }
 
 TEST(Rng, DeterministicForSameSeed) {

@@ -342,10 +342,10 @@ TEST(DocsConsistency, AdaptationGuideCoversEveryAdaptConfigKnob) {
         read_file("src/adapt/include/fpm/adapt/adapt_config.hpp");
     const std::string guide = read_file("docs/adaptation.md");
     const std::vector<std::string> fields = struct_fields(header);
-    // Guard the extractor: AdaptConfig carries >= 8 knobs.  If this
+    // Guard the extractor: AdaptConfig carries >= 6 knobs.  If this
     // trips, the heuristic (or the header's plain-aggregate shape)
     // regressed.
-    EXPECT_GE(fields.size(), 8u);
+    EXPECT_GE(fields.size(), 6u);
     for (const std::string& field : fields) {
         EXPECT_NE(guide.find(field), std::string::npos)
             << "AdaptConfig::" << field << " is not documented in "

@@ -15,9 +15,7 @@ using core::SpeedFunction;
 
 AggregateOptions quick_options(double x_max = 2000.0) {
     AggregateOptions options;
-    options.x_min = 4.0;
     options.x_max = x_max;
-    options.points = 12;
     return options;
 }
 

@@ -1,5 +1,5 @@
-// Tests for the in-process runtime: thread pool, barrier, channel and the
-// SPMD process group.
+// Tests for the in-process runtime: thread pool, barrier and the SPMD
+// process group.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "fpm/rt/barrier.hpp"
-#include "fpm/rt/channel.hpp"
 #include "fpm/rt/process_group.hpp"
 #include "fpm/rt/thread_pool.hpp"
 #include "stress_harness.hpp"
@@ -107,67 +106,6 @@ TEST(Barrier, SinglePartyNeverBlocks) {
     SUCCEED();
 }
 
-TEST(Channel, SendReceiveOrder) {
-    Channel<int> channel;
-    channel.send(1);
-    channel.send(2);
-    channel.send(3);
-    EXPECT_EQ(channel.receive(), 1);
-    EXPECT_EQ(channel.receive(), 2);
-    EXPECT_EQ(channel.try_receive(), 3);
-    EXPECT_EQ(channel.try_receive(), std::nullopt);
-}
-
-TEST(Channel, CloseWakesReceivers) {
-    Channel<int> channel;
-    std::optional<int> received = 42;
-    std::thread receiver([&]() { received = channel.receive(); });
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    channel.close();
-    receiver.join();
-    EXPECT_EQ(received, std::nullopt);
-}
-
-TEST(Channel, SendOnClosedThrows) {
-    Channel<int> channel;
-    channel.close();
-    EXPECT_THROW(channel.send(1), fpm::Error);
-    EXPECT_TRUE(channel.closed());
-}
-
-TEST(Channel, BoundedCapacityBlocksAndDrains) {
-    Channel<int> channel(2);
-    channel.send(1);
-    channel.send(2);
-    std::atomic<bool> third_sent{false};
-    std::thread sender([&]() {
-        channel.send(3);  // blocks until a receive frees a slot
-        third_sent = true;
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    EXPECT_FALSE(third_sent.load());
-    EXPECT_EQ(channel.receive(), 1);
-    sender.join();
-    EXPECT_TRUE(third_sent.load());
-}
-
-TEST(Channel, CrossThreadThroughput) {
-    Channel<int> channel(8);
-    constexpr int kMessages = 500;
-    std::int64_t sum = 0;
-    std::thread consumer([&]() {
-        while (auto value = channel.receive()) {
-            sum += *value;
-        }
-    });
-    for (int i = 1; i <= kMessages; ++i) {
-        channel.send(i);
-    }
-    channel.close();
-    consumer.join();
-    EXPECT_EQ(sum, static_cast<std::int64_t>(kMessages) * (kMessages + 1) / 2);
-}
-
 TEST(ProcessGroup, RanksAndSize) {
     ProcessGroup group(5);
     std::vector<std::atomic<int>> seen(5);
@@ -240,40 +178,8 @@ TEST(ProcessGroup, ExceptionFromOneRankPropagates) {
 }
 
 // Concurrency stress: the serve layer funnels every partition request
-// through the pool and channels, so hammer them from many simultaneous
-// producers and consumers (shared harness with test_serve).
-TEST(Stress, ChannelManyProducersManyConsumers) {
-    constexpr std::size_t kProducers = 8;
-    constexpr std::size_t kConsumers = 8;
-    constexpr int kPerProducer = 500;
-    Channel<int> channel(16);
-    std::atomic<std::int64_t> sum{0};
-    std::atomic<std::int64_t> received{0};
-    std::atomic<std::size_t> producers_left{kProducers};
-
-    fpm::test::run_concurrently(kProducers + kConsumers, [&](std::size_t id) {
-        if (id < kProducers) {
-            for (int i = 1; i <= kPerProducer; ++i) {
-                channel.send(i);
-            }
-            if (--producers_left == 0) {
-                channel.close();
-            }
-        } else {
-            while (auto value = channel.receive()) {
-                sum += *value;
-                ++received;
-            }
-        }
-    });
-
-    const std::int64_t per_producer =
-        static_cast<std::int64_t>(kPerProducer) * (kPerProducer + 1) / 2;
-    EXPECT_EQ(received.load(),
-              static_cast<std::int64_t>(kProducers) * kPerProducer);
-    EXPECT_EQ(sum.load(), static_cast<std::int64_t>(kProducers) * per_producer);
-}
-
+// through the pool, so hammer it from many simultaneous submitters
+// (shared harness with test_serve).
 TEST(Stress, ThreadPoolSubmitStorm) {
     constexpr std::size_t kSubmitters = 12;
     static constexpr int kPerSubmitter = 200;
@@ -296,36 +202,6 @@ TEST(Stress, ThreadPoolSubmitStorm) {
     });
     EXPECT_EQ(executed.load(),
               static_cast<std::int64_t>(kSubmitters) * kPerSubmitter);
-}
-
-TEST(Stress, ThreadPoolFeedsChannelPipeline) {
-    // Producers submit pool tasks whose results stream through a channel
-    // to concurrent consumers — the serve request/response shape.
-    constexpr int kItems = 1000;
-    ThreadPool pool(4);
-    Channel<std::int64_t> results(8);
-    std::atomic<std::int64_t> total{0};
-
-    fpm::test::run_concurrently(4, [&](std::size_t id) {
-        if (id == 0) {  // dispatcher
-            std::vector<std::future<void>> futures;
-            futures.reserve(kItems);
-            for (int i = 1; i <= kItems; ++i) {
-                futures.push_back(pool.submit(
-                    [&results, i]() { results.send(i); }));
-            }
-            for (auto& future : futures) {
-                future.get();
-            }
-            results.close();
-        } else {  // consumers
-            while (auto value = results.receive()) {
-                total += *value;
-            }
-        }
-    });
-    EXPECT_EQ(total.load(),
-              static_cast<std::int64_t>(kItems) * (kItems + 1) / 2);
 }
 
 TEST(ProcessGroup, Validation) {

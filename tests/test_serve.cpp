@@ -81,6 +81,16 @@ TEST(Fingerprint, ContentDeterminesHash) {
               fingerprint_models(synthetic_models(4, 16, 1.0)));
 }
 
+TEST(Fingerprint, PinnedValue) {
+    // Every WAL record and snapshot carries this hash and recovery
+    // re-checks it, so its value may never change.
+    const std::vector<SpeedFunction> models = {
+        SpeedFunction({{10.0, 5.0}, {100.0, 20.0}}, "cpu"),
+        SpeedFunction({{10.0, 50.0}, {300.0, 80.0}}, "gpu", 400.0),
+    };
+    EXPECT_EQ(fingerprint_models(models), 0x5d16e23cd79205a7ULL);
+}
+
 TEST(Fingerprint, IndependentOfRegistryName) {
     ModelRegistry registry;
     const auto first = registry.put("alpha", synthetic_models(2, 8, 1.0));
@@ -742,6 +752,60 @@ TEST(ServeClientTest, RejectsProtocolVersionMismatch) {
             << e.what();
     }
     impostor.join();
+    ::close(fd);
+}
+
+TEST(ServeClientTest, LateReplyNeverAnswersTheNextRequest) {
+    // The server answers the first line only after the client gave up on
+    // it.  The client must drop that connection, so the late reply can
+    // not be read as the answer to the next request, and must not re-send
+    // the failed one.
+    const auto [fd, port] = loopback_listener();
+    std::atomic<bool> late_reply_sent{false};
+    std::vector<std::string> received;
+    std::thread server([fd = fd, &late_reply_sent, &received]() {
+        int conn = -1;
+        std::string pending;
+        while (received.size() < 2) {
+            if (conn < 0 && (conn = ::accept(fd, nullptr, nullptr)) < 0) {
+                return;
+            }
+            char buffer[256];
+            const ssize_t got = ::recv(conn, buffer, sizeof buffer, 0);
+            if (got <= 0) {  // the client hung up: serve its next connection
+                ::close(conn);
+                conn = -1;
+                pending.clear();
+                continue;
+            }
+            pending.append(buffer, static_cast<std::size_t>(got));
+            for (std::size_t eol; (eol = pending.find('\n')) != std::string::npos;) {
+                received.push_back(pending.substr(0, eol));
+                pending.erase(0, eol + 1);
+                const bool first = received.size() == 1;
+                if (first) {
+                    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+                }
+                const std::string reply = "OK REPLY-TO " + received.back() + "\n";
+                (void)::send(conn, reply.data(), reply.size(), MSG_NOSIGNAL);
+                if (first) {
+                    late_reply_sent = true;
+                }
+            }
+        }
+        ::close(conn);
+    });
+
+    ServeConfig config;
+    config.recv_timeout = 0.1;
+    ServeClient client("127.0.0.1", port, config);
+    EXPECT_THROW((void)client.request("FIRST"), TransportError);
+    for (int i = 0; i < 1000 && !late_reply_sent; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    EXPECT_EQ(client.request("SECOND"), "OK REPLY-TO SECOND");
+    server.join();
+    EXPECT_EQ(received, (std::vector<std::string>{"FIRST", "SECOND"}));
     ::close(fd);
 }
 
