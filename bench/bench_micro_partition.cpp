@@ -3,10 +3,12 @@
 // column layout, across device counts.
 #include <benchmark/benchmark.h>
 
+#include "fpm/app/device_set.hpp"
 #include "fpm/common/rng.hpp"
 #include "fpm/part/column2d.hpp"
 #include "fpm/part/fpm_partitioner.hpp"
 #include "fpm/part/integer.hpp"
+#include "fpm/sim/specs.hpp"
 
 namespace {
 
@@ -39,6 +41,41 @@ void BM_FpmPartition(benchmark::State& state) {
 }
 BENCHMARK(BM_FpmPartition)->Arg(2)->Arg(6)->Arg(24)->Arg(96);
 
+/// The kind of model the service benchmark plans on: `nodes` noisy
+/// re-measurements of the paper's hybrid node (6 devices each, 14-38 knots
+/// per model), seeded as the partitioner's pin test seeds its 6- and
+/// 24-device sets.
+std::vector<SpeedFunction> noisy_hybrid_nodes(std::uint64_t nodes) {
+    std::vector<SpeedFunction> models;
+    for (std::uint64_t node = 0; node < nodes; ++node) {
+        fpm::sim::SimOptions options;
+        options.noise_sigma = 0.03;
+        options.noise_seed = nodes == 1 ? 11 : 100 + node;
+        fpm::sim::HybridNode hybrid(fpm::sim::ig_platform(), options);
+        fpm::core::FpmBuildOptions build;
+        build.x_min = 4.0;
+        build.x_max = 5200.0;
+        build.initial_points = 14;
+        build.max_points = 44;
+        build.reliability.min_repetitions = 1;
+        build.reliability.max_repetitions = 1;
+        const auto part = fpm::app::build_device_fpms(
+            hybrid, fpm::app::hybrid_devices(hybrid), build);
+        models.insert(models.end(), part.begin(), part.end());
+    }
+    return models;
+}
+
+void BM_FpmPartitionHybrid(benchmark::State& state) {
+    const auto nodes = static_cast<std::uint64_t>(state.range(0)) / 6;
+    const auto models = noisy_hybrid_nodes(nodes);
+    for (auto _ : state) {
+        const auto result = fpm::part::partition_fpm(models, 100.0 * 100.0);
+        benchmark::DoNotOptimize(result.partition.share.data());
+    }
+}
+BENCHMARK(BM_FpmPartitionHybrid)->Arg(6)->Arg(24);
+
 void BM_RoundPartition(benchmark::State& state) {
     const auto models = synthetic_devices(static_cast<std::size_t>(state.range(0)));
     const auto continuous = fpm::part::partition_fpm(models, 4900.0);
@@ -65,11 +102,13 @@ void BM_ColumnLayout(benchmark::State& state) {
 }
 BENCHMARK(BM_ColumnLayout)->Arg(2)->Arg(6)->Arg(24);
 
+// A model builds its envelope in SpeedFunction's constructor, so this
+// times constructing one 16-knot model.
 void BM_MonotoneEnvelope(benchmark::State& state) {
     const auto models = synthetic_devices(1);
     for (auto _ : state) {
-        const fpm::core::MonotoneTime envelope(models[0]);
-        benchmark::DoNotOptimize(envelope.invert(1.0));
+        const SpeedFunction model(models[0].points(), models[0].name());
+        benchmark::DoNotOptimize(model.points().data());
     }
 }
 BENCHMARK(BM_MonotoneEnvelope);

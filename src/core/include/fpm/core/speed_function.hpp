@@ -15,8 +15,10 @@
 /// algorithm honours naturally.
 #pragma once
 
+#include <array>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fpm/common/error.hpp"
@@ -27,6 +29,12 @@ namespace fpm::core {
 struct SpeedPoint {
     double x = 0.0;      ///< problem size (matrix area in blocks)
     double speed = 0.0;  ///< x / t(x), blocks per second
+};
+
+/// One sample of a monotone execution-time envelope (see MonotoneTime).
+struct EnvelopeSample {
+    double x = 0.0;
+    double time = 0.0;
 };
 
 /// Piecewise-linear speed function; see file comment.
@@ -80,9 +88,13 @@ public:
                                         double merge_radius_rel = 0.1) const;
 
 private:
+    friend class MonotoneTime;
+
     std::vector<SpeedPoint> points_;
     std::string name_;
     double max_problem_ = std::numeric_limits<double>::infinity();
+    /// The envelope's last sample in each grid segment; see MonotoneTime.
+    std::vector<EnvelopeSample> envelope_;
 };
 
 /// Monotone execution-time view of a SpeedFunction.
@@ -91,36 +103,55 @@ private:
 /// inverse of its execution-time function: x(T) = the largest problem
 /// solvable within time T.  Real measured speed functions can make
 /// t(x) = x/s(x) locally non-monotone (e.g. the super-linear speed ramp of
-/// a GPU); MonotoneTime samples t on a refined grid (eight samples per
-/// segment between knots), takes the running maximum (the canonical
-/// monotone envelope used by the partitioner) and supports O(log n)
-/// inversion.  The envelope is a pure function of the SpeedFunction.
+/// a GPU), so the partitioner works on an envelope: t sampled on a grid
+/// (eight samples per knot segment, then a tail segment out to a finite
+/// max_problem) under a running maximum, interpolated linearly between
+/// samples.
+///
+/// A SpeedFunction builds its envelope once, when constructed, and keeps
+/// only each grid segment's last sample (two doubles per knot); being
+/// immutable, one model may be read by any number of threads.  A view
+/// regenerates just the segment a query falls in, with the constructor's
+/// arithmetic, and keeps it for the next query, so results equal the full
+/// grid bit for bit.  Make one view per partitioning call: it points into
+/// its model and must not outlive it, and time() and invert() update its
+/// kept segment, so a view is never shared between threads.
 class MonotoneTime {
 public:
+    /// Grid samples per knot segment.
+    static constexpr std::size_t kSamplesPerSegment = 8;
+
     explicit MonotoneTime(const SpeedFunction& fn);
+    MonotoneTime(const SpeedFunction&&) = delete;  // would dangle
 
     /// Monotone (non-decreasing) execution time at x in [0, max_problem].
     /// For unbounded devices, sizes beyond the measured range extrapolate
     /// linearly at the terminal (clamped) speed.
-    [[nodiscard]] double time(double x) const;
+    [[nodiscard]] double time(double x);
 
     /// Largest x with time(x) <= T (0 if nothing fits; never exceeds
     /// max_problem).
-    [[nodiscard]] double invert(double t) const;
+    [[nodiscard]] double invert(double t);
 
     /// Capacity bound: the speed function's max_problem() (infinity for
     /// unbounded devices).
-    [[nodiscard]] double max_problem() const noexcept { return max_problem_; }
+    [[nodiscard]] double max_problem() const noexcept { return fn_->max_problem(); }
 
     /// Envelope time at the end of the sampled grid.
     [[nodiscard]] double max_time() const noexcept;
 
 private:
-    std::vector<double> xs_;
-    std::vector<double> ts_;  // running-max envelope, same length as xs_
-    double max_x_ = 0.0;      // end of the sampled grid
-    double max_problem_ = 0.0;
+    /// The grid samples either side of `value` along `key` (x or time): the
+    /// last at or below it and the first above it, which must exist.
+    std::pair<EnvelopeSample, EnvelopeSample> bracket(double value,
+                                                      double EnvelopeSample::*key);
+
+    const SpeedFunction* fn_ = nullptr;
+    double max_x_ = 0.0;           // end of the sampled grid
     double terminal_speed_ = 0.0;  // clamped speed past the grid
+    // The grid segment samples_ holds (none yet: max), and its samples.
+    std::size_t segment_ = std::numeric_limits<std::size_t>::max();
+    std::array<EnvelopeSample, kSamplesPerSegment> samples_{};
 };
 
 } // namespace fpm::core

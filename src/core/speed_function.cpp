@@ -1,11 +1,50 @@
 #include "fpm/core/speed_function.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "fpm/common/math.hpp"
 
 namespace fpm::core {
+
+namespace {
+
+/// Writes grid segment `segment`'s samples to `out`, continuing from the
+/// grid's sample `prev`, and returns the segment's last (`prev` if none).
+/// Segment k < knots - 1 subsamples knot segment k; the last is the tail up
+/// to max_x.  The model's summary and every view's regeneration run this.
+EnvelopeSample sample_segment(const SpeedFunction& fn, double max_x,
+                              std::size_t segment, EnvelopeSample prev,
+                              EnvelopeSample* out) {
+    std::size_t count = 0;
+    auto push = [&](double x) {
+        x = std::min(x, max_x);
+        prev = EnvelopeSample{x, std::max(fn.time(x), prev.time)};
+        out[count++] = prev;
+    };
+    auto push_sample = [&](double x) {
+        if (x > prev.x + 1e-12 && x <= max_x * (1.0 + 1e-12)) {
+            push(x);
+        }
+    };
+    const auto& pts = fn.points();
+    if (segment + 1 < pts.size()) {
+        for (std::size_t s = 0; s < MonotoneTime::kSamplesPerSegment; ++s) {
+            const double t = static_cast<double>(s) /
+                             static_cast<double>(MonotoneTime::kSamplesPerSegment);
+            push_sample(lerp(pts[segment].x, pts[segment + 1].x, t));
+        }
+    } else {
+        push_sample(pts.back().x);
+        if (prev.x < max_x) {
+            push(max_x);
+        }
+    }
+    return prev;
+}
+
+} // namespace
 
 SpeedFunction::SpeedFunction(std::vector<SpeedPoint> points, std::string name,
                              double max_problem)
@@ -21,6 +60,20 @@ SpeedFunction::SpeedFunction(std::vector<SpeedPoint> points, std::string name,
             FPM_CHECK(points_[i].x > points_[i - 1].x,
                       "speed points need strictly increasing x");
         }
+    }
+
+    // The monotone time envelope, summarised: each grid segment's last
+    // sample (a segment the de-duplication empties repeats the one before).
+    // The grid ends at the capacity bound, or for an unbounded device at the
+    // last knot: past it speed is clamped, so time is linear.
+    const double max_x =
+        std::isfinite(max_problem_) ? max_problem_ : points_.back().x;
+    std::array<EnvelopeSample, MonotoneTime::kSamplesPerSegment> samples;
+    EnvelopeSample last;
+    envelope_.reserve(points_.size());
+    for (std::size_t segment = 0; segment < points_.size(); ++segment) {
+        last = sample_segment(*this, max_x, segment, last, samples.data());
+        envelope_.push_back(last);
     }
 }
 
@@ -98,100 +151,66 @@ SpeedFunction SpeedFunction::spliced(double x, double speed,
     return SpeedFunction(std::move(merged), name_, max_problem_);
 }
 
-MonotoneTime::MonotoneTime(const SpeedFunction& fn) {
+MonotoneTime::MonotoneTime(const SpeedFunction& fn) : fn_(&fn) {
     FPM_CHECK(!fn.empty(), "cannot build MonotoneTime from an empty function");
-
-    const auto& pts = fn.points();
-    max_problem_ = fn.max_problem();
-    // Beyond the last measured point speed is clamped, so time is linear
-    // and invertible in closed form; the sampled grid only needs to reach
-    // the larger of the last knot and a finite capacity bound.
-    max_x_ = std::isfinite(max_problem_) ? max_problem_ : pts.back().x;
-    terminal_speed_ = fn.speed(std::min(pts.back().x, max_x_));
-
-    // Sample grid: knots plus uniform subsamples per segment, extended to
-    // max_x_ when the feasible range exceeds the measured range.
-    constexpr std::size_t kSamplesPerSegment = 8;
-    xs_.push_back(0.0);
-    ts_.push_back(0.0);
-    auto push_sample = [&](double x) {
-        if (x <= xs_.back() + 1e-12 || x > max_x_ * (1.0 + 1e-12)) {
-            return;
-        }
-        xs_.push_back(std::min(x, max_x_));
-        ts_.push_back(fn.time(xs_.back()));
-    };
-    for (std::size_t i = 0; i + 1 < pts.size(); ++i) {
-        for (std::size_t s = 0; s < kSamplesPerSegment; ++s) {
-            const double t = static_cast<double>(s) /
-                             static_cast<double>(kSamplesPerSegment);
-            push_sample(lerp(pts[i].x, pts[i + 1].x, t));
-        }
-    }
-    push_sample(pts.back().x);
-    push_sample(max_x_);
-    if (xs_.back() < max_x_) {
-        xs_.push_back(max_x_);
-        ts_.push_back(fn.time(max_x_));
-    }
-
-    // Running-max envelope makes time non-decreasing.
-    for (std::size_t i = 1; i < ts_.size(); ++i) {
-        ts_[i] = std::max(ts_[i], ts_[i - 1]);
-    }
+    max_x_ = fn.envelope_.back().x;
+    terminal_speed_ = fn.speed(std::min(fn.points().back().x, max_x_));
 }
 
-double MonotoneTime::time(double x) const {
+std::pair<EnvelopeSample, EnvelopeSample>
+MonotoneTime::bracket(double value, double EnvelopeSample::*key) {
+    // The first grid sample above `value` is in the first segment whose
+    // last sample is above it.
+    const auto& marks = fn_->envelope_;
+    const auto k = static_cast<std::size_t>(
+        std::ranges::upper_bound(marks, value, {}, key) - marks.begin());
+    EnvelopeSample lo = k == 0 ? EnvelopeSample{} : marks[k - 1];
+    if (k != segment_) {
+        sample_segment(*fn_, max_x_, k, lo, samples_.data());
+        segment_ = k;
+    }
+    const EnvelopeSample* hi = samples_.data();
+    while (hi->*key <= value) {
+        lo = *hi++;
+    }
+    return {lo, *hi};
+}
+
+double MonotoneTime::time(double x) {
     FPM_CHECK(x >= 0.0, "problem size must be non-negative");
     if (x > max_x_ * (1.0 + 1e-12)) {
-        if (x > max_problem_ * (1.0 + 1e-12)) {
+        if (x > max_problem() * (1.0 + 1e-12)) {
             return std::numeric_limits<double>::infinity();
         }
         // Unbounded device past the sampled grid: linear extrapolation at
         // the terminal (clamped) speed.
-        return ts_.back() + (x - max_x_) / terminal_speed_;
+        return max_time() + (x - max_x_) / terminal_speed_;
     }
-    const auto upper = std::upper_bound(xs_.begin(), xs_.end(), x);
-    if (upper == xs_.end()) {
-        return ts_.back();
+    if (x >= max_x_) {
+        return max_time();
     }
-    if (upper == xs_.begin()) {
-        return ts_.front();
-    }
-    const std::size_t hi = static_cast<std::size_t>(upper - xs_.begin());
-    const std::size_t lo = hi - 1;
-    if (xs_[hi] == xs_[lo]) {
-        return ts_[hi];
-    }
-    const double f = (x - xs_[lo]) / (xs_[hi] - xs_[lo]);
-    return lerp(ts_[lo], ts_[hi], f);
+    const auto [lo, hi] = bracket(x, &EnvelopeSample::x);
+    const double f = (x - lo.x) / (hi.x - lo.x);
+    return lerp(lo.time, hi.time, f);
 }
 
 double MonotoneTime::max_time() const noexcept {
-    return ts_.back();
+    return fn_->envelope_.back().time;
 }
 
-double MonotoneTime::invert(double t) const {
+double MonotoneTime::invert(double t) {
     FPM_CHECK(t >= 0.0, "time must be non-negative");
-    if (t >= ts_.back()) {
-        if (!std::isfinite(max_problem_)) {
+    if (t >= max_time()) {
+        if (!std::isfinite(max_problem())) {
             // Unbounded device: keep growing at the terminal speed.
-            return max_x_ + (t - ts_.back()) * terminal_speed_;
+            return max_x_ + (t - max_time()) * terminal_speed_;
         }
         return max_x_;
     }
-    // Largest index with ts_ <= t; within flat runs pick the rightmost x.
-    const auto upper = std::upper_bound(ts_.begin(), ts_.end(), t);
-    const std::size_t hi = static_cast<std::size_t>(upper - ts_.begin());
-    if (hi == 0) {
-        return 0.0;
-    }
-    const std::size_t lo = hi - 1;
-    if (ts_[hi] == ts_[lo]) {
-        return xs_[hi];
-    }
-    const double f = (t - ts_[lo]) / (ts_[hi] - ts_[lo]);
-    return lerp(xs_[lo], xs_[hi], f);
+    // Largest x with time <= t; within flat runs the rightmost x wins.
+    const auto [lo, hi] = bracket(t, &EnvelopeSample::time);
+    const double f = (t - lo.time) / (hi.time - lo.time);
+    return lerp(lo.x, hi.x, f);
 }
 
 } // namespace fpm::core

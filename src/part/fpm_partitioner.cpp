@@ -49,7 +49,7 @@ FpmPartitionResult partition_fpm(std::span<const core::SpeedFunction> models,
         return result;
     }
 
-    // Monotone execution-time envelopes, one per device.
+    // Views of each model's monotone execution-time envelope.
     std::vector<core::MonotoneTime> envelopes;
     envelopes.reserve(p);
     double capacity = 0.0;
@@ -62,7 +62,7 @@ FpmPartitionResult partition_fpm(std::span<const core::SpeedFunction> models,
 
     auto assigned_at = [&](double t) {
         double sum = 0.0;
-        for (const auto& envelope : envelopes) {
+        for (auto& envelope : envelopes) {
             sum += envelope.invert(t);
         }
         return sum;

@@ -9,7 +9,9 @@
 /// (equivalently, the slope of that line).  Because each device's monotone
 /// execution-time envelope x(T) is non-decreasing in T, the total assigned
 /// work sum_i x_i(T) is monotone and the bisection converges; it stops
-/// once the assigned total is within a relative 1e-9 of n.
+/// once the assigned total is within a relative 1e-9 of n.  Each model
+/// builds its envelope once, when it is constructed; a call only inverts
+/// it, through one core::MonotoneTime view per device.
 ///
 /// Devices with a finite maximum problem size (a GPU without out-of-core
 /// support) simply saturate at that maximum; the algorithm remains correct

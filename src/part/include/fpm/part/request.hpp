@@ -33,6 +33,10 @@ enum class Algorithm { kFpm, kCpm, kEven };
 [[nodiscard]] std::optional<Algorithm>
 parse_algorithm(std::string_view text) noexcept;
 
+/// Largest n partition() accepts: n * n <= 2^52, so every block count is
+/// exact in a double.
+inline constexpr std::int64_t kMaxN = std::int64_t{1} << 26;
+
 /// One partitioning problem: distribute an n x n block matrix over the
 /// devices described by `models`.
 struct PartitionRequest {
@@ -55,8 +59,8 @@ struct PartitionPlan {
     std::int64_t comm_cost = 0; ///< half-perimeter sum (0 without layout)
 };
 
-/// Runs the full pipeline for `request`.  Throws fpm::Error for n <= 0,
-/// an empty model set or an infeasible workload.
+/// Runs the full pipeline for `request`.  Throws fpm::Error for n outside
+/// 1..kMaxN, an empty model set or an infeasible workload.
 [[nodiscard]] PartitionPlan partition(const PartitionRequest& request);
 
 } // namespace fpm::part

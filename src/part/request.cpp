@@ -38,6 +38,7 @@ std::optional<Algorithm> parse_algorithm(std::string_view text) noexcept {
 PartitionPlan partition(const PartitionRequest& request) {
     obs::Span span("part.partition", static_cast<std::uint64_t>(request.n));
     FPM_CHECK(request.n > 0, "workload size must be positive");
+    FPM_CHECK(request.n <= kMaxN, "workload size exceeds 2^26");
     FPM_CHECK(!request.models.empty(), "need at least one device");
     const auto& models = request.models;
     const double total =

@@ -170,6 +170,8 @@ Request Request::decode(const std::string& line) {
         request.partition.model_set = tokens[1];
         request.partition.n = parse_int(tokens[2], "workload size");
         FPM_CHECK(request.partition.n > 0, "workload size must be positive");
+        FPM_CHECK(request.partition.n <= part::kMaxN,
+                  "workload size exceeds 2^26: " + tokens[2]);
         const auto algorithm = part::parse_algorithm(tokens[3]);
         FPM_CHECK(algorithm.has_value(), "unknown algorithm: " + tokens[3]);
         request.partition.algorithm = *algorithm;

@@ -171,6 +171,20 @@ TEST(FpmPartitioner, IterationsReported) {
     EXPECT_LE(result.iterations, 200U);
 }
 
+TEST(PartitionRequestBound, PlansUpToKMaxNAndThrowsAbove) {
+    const auto models = two_constant_devices();
+    const PartitionPlan plan =
+        partition(PartitionRequest{models, kMaxN, Algorithm::kFpm, true});
+    EXPECT_EQ(plan.blocks[0] + plan.blocks[1], kMaxN * kMaxN);
+    EXPECT_EQ(plan.blocks[1], 3 * plan.blocks[0]);
+    // Past kMaxN a block count may round in a double; from 3,037,000,500
+    // n * n overflows int64.
+    for (const std::int64_t n : {kMaxN + 1, std::int64_t{3037000500}}) {
+        const PartitionRequest request{models, n, Algorithm::kFpm, true};
+        EXPECT_THROW((void)partition(request), fpm::Error) << n;
+    }
+}
+
 /// FPMs of the paper's hybrid node (2 GPUs + 4 socket groups) measured
 /// under 3 % simulator noise with a fixed seed.
 std::vector<SpeedFunction> noisy_hybrid(std::uint64_t noise_seed) {

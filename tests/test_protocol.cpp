@@ -105,6 +105,10 @@ TEST(ProtocolRequest, EveryKindRoundTrips) {
     nolayout.partition.algorithm = Algorithm::kEven;
     requests.push_back(nolayout);
 
+    Request largest = partition;
+    largest.partition.n = part::kMaxN;
+    requests.push_back(largest);
+
     Request feedback;
     feedback.kind = Request::Kind::kFeedback;
     feedback.feedback.model_set = "hybrid";
@@ -140,6 +144,8 @@ TEST(ProtocolRequest, RejectsMalformedLines) {
         "PARTITION set abc fpm",
         "PARTITION set 0 fpm",
         "PARTITION set -5 fpm",
+        "PARTITION set 67108865 fpm",    // part::kMaxN + 1
+        "PARTITION set 3037000500 fpm",  // n * n overflows int64
         "PARTITION set 10 fpm badopt",
         "PARTITION set 10 fpm nolayout extra",
         "partition set 10 fpm",  // verbs are case-sensitive

@@ -692,6 +692,21 @@ TEST(ServeIntegration, WireLoadStatsAndQuit) {
     std::remove(csv.c_str());
 }
 
+TEST(ServeIntegration, WireRejectsWorkloadAboveTheBound) {
+    ModelRegistry registry;
+    registry.put("big", synthetic_models(2, 8, 1.0));
+    RequestEngine engine(registry, {.workers = 2, .cache_capacity = 4});
+    SocketServer server(engine);
+    server.start();
+
+    ServeClient client("127.0.0.1", server.port());
+    const std::string reply = client.request("PARTITION big 67108865 fpm");
+    EXPECT_EQ(reply.rfind("ERR bad_request ", 0), 0U) << reply;
+    client.ping();  // the connection stays open
+
+    server.stop();
+}
+
 /// Binds a loopback listener on an ephemeral port (never accepts unless
 /// the test does so itself); returns {fd, port}.
 std::pair<int, std::uint16_t> loopback_listener() {

@@ -2,9 +2,16 @@
 // and their monotone execution-time envelopes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <sstream>
 
+#include "fpm/app/device_set.hpp"
+#include "fpm/common/math.hpp"
 #include "fpm/core/speed_function.hpp"
+#include "fpm/sim/specs.hpp"
 
 namespace fpm::core {
 namespace {
@@ -79,7 +86,7 @@ TEST(SpeedFunction, GflopsConversion) {
 
 TEST(MonotoneTime, MatchesTimeForWellBehavedFunctions) {
     const SpeedFunction fn = ramp_function();
-    const MonotoneTime envelope(fn);
+    MonotoneTime envelope(fn);
     for (double x = 1.0; x <= 100.0; x += 7.3) {
         EXPECT_NEAR(envelope.time(x), fn.time(x), 0.02 * fn.time(x)) << x;
     }
@@ -87,7 +94,7 @@ TEST(MonotoneTime, MatchesTimeForWellBehavedFunctions) {
 
 TEST(MonotoneTime, InvertRoundTrip) {
     const SpeedFunction fn = ramp_function();
-    const MonotoneTime envelope(fn);
+    MonotoneTime envelope(fn);
     for (double x = 2.0; x <= 100.0; x += 4.9) {
         const double t = envelope.time(x);
         const double back = envelope.invert(t);
@@ -97,7 +104,7 @@ TEST(MonotoneTime, InvertRoundTrip) {
 
 TEST(MonotoneTime, InvertIsMonotone) {
     const SpeedFunction fn = ramp_function();
-    const MonotoneTime envelope(fn);
+    MonotoneTime envelope(fn);
     double previous = 0.0;
     for (double t = 0.0; t <= envelope.max_time(); t += envelope.max_time() / 37) {
         const double x = envelope.invert(t);
@@ -112,7 +119,7 @@ TEST(MonotoneTime, EnvelopeFlattensNonMonotoneTime) {
     // slow that t(60) > t(50), but right before the drop, t briefly
     // decreases going backwards.  The envelope must be non-decreasing.
     const SpeedFunction fn({{10.0, 10.0}, {49.0, 50.0}, {51.0, 5.0}}, "cliff");
-    const MonotoneTime envelope(fn);
+    MonotoneTime envelope(fn);
     double previous = 0.0;
     for (double x = 0.0; x <= 51.0; x += 0.5) {
         const double t = envelope.time(x);
@@ -123,7 +130,7 @@ TEST(MonotoneTime, EnvelopeFlattensNonMonotoneTime) {
 
 TEST(MonotoneTime, InvertHonoursCapacityBound) {
     const SpeedFunction fn({{10.0, 10.0}, {100.0, 20.0}}, "gpu", 120.0);
-    const MonotoneTime envelope(fn);
+    MonotoneTime envelope(fn);
     EXPECT_DOUBLE_EQ(envelope.max_problem(), 120.0);
     // Beyond the max feasible time, the device saturates at its capacity.
     EXPECT_DOUBLE_EQ(envelope.invert(1e9), 120.0);
@@ -132,12 +139,210 @@ TEST(MonotoneTime, InvertHonoursCapacityBound) {
 
 TEST(MonotoneTime, UnboundedFunctionExtendsPastLastKnot) {
     const SpeedFunction fn = ramp_function();  // unbounded
-    const MonotoneTime envelope(fn);
+    MonotoneTime envelope(fn);
     EXPECT_TRUE(std::isinf(envelope.max_problem()));
     // Beyond the measured range, time extrapolates at the clamped speed
     // (40 blocks/s), so x = 200 takes 5 s and invert(5) = 200.
     EXPECT_NEAR(envelope.time(200.0), 5.0, 1e-9);
     EXPECT_NEAR(envelope.invert(5.0), 200.0, 1e-9);
+}
+
+/// The whole sampled grid, built eagerly: the reference the compact
+/// envelope must match bit for bit.  Construction, time() and invert()
+/// are kept verbatim from the full-grid form of MonotoneTime.
+class FullGridEnvelope {
+public:
+    explicit FullGridEnvelope(const SpeedFunction& fn) {
+        FPM_CHECK(!fn.empty(), "cannot build MonotoneTime from an empty function");
+
+        const auto& pts = fn.points();
+        max_problem_ = fn.max_problem();
+        // Beyond the last measured point speed is clamped, so time is linear
+        // and invertible in closed form; the sampled grid only needs to reach
+        // the larger of the last knot and a finite capacity bound.
+        max_x_ = std::isfinite(max_problem_) ? max_problem_ : pts.back().x;
+        terminal_speed_ = fn.speed(std::min(pts.back().x, max_x_));
+
+        // Sample grid: knots plus uniform subsamples per segment, extended to
+        // max_x_ when the feasible range exceeds the measured range.
+        constexpr std::size_t kSamplesPerSegment = 8;
+        xs_.push_back(0.0);
+        ts_.push_back(0.0);
+        auto push_sample = [&](double x) {
+            if (x <= xs_.back() + 1e-12 || x > max_x_ * (1.0 + 1e-12)) {
+                return;
+            }
+            xs_.push_back(std::min(x, max_x_));
+            ts_.push_back(fn.time(xs_.back()));
+        };
+        for (std::size_t i = 0; i + 1 < pts.size(); ++i) {
+            for (std::size_t s = 0; s < kSamplesPerSegment; ++s) {
+                const double t = static_cast<double>(s) /
+                                 static_cast<double>(kSamplesPerSegment);
+                push_sample(lerp(pts[i].x, pts[i + 1].x, t));
+            }
+        }
+        push_sample(pts.back().x);
+        push_sample(max_x_);
+        if (xs_.back() < max_x_) {
+            xs_.push_back(max_x_);
+            ts_.push_back(fn.time(max_x_));
+        }
+
+        // Running-max envelope makes time non-decreasing.
+        for (std::size_t i = 1; i < ts_.size(); ++i) {
+            ts_[i] = std::max(ts_[i], ts_[i - 1]);
+        }
+    }
+
+    [[nodiscard]] double time(double x) const {
+        FPM_CHECK(x >= 0.0, "problem size must be non-negative");
+        if (x > max_x_ * (1.0 + 1e-12)) {
+            if (x > max_problem_ * (1.0 + 1e-12)) {
+                return std::numeric_limits<double>::infinity();
+            }
+            // Unbounded device past the sampled grid: linear extrapolation at
+            // the terminal (clamped) speed.
+            return ts_.back() + (x - max_x_) / terminal_speed_;
+        }
+        const auto upper = std::upper_bound(xs_.begin(), xs_.end(), x);
+        if (upper == xs_.end()) {
+            return ts_.back();
+        }
+        if (upper == xs_.begin()) {
+            return ts_.front();
+        }
+        const std::size_t hi = static_cast<std::size_t>(upper - xs_.begin());
+        const std::size_t lo = hi - 1;
+        if (xs_[hi] == xs_[lo]) {
+            return ts_[hi];
+        }
+        const double f = (x - xs_[lo]) / (xs_[hi] - xs_[lo]);
+        return lerp(ts_[lo], ts_[hi], f);
+    }
+
+    [[nodiscard]] double invert(double t) const {
+        FPM_CHECK(t >= 0.0, "time must be non-negative");
+        if (t >= ts_.back()) {
+            if (!std::isfinite(max_problem_)) {
+                // Unbounded device: keep growing at the terminal speed.
+                return max_x_ + (t - ts_.back()) * terminal_speed_;
+            }
+            return max_x_;
+        }
+        // Largest index with ts_ <= t; within flat runs pick the rightmost x.
+        const auto upper = std::upper_bound(ts_.begin(), ts_.end(), t);
+        const std::size_t hi = static_cast<std::size_t>(upper - ts_.begin());
+        if (hi == 0) {
+            return 0.0;
+        }
+        const std::size_t lo = hi - 1;
+        if (ts_[hi] == ts_[lo]) {
+            return xs_[hi];
+        }
+        const double f = (t - ts_[lo]) / (ts_[hi] - ts_[lo]);
+        return lerp(xs_[lo], xs_[hi], f);
+    }
+
+    [[nodiscard]] double max_time() const noexcept { return ts_.back(); }
+
+    std::vector<double> xs_;
+    std::vector<double> ts_;  // running-max envelope, same length as xs_
+    double max_x_ = 0.0;      // end of the sampled grid
+    double max_problem_ = 0.0;
+    double terminal_speed_ = 0.0;  // clamped speed past the grid
+};
+
+/// Every grid value, the midpoints between neighbours, 0, and points past
+/// the end of the grid.
+std::vector<double> probes(const std::vector<double>& grid) {
+    std::vector<double> out = {0.0};
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        out.push_back(grid[i]);
+        if (i + 1 < grid.size()) {
+            out.push_back(0.5 * (grid[i] + grid[i + 1]));
+        }
+    }
+    out.push_back(grid.back() * (1.0 + 1e-13));
+    out.push_back(grid.back() * 1.5);
+    out.push_back(grid.back() * 100.0);
+    return out;
+}
+
+/// Probes one view against the reference forwards then backwards, so the
+/// view both keeps and swaps its regenerated segment; returns the probes
+/// whose bits differ, as text.
+std::string compact_mismatches(const SpeedFunction& fn) {
+    const FullGridEnvelope reference(fn);
+    MonotoneTime view(fn);
+    std::ostringstream out;
+    auto same = [](double a, double b) {
+        return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+    };
+    if (!same(view.max_time(), reference.max_time())) {
+        out << " max_time";
+    }
+    const std::vector<double> xs = probes(reference.xs_);
+    const std::vector<double> ts = probes(reference.ts_);
+    for (int pass = 0; pass < 2; ++pass) {
+        for (std::size_t i = 0; i < xs.size(); ++i) {
+            const double x = pass == 0 ? xs[i] : xs[xs.size() - 1 - i];
+            if (!same(view.time(x), reference.time(x))) {
+                out << " time(" << x << ")";
+            }
+        }
+        for (std::size_t i = 0; i < ts.size(); ++i) {
+            const double t = pass == 0 ? ts[i] : ts[ts.size() - 1 - i];
+            if (!same(view.invert(t), reference.invert(t))) {
+                out << " invert(" << t << ")";
+            }
+        }
+    }
+    return out.str();
+}
+
+TEST(MonotoneTime, CompactEnvelopeEqualsTheFullGridBitForBit) {
+    std::vector<SpeedFunction> models = {
+        SpeedFunction::constant(12.0, "one point"),
+        SpeedFunction({{10.0, 10.0}, {49.0, 50.0}, {51.0, 5.0}}, "cliff"),
+        // Knots closer together than the grid's 1e-12 de-duplication
+        // step, so one grid segment is left empty.
+        SpeedFunction({{1.0, 5.0}, {1.0 + 2e-13, 6.0}, {1.0 + 4e-13, 7.0},
+                       {2.0, 8.0}},
+                      "close knots"),
+    };
+    const std::vector<SpeedPoint> gpu = {
+        {10.0, 10.0}, {40.0, 30.0}, {100.0, 20.0}, {400.0, 25.0}};
+    for (const double max_problem : {5.0, 70.0, 400.0, 1000.0}) {
+        models.emplace_back(gpu, "bounded", max_problem);
+    }
+    // Knot subsamples in the 1e-12 relative slack past max_problem all
+    // clamp to it, so the grid repeats one x.
+    models.emplace_back(std::vector<SpeedPoint>{{1e5, 10.0},
+                                                {1e6 + 1e-7, 20.0},
+                                                {1e6 + 9e-7, 21.0}},
+                        "slack", 1e6);
+
+    sim::SimOptions options;
+    options.noise_sigma = 0.03;
+    options.noise_seed = 11;
+    sim::HybridNode node(sim::ig_platform(), options);
+    FpmBuildOptions build;
+    build.x_min = 4.0;
+    build.x_max = 5200.0;
+    build.initial_points = 14;
+    build.max_points = 44;
+    build.reliability.min_repetitions = 1;
+    build.reliability.max_repetitions = 1;
+    const auto hybrid =
+        app::build_device_fpms(node, app::hybrid_devices(node), build);
+    ASSERT_EQ(hybrid.size(), 6u);
+    models.insert(models.end(), hybrid.begin(), hybrid.end());
+
+    for (const SpeedFunction& fn : models) {
+        EXPECT_EQ(compact_mismatches(fn), "")
+            << fn.name() << ", " << fn.points().size() << " knots";
+    }
 }
 
 } // namespace
