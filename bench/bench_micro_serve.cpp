@@ -114,7 +114,7 @@ void BM_EngineCachedPartitionFaultsArmed(benchmark::State& state) {
 BENCHMARK(BM_EngineCachedPartitionFaultsArmed);
 
 // Contended engine throughput: every bench thread hammers a small key
-// set, mixing cache hits with coalesced and cold requests.
+// set, mixing cache hits with cold requests.
 void BM_EngineConcurrentMixedKeys(benchmark::State& state) {
     auto& f = fixture();
     std::int64_t i = state.thread_index();

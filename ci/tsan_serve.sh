@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # ThreadSanitizer job for the serving stack: configures (once) and
-# builds the TSan tree, then runs every test labelled `serve`, `store`
-# or `repl` — the reactor-pool, protocol, fault-injection, adaptation,
-# durable-store and replication suites — under TSan.  This is the
+# builds the TSan tree, then runs every test labelled `serve`, `adapt`,
+# `store` or `repl` — the reactor-pool, protocol, fault-injection,
+# adaptation, durable-store and replication suites — under TSan.  This is the
 # exact command documented in docs/operations.md; keep the two in
 # sync.
 #
@@ -22,4 +22,4 @@ fi
 
 cmake --build "$build" -j "$jobs"
 TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
-  ctest --test-dir "$build" -L "serve|store|repl" --output-on-failure -j 1
+  ctest --test-dir "$build" -L "serve|adapt|store|repl" --output-on-failure -j 1

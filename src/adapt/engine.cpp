@@ -85,8 +85,10 @@ AdaptEngine::Impl::ingest(const serve::FeedbackSample& sample) {
     }
     FPM_CHECK(!sample.model_set.empty(), "model set name must not be empty");
     FPM_CHECK(sample.device >= 0, "device index must be non-negative");
-    FPM_CHECK(sample.problem_size > 0.0, "problem size must be positive");
-    FPM_CHECK(sample.seconds > 0.0, "measured time must be positive");
+    FPM_CHECK(std::isfinite(sample.problem_size) && sample.problem_size > 0.0,
+              "problem size must be positive and finite");
+    FPM_CHECK(std::isfinite(sample.seconds) && sample.seconds > 0.0,
+              "measured time must be positive and finite");
 
     auto snapshot = engine.registry().get(sample.model_set);
     FPM_CHECK(static_cast<std::size_t>(sample.device) <
@@ -171,7 +173,7 @@ AdaptEngine::Impl::ingest(const serve::FeedbackSample& sample) {
             throw Error("injected fault: adapt.publish");
         }
         auto published = engine.registry().put(sample.model_set, state.working);
-        engine.invalidate_model(sample.model_set, snapshot->fingerprint);
+        engine.invalidate_model(snapshot->fingerprint);
         state.synced_fingerprint = published->fingerprint;
         state.dirty = false;
         state.drift.reset();

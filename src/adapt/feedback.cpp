@@ -34,8 +34,10 @@ FeedbackIngestor::FeedbackIngestor(const AdaptConfig& config)
 IngestResult FeedbackIngestor::add(std::int64_t device, double problem_size,
                                    double seconds) {
     FPM_CHECK(device >= 0, "device index must be non-negative");
-    FPM_CHECK(problem_size > 0.0, "problem size must be positive");
-    FPM_CHECK(seconds > 0.0, "measured time must be positive");
+    FPM_CHECK(std::isfinite(problem_size) && problem_size > 0.0,
+              "problem size must be positive and finite");
+    FPM_CHECK(std::isfinite(seconds) && seconds > 0.0,
+              "measured time must be positive and finite");
 
     const std::int64_t region = static_cast<std::int64_t>(std::floor(
         std::log(problem_size) / std::log1p(kBucketResolution)));

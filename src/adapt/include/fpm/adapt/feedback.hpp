@@ -44,9 +44,10 @@ public:
     /// target, zero bucket budget).
     explicit FeedbackIngestor(const AdaptConfig& config);
 
-    /// Ingests one measurement (x > 0 blocks in `seconds` > 0 wall time)
-    /// and reports the owning bucket's state.  When the bucket budget is
-    /// exhausted the bucket with the least evidence is dropped first.
+    /// Ingests one measurement (finite x > 0 blocks in finite `seconds`
+    /// > 0 wall time; throws fpm::Error otherwise) and reports the owning
+    /// bucket's state.  When the bucket budget is exhausted the bucket
+    /// with the least evidence is dropped first.
     IngestResult add(std::int64_t device, double problem_size,
                      double seconds);
 

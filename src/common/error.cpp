@@ -14,10 +14,8 @@ std::string location_string(const std::source_location& loc) {
 
 void throw_check_failure(const char* expr, const std::string& message,
                          const std::source_location& loc) {
-    std::ostringstream os;
-    os << "fpmpart check failed: " << message << " [" << expr << "] at "
-       << location_string(loc);
-    throw Error(os.str());
+    throw Error("fpmpart check failed: ", message,
+                std::string(" [") + expr + "] at " + location_string(loc));
 }
 
 void throw_assert_failure(const char* expr, const std::source_location& loc) {

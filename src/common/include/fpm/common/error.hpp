@@ -8,9 +8,11 @@
 /// aborting the process.
 #pragma once
 
+#include <cstddef>
 #include <source_location>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace fpm {
 
@@ -19,7 +21,27 @@ namespace fpm {
 /// that exceeds every device's capacity).
 class Error : public std::runtime_error {
 public:
-    explicit Error(const std::string& what_arg) : std::runtime_error(what_arg) {}
+    explicit Error(const std::string& message)
+        : std::runtime_error(message), message_size_(message.size()) {}
+
+    /// what() reads `prefix + message + suffix`.  FPM_CHECK puts the
+    /// failed expression and its source location around the message.
+    Error(const std::string& prefix, const std::string& message,
+          const std::string& suffix)
+        : std::runtime_error(prefix + message + suffix),
+          message_begin_(prefix.size()),
+          message_size_(message.size()) {}
+
+    /// The failure in words, without a failed check's expression and
+    /// source location: the text shown to a caller in another process.
+    /// A view into what(), valid while this error lives.
+    [[nodiscard]] std::string_view message() const noexcept {
+        return {what() + message_begin_, message_size_};
+    }
+
+private:
+    std::size_t message_begin_ = 0;
+    std::size_t message_size_ = 0;
 };
 
 /// Logic error raised when an internal invariant of the library fails.

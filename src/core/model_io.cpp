@@ -157,7 +157,7 @@ std::vector<SpeedFunction> read_speed_functions(std::istream& in,
             } catch (const Error& e) {
                 throw ParseError(origin, model_first_line, 0,
                                  "invalid model '" + current_name +
-                                     "': " + e.what());
+                                     "': " + std::string(e.message()));
             }
             current_points = {};
         }

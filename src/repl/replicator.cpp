@@ -271,7 +271,7 @@ void Replicator::apply_record(const store::PublishRecord& record) {
     if (old != nullptr) {
         // Same cache hygiene as an adapt republish: plans computed
         // against the superseded snapshot can never be served again.
-        engine_.invalidate_model(record.name, old->fingerprint);
+        engine_.invalidate_model(old->fingerprint);
     }
 
     applied_generation_.store(record.generation,

@@ -89,9 +89,8 @@ public:
     /// (n, algorithm, layout); returns the number removed.  Model
     /// republication calls this so a refined model can never serve a plan
     /// fingerprinted against the old speed function — LRU aging alone
-    /// would let such entries linger (and the stale-plan cache, keyed on
-    /// a name hash, would never age them at all).  All entries of one
-    /// fingerprint share a shard, so this locks exactly one stripe.
+    /// would let such entries linger.  All entries of one fingerprint
+    /// share a shard, so this locks exactly one stripe.
     std::size_t erase_fingerprint(std::uint64_t fingerprint);
 
     /// Sums the per-shard counters.

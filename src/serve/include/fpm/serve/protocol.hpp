@@ -18,15 +18,16 @@
 ///
 /// Failures are `ERR <code> [<message>]` since v5: the first token is a
 /// stable machine-readable ErrorCode token (see error.hpp) and the rest
-/// is the human diagnosis.  Doubles travel as shortest-exact decimal (%.17g), so a
+/// is the human diagnosis, built by current_error() from the failure's
+/// message alone.  Doubles travel as shortest-exact decimal (%.17g), so a
 /// partition reply decoded by the client compares bit-for-bit with the
 /// direct library call.  kProtocolVersion is the single revision
 /// constant: PING carries it, ServeClient::ping() enforces it, and
 /// nothing else restates it.
 ///
 /// The normative wire-format specification (framing, field grammars,
-/// the ERR taxonomy, degraded-reply semantics) lives in
-/// docs/protocol.md; this header and that document must change together.
+/// the ERR taxonomy, the even-split fallback) lives in docs/protocol.md;
+/// this header and that document must change together.
 #pragma once
 
 #include <array>
@@ -40,7 +41,9 @@
 
 namespace fpm::serve {
 
-/// Wire protocol revision.  v6 adds replication: the REPL verbs spoken
+/// Wire protocol revision.  v7 drops single-flight dedup: its flag
+/// leaves PARTITION replies (13 tokens) and its counter leaves STATS.
+/// v6 adds replication: the REPL verbs spoken
 /// on the replication listener (HELLO handshake, framed FRAME/SNAP
 /// records, PING heartbeats — see docs/replication.md), the
 /// `read_only` ERR token replicas answer to write verbs, and the
@@ -56,7 +59,7 @@ namespace fpm::serve {
 /// PARTITION `degraded=` flag.  Clients must refuse to talk to a
 /// server announcing a different revision (ServeClient::ping enforces
 /// this).
-inline constexpr int kProtocolVersion = 6;
+inline constexpr int kProtocolVersion = 7;
 
 /// Longest line, in bytes before the newline, either direction carries:
 /// the reactor answers a longer request line `ERR bad_request` and
@@ -88,9 +91,8 @@ struct PartitionReply {
     std::int64_t n = 0;
     Algorithm algorithm = Algorithm::kFpm;
     bool cached = false;
-    bool coalesced = false;
-    /// Served from a stale plan or the constant-performance fallback
-    /// because the requested model/compute was unavailable.
+    /// Served from the constant-performance fallback (an even split of
+    /// the current model set) because the compute failed.
     bool degraded = false;
     double balanced_time = 0.0;
     double makespan = 0.0;
@@ -128,7 +130,7 @@ struct ServerHealth {
     bool ready = false;
     std::uint64_t models = 0;           ///< registry size
     std::uint64_t faults_injected = 0;  ///< fault::injected_total()
-    std::uint64_t degraded = 0;         ///< degraded partitions served
+    std::uint64_t degraded = 0;         ///< even-split fallbacks served
     /// Highest registry generation restored from the durable store at
     /// startup; 0 when no store is configured (or it was empty).
     std::uint64_t recovered_generation = 0;
@@ -182,7 +184,6 @@ struct ServerStats {
     // -- engine -------------------------------------------------------
     std::uint64_t requests = 0;
     std::uint64_t computed = 0;
-    std::uint64_t coalesced = 0;
     std::uint64_t degraded = 0;
     double mean_latency_us = 0.0;
     double max_latency_us = 0.0;
@@ -297,9 +298,16 @@ make_partition_reply(const PartitionRequest& request,
 [[nodiscard]] Response make_stats_reply(const EngineStats& engine,
                                         std::size_t model_count);
 
+/// The `ERR` reply for the exception being handled; call it only inside
+/// a catch handler.  A ServiceError keeps its code and any other failure
+/// takes `fallback`.  The text is the failure's message alone
+/// (fpm::Error::message()), so a failed FPM_CHECK's expression and
+/// source location never reach the wire.
+[[nodiscard]] Response current_error(ErrorCode fallback);
+
 /// Executes one decoded request against the engine (and its registry)
-/// and returns the typed response; failures become kError (a ServiceError
-/// keeps its code, any other std::exception is kInternal).  Everything
+/// and returns the typed response; never throws.  Failures become kError
+/// through current_error(ErrorCode::kInternal).  Everything
 /// runs on the calling thread: the reactor calls this inline for the
 /// cheap verbs and on the engine pool for FEEDBACK, and answers
 /// PARTITION itself (cache probe on the loop, submit_async() on a
@@ -308,8 +316,9 @@ make_partition_reply(const PartitionRequest& request,
                                       const Request& request);
 
 /// Line-in/line-out convenience used by tests and in-process callers:
-/// decode, dispatch, encode.  Never throws; QUIT answers `OK BYE`
-/// (hanging up is the transport's job).
+/// decode, dispatch, encode.  Never throws: a line that does not decode
+/// answers `ERR bad_request` (or the decoder's own code); QUIT answers
+/// `OK BYE` (hanging up is the transport's job).
 [[nodiscard]] std::string handle_line(RequestEngine& engine,
                                       const std::string& line);
 

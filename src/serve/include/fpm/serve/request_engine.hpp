@@ -1,31 +1,28 @@
 /// \file request_engine.hpp
 /// \brief Concurrent execution of partition requests.
 ///
-/// The engine is the service's compute heart: it resolves a request's
-/// model set against the registry, consults the partition cache, and
-/// otherwise runs the full library pipeline (1-D partitioner → integer
-/// rounding → column 2-D layout) on an fpm::rt thread pool.
+/// The engine is the service's compute heart.  execute() is one straight
+/// path: it resolves the request's model set against the registry, looks
+/// the plan up in the partition cache, and on a miss runs the full
+/// library pipeline (1-D partitioner → integer rounding → column 2-D
+/// layout) and caches the result.  It takes no engine-level lock, so the
+/// only locks on that path are the registry's and one cache stripe's.
+/// Identical misses that run at the same time each compute (plans are
+/// deterministic, so they agree bit for bit); through the server every
+/// miss is a pool task that looks the cache up when it starts, so at most
+/// Options::workers computes of one key overlap.  Per request the engine
+/// records wall-clock latency into one histogram per algorithm; those and
+/// the engine's own counters (all wait-free obs instruments, kept per
+/// engine) are surfaced through stats() and the STATS wire command.
 ///
-/// Identical requests that arrive while one of them is still computing
-/// are *coalesced* (single-flight dedup): exactly one computation runs
-/// and every waiter shares its result — the micro-batching the service
-/// needs when a burst of clients asks for the same partition.  Per
-/// request the engine records wall-clock latency into one histogram per
-/// algorithm; those and the engine's own counters (all wait-free obs
-/// instruments, kept per engine) are surfaced through stats() and the
-/// STATS wire command.
-///
-/// The engine keeps serving through disturbances instead of failing
-/// hard: a request whose compute failed (e.g. a serve.compute fault
-/// injection), directly or in the coalesced leader it waited on, is
-/// answered from the *stale-plan cache* — the last plan computed for the
-/// same (set name, n, algorithm, layout), surviving reloads that change
-/// the content fingerprint — or, failing that, from a
-/// constant-performance fallback (Algorithm::kEven even split), which
-/// needs no model quality at all.  Degraded responses are flagged
-/// (`PartitionResponse::degraded`, wire `degraded=1`) and counted in
-/// EngineStats::degraded.  An unknown model set is the caller's mistake
-/// and never degrades.
+/// A compute that fails (e.g. a serve.compute fault injection) is
+/// answered with the constant-performance fallback, an Algorithm::kEven
+/// even split of the request's *current* model set, which needs no model
+/// quality at all.  It is flagged (`PartitionResponse::degraded`, wire
+/// `degraded=1`), counted in EngineStats::degraded and never cached.
+/// When the even split cannot serve either (a workload the devices
+/// cannot hold), the original failure reaches the caller.  An unknown
+/// model set is the caller's mistake and never degrades.
 ///
 /// A replica's engine also carries its replication status (role, source,
 /// lag): the fpm::repl::Replicator feeding its registry records them
@@ -38,8 +35,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -90,8 +85,7 @@ struct FeedbackReply {
 struct PartitionResponse {
     std::shared_ptr<const PartitionPlan> plan;
     bool cache_hit = false;   ///< served straight from the cache
-    bool coalesced = false;   ///< shared an identical in-flight computation
-    bool degraded = false;    ///< stale or constant-model fallback answer
+    bool degraded = false;    ///< even-split fallback after a failed compute
     double latency_seconds = 0.0;
 };
 
@@ -99,8 +93,7 @@ struct PartitionResponse {
 struct EngineStats {
     std::uint64_t requests = 0;
     std::uint64_t computed = 0;   ///< full pipeline executions
-    std::uint64_t coalesced = 0;  ///< requests served by single-flight dedup
-    std::uint64_t degraded = 0;   ///< stale/fallback answers served
+    std::uint64_t degraded = 0;   ///< even-split fallback answers served
     /// Per-algorithm request latency (seconds), indexed by
     /// static_cast<std::size_t>(Algorithm); every request lands in exactly
     /// one, so together they hold the all-algorithm count, sum and max.
@@ -137,14 +130,15 @@ public:
     RequestEngine(ModelRegistry& registry, Options options);
     explicit RequestEngine(ModelRegistry& registry);  ///< default Options
 
-    /// Runs the request on the calling thread (cache → dedup → compute).
+    /// Runs the request on the calling thread (cache → compute).
     /// Throws fpm::Error for unknown model sets, n <= 0 or infeasible
-    /// workloads; coalesced waiters rethrow the leader's exception.
+    /// workloads.
     PartitionResponse execute(const PartitionRequest& request);
 
     /// Outcome of an asynchronous execution: exactly one of response
-    /// (when `error` is empty) or `error` (a client-safe message, with
-    /// `code` its wire classification) is meaningful.
+    /// (when `error` is empty) or `error` (the failure's message, with
+    /// `code` its wire classification; see current_error()) is
+    /// meaningful.
     struct AsyncResult {
         PartitionResponse response;
         std::string error;
@@ -209,13 +203,10 @@ public:
     /// same lifetime rules as submit_async().
     void post(std::function<void()> task);
 
-    /// Invalidates every cached answer derived from the previous content
-    /// of model set `name`: plan-cache entries keyed on
-    /// `old_fingerprint` *and* the name-keyed stale-plan entries (which
-    /// survive reloads by design and therefore need an explicit drop on
-    /// republish).  Called by the adapt engine after a hot republish.
-    void invalidate_model(const std::string& name,
-                          std::uint64_t old_fingerprint);
+    /// Drops every cached plan keyed on `old_fingerprint`, the content a
+    /// set had before a republish.  Called by the adapt engine after a
+    /// hot republish and by the replicator after applying a record.
+    void invalidate_model(std::uint64_t old_fingerprint);
 
     // -- replication status, recorded by the Replicator feeding this
     //    engine (lag semantics in docs/replication.md §3) ---------------
@@ -237,38 +228,19 @@ public:
     [[nodiscard]] ModelRegistry& registry() noexcept { return registry_; }
 
     /// The direct library call the service must agree with: runs the full
-    /// pipeline on a model-set snapshot, bypassing registry, cache and
-    /// dedup.  Exposed so tests and benches can compare answers
-    /// bit-for-bit.
+    /// pipeline on a model-set snapshot, bypassing registry and cache.
+    /// Exposed so tests and benches can compare answers bit-for-bit.
     [[nodiscard]] static PartitionPlan
     compute_plan(const ModelSet& set, std::int64_t n, Algorithm algorithm,
                  bool with_layout);
 
 private:
-    struct InFlight {
-        std::promise<std::shared_ptr<const PartitionPlan>> promise;
-        std::shared_future<std::shared_ptr<const PartitionPlan>> future;
-    };
-
     PartitionResponse finish(double latency, Algorithm algorithm,
                              std::shared_ptr<const PartitionPlan> plan,
-                             bool cache_hit, bool coalesced,
-                             bool degraded = false);
-
-    /// Stale-plan cache key: hashes the *set name* (not the content
-    /// fingerprint), so the entry survives reloads and outages.
-    [[nodiscard]] static PlanKey stale_key(const PartitionRequest& request);
-
-    /// Degraded answer for `request`: stale plan first, else an even
-    /// split over `set`.  nullopt when neither can serve; the caller
-    /// surfaces the original error.
-    [[nodiscard]] std::optional<PartitionResponse>
-    degrade(const PartitionRequest& request, const ModelSet& set,
-            double elapsed_seconds);
+                             bool cache_hit, bool degraded = false);
 
     ModelRegistry& registry_;
     PartitionCache cache_;
-    PartitionCache stale_;  ///< name-keyed last-known-good plans
 
     /// Shared so an in-flight pool task keeps the handler alive across a
     /// concurrent set_feedback_handler(); never touched by the partition
@@ -277,12 +249,8 @@ private:
     std::shared_ptr<const FeedbackHandler> feedback_;
     std::atomic<bool> read_only_{false};
 
-    std::mutex inflight_mutex_;
-    std::map<PlanKey, std::shared_ptr<InFlight>> inflight_;
-
     obs::Counter requests_;
     obs::Counter computed_;
-    obs::Counter coalesced_;
     obs::Counter degraded_;
     /// Lock-free per-algorithm latency; indexed like
     /// EngineStats::latency_by_algorithm.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cinttypes>
+#include <cmath>
 #include <concepts>
 #include <cstdio>
 #include <cstdlib>
@@ -190,11 +191,13 @@ Request Request::decode(const std::string& line) {
                   "device index must be non-negative");
         request.feedback.problem_size =
             parse_double(tokens[3], "problem size");
-        FPM_CHECK(request.feedback.problem_size > 0.0,
-                  "problem size must be positive");
+        FPM_CHECK(std::isfinite(request.feedback.problem_size) &&
+                      request.feedback.problem_size > 0.0,
+                  "problem size must be positive and finite");
         request.feedback.seconds = parse_double(tokens[4], "measured time");
-        FPM_CHECK(request.feedback.seconds > 0.0,
-                  "measured time must be positive");
+        FPM_CHECK(std::isfinite(request.feedback.seconds) &&
+                      request.feedback.seconds > 0.0,
+                  "measured time must be positive and finite");
     } else {
         // Typed so the wire answer is `ERR unsupported_verb ...` — the
         // code a newer client probes for when feature-detecting verbs.
@@ -272,7 +275,6 @@ std::string Response::encode() const {
             << " gen=" << partition.generation << " n=" << partition.n
             << " algo=" << part::to_string(partition.algorithm)
             << " cached=" << (partition.cached ? 1 : 0)
-            << " coalesced=" << (partition.coalesced ? 1 : 0)
             << " degraded=" << (partition.degraded ? 1 : 0)
             << " balanced=" << format_double(partition.balanced_time)
             << " makespan=" << format_double(partition.makespan)
@@ -391,7 +393,7 @@ Response Response::decode(const std::string& line) {
                 {tokens[i].substr(0, eq), tokens[i].substr(eq + 1)});
         }
     } else if (tag == "PARTITION") {
-        FPM_CHECK(tokens.size() == 14, "malformed partition reply: " + line);
+        FPM_CHECK(tokens.size() == 13, "malformed partition reply: " + line);
         response.kind = Kind::kPartition;
         PartitionReply& parsed = response.partition;
         parsed.model = expect_kv(tokens[2], "model");
@@ -405,19 +407,17 @@ Response Response::decode(const std::string& line) {
         parsed.algorithm = *algorithm;
         parsed.cached =
             parse_int(expect_kv(tokens[6], "cached"), "cached") != 0;
-        parsed.coalesced =
-            parse_int(expect_kv(tokens[7], "coalesced"), "coalesced") != 0;
         parsed.degraded =
-            parse_int(expect_kv(tokens[8], "degraded"), "degraded") != 0;
+            parse_int(expect_kv(tokens[7], "degraded"), "degraded") != 0;
         parsed.balanced_time =
-            parse_double(expect_kv(tokens[9], "balanced"), "balanced time");
+            parse_double(expect_kv(tokens[8], "balanced"), "balanced time");
         parsed.makespan =
-            parse_double(expect_kv(tokens[10], "makespan"), "makespan");
-        parsed.comm_cost = parse_int(expect_kv(tokens[11], "comm"), "comm cost");
-        for (const auto& cell : split(expect_kv(tokens[12], "blocks"), ',')) {
+            parse_double(expect_kv(tokens[9], "makespan"), "makespan");
+        parsed.comm_cost = parse_int(expect_kv(tokens[10], "comm"), "comm cost");
+        for (const auto& cell : split(expect_kv(tokens[11], "blocks"), ',')) {
             parsed.blocks.push_back(parse_int(cell, "block count"));
         }
-        const std::string layout_text = expect_kv(tokens[13], "layout");
+        const std::string layout_text = expect_kv(tokens[12], "layout");
         if (layout_text != "-") {
             for (const auto& rect_text : split(layout_text, '|')) {
                 const auto fields = split(rect_text, ':');
@@ -464,7 +464,6 @@ PartitionReply make_partition_reply(const PartitionRequest& request,
     reply.n = plan.key.n;
     reply.algorithm = plan.key.algorithm;
     reply.cached = response.cache_hit;
-    reply.coalesced = response.coalesced;
     reply.degraded = response.degraded;
     reply.balanced_time = plan.balanced_time;
     reply.makespan = plan.makespan;
@@ -491,7 +490,6 @@ template <ViewOf<ServerStats> Self, class Field>
 void visit_fields(Self& s, Field&& field) {
     field("requests", s.requests);
     field("computed", s.computed);
-    field("coalesced", s.coalesced);
     field("hits", s.hits);
     field("misses", s.misses);
     field("evictions", s.evictions);
@@ -646,7 +644,6 @@ Response make_stats_reply(const EngineStats& engine, std::size_t model_count) {
     ServerStats s;
     s.requests = engine.requests;
     s.computed = engine.computed;
-    s.coalesced = engine.coalesced;
     s.degraded = engine.degraded;
     s.hits = engine.cache.hits;
     s.misses = engine.cache.misses;
@@ -727,6 +724,20 @@ Response make_stats_reply(const EngineStats& engine, std::size_t model_count) {
     return response;
 }
 
+Response current_error(ErrorCode fallback) {
+    try {
+        throw;
+    } catch (const ServiceError& e) {
+        return Response::make_error(e.code(), std::string(e.message()));
+    } catch (const Error& e) {
+        return Response::make_error(fallback, std::string(e.message()));
+    } catch (const std::exception& e) {
+        return Response::make_error(fallback, e.what());
+    } catch (...) {
+        return Response::make_error(fallback);
+    }
+}
+
 Response handle_request(RequestEngine& engine, const Request& request) {
     try {
         Response response;
@@ -793,24 +804,22 @@ Response handle_request(RequestEngine& engine, const Request& request) {
         }
         }
         return Response::make_error(ErrorCode::kInternal, "unreachable");
-    } catch (const ServiceError& e) {
-        return Response::make_error(e.code(), e.what());
-    } catch (const std::exception& e) {
-        // Anything untyped from the engine is a server-side fault.
-        return Response::make_error(ErrorCode::kInternal, e.what());
+    } catch (...) {
+        // A ServiceError keeps its code; anything untyped from the
+        // engine is a server-side fault.
+        return current_error(ErrorCode::kInternal);
     }
 }
 
 std::string handle_line(RequestEngine& engine, const std::string& line) {
+    Request request;
     try {
-        return handle_request(engine, Request::decode(line)).encode();
-    } catch (const ServiceError& e) {
-        return Response::make_error(e.code(), e.what()).encode();
-    } catch (const std::exception& e) {
-        // Only Request::decode throws here, so the client sent a line
-        // this revision cannot parse.
-        return Response::make_error(ErrorCode::kBadRequest, e.what()).encode();
+        request = Request::decode(line);
+    } catch (...) {
+        // The client sent a line this revision cannot parse.
+        return current_error(ErrorCode::kBadRequest).encode();
     }
+    return handle_request(engine, request).encode();
 }
 
 std::uint64_t request_fingerprint(const Request& request) {

@@ -4,20 +4,28 @@
 #include <chrono>
 
 #include "fpm/common/error.hpp"
-#include "fpm/common/hash.hpp"
 #include "fpm/fault/fault.hpp"
 #include "fpm/measure/timer.hpp"
 #include "fpm/obs/trace.hpp"
 #include "fpm/part/request.hpp"
+#include "fpm/serve/protocol.hpp"
 
 namespace fpm::serve {
 
 namespace {
 
-/// FNV-1a of a set *name* — the stale-plan cache key hash, deliberately
-/// independent of model content so it survives reloads.
-std::uint64_t hash_name(const std::string& name) {
-    return fnv1a(name);
+/// The even split a failed compute falls back to, or nullptr when the
+/// devices cannot hold the workload even so.  Computed directly (no
+/// cache, no injection point), so it cannot fail the way the compute
+/// just did.
+std::shared_ptr<const PartitionPlan> even_split(const ModelSet& set,
+                                                const PartitionRequest& request) {
+    try {
+        return std::make_shared<const PartitionPlan>(RequestEngine::compute_plan(
+            set, request.n, Algorithm::kEven, request.with_layout));
+    } catch (...) {
+        return nullptr;
+    }
 }
 
 } // namespace
@@ -26,8 +34,6 @@ RequestEngine::RequestEngine(ModelRegistry& registry, Options options)
     : registry_(registry),
       cache_(options.cache_capacity,
              options.cache_shards == 0 ? 1 : options.cache_shards),
-      stale_(options.cache_capacity),  // name-keyed, engine-lock guarded:
-                                       // striping would buy nothing
       pool_(options.workers) {}
 
 RequestEngine::RequestEngine(ModelRegistry& registry)
@@ -51,45 +57,9 @@ PartitionPlan RequestEngine::compute_plan(const ModelSet& set, std::int64_t n,
 
 PartitionResponse RequestEngine::finish(double latency, Algorithm algorithm,
                                         std::shared_ptr<const PartitionPlan> plan,
-                                        bool cache_hit, bool coalesced,
-                                        bool degraded) {
+                                        bool cache_hit, bool degraded) {
     latency_histograms_[static_cast<std::size_t>(algorithm)].record(latency);
-    return PartitionResponse{std::move(plan), cache_hit, coalesced, degraded,
-                             latency};
-}
-
-PlanKey RequestEngine::stale_key(const PartitionRequest& request) {
-    return PlanKey{hash_name(request.model_set), request.n, request.algorithm,
-                   request.with_layout};
-}
-
-std::optional<PartitionResponse>
-RequestEngine::degrade(const PartitionRequest& request, const ModelSet& set,
-                       double elapsed_seconds) {
-    std::shared_ptr<const PartitionPlan> plan;
-    {
-        std::lock_guard lock(inflight_mutex_);
-        plan = stale_.get(stale_key(request));
-    }
-    if (!plan) {
-        // Constant-performance fallback: an even split needs no model
-        // quality, only the device count.  Computed directly (no cache,
-        // no dedup, no injection point) so it cannot fail the same way
-        // the primary path just did.
-        try {
-            plan = std::make_shared<const PartitionPlan>(
-                compute_plan(set, request.n, Algorithm::kEven,
-                             request.with_layout));
-        } catch (...) {
-            plan = nullptr;  // infeasible workload: nothing to serve
-        }
-    }
-    if (!plan) {
-        return std::nullopt;
-    }
-    degraded_.add();
-    return finish(elapsed_seconds, request.algorithm, std::move(plan), false,
-                  false, true);
+    return PartitionResponse{std::move(plan), cache_hit, degraded, latency};
 }
 
 PartitionResponse RequestEngine::execute(const PartitionRequest& request) {
@@ -105,73 +75,31 @@ PartitionResponse RequestEngine::execute(const PartitionRequest& request) {
     }
     const PlanKey key{set->fingerprint, request.n, request.algorithm,
                       request.with_layout};
-
-    // Single-flight: the cache lookup and the leader election happen
-    // under one lock, so each request counts exactly one cache lookup
-    // and at most one compute runs per key (a finishing leader caches
-    // *before* erasing its in-flight entry, making the lookup here
-    // conclusive).
-    std::shared_ptr<InFlight> flight;
-    bool leader = false;
-    {
-        std::lock_guard lock(inflight_mutex_);
-        if (auto plan = cache_.get(key)) {
-            return finish(timer.elapsed(), request.algorithm, std::move(plan),
-                          true, false);
-        }
-        if (const auto it = inflight_.find(key); it != inflight_.end()) {
-            flight = it->second;
-        } else {
-            flight = std::make_shared<InFlight>();
-            flight->future = flight->promise.get_future().share();
-            inflight_[key] = flight;
-            leader = true;
-        }
-    }
-
-    if (!leader) {
-        std::shared_ptr<const PartitionPlan> plan;
-        try {
-            plan = flight->future.get();  // rethrows the leader's failure
-        } catch (...) {
-            if (auto fallback = degrade(request, *set, timer.elapsed())) {
-                return *std::move(fallback);
-            }
-            throw;
-        }
-        coalesced_.add();
+    if (auto plan = cache_.get(key)) {
         return finish(timer.elapsed(), request.algorithm, std::move(plan),
-                      false, true);
+                      true);
     }
 
+    std::shared_ptr<const PartitionPlan> plan;
     try {
         static auto& compute_fault = fault::point("serve.compute");
         if (compute_fault.fire()) {
             throw Error("injected fault: serve.compute");
         }
-        auto plan = std::make_shared<const PartitionPlan>(compute_plan(
+        plan = std::make_shared<const PartitionPlan>(compute_plan(
             *set, request.n, request.algorithm, request.with_layout));
-        cache_.put(key, plan);
-        {
-            std::lock_guard lock(inflight_mutex_);
-            inflight_.erase(key);
-            stale_.put(stale_key(request), plan);
-        }
-        flight->promise.set_value(plan);
-        computed_.add();
-        return finish(timer.elapsed(), request.algorithm, std::move(plan),
-                      false, false);
     } catch (...) {
-        {
-            std::lock_guard lock(inflight_mutex_);
-            inflight_.erase(key);
+        plan = even_split(*set, request);
+        if (plan == nullptr) {
+            throw;
         }
-        flight->promise.set_exception(std::current_exception());
-        if (auto fallback = degrade(request, *set, timer.elapsed())) {
-            return *std::move(fallback);
-        }
-        throw;
+        degraded_.add();
+        return finish(timer.elapsed(), request.algorithm, std::move(plan),
+                      false, true);
     }
+    cache_.put(key, plan);
+    computed_.add();
+    return finish(timer.elapsed(), request.algorithm, std::move(plan), false);
 }
 
 std::optional<PartitionResponse>
@@ -188,17 +116,15 @@ RequestEngine::try_execute_cached(const PartitionRequest& request) {
     }
     const PlanKey key{set->fingerprint, request.n, request.algorithm,
                       request.with_layout};
-    // No inflight_mutex_ here: the cache is internally synchronized (per
-    // stripe), plans are immutable, and a racing miss simply falls back
-    // to execute()'s conclusive locked lookup.  This is what lets N
-    // reactors run their fast paths without serializing on the engine.
+    // The cache locks per stripe and plans are immutable, so N reactors
+    // run their fast paths without serializing on the engine; a miss
+    // falls back to execute(), whose lookup counts it.
     std::shared_ptr<const PartitionPlan> plan = cache_.probe(key);
     if (!plan) {
         return std::nullopt;
     }
     requests_.add();
-    return finish(timer.elapsed(), request.algorithm, std::move(plan), true,
-                  false);
+    return finish(timer.elapsed(), request.algorithm, std::move(plan), true);
 }
 
 void RequestEngine::submit_async(const PartitionRequest& request,
@@ -207,19 +133,10 @@ void RequestEngine::submit_async(const PartitionRequest& request,
         AsyncResult result;
         try {
             result.response = execute(request);
-        } catch (const ServiceError& e) {
-            result.error = e.what();
-            result.code = e.code();
-            if (result.error.empty()) {
-                result.error = "partition failed";
-            }
-        } catch (const std::exception& e) {
-            result.error = e.what();
-            if (result.error.empty()) {
-                result.error = "partition failed";
-            }
         } catch (...) {
-            result.error = "partition failed";
+            Response error = current_error(ErrorCode::kInternal);
+            result.error = std::move(error.error);
+            result.code = error.error_code;
         }
         done(std::move(result));
     });
@@ -260,14 +177,8 @@ void RequestEngine::post(std::function<void()> task) {
     (void)pool_.submit(std::move(task));
 }
 
-void RequestEngine::invalidate_model(const std::string& name,
-                                     std::uint64_t old_fingerprint) {
+void RequestEngine::invalidate_model(std::uint64_t old_fingerprint) {
     cache_.erase_fingerprint(old_fingerprint);
-    // The stale-plan cache keys on the name hash precisely so entries
-    // survive reloads; a deliberate republish is the one event that must
-    // drop them (the old content is now known-wrong, not just missing).
-    std::lock_guard lock(inflight_mutex_);
-    stale_.erase_fingerprint(hash_name(name));
 }
 
 void RequestEngine::set_repl_source(const std::string& source) {
@@ -293,7 +204,6 @@ EngineStats RequestEngine::stats() const {
     EngineStats stats;
     stats.requests = requests_.value();
     stats.computed = computed_.value();
-    stats.coalesced = coalesced_.value();
     stats.degraded = degraded_.value();
     for (std::size_t i = 0; i < kAlgorithmCount; ++i) {
         stats.latency_by_algorithm[i] = latency_histograms_[i].snapshot();

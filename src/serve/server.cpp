@@ -321,15 +321,10 @@ struct SocketServer::Reactor {
         Request request;
         try {
             request = Request::decode(line);
-        } catch (const ServiceError& e) {
-            slot.ready = true;
-            slot.text = Response::make_error(e.code(), e.what()).encode();
-            return;
-        } catch (const std::exception& e) {
+        } catch (...) {
             // Decode failures are the client's malformed line.
             slot.ready = true;
-            slot.text =
-                Response::make_error(ErrorCode::kBadRequest, e.what()).encode();
+            slot.text = current_error(ErrorCode::kBadRequest).encode();
             return;
         }
         if (request.kind == Request::Kind::kPartition) {
@@ -385,10 +380,8 @@ struct SocketServer::Reactor {
                 std::string text;
                 try {
                     text = handle_request(engine, request).encode();
-                } catch (...) {  // handle_request maps std::exceptions
-                    text = Response::make_error(ErrorCode::kInternal,
-                                                "feedback failed")
-                               .encode();
+                } catch (...) {
+                    text = current_error(ErrorCode::kInternal).encode();
                 }
                 queue->push(Completion{conn_id, seq, std::move(text)});
             });

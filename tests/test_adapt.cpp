@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -156,6 +157,12 @@ TEST(AdaptIngestor, RejectsNonsenseSamplesAndConfig) {
     EXPECT_THROW(ingestor.add(-1, 100.0, 1.0), Error);
     EXPECT_THROW(ingestor.add(0, 0.0, 1.0), Error);
     EXPECT_THROW(ingestor.add(0, 100.0, 0.0), Error);
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(ingestor.add(0, kInf, 1.0), Error);
+    EXPECT_THROW(ingestor.add(0, 100.0, kInf), Error);
+    EXPECT_THROW(ingestor.add(0, std::nan(""), 1.0), Error);
+    EXPECT_THROW(ingestor.add(0, 100.0, std::nan("")), Error);
+    EXPECT_EQ(ingestor.add(0, 100.0, 1.0).samples, 1u);
 
     AdaptConfig bad;
     bad.min_samples = 5;
@@ -301,7 +308,7 @@ TEST(AdaptInvalidate, RepublishForcesRecomputeOfCachedPlans) {
     auto refined = synthetic_models(3, 24, 1.0);
     refined[0] = refined[0].scaled(0.5);
     const auto after = registry.put("hybrid", std::move(refined));
-    engine.invalidate_model("hybrid", before->fingerprint);
+    engine.invalidate_model(before->fingerprint);
     EXPECT_NE(after->fingerprint, before->fingerprint);
     EXPECT_GT(after->generation, before->generation);
 
@@ -453,6 +460,11 @@ TEST(AdaptEngineTest, RejectsUnknownSetsAndBadDevices) {
     EXPECT_THROW((void)adapter.ingest({"missing", 0, 100.0, 1.0}), Error);
     EXPECT_THROW((void)adapter.ingest({"hybrid", 2, 100.0, 1.0}), Error);
     EXPECT_THROW((void)adapter.ingest({"hybrid", 0, -5.0, 1.0}), Error);
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    EXPECT_THROW((void)adapter.ingest({"hybrid", 0, kInf, 1.0}), Error);
+    EXPECT_THROW((void)adapter.ingest({"hybrid", 1, 1000.0, kInf}), Error);
+    // None reached a bucket: the next real sample is the first.
+    EXPECT_EQ(adapter.ingest({"hybrid", 1, 1000.0, 2.0}).samples, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -499,6 +511,27 @@ TEST(AdaptWire, FeedbackRoundTripAndStatsCounters) {
                                        "adapt_reliable, adapt_drift, "
                                        "adapt_republished, adapt_model_version";
         EXPECT_GE(samples_seen, 2u);
+    }
+    server.stop();
+}
+
+TEST(AdaptWire, FeedbackRejectsInfiniteSizeOrTime) {
+    ModelRegistry registry;
+    registry.put("hybrid", synthetic_models(2, 16, 1.0));
+    RequestEngine engine(registry, {.workers = 2, .cache_capacity = 16});
+    AdaptEngine adapter(engine, AdaptConfig{});
+    SocketServer server(engine);
+    server.start();
+    {
+        ServeClient client("127.0.0.1", server.port());
+        EXPECT_EQ(client.request("FEEDBACK hybrid 0 inf 1"),
+                  "ERR bad_request problem size must be positive and finite");
+        EXPECT_EQ(client.request("FEEDBACK hybrid 1 1000 inf"),
+                  "ERR bad_request measured time must be positive and "
+                  "finite");
+        // The connection stays usable and no sample was recorded.
+        EXPECT_EQ(client.report_feedback({"hybrid", 1, 1000.0, 2.0}).samples,
+                  1u);
     }
     server.stop();
 }

@@ -23,6 +23,7 @@ TEST(Error, CheckThrowsWithMessageAndLocation) {
         EXPECT_NE(what.find("one is not two"), std::string::npos);
         EXPECT_NE(what.find("1 == 2"), std::string::npos);
         EXPECT_NE(what.find("test_common.cpp"), std::string::npos);
+        EXPECT_EQ(e.message(), "one is not two");  // what() without them
     }
 }
 

@@ -284,7 +284,7 @@ TEST(DocsConsistency, ProtocolSpecCoversEveryVerb) {
     }
     for (const char* token :
          {"OK PONG", "OK HEALTH", "OK PARTITION", "OK FEEDBACK", "ERR ",
-          "degraded=", "coalesced=",
+          "degraded=",
           "reliable=", "republished=", "feedback not enabled",
           "unknown command", "cache_shards=", "reactors=",
           "ServerStats"}) {

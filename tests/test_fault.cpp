@@ -1,6 +1,6 @@
 // fpm::fault chaos suite: spec parsing and deterministic replay of the
-// injection layer, degraded-mode serving (stale plans, even-split
-// fallback), client retry/backoff (a FEEDBACK is never re-sent after a
+// injection layer, degraded-mode serving (the even-split fallback of a
+// failed compute), client retry/backoff (a FEEDBACK is never re-sent after a
 // transport error) + typed transport errors, the HEALTH endpoint, and
 // the headline chaos test — randomized fault schedules against the
 // pipelined reactor harness where every request must succeed
@@ -201,50 +201,43 @@ TEST(FaultPoint, StatsReportConfiguredPoints) {
 // Degraded-mode serving
 // ---------------------------------------------------------------------------
 
-TEST(FaultDegraded, StalePlanServesThroughComputeFailure) {
+TEST(FaultDegraded, ComputeFailureServesTheCurrentGenerationsEvenSplit) {
     FaultGuard guard;
     ModelRegistry registry;
     const auto v1 = registry.put("hybrid", synthetic_models(3, 64, 1.0));
     RequestEngine engine(registry, {.workers = 1, .cache_capacity = 16});
     const PartitionRequest request{"hybrid", 40, Algorithm::kFpm, true};
-
-    const PartitionResponse warm = engine.execute(request);
+    const PartitionReply warm =
+        parse_partition_reply(handle_line(engine, "PARTITION hybrid 40 fpm"));
     ASSERT_FALSE(warm.degraded);
+    ASSERT_EQ(warm.generation, v1->generation);
 
     // Reload with different content (fingerprint changes, plan cache
-    // misses) and make every compute fail: the stale plan must answer.
-    registry.put("hybrid", synthetic_models(3, 64, 1.4));
+    // misses) and make every compute fail: the answer is the even split
+    // of the *reloaded* set, never the plan of the previous generation.
+    const auto v2 = registry.put("hybrid", synthetic_models(3, 64, 1.4));
     fault::install(fault::FaultPlan::parse("serve.compute=1"));
-
-    const PartitionResponse degraded = engine.execute(request);
+    const PartitionReply degraded =
+        parse_partition_reply(handle_line(engine, "PARTITION hybrid 40 fpm"));
     EXPECT_TRUE(degraded.degraded);
-    EXPECT_EQ(degraded.plan->blocks, warm.plan->blocks);
-    EXPECT_EQ(degraded.plan->generation, v1->generation);
+    EXPECT_EQ(degraded.generation, v2->generation);
+    EXPECT_EQ(degraded.algorithm, Algorithm::kEven);
+    const PartitionPlan even =
+        RequestEngine::compute_plan(*v2, 40, Algorithm::kEven, true);
+    EXPECT_EQ(degraded.blocks, even.blocks);
+    EXPECT_EQ(degraded.makespan, even.makespan);
     EXPECT_EQ(engine.stats().degraded, 1u);
 
-    // Back to normal: the fresh content computes and is not degraded.
+    // Back to normal: the fallback was never cached, so the next request
+    // computes the exact plan of the current content.
     fault::uninstall();
     const PartitionResponse fresh = engine.execute(request);
     EXPECT_FALSE(fresh.degraded);
-    EXPECT_NE(fresh.plan->generation, v1->generation);
-}
-
-TEST(FaultDegraded, EvenFallbackWhenNoStalePlanExists) {
-    FaultGuard guard;
-    ModelRegistry registry;
-    const auto set = registry.put("solo", synthetic_models(2, 32, 1.0));
-    RequestEngine engine(registry, {.workers = 1, .cache_capacity = 16});
-    fault::install(fault::FaultPlan::parse("serve.compute=1"));
-
-    const PartitionResponse response =
-        engine.execute(PartitionRequest{"solo", 48, Algorithm::kFpm, true});
-    EXPECT_TRUE(response.degraded);
-    // The fallback is the constant-performance model: an even split,
-    // bit-for-bit the direct kEven library call.
-    const PartitionPlan direct =
-        RequestEngine::compute_plan(*set, 48, Algorithm::kEven, true);
-    EXPECT_EQ(response.plan->blocks, direct.blocks);
-    EXPECT_EQ(response.plan->key.algorithm, Algorithm::kEven);
+    EXPECT_FALSE(fresh.cache_hit);
+    EXPECT_EQ(fresh.plan->generation, v2->generation);
+    EXPECT_EQ(fresh.plan->blocks,
+              RequestEngine::compute_plan(*v2, 40, Algorithm::kFpm, true)
+                  .blocks);
 }
 
 TEST(FaultDegraded, UnknownModelSetStillFailsCleanly) {
@@ -506,8 +499,8 @@ void chaos_pipelined_requests(std::size_t num_reactors,
 
     // Direct library answers for every (n, algorithm) in the mix.  A
     // degraded reply reports the algorithm that actually produced it
-    // (the stale plan's own, or kEven for the fallback), so every
-    // well-formed reply — degraded or not — must match one of these.
+    // (kEven, the fallback's), so every well-formed reply — degraded or
+    // not — must match one of these.
     std::map<std::pair<std::int64_t, int>, PartitionPlan> direct;
     for (const std::int64_t n : ns) {
         for (const Algorithm algorithm : algorithms) {

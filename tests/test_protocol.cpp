@@ -48,7 +48,6 @@ PartitionReply sample_partition_reply(bool degraded, bool with_rects) {
     reply.n = 640;
     reply.algorithm = Algorithm::kFpm;
     reply.cached = true;
-    reply.coalesced = false;
     reply.degraded = degraded;
     reply.balanced_time = 0.12345678901234567;
     reply.makespan = 1e-9;
@@ -157,6 +156,14 @@ TEST(ProtocolRequest, RejectsMalformedLines) {
         "FEEDBACK set 0 0 1.5",      // zero size
         "FEEDBACK set 0 100 0",      // zero time
         "FEEDBACK set 0 100 -2",     // negative time
+        "FEEDBACK set 0 inf 1.5",    // non-finite size
+        "FEEDBACK set 0 -inf 1.5",
+        "FEEDBACK set 0 infinity 1.5",
+        "FEEDBACK set 0 nan 1.5",
+        "FEEDBACK set 0 100 inf",    // non-finite time
+        "FEEDBACK set 0 100 -inf",
+        "FEEDBACK set 0 100 infinity",
+        "FEEDBACK set 0 100 nan",
         "FEEDBACK set zero 100 1.5", // non-numeric device
         "feedback set 0 100 1.5",
     };
@@ -286,7 +293,6 @@ TEST(ProtocolResponse, PartitionRoundTripsAllFlagCombinations) {
             EXPECT_EQ(parsed.n, 640);
             EXPECT_EQ(parsed.algorithm, Algorithm::kFpm);
             EXPECT_TRUE(parsed.cached);
-            EXPECT_FALSE(parsed.coalesced);
             EXPECT_EQ(parsed.degraded, degraded);
             // %.17g framing must round-trip doubles bit-for-bit.
             EXPECT_EQ(parsed.balanced_time, 0.12345678901234567);
@@ -445,8 +451,8 @@ TEST(ProtocolFuzz, OversizedPayloadsRoundTripOrError) {
     // Numeric overflow in a reply field is an error, not UB.
     EXPECT_FALSE(response_decodes(
         "OK PARTITION model=m gen=1 n=999999999999999999999999999 algo=fpm "
-        "cached=0 coalesced=0 degraded=0 balanced=1 makespan=1 comm=1 "
-        "blocks=1 layout=-"));
+        "cached=0 degraded=0 balanced=1 makespan=1 comm=1 blocks=1 "
+        "layout=-"));
 
     // An absurdly long single token must not blow up the tokenizer.
     EXPECT_FALSE(request_decodes(std::string(1 << 16, 'A')));
@@ -488,7 +494,6 @@ TEST(ProtocolServerStats, FullStatsReplyParsesWithNoExtras) {
     EngineStats engine;
     engine.requests = 12;
     engine.computed = 7;
-    engine.coalesced = 2;
     engine.degraded = 1;
     engine.cache.hits = 3;
     engine.cache.misses = 9;
@@ -502,7 +507,6 @@ TEST(ProtocolServerStats, FullStatsReplyParsesWithNoExtras) {
     const ServerStats stats = ServerStats::from_fields(decoded.fields);
     EXPECT_EQ(stats.requests, 12u);
     EXPECT_EQ(stats.computed, 7u);
-    EXPECT_EQ(stats.coalesced, 2u);
     EXPECT_EQ(stats.degraded, 1u);
     EXPECT_EQ(stats.hits, 3u);
     EXPECT_EQ(stats.misses, 9u);
@@ -601,12 +605,11 @@ void set_registry_values() {
 TEST(ProtocolWire, StatsLineIsPinned) {
     // Every field name, its order and its formatting are wire contract:
     // a distinct value in every engine field and registry instrument,
-    // compared with the line the v6 encoder has always produced.
+    // compared with the line the v7 encoder produces.
     set_registry_values();
     EngineStats engine;
     engine.requests = 101;
     engine.computed = 17;
-    engine.coalesced = 5;
     engine.degraded = 3;
     engine.cache.hits = 61;
     engine.cache.misses = 40;
@@ -634,7 +637,7 @@ TEST(ProtocolWire, StatsLineIsPinned) {
 
     EXPECT_EQ(
         make_stats_reply(engine, 2).encode(),
-        "OK STATS requests=101 computed=17 coalesced=5 hits=61 misses=40 "
+        "OK STATS requests=101 computed=17 hits=61 misses=40 "
         "evictions=9 cache_size=31 cache_shards=4 models=2 degraded=3 "
         "faults=0 mean_latency_us=488.28125 max_latency_us=976.5625 "
         "fpm_count=4 fpm_p50_us=100 fpm_p95_us=230 "
@@ -651,6 +654,36 @@ TEST(ProtocolWire, StatsLineIsPinned) {
         "repl_lag_frames=3 repl_lag_seconds=0.75 repl_source=10.0.0.7:9111 "
         "repl_applied_generation=9");
     obs::MetricsRegistry::global().reset_values();
+}
+
+TEST(ProtocolWire, PartitionLineIsPinned) {
+    // Every token, its order and its formatting are wire contract: the
+    // v7 reply has 13 tokens, and the v6 form, which carried a
+    // `coalesced=` token, no longer decodes.
+    const std::string line =
+        "OK PARTITION model=hybrid gen=7 n=640 algo=fpm cached=1 degraded=1 "
+        "balanced=0.12345678901234566 makespan=1.0000000000000001e-09 "
+        "comm=4242 blocks=100,250,290 "
+        "layout=0:0:100:640|100:0:250:640|350:0:290:640";
+    Response response;
+    response.kind = Response::Kind::kPartition;
+    response.partition = sample_partition_reply(true, true);
+    EXPECT_EQ(response.encode(), line);
+    EXPECT_EQ(Response::decode(line).encode(), line);
+
+    response.partition = sample_partition_reply(false, false);
+    response.partition.cached = false;
+    EXPECT_EQ(response.encode(),
+              "OK PARTITION model=hybrid gen=7 n=640 algo=fpm cached=0 "
+              "degraded=0 balanced=0.12345678901234566 "
+              "makespan=1.0000000000000001e-09 comm=4242 blocks=100,250,290 "
+              "layout=-");
+
+    EXPECT_FALSE(response_decodes(
+        "OK PARTITION model=hybrid gen=7 n=640 algo=fpm cached=1 "
+        "coalesced=0 degraded=1 balanced=0.12345678901234566 "
+        "makespan=1.0000000000000001e-09 comm=4242 blocks=100,250,290 "
+        "layout=-"));
 }
 
 TEST(ProtocolWire, HealthLineIsPinned) {

@@ -1,5 +1,5 @@
 // Tests for the partition service: model registry versioning, LRU cache,
-// wire protocol, request engine (cache + single-flight dedup) and the
+// wire protocol, request engine (cache, compute on a miss) and the
 // socket server/client integration — including the acceptance scenario:
 // >= 32 concurrent requests over >= 2 model sets whose responses must
 // match the direct library call bit-for-bit, with cache hits making
@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <future>
@@ -477,33 +478,62 @@ TEST(RequestEngineTest, RejectsBadRequests) {
     EXPECT_THROW(engine.execute({"ok", -3, Algorithm::kFpm, true}), fpm::Error);
 }
 
-TEST(RequestEngineTest, SingleFlightCoalescesIdenticalRequests) {
+TEST(RequestEngineTest, PoolBoundsOverlappingComputesOfOneKey) {
     ModelRegistry registry;
-    // Expensive models so the storm genuinely overlaps the computation.
-    registry.put("big", synthetic_models(6, 600, 1.0));
-    RequestEngine engine(registry, {.workers = 4, .cache_capacity = 32});
+    // Expensive models so the first tasks genuinely overlap.
+    const auto set = registry.put("big", synthetic_models(6, 600, 1.0));
+    constexpr unsigned kWorkers = 4;
+    RequestEngine engine(registry,
+                         {.workers = kWorkers, .cache_capacity = 32});
 
-    constexpr std::size_t kClients = 16;
+    constexpr std::size_t kRequests = 16;
     const PartitionRequest request{"big", 64, Algorithm::kFpm, true};
-    std::vector<std::shared_ptr<const PartitionPlan>> plans(kClients);
-    fpm::test::run_concurrently(kClients, [&](std::size_t i) {
-        plans[i] = engine.execute(request).plan;
-    });
-
-    for (const auto& plan : plans) {
-        ASSERT_NE(plan, nullptr);
-        EXPECT_EQ(plan.get(), plans[0].get());  // everyone shares one plan
+    std::vector<std::promise<RequestEngine::AsyncResult>> done(kRequests);
+    std::vector<std::future<RequestEngine::AsyncResult>> results;
+    for (auto& promise : done) {
+        results.push_back(promise.get_future());
     }
+    for (auto& promise : done) {
+        engine.submit_async(request,
+                            [&promise](RequestEngine::AsyncResult result) {
+                                promise.set_value(std::move(result));
+                            });
+    }
+
+    const PartitionPlan direct =
+        RequestEngine::compute_plan(*set, 64, Algorithm::kFpm, true);
+    for (auto& result : results) {
+        const RequestEngine::AsyncResult outcome = result.get();
+        ASSERT_TRUE(outcome.ok()) << outcome.error;
+        const PartitionPlan& plan = *outcome.response.plan;
+        EXPECT_FALSE(outcome.response.degraded);
+        EXPECT_EQ(plan.blocks, direct.blocks);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(plan.balanced_time),
+                  std::bit_cast<std::uint64_t>(direct.balanced_time));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(plan.makespan),
+                  std::bit_cast<std::uint64_t>(direct.makespan));
+        EXPECT_EQ(plan.comm_cost, direct.comm_cost);
+        ASSERT_EQ(plan.layout.rects.size(), direct.layout.rects.size());
+        for (std::size_t i = 0; i < direct.layout.rects.size(); ++i) {
+            EXPECT_EQ(plan.layout.rects[i].col0, direct.layout.rects[i].col0);
+            EXPECT_EQ(plan.layout.rects[i].row0, direct.layout.rects[i].row0);
+            EXPECT_EQ(plan.layout.rects[i].w, direct.layout.rects[i].w);
+            EXPECT_EQ(plan.layout.rects[i].h, direct.layout.rects[i].h);
+        }
+    }
+
+    // Every task looks the cache up when it starts, and a worker takes
+    // its next task only after caching its compute, so no more computes
+    // of one key overlap than there are workers; every other request
+    // hits.
     const auto stats = engine.stats();
-    EXPECT_EQ(stats.requests, kClients);
-    // The cache re-check under the in-flight lock makes this exact: one
-    // computation, every other request a cache hit or a coalesced waiter.
-    EXPECT_EQ(stats.computed, 1U);
-    EXPECT_EQ(stats.coalesced + stats.cache.hits, kClients - 1);
-    // Per-algorithm latency histogram saw every request (all were fpm).
+    EXPECT_EQ(stats.requests, kRequests);
+    EXPECT_GE(stats.computed, 1U);
+    EXPECT_LE(stats.computed, kWorkers);
+    EXPECT_EQ(stats.computed + stats.cache.hits, kRequests);
     EXPECT_EQ(stats.latency_by_algorithm[static_cast<std::size_t>(
                   Algorithm::kFpm)].count,
-              kClients);
+              kRequests);
     EXPECT_EQ(stats.latency_by_algorithm[static_cast<std::size_t>(
                   Algorithm::kCpm)].count,
               0U);
@@ -700,9 +730,51 @@ TEST(ServeIntegration, WireRejectsWorkloadAboveTheBound) {
     server.start();
 
     ServeClient client("127.0.0.1", server.port());
-    const std::string reply = client.request("PARTITION big 67108865 fpm");
-    EXPECT_EQ(reply.rfind("ERR bad_request ", 0), 0U) << reply;
+    // The check's message alone: no expression, source path or function.
+    EXPECT_EQ(client.request("PARTITION big 67108865 fpm"),
+              "ERR bad_request workload size exceeds 2^26: 67108865");
     client.ping();  // the connection stays open
+
+    server.stop();
+}
+
+/// `devices` copies of one device whose speed function ends at
+/// `capacity` blocks.
+std::vector<SpeedFunction> bounded_models(std::size_t devices,
+                                          double capacity) {
+    std::vector<SpeedFunction> models;
+    for (std::size_t d = 0; d < devices; ++d) {
+        models.emplace_back(
+            std::vector<SpeedPoint>{{10.0, 50.0}, {capacity, 60.0}},
+            "cap" + std::to_string(d), capacity);
+    }
+    return models;
+}
+
+TEST(ServeIntegration, WireCapacityShortfallAnswersTypedError) {
+    ModelRegistry registry;
+    registry.put("g", bounded_models(3, 1000.0));
+    RequestEngine engine(registry, {.workers = 2, .cache_capacity = 16});
+    SocketServer server(engine);
+    server.start();
+
+    ServeClient client("127.0.0.1", server.port());
+    // n = 40 is 1600 blocks: three 1000-block devices hold it.
+    const PartitionReply fits =
+        parse_partition_reply(client.request("PARTITION g 40 fpm"));
+    EXPECT_FALSE(fits.degraded);
+
+    // Reloaded with 300-block devices, 900 blocks cannot hold 1600, and
+    // neither can an even split: a typed error, never the plan computed
+    // for the previous generation.
+    registry.put("g", bounded_models(3, 300.0));
+    EXPECT_EQ(client.request("PARTITION g 40 fpm"),
+              "ERR internal combined device capacity cannot hold the "
+              "requested workload");
+    client.ping();  // the connection stays usable
+    EXPECT_FALSE(parse_partition_reply(client.request("PARTITION g 20 fpm"))
+                     .degraded);  // 400 blocks fit
+    EXPECT_EQ(engine.stats().degraded, 0U);
 
     server.stop();
 }

@@ -365,9 +365,9 @@ TEST(ServeReactor, FeedbackRepliesMatchHandleLine) {
     engine.set_read_only(false);
 
     engine.set_feedback_handler([](const FeedbackSample&) -> FeedbackReply {
-        throw 42;  // not a std::exception
+        throw 42;  // not a std::exception: no message to show
     });
-    EXPECT_EQ(client.request(line), "ERR internal feedback failed");
+    same_reply("ERR internal");
     client.ping();  // the connection stays in step
     server.stop();
 }
@@ -520,7 +520,7 @@ TEST(ServeReactorPool, GracefulDrainCompletesInFlightOnEveryReactor) {
     for (std::size_t i = 0; i < kClients; ++i) {
         clients.emplace_back([&, i]() {
             ServeClient client("127.0.0.1", server.port());
-            // Distinct n per client: no coalescing, every request is its
+            // Distinct n per client: no cache hits, every request is its
             // own in-flight computation when stop() lands.
             client.send_lines({partition_line(
                 "big", 48 + 8 * static_cast<std::int64_t>(i),

@@ -326,11 +326,10 @@ int main(int argc, char** argv) {
         const auto stats = serve::ServerStats::from_fields(
             serve::make_stats_reply(engine.stats(), registry.size()).fields);
         std::printf("served %zu connection(s), %llu request(s) "
-                    "(%llu computed, %llu coalesced, %llu cache hit(s))\n",
+                    "(%llu computed, %llu cache hit(s))\n",
                     server.connections_accepted(),
                     static_cast<unsigned long long>(stats.requests),
                     static_cast<unsigned long long>(stats.computed),
-                    static_cast<unsigned long long>(stats.coalesced),
                     static_cast<unsigned long long>(stats.hits));
         std::printf("role %s: repl_lag_frames %llu, repl_lag_seconds %.3g, "
                     "repl_source %s, repl_applied_generation %llu\n",
