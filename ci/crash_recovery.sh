@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
-# Crash-recovery job for the durable model store and replication:
-# configures (once) and builds the ASan+UBSan tree, then runs every test
-# labelled `store` or `repl` under the sanitizers — the WAL framing,
+# Crash-recovery and memory-safety job for the durable model store,
+# replication and the serving stack: configures (once) and builds the
+# ASan+UBSan tree, then runs every test labelled `store`, `repl` or
+# `serve` under the sanitizers — the WAL framing,
 # torn-tail/corrupt-snapshot recovery, write-ahead veto, fork()+SIGKILL
-# crash and store-fault chaos suites, and the repl drills: the
+# crash and store-fault chaos suites, the repl drills (the
 # ReplicationLog catch-up suites, the fresh-join, restart and
 # ahead-of-primary tests, read-only serving, hostile primaries, the
 # repl.* fault-point chaos drill, the fork()+SIGKILL primary-failover
-# drill and the `fpmpart_serve` replica flag check.  This is the exact
-# command documented in docs/operations.md; keep the two in sync.
+# drill and the `fpmpart_serve` replica flag check), and the reactor's
+# buffer handling (test_serve, test_serve_reactor, test_protocol,
+# test_fault and test_loadgen).  This is the exact command documented
+# in docs/operations.md; keep the two in sync.
 #
 # Usage: ci/crash_recovery.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -26,4 +29,4 @@ fi
 
 cmake --build "$build" -j "$jobs"
 ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" \
-  ctest --test-dir "$build" -L "store|repl" --output-on-failure -j 1
+  ctest --test-dir "$build" -L "store|repl|serve" --output-on-failure -j 1

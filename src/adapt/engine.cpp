@@ -90,6 +90,11 @@ AdaptEngine::Impl::ingest(const serve::FeedbackSample& sample) {
     FPM_CHECK(std::isfinite(sample.seconds) && sample.seconds > 0.0,
               "measured time must be positive and finite");
 
+    // The snapshot is read under the lock (adapt before registry, the
+    // order put() below takes too): read before it, a concurrent
+    // ingest's republish would look like an external reload and wipe
+    // the set's evidence.
+    std::lock_guard<std::mutex> lock(mutex);
     auto snapshot = engine.registry().get(sample.model_set);
     FPM_CHECK(static_cast<std::size_t>(sample.device) <
                   snapshot->models.size(),
@@ -97,7 +102,6 @@ AdaptEngine::Impl::ingest(const serve::FeedbackSample& sample) {
 
     auto& metrics = AdaptMetrics::instance();
 
-    std::lock_guard<std::mutex> lock(mutex);
     auto [it, inserted] = sets.try_emplace(sample.model_set, config);
     SetState& state = it->second;
     if (inserted || state.synced_fingerprint != snapshot->fingerprint) {

@@ -18,6 +18,11 @@ namespace {
 /// failed together do not retry in lockstep.
 constexpr double kBackoffJitter = 0.5;
 
+/// pipeline() writes at most this many lines before reading their
+/// replies: the server stops reading while kMaxLineBytes of replies are
+/// unsent, so writing a whole large batch first could block in send().
+constexpr std::size_t kPipelineWindow = 64;
+
 /// Process-global client-side counters (mirroring the engine's style).
 struct ClientMetrics {
     obs::Counter& retries;
@@ -168,8 +173,16 @@ std::vector<std::string> ServeClient::read_replies(std::size_t count) {
 
 std::vector<std::string>
 ServeClient::pipeline(const std::vector<std::string>& lines) {
-    send_lines(lines);
-    return read_replies(lines.size());
+    std::vector<std::string> replies;
+    for (std::size_t i = 0; i < lines.size(); i += kPipelineWindow) {
+        const auto first = lines.begin() + static_cast<std::ptrdiff_t>(i);
+        const auto last = first + static_cast<std::ptrdiff_t>(std::min(
+                                      kPipelineWindow, lines.size() - i));
+        send_lines({first, last});
+        const auto chunk = read_replies(static_cast<std::size_t>(last - first));
+        replies.insert(replies.end(), chunk.begin(), chunk.end());
+    }
+    return replies;
 }
 
 Response ServeClient::call(const Request& req) {

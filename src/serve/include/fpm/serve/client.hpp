@@ -2,11 +2,10 @@
 /// \brief Blocking TCP client for the partition service.
 ///
 /// One connection; request() does one line round trip, pipeline() writes
-/// a whole batch of request lines before reading the batch of responses
-/// — the client side of the reactor's request pipelining, and the shape
-/// the throughput bench measures.  Typed helpers (partition(), ping())
-/// encode and decode through the shared protocol structs, so
-/// client-side values match the server bit-for-bit.
+/// request lines in batches, reading each batch's responses before the
+/// next — the client side of the reactor's request pipelining.  Typed
+/// helpers (partition(), ping()) encode and decode through the shared
+/// protocol structs, so client-side values match the server bit-for-bit.
 ///
 /// The socket is a LineConn (line_conn.hpp).  Deadlines come from the
 /// same ServeConfig the server consumes: connect() is polled against
@@ -88,15 +87,18 @@ public:
         return last_rtt_seconds_;
     }
 
-    /// Pipelines a batch: writes every line back-to-back, then reads
-    /// exactly lines.size() response lines (the server answers in
-    /// request order).  Throws like request() and, like it, drops the
-    /// connection on failure; the next call reconnects.
+    /// Pipelines a batch of any size, 64 lines per write, reading each
+    /// write's replies before the next; returns exactly lines.size()
+    /// response lines (the server answers in request order).  Throws
+    /// like request() and, like it, drops the connection on failure; the
+    /// next call reconnects.
     std::vector<std::string> pipeline(const std::vector<std::string>& lines);
 
     /// Half-duplex halves of pipeline(), for callers that keep several
     /// connections in flight at once: send_lines() writes a batch
     /// without reading, read_replies() reads `count` response lines.
+    /// Keep a batch's replies well under kMaxLineBytes: the server stops
+    /// reading while that much is unsent.
     void send_lines(const std::vector<std::string>& lines);
     std::vector<std::string> read_replies(std::size_t count);
 

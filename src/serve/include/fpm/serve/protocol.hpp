@@ -211,7 +211,6 @@ struct ServerStats {
     std::uint64_t idle_timeouts = 0;
     std::uint64_t send_failures = 0;
     std::uint64_t pipelined = 0;
-    std::int64_t pipeline_depth_max = 0;
     double q2r_p50_us = 0.0;
     double q2r_p95_us = 0.0;
     double q2r_p99_us = 0.0;
@@ -308,10 +307,10 @@ make_partition_reply(const PartitionRequest& request,
 /// Executes one decoded request against the engine (and its registry)
 /// and returns the typed response; never throws.  Failures become kError
 /// through current_error(ErrorCode::kInternal).  Everything
-/// runs on the calling thread: the reactor calls this inline for the
-/// cheap verbs and on the engine pool for FEEDBACK, and answers
-/// PARTITION itself (cache probe on the loop, submit_async() on a
-/// miss).
+/// runs on the calling thread: the reactor calls this inline for PING,
+/// QUIT, STATS, HEALTH and MODELS, answers PARTITION cache hits itself
+/// (try_execute_cached() on the loop), and calls this on the engine pool
+/// for PARTITION misses, FEEDBACK and LOAD.
 [[nodiscard]] Response handle_request(RequestEngine& engine,
                                       const Request& request);
 

@@ -16,25 +16,24 @@ namespace fpm::serve {
 struct ReactorMetrics {
     obs::Gauge& open_connections;  ///< currently accepted connections
     obs::Gauge& buffered_bytes;    ///< sum of per-connection in+out buffers
-    obs::Gauge& pipeline_depth;    ///< in-flight requests on one connection
-                                   ///  (max() is the interesting reading)
     obs::Gauge& reactors;          ///< event-loop threads of every running
                                    ///  server in the process
     obs::Counter& accepted;
     obs::Counter& rejected;        ///< admission-control `ERR busy` closes
     obs::Counter& idle_timeouts;   ///< idle-timeout evictions
     obs::Counter& send_failures;   ///< write errors that closed a connection
-    obs::Counter& pipelined;       ///< requests that arrived while earlier
-                                   ///  ones were still in flight
-    obs::Histogram& queue_to_reply_seconds;  ///< request parsed -> response
-                                             ///  handed to the socket buffer
+    obs::Counter& pipelined;       ///< lines the reactor already held when
+                                   ///  its connection's previous reply
+                                   ///  was queued
+    obs::Histogram& queue_to_reply_seconds;  ///< the recv that brought a
+                                             ///  request in -> its reply
+                                             ///  queued for the socket
 
     static const ReactorMetrics& get() {
         static auto& registry = obs::MetricsRegistry::global();
         static const ReactorMetrics metrics{
             registry.gauge("serve.reactor.open_connections"),
             registry.gauge("serve.reactor.buffered_bytes"),
-            registry.gauge("serve.reactor.pipeline_depth"),
             registry.gauge("serve.reactor.reactors"),
             registry.counter("serve.reactor.accepted"),
             registry.counter("serve.reactor.rejected"),

@@ -9,8 +9,9 @@
 /// only locks on that path are the registry's and one cache stripe's.
 /// Identical misses that run at the same time each compute (plans are
 /// deterministic, so they agree bit for bit); through the server every
-/// miss is a pool task that looks the cache up when it starts, so at most
-/// Options::workers computes of one key overlap.  Per request the engine
+/// miss is a pool task that looks the cache up when it starts, and a
+/// connection has at most one in flight, so at most Options::workers
+/// computes of one key overlap.  Per request the engine
 /// records wall-clock latency into one histogram per algorithm; those and
 /// the engine's own counters (all wait-free obs instruments, kept per
 /// engine) are surfaced through stats() and the STATS wire command.
@@ -149,17 +150,18 @@ public:
     /// Schedules execute() on the pool and invokes `done` with the
     /// outcome from the worker thread — failures arrive as
     /// AsyncResult::error instead of a thrown exception, so callers that
-    /// cannot rethrow across threads (the serve reactor's event loop)
-    /// get a complete result either way.  `done` must be callable after
-    /// the caller has gone away if the caller can be destroyed before
-    /// the engine drains (capture shared state by shared_ptr).
+    /// cannot rethrow across threads get a complete result either way
+    /// (the server's misses go through post() instead).  `done` must be
+    /// callable after the caller has gone away if the caller can be
+    /// destroyed before the engine drains (capture shared state by
+    /// shared_ptr).
     void submit_async(const PartitionRequest& request,
                       std::function<void(AsyncResult)> done);
 
     /// Cache-hit fast path: answers from the plan cache without touching
     /// the thread pool, or returns nullopt when the request would need a
     /// compute (cache miss, unknown model set, invalid n) — callers fall
-    /// back to submit_async() and the pool reports any error.  Counts
+    /// back to execute() on the pool, which reports any error.  Counts
     /// exactly like execute()'s hit path, so STATS cannot tell the two
     /// apart.  The serve reactor probes this before paying the
     /// worker-thread round trip.
@@ -197,8 +199,9 @@ public:
     FeedbackReply execute_feedback(const FeedbackSample& sample);
 
     /// Runs `task` on the engine's thread pool and returns at once.  The
-    /// reactor hands FEEDBACK to handle_request() this way, so
-    /// ingest/refine/publish never runs on the event loop.  An exception
+    /// reactor hands PARTITION misses, FEEDBACK and LOAD to
+    /// handle_request() this way, so compute, ingest/refine/publish and
+    /// model loads never run on the event loop.  An exception
     /// escaping `task` is dropped, so `task` reports its own failures;
     /// same lifetime rules as submit_async().
     void post(std::function<void()> task);

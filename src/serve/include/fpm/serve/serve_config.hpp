@@ -36,8 +36,9 @@ struct ServeConfig {
     /// The budget is global — shared by every reactor in the pool, not
     /// multiplied by num_reactors.
     std::size_t max_connections = 256;
-    /// A connection with nothing in flight that has neither sent a byte
-    /// nor been sent a reply for this long is evicted.  <= 0 disables.
+    /// A connection with nothing in flight that the reactor has neither
+    /// read from nor queued a reply to for this long is evicted, a client
+    /// that stopped reading its replies included.  <= 0 disables.
     double idle_timeout = 60.0;
 
     // -- client deadlines ---------------------------------------------

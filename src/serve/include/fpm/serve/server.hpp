@@ -8,27 +8,35 @@
 /// listeners are bound with SO_REUSEPORT, so the kernel load-balances
 /// accepted connections across them and a connection lives its whole
 /// life on one reactor — there is no cross-reactor handoff on the hot
-/// path and no shared reactor state to lock.  Connections carry
-/// read/write buffers and a response pipeline, so a client may send many
-/// request lines back-to-back; partition compute and FEEDBACK run on the
-/// engine's thread pool and each completion is posted back to the owning
-/// loop, which writes responses strictly in request order.  Lifecycle
-/// management:
+/// path and no shared reactor state to lock.  Each connection is a strict
+/// request-reply sequence: a client may write many request lines
+/// back-to-back, but the loop takes one line, answers it inline or hands
+/// it to the engine's thread pool, and takes the next only once that
+/// reply is in the write buffer.  So requests execute in arrival order,
+/// each sees the effects of every earlier request on its connection, and
+/// replies leave in request order.  The loop reads from a socket (one
+/// 16 KiB recv per readable event) only while its connection has nothing
+/// in flight and less than kMaxLineBytes of unsent output; otherwise the
+/// bytes stay in the kernel and TCP flow control holds the peer back.
+/// Per connection, input is at most kMaxLineBytes + 16 KiB and unsent
+/// output at most kMaxLineBytes + one reply.  Lifecycle management:
 ///
 ///  * admission control — the ServeConfig::max_connections budget is
 ///    *global* (one atomic shared by the pool); accepts beyond it are
 ///    answered `ERR busy` and closed (serve.reactor.rejected);
 ///  * idle eviction — each connection carries the time of its last
-///    read or flushed reply; once per tick (idle_timeout / 8, clamped
+///    read or queued reply; once per tick (idle_timeout / 8, clamped
 ///    to 5 ms .. 1 s) each reactor closes the connections with nothing
-///    in flight whose stamp is ServeConfig::idle_timeout old;
+///    in flight whose stamp is ServeConfig::idle_timeout old, a client
+///    that stopped reading its replies included;
 ///  * graceful drain — stop() stops accepting on every listener, lets
-///    each reactor flush its in-flight responses for at most 5 s, then
-///    closes.
+///    each reactor finish its in-flight requests and flush unsent
+///    replies for at most 5 s, then closes.  Lines still buffered
+///    behind them get no reply.
 ///
-/// Cheap commands (PING, STATS, MODELS) run inline on the owning loop;
-/// LOAD also runs inline, so a slow model-CSV read briefly stalls that
-/// one reactor — acceptable for an administrative command.  Port 0
+/// The loop answers PING, QUIT, STATS, HEALTH, MODELS and PARTITION
+/// cache hits inline; PARTITION misses, FEEDBACK and LOAD (a CSV read
+/// and a store append) run handle_request() on the engine pool.  Port 0
 /// picks an ephemeral port (the first listener binds it, the rest join
 /// it via SO_REUSEPORT); port() reports the bound one, which is how
 /// tests and the bench avoid collisions.  Every reactor event feeds the
@@ -66,7 +74,8 @@ public:
     /// Graceful drain: stops accepting on every listener, lets each
     /// reactor's in-flight requests finish and their responses flush
     /// (for at most 5 s), joins the reactor threads and closes
-    /// everything.  Idempotent.
+    /// everything.  Lines a connection sent behind its in-flight
+    /// request are dropped unanswered.  Idempotent.
     void stop();
 
     /// Bound port (valid after start()).

@@ -516,7 +516,6 @@ void visit_fields(Self& s, Field&& field) {
     field("idle_timeouts", s.idle_timeouts);
     field("send_failures", s.send_failures);
     field("pipelined", s.pipelined);
-    field("pipeline_depth_max", s.pipeline_depth_max);
     field("q2r_p50_us", s.q2r_p50_us);
     field("q2r_p95_us", s.q2r_p95_us);
     field("q2r_p99_us", s.q2r_p99_us);
@@ -678,7 +677,6 @@ Response make_stats_reply(const EngineStats& engine, std::size_t model_count) {
     s.idle_timeouts = reactor.idle_timeouts.value();
     s.send_failures = reactor.send_failures.value();
     s.pipelined = reactor.pipelined.value();
-    s.pipeline_depth_max = reactor.pipeline_depth.max();
     const obs::HistogramSnapshot q2r =
         reactor.queue_to_reply_seconds.snapshot();
     s.q2r_p50_us = q2r.p50 * 1e6;

@@ -12,7 +12,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <deque>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -43,33 +42,35 @@ void set_nonblocking(int fd) {
               std::string("fcntl(O_NONBLOCK): ") + std::strerror(errno));
 }
 
-/// One response awaiting its slot in a connection's in-order pipeline.
-struct PendingReply {
-    std::uint64_t seq = 0;
-    bool ready = false;
-    std::string text;
-    Clock::time_point queued;
-};
-
-/// Per-connection reactor state: buffers plus the response pipeline.
+/// Per-connection reactor state.  A connection is a strict request-reply
+/// sequence: it holds at most one request in flight, and takes its next
+/// line only once that reply is in `outbuf`.
 struct Connection {
     int fd = -1;
     std::uint64_t id = 0;
     std::string inbuf;
-    std::string outbuf;
-    std::size_t out_pos = 0;  ///< bytes of outbuf already written
-    std::deque<PendingReply> pipeline;
-    std::uint64_t next_seq = 0;
-    bool closing = false;     ///< stop parsing; close once drained
+    std::size_t scanned = 0;  ///< leading inbuf bytes known newline-free
+    std::string outbuf;       ///< reply bytes not yet written
+    bool in_flight = false;   ///< a pool task owes this connection a reply
+    /// When the last recv returned.  A read happens only when no complete
+    /// line is held, so every line taken since arrived by that read.
+    Clock::time_point read_at;
+    bool closing = false;     ///< take no more lines; close once drained
+    bool reading = true;      ///< EPOLLIN currently registered
     bool want_write = false;  ///< EPOLLOUT currently registered
     std::size_t accounted_bytes = 0;  ///< share of the buffered-bytes gauge
-    Clock::time_point last_active;    ///< last read or flushed reply
+    Clock::time_point last_active;    ///< last read or queued reply
+
+    /// True while the connection may take a line (and so read): not
+    /// closing, nothing in flight, unsent output below kMaxLineBytes.
+    [[nodiscard]] bool takes_input() const noexcept {
+        return !closing && !in_flight && outbuf.size() < kMaxLineBytes;
+    }
 };
 
-/// An engine completion travelling from a worker thread to the loop.
+/// A pool reply travelling from a worker thread to the loop.
 struct Completion {
     std::uint64_t conn_id = 0;
-    std::uint64_t seq = 0;
     std::string text;  ///< fully encoded response line
 };
 
@@ -217,8 +218,7 @@ struct SocketServer::Reactor {
     }
 
     void update_buffered(Connection& conn) {
-        const std::size_t now_bytes =
-            conn.inbuf.size() + (conn.outbuf.size() - conn.out_pos);
+        const std::size_t now_bytes = conn.inbuf.size() + conn.outbuf.size();
         metrics().buffered_bytes.add(
             static_cast<std::int64_t>(now_bytes) -
             static_cast<std::int64_t>(conn.accounted_bytes));
@@ -240,13 +240,16 @@ struct SocketServer::Reactor {
         conns.erase(it);
     }
 
-    void set_want_write(Connection& conn, bool want) {
-        if (conn.want_write == want) {
+    /// Sets the connection's epoll interest, with one epoll_ctl when it
+    /// changes.
+    void set_events(Connection& conn, bool in, bool out) {
+        if (conn.reading == in && conn.want_write == out) {
             return;
         }
-        conn.want_write = want;
+        conn.reading = in;
+        conn.want_write = out;
         epoll_event event{};
-        event.events = EPOLLIN | (want ? EPOLLOUT : 0U);
+        event.events = (in ? EPOLLIN : 0U) | (out ? EPOLLOUT : 0U);
         event.data.u64 = conn.id;
         (void)::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, conn.fd, &event);
     }
@@ -305,26 +308,29 @@ struct SocketServer::Reactor {
         }
     }
 
-    /// Enqueues one request line into the connection's pipeline and
-    /// either answers it inline (cheap commands, parse errors, cache
-    /// hits) or hands it to the engine pool (PARTITION misses, FEEDBACK).
-    void handle_line_on(Connection& conn, const std::string& line) {
-        const std::uint64_t seq = conn.next_seq++;
-        if (!conn.pipeline.empty()) {
-            metrics().pipelined.add();
-        }
-        conn.pipeline.push_back(PendingReply{seq, false, {}, Clock::now()});
-        metrics().pipeline_depth.set(
-            static_cast<std::int64_t>(conn.pipeline.size()));
-        PendingReply& slot = conn.pipeline.back();
+    /// Appends one reply line to the write buffer and records its
+    /// queue-to-reply latency, from the read that brought its request in.
+    void queue_reply(Connection& conn, const std::string& text) {
+        metrics().queue_to_reply_seconds.record(
+            std::chrono::duration<double>(Clock::now() - conn.read_at)
+                .count());
+        conn.outbuf += text;
+        conn.outbuf += '\n';
+        conn.last_active = now;
+    }
 
+    /// Answers one request line inline (PING, QUIT, STATS, HEALTH,
+    /// MODELS, decode errors and PARTITION cache hits) or runs it through
+    /// handle_request() on the engine pool (PARTITION misses, FEEDBACK,
+    /// LOAD), which leaves the connection in flight until the completion
+    /// returns.
+    void handle_line_on(Connection& conn, const std::string& line) {
         Request request;
         try {
             request = Request::decode(line);
         } catch (...) {
             // Decode failures are the client's malformed line.
-            slot.ready = true;
-            slot.text = current_error(ErrorCode::kBadRequest).encode();
+            queue_reply(conn, current_error(ErrorCode::kBadRequest).encode());
             return;
         }
         if (request.kind == Request::Kind::kPartition) {
@@ -340,110 +346,98 @@ struct SocketServer::Reactor {
                     response.kind = Response::Kind::kPartition;
                     response.partition =
                         make_partition_reply(request.partition, *cached);
-                    slot.ready = true;
-                    slot.text = response.encode();
+                    queue_reply(conn, response.encode());
                     return;
                 }
             }
-            // Compute goes to the engine's pool; the completion returns
-            // to this loop through the eventfd mailbox and fills the
-            // pipeline slot, keeping responses in request order.
-            engine.submit_async(
-                request.partition,
-                [queue = completions, conn_id = conn.id, seq,
-                 partition = request.partition](
-                    RequestEngine::AsyncResult result) {
-                    std::string text;
-                    if (result.ok()) {
-                        Response response;
-                        response.kind = Response::Kind::kPartition;
-                        response.partition =
-                            make_partition_reply(partition, result.response);
-                        text = response.encode();
-                    } else {
-                        text = Response::make_error(result.code, result.error)
-                                   .encode();
-                    }
-                    queue->push(Completion{conn_id, seq, std::move(text)});
-                });
+        } else if (request.kind != Request::Kind::kFeedback &&
+                   request.kind != Request::Kind::kLoad) {
+            if (request.kind == Request::Kind::kQuit) {
+                conn.closing = true;  // drop any pipelined input after QUIT
+            }
+            queue_reply(conn, handle_request(engine, request).encode());
             return;
         }
-        if (request.kind == Request::Kind::kFeedback) {
-            // Feedback never runs on the event loop: ingest/refine/
-            // publish goes to the engine pool like a partition compute,
-            // so a burst of reports cannot stall PARTITION replies (the
-            // off-hot-path requirement of fpm::adapt).  The slot gets
-            // exactly one reply whatever the handler throws.
-            engine.post([&engine = engine, queue = completions,
-                         conn_id = conn.id, seq,
-                         request = std::move(request)]() {
-                std::string text;
-                try {
-                    text = handle_request(engine, request).encode();
-                } catch (...) {
-                    text = current_error(ErrorCode::kInternal).encode();
-                }
-                queue->push(Completion{conn_id, seq, std::move(text)});
-            });
-            return;
-        }
-        if (request.kind == Request::Kind::kQuit) {
-            conn.closing = true;  // drop any pipelined input after QUIT
-        }
-        slot.ready = true;
-        slot.text = handle_request(engine, request).encode();
+        // Compute, feedback ingest and model loads (a CSV read and a WAL
+        // append) run on the pool.  The connection takes no further line
+        // until the completion returns through the eventfd mailbox.
+        conn.in_flight = true;
+        engine.post([&engine = engine, queue = completions,
+                     conn_id = conn.id, request = std::move(request)]() {
+            std::string text;
+            try {
+                text = handle_request(engine, request).encode();
+            } catch (...) {
+                text = current_error(ErrorCode::kInternal).encode();
+            }
+            queue->push(Completion{conn_id, std::move(text)});
+        });
     }
 
-    /// Splits complete lines out of the read buffer; returns false when
-    /// the connection died while flushing.
-    bool parse_lines(Connection& conn) {
-        while (!conn.closing) {
-            const auto newline = conn.inbuf.find('\n');
-            if (newline == std::string::npos) {
-                if (conn.inbuf.size() > kMaxLineBytes) {
-                    conn.pipeline.push_back(PendingReply{
-                        conn.next_seq++, true,
-                        Response::make_error(ErrorCode::kBadRequest,
-                                             "request line too long")
-                            .encode(),
-                        Clock::now()});
-                    conn.closing = true;
-                }
+    /// Takes the connection's complete lines in order while it takes
+    /// input, through a head offset with one compaction per pass.
+    /// `held` marks the first line as held while an earlier reply of the
+    /// connection was pending.
+    void take_lines(Connection& conn, bool held) {
+        std::size_t head = 0;
+        while (conn.takes_input()) {
+            const std::size_t newline =
+                conn.inbuf.find('\n', head + conn.scanned);
+            const std::size_t end =
+                newline == std::string::npos ? conn.inbuf.size() : newline;
+            if (end - head > kMaxLineBytes) {
+                queue_reply(conn,
+                            Response::make_error(ErrorCode::kBadRequest,
+                                                 "request line too long")
+                                .encode());
+                conn.closing = true;
                 break;
             }
-            std::string line = conn.inbuf.substr(0, newline);
-            conn.inbuf.erase(0, newline + 1);
+            if (newline == std::string::npos) {
+                conn.scanned = end - head;
+                break;
+            }
+            conn.scanned = 0;
+            std::string line = conn.inbuf.substr(head, end - head);
+            head = newline + 1;
             if (!line.empty() && line.back() == '\r') {
                 line.pop_back();
             }
             if (line.empty()) {
                 continue;
             }
+            if (held) {
+                metrics().pipelined.add();
+            }
+            held = true;
             handle_line_on(conn, line);
         }
-        return flush_ready(conn);
+        conn.inbuf.erase(0, head);
     }
 
-    /// Moves every leading ready reply into the write buffer (recording
-    /// its queue-to-reply latency) and pushes bytes at the socket.
-    bool flush_ready(Connection& conn) {
-        while (!conn.pipeline.empty() && conn.pipeline.front().ready) {
-            PendingReply& front = conn.pipeline.front();
-            metrics().queue_to_reply_seconds.record(
-                std::chrono::duration<double>(Clock::now() - front.queued)
-                    .count());
-            conn.outbuf += front.text;
-            conn.outbuf += '\n';
-            conn.pipeline.pop_front();
-            conn.last_active = now;
-        }
-        return try_write(conn);
+    /// Takes lines and writes their replies until a request is in
+    /// flight, output stays blocked at kMaxLineBytes, or no complete line
+    /// remains, so the connection reads only once it holds none.  `held`:
+    /// a completion or drained output started the pass.  Returns false
+    /// when the connection closed.
+    bool pump(Connection& conn, bool held) {
+        do {
+            take_lines(conn, held);
+            if (!try_write(conn)) {
+                return false;
+            }
+            held = true;
+        } while (conn.takes_input() &&
+                 conn.inbuf.find('\n', conn.scanned) != std::string::npos);
+        return true;
     }
 
-    /// Non-blocking write of the out buffer.  A hard send failure closes
+    /// Non-blocking write of the unsent output; closes a closing
+    /// connection once nothing is pending, else re-arms input when it may
+    /// read and output while bytes remain.  A hard send failure closes
     /// the connection and is counted — never silently swallowed.
     bool try_write(Connection& conn) {
-        if (conn.out_pos < conn.outbuf.size()) {
+        if (!conn.outbuf.empty()) {
             static auto& send_fault = fault::point("serve.send");
             if (send_fault.fire()) {
                 // Simulated hard send failure, same path as EPIPE below:
@@ -454,38 +448,43 @@ struct SocketServer::Reactor {
                 return false;
             }
         }
-        while (conn.out_pos < conn.outbuf.size()) {
+        std::size_t sent = 0;
+        while (sent < conn.outbuf.size()) {
             const ssize_t n =
-                ::send(conn.fd, conn.outbuf.data() + conn.out_pos,
-                       conn.outbuf.size() - conn.out_pos, MSG_NOSIGNAL);
+                ::send(conn.fd, conn.outbuf.data() + sent,
+                       conn.outbuf.size() - sent, MSG_NOSIGNAL);
             if (n >= 0) {
-                conn.out_pos += static_cast<std::size_t>(n);
+                sent += static_cast<std::size_t>(n);
                 continue;
             }
             if (errno == EINTR) {
                 continue;
             }
             if (errno == EAGAIN || errno == EWOULDBLOCK) {
-                set_want_write(conn, true);
-                update_buffered(conn);
-                return true;
+                break;
             }
             metrics().send_failures.add();
             close_conn(conn.id);
             return false;
         }
-        conn.outbuf.clear();
-        conn.out_pos = 0;
-        set_want_write(conn, false);
-        update_buffered(conn);
-        if (conn.closing && conn.pipeline.empty()) {
+        conn.outbuf.erase(0, sent);
+        if (conn.closing && !conn.in_flight && conn.outbuf.empty()) {
             close_conn(conn.id);
             return false;
         }
+        set_events(conn, conn.reading || conn.takes_input(),
+                   !conn.outbuf.empty());
+        update_buffered(conn);
         return true;
     }
 
     bool on_readable(Connection& conn) {
+        if (!conn.takes_input()) {
+            // Input stays in the socket, so TCP flow control holds the
+            // peer back; unwatch it until pump() resumes, or epoll spins.
+            set_events(conn, false, conn.want_write);
+            return true;
+        }
         static auto& recv_fault = fault::point("serve.recv");
         if (recv_fault.fire()) {
             // Simulated recv failure (ECONNRESET): drop the connection
@@ -494,46 +493,28 @@ struct SocketServer::Reactor {
             close_conn(conn.id);
             return false;
         }
-        char chunk[16384];
-        bool got_bytes = false;
-        bool eof = false;
-        for (;;) {
-            const ssize_t n = ::recv(conn.fd, chunk, sizeof chunk, 0);
-            if (n > 0) {
-                if (!conn.closing) {
-                    conn.inbuf.append(chunk, static_cast<std::size_t>(n));
-                    got_bytes = true;
-                }
-                continue;  // drain until EAGAIN (level-triggered epoll)
-            }
-            if (n == 0) {
-                eof = true;
-                break;
-            }
-            if (errno == EINTR) {
-                continue;
-            }
-            if (errno == EAGAIN || errno == EWOULDBLOCK) {
-                break;
-            }
-            close_conn(conn.id);
-            return false;
-        }
-        if (got_bytes) {
+        char chunk[16384];  // one recv per readable event
+        ssize_t n = 0;
+        do {
+            n = ::recv(conn.fd, chunk, sizeof chunk, 0);
+        } while (n < 0 && errno == EINTR);
+        if (n > 0) {
+            conn.inbuf.append(chunk, static_cast<std::size_t>(n));
+            conn.read_at = Clock::now();
             conn.last_active = now;
-            if (!parse_lines(conn)) {
-                return false;
-            }
+            return pump(conn, false);
         }
-        if (eof) {
-            conn.closing = true;  // serve what's queued, then hang up
-            if (conn.pipeline.empty() && conn.out_pos >= conn.outbuf.size()) {
-                close_conn(conn.id);
-                return false;
-            }
+        if (n == 0) {
+            // pump() left no complete line behind before this read:
+            // answer what is pending, then hang up.
+            conn.closing = true;
+            return try_write(conn);
         }
-        update_buffered(conn);
-        return true;
+        if (errno == EAGAIN || errno == EWOULDBLOCK) {
+            return true;
+        }
+        close_conn(conn.id);
+        return false;
     }
 
     void handle_completions() {
@@ -543,19 +524,14 @@ struct SocketServer::Reactor {
                 continue;  // connection closed while computing
             }
             Connection& conn = *it->second;
-            for (PendingReply& pending : conn.pipeline) {
-                if (pending.seq == completion.seq) {
-                    pending.ready = true;
-                    pending.text = std::move(completion.text);
-                    break;
-                }
-            }
-            (void)flush_ready(conn);
+            conn.in_flight = false;
+            queue_reply(conn, completion.text);
+            (void)pump(conn, true);
         }
     }
 
     /// At most once per tick, closes every connection with nothing in
-    /// flight whose last read or reply is at least `idle` old.
+    /// flight whose last read or queued reply is at least `idle` old.
     void expire_idle() {
         if (config.idle_timeout <= 0.0 || now < next_sweep) {
             return;
@@ -563,7 +539,7 @@ struct SocketServer::Reactor {
         next_sweep = now + sweep_tick;
         for (auto it = conns.begin(); it != conns.end();) {
             const Connection& conn = *(it++)->second;  // before close_conn
-            if (conn.pipeline.empty() && now - conn.last_active >= idle) {
+            if (!conn.in_flight && now - conn.last_active >= idle) {
                 metrics().idle_timeouts.add();
                 close_conn(conn.id);
             }
@@ -591,8 +567,7 @@ struct SocketServer::Reactor {
                 const bool force = now >= drain_until;
                 for (auto it = conns.begin(); it != conns.end();) {
                     const Connection& conn = *(it++)->second;
-                    if (force || (conn.pipeline.empty() &&
-                                  conn.out_pos >= conn.outbuf.size())) {
+                    if (force || (!conn.in_flight && conn.outbuf.empty())) {
                         close_conn(conn.id);
                     }
                 }
@@ -649,7 +624,7 @@ struct SocketServer::Reactor {
                     alive = on_readable(conn);
                 }
                 if (alive && (mask & EPOLLOUT)) {
-                    (void)try_write(conn);
+                    (void)pump(conn, true);
                 }
             }
             expire_idle();

@@ -452,6 +452,43 @@ TEST(AdaptEngineTest, ExternalReloadResyncsWorkingModels) {
     EXPECT_EQ(adapter.stats().resyncs, 1u);
 }
 
+TEST(AdaptEngineTest, ConcurrentIngestsOfOneSetNeverResync) {
+    ModelRegistry registry;
+    const auto models = registry.put("hybrid", synthetic_models(2, 16, 1.0))
+                            ->models;
+    RequestEngine engine(registry, {.workers = 1, .cache_capacity = 16});
+    AdaptConfig config;
+    config.min_samples = 2;
+    config.drift_threshold = 0.05;
+    config.cusum_limit = 0.1;
+    AdaptEngine adapter(engine, config);
+    const std::uint64_t republished_before = adapter.stats().republished;
+
+    // Four threads report one set at once while both devices slow down
+    // step by step, so windows keep turning reliable and the CUSUM keeps
+    // republishing.  One thread's republish is no external reload to
+    // another: the set's evidence must survive it.
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+        threads.emplace_back([&, t] {
+            const double sizes[] = {800.0, 1600.0, 3200.0};
+            for (int i = 0; i < 400; ++i) {
+                const std::size_t device = static_cast<std::size_t>((t + i) % 2);
+                const double x = sizes[i % 3];
+                const double slowdown = 1.0 - 0.1 * static_cast<double>(i / 80);
+                (void)adapter.ingest({"hybrid",
+                                      static_cast<std::int64_t>(device), x,
+                                      x / (models[device].speed(x) * slowdown)});
+            }
+        });
+    }
+    for (auto& thread : threads) {
+        thread.join();
+    }
+    EXPECT_GT(adapter.stats().republished, republished_before);
+    EXPECT_EQ(adapter.stats().resyncs, 0u);
+}
+
 TEST(AdaptEngineTest, RejectsUnknownSetsAndBadDevices) {
     ModelRegistry registry;
     registry.put("hybrid", synthetic_models(2, 16, 1.0));

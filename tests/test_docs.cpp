@@ -154,6 +154,43 @@ TEST(DocsConsistency, OperationsRunbookCoversEveryStatsField) {
             << "STATS field '" << field.name << "' is not documented in "
             << "docs/operations.md";
     }
+
+    // The other way round: every backticked name in the first column of
+    // the STATS table is a field the reply carries, so a retired field
+    // cannot linger there.
+    const auto table = runbook.find("| `STATS` field |");
+    ASSERT_NE(table, std::string::npos) << "STATS table not found";
+    std::istringstream rows(runbook.substr(table));
+    std::string row;
+    std::getline(rows, row);  // header
+    std::getline(rows, row);  // separator
+    std::size_t names = 0;
+    while (std::getline(rows, row) && row.rfind("| ", 0) == 0) {
+        const std::string cell = row.substr(2, row.find(" |", 2) - 2);
+        for (auto open = cell.find('`'); open != std::string::npos;
+             open = cell.find('`', open + 1)) {
+            const auto close = cell.find('`', open + 1);
+            ASSERT_NE(close, std::string::npos) << row;
+            const std::string name = cell.substr(open + 1, close - open - 1);
+            EXPECT_TRUE(std::any_of(stats.fields.begin(), stats.fields.end(),
+                                    [&](const auto& field) {
+                                        return field.name == name;
+                                    }))
+                << "docs/operations.md documents STATS field '" << name
+                << "', which the reply does not carry";
+            ++names;
+            open = close;
+        }
+    }
+    EXPECT_GE(names, stats.fields.size());
+}
+
+TEST(DocsConsistency, ProtocolSpecHeadingNamesTheCurrentVersion) {
+    const std::string spec = read_file("docs/protocol.md");
+    const std::string heading = spec.substr(0, spec.find('\n'));
+    EXPECT_EQ(heading, "# The fpmpart serve protocol, version " +
+                           std::to_string(fpm::serve::kProtocolVersion))
+        << "docs/protocol.md names another version in its heading";
 }
 
 TEST(DocsConsistency, BothDocsCoverEveryHealthField) {

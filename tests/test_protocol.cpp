@@ -587,8 +587,6 @@ void set_registry_values() {
     metrics.counter("serve.reactor.idle_timeouts").add(6);
     metrics.counter("serve.reactor.send_failures").add(1);
     metrics.counter("serve.reactor.pipelined").add(33);
-    metrics.gauge("serve.reactor.pipeline_depth").set(8);
-    metrics.gauge("serve.reactor.pipeline_depth").set(0);
     metrics.histogram("serve.reactor.queue_to_reply_seconds").record(0.000125);
     metrics.counter("adapt.samples").add(250);
     metrics.counter("adapt.reliable").add(12);
@@ -645,7 +643,7 @@ TEST(ProtocolWire, StatsLineIsPinned) {
         "cpm_p95_us=430.00000000000006 cpm_p99_us=870 even_count=1 "
         "even_p50_us=300 even_p95_us=630 even_p99_us=1270 reactors=3 "
         "open_conns=14 buffered_bytes=4096 accepted=21 rejected=2 "
-        "idle_timeouts=6 send_failures=1 pipelined=33 pipeline_depth_max=8 "
+        "idle_timeouts=6 send_failures=1 pipelined=33 "
         "q2r_p50_us=125 q2r_p95_us=125 q2r_p99_us=125 adapt_samples=250 "
         "adapt_reliable=12 adapt_drift=4 adapt_republished=3 "
         "adapt_model_version=19 store_appended=27 store_bytes=65536 "

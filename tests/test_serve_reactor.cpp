@@ -1,11 +1,18 @@
 // Tests for the serve reactor's connection lifecycle: request
-// pipelining (many lines in flight per connection, responses strictly in
+// pipelining (many lines written back-to-back, responses strictly in
 // request order, bit-for-bit equal to the direct library call under 64
-// concurrent pipelined clients), idle-timeout eviction (slow loris out;
-// in-flight and talking clients kept), FEEDBACK on the engine pool
-// answering exactly like handle_line(), max_connections admission
-// control, graceful drain of in-flight requests on stop(), and the
-// reactor fields surfaced through STATS.  The ServeReactorPool suite reruns the parity and admission
+// concurrent pipelined clients), one request at a time per connection
+// (pipelined FEEDBACK and LOAD execute in arrival order, a pipelined
+// replay answers like a serial one, a client that stops reading stays
+// bounded and is evicted, a half-closed batch is answered in full, so
+// is a batch whose replies outgrow the 1 MiB output bound, pipeline()
+// completes a batch of any size, seeded splits of hostile input answer
+// like one write), idle-timeout
+// eviction (slow loris out; in-flight and talking clients kept),
+// FEEDBACK on the engine pool answering exactly like handle_line(),
+// max_connections admission control, graceful drain of in-flight
+// requests on stop(), and the reactor fields surfaced through STATS.
+// The ServeReactorPool suite reruns the parity and admission
 // workloads against a 4-reactor SO_REUSEPORT pool — replies must stay
 // bit-for-bit identical at every reactor count, the max_connections
 // budget must stay global, drain must complete on every reactor, the
@@ -15,18 +22,25 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <map>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
 
+#include "fpm/adapt/engine.hpp"
+#include "fpm/core/model_io.hpp"
 #include "fpm/fault/fault.hpp"
 #include "fpm/measure/timer.hpp"
 #include "fpm/serve/client.hpp"
@@ -74,6 +88,82 @@ std::string partition_line(const std::string& model, std::int64_t n,
     request.kind = Request::Kind::kPartition;
     request.partition = PartitionRequest{model, n, algorithm, true};
     return request.encode();
+}
+
+/// Uninstalls any leftover fault plan when a test exits.
+struct FaultGuard {
+    ~FaultGuard() { fault::uninstall(); }
+};
+
+/// Devices whose speed functions end at `capacity` blocks.
+std::vector<SpeedFunction> bounded_models(std::size_t devices,
+                                          double capacity) {
+    std::vector<SpeedFunction> models;
+    for (std::size_t d = 0; d < devices; ++d) {
+        models.emplace_back(
+            std::vector<SpeedPoint>{{10.0, 50.0}, {capacity, 60.0}},
+            "cap" + std::to_string(d), capacity);
+    }
+    return models;
+}
+
+/// A blocking loopback connection to `port` with TCP_NODELAY (so each
+/// write leaves as its own segment) and a 5 s receive deadline.
+int raw_connect(std::uint16_t port) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+              0);
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    const timeval tv{5, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+    return fd;
+}
+
+void send_all(int fd, const std::string& data) {
+    std::size_t sent = 0;
+    while (sent < data.size()) {
+        const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
+                                 MSG_NOSIGNAL);
+        ASSERT_GT(n, 0) << std::strerror(errno);
+        sent += static_cast<std::size_t>(n);
+    }
+}
+
+/// Every line the server sends until it closes; an unterminated tail
+/// is returned as a last element.  Fails the test when no EOF arrives
+/// within the receive deadline.
+std::vector<std::string> read_lines_to_eof(int fd) {
+    std::string data;
+    char chunk[4096];
+    for (;;) {
+        const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+        if (n > 0) {
+            data.append(chunk, static_cast<std::size_t>(n));
+            continue;
+        }
+        if (n < 0 && errno == EINTR) {
+            continue;
+        }
+        EXPECT_EQ(n, 0) << "no EOF from the server: " << std::strerror(errno);
+        break;
+    }
+    std::vector<std::string> lines;
+    std::size_t head = 0;
+    for (auto newline = data.find('\n'); newline != std::string::npos;
+         newline = data.find('\n', head)) {
+        lines.push_back(data.substr(head, newline - head));
+        head = newline + 1;
+    }
+    if (head < data.size()) {
+        lines.push_back(data.substr(head));
+    }
+    return lines;
 }
 
 // ---------------------------------------------------------------------------
@@ -258,19 +348,10 @@ TEST(ServeReactor, SlowLorisEvictedByIdleTimeout) {
     const ReactorMetrics& metrics = ReactorMetrics::get();
     const std::uint64_t evictions_before = metrics.idle_timeouts.value();
 
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(server.port());
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
-              0);
+    const int fd = raw_connect(server.port());
     // A partial request line, then silence — never a newline.
     ASSERT_GT(::send(fd, "PARTIT", 6, MSG_NOSIGNAL), 0);
 
-    const timeval tv{5, 0};
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
     measure::WallTimer timer;
     char byte;
     const ssize_t n = ::recv(fd, &byte, 1, 0);  // blocks until eviction
@@ -293,9 +374,7 @@ TEST(ServeReactor, SlowLorisEvictedByIdleTimeout) {
 // silent for longer, is evicted.
 // ---------------------------------------------------------------------------
 TEST(ServeReactor, IdleTimeoutSparesInFlightAndTalkingClients) {
-    struct FaultGuard {
-        ~FaultGuard() { fault::uninstall(); }
-    } guard;
+    FaultGuard guard;
     ModelRegistry registry;
     registry.put("hybrid", synthetic_models(2, 16, 1.0));
     RequestEngine engine(registry, {.workers = 1, .cache_capacity = 8});
@@ -648,6 +727,414 @@ TEST(ServeReactorPool, ReactorsGaugeCountsEveryRunningServer) {
     second.stop();
     EXPECT_EQ(client.stats().reactors, 1U);
     first.stop();
+}
+
+// ---------------------------------------------------------------------------
+// One request at a time per connection: the reactor takes a line only
+// once the previous reply is queued, so pipelined requests execute in
+// arrival order and each sees every earlier one's effects.
+// ---------------------------------------------------------------------------
+
+TEST(ServeReactor, PipelinedFeedbackRunsInRequestOrder) {
+    FaultGuard guard;
+    ModelRegistry registry;
+    registry.put("hybrid", synthetic_models(2, 16, 1.0));
+    RequestEngine engine(registry, {.workers = 4, .cache_capacity = 8});
+    adapt::AdaptConfig config;
+    config.min_samples = 64;  // the bucket never turns reliable here,
+    config.max_samples = 64;  // so its count only grows
+    adapt::AdaptEngine adapter(engine, config);
+    SocketServer server(engine);
+    server.start();
+
+    // Half the pool's dispatches stall 1 ms, so requests that were
+    // allowed to overlap would finish out of order.
+    fault::install(fault::FaultPlan::parse("seed=7,rt.dispatch=0.5:delay:1"));
+    ServeClient client("127.0.0.1", server.port());
+    const std::vector<std::string> lines(32, "FEEDBACK hybrid 0 1000 2.5");
+    const auto replies = client.pipeline(lines);
+    fault::uninstall();
+    ASSERT_EQ(replies.size(), lines.size());
+    for (std::size_t i = 0; i < replies.size(); ++i) {
+        const Response response = Response::decode(replies[i]);
+        ASSERT_EQ(response.kind, Response::Kind::kFeedback) << replies[i];
+        EXPECT_EQ(response.feedback.samples, i + 1) << replies[i];
+    }
+    server.stop();
+}
+
+TEST(ServeReactor, PipelinedLoadRunsAfterAnEarlierPartition) {
+    FaultGuard guard;
+    ModelRegistry registry;
+    registry.put("other", synthetic_models(3, 64, 1.0));
+    const auto g = registry.put("g", bounded_models(3, 1000.0));
+    const std::string csv = ::testing::TempDir() + "fpmpart_reactor_g300.csv";
+    core::save_speed_functions_csv(csv, bounded_models(3, 300.0));
+    RequestEngine engine(registry, {.workers = 1, .cache_capacity = 8});
+    SocketServer server(engine);
+    server.start();
+
+    // Every compute stalls 100 ms on the single worker, so a LOAD run
+    // ahead of its turn would land while both misses still wait.
+    fault::install(fault::FaultPlan::parse("serve.compute=1:delay:100"));
+    ServeClient client("127.0.0.1", server.port());
+    const auto replies = client.pipeline({
+        partition_line("other", 24, Algorithm::kFpm),
+        "PARTITION g 40 fpm",  // 1600 blocks: three 1000-block devices
+        "LOAD g " + csv,       // three 300-block devices
+        "PARTITION g 40 fpm",
+    });
+    fault::uninstall();
+    ASSERT_EQ(replies.size(), 4U);
+    EXPECT_EQ(parse_partition_reply(replies[0]).model, "other");
+
+    // The earlier request is answered from the generation it was sent
+    // against...
+    const PartitionReply before = parse_partition_reply(replies[1]);
+    EXPECT_EQ(before.generation, g->generation);
+    EXPECT_FALSE(before.degraded);
+    EXPECT_EQ(before.blocks,
+              RequestEngine::compute_plan(*g, 40, Algorithm::kFpm, true)
+                  .blocks);
+    const Response loaded = Response::decode(replies[2]);
+    ASSERT_EQ(loaded.kind, Response::Kind::kLoaded) << replies[2];
+    EXPECT_GT(loaded.loaded.generation, g->generation);
+    // ...and the later one sees the reload.
+    EXPECT_EQ(replies[3],
+              "ERR internal combined device capacity cannot hold the "
+              "requested workload");
+    server.stop();
+}
+
+TEST(ServeReactor, ClientThatStopsReadingIsBoundedAndEvicted) {
+    ModelRegistry registry;
+    registry.put("hybrid", synthetic_models(3, 64, 1.0));
+    RequestEngine engine(registry, {.workers = 1, .cache_capacity = 8});
+    ServeConfig config;
+    config.idle_timeout = 0.3;
+    SocketServer server(engine, config);
+    server.start();
+    const std::string line = partition_line("hybrid", 52, Algorithm::kFpm);
+    {
+        ServeClient warm("127.0.0.1", server.port());
+        EXPECT_FALSE(parse_partition_reply(warm.request(line)).cached);
+    }
+    const ReactorMetrics& metrics = ReactorMetrics::get();
+    const std::uint64_t evictions_before = metrics.idle_timeouts.value();
+
+    // The flooder writes the cached line for up to 1 s and never reads
+    // a reply.  It stops at 4 MiB, so a reactor that buffers everything
+    // fails here without exhausting memory.
+    constexpr std::size_t kFloodCap = 4U << 20;
+    std::string block;
+    while (block.size() < 64 * 1024) {
+        block += line + "\n";
+    }
+    const int fd = raw_connect(server.port());
+    ASSERT_EQ(::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK), 0);
+    std::thread flooder([&] {
+        measure::WallTimer timer;
+        std::size_t sent = 0;
+        while (sent < kFloodCap && timer.elapsed() < 1.0) {
+            const std::size_t offset = sent % block.size();
+            const ssize_t n = ::send(fd, block.data() + offset,
+                                     block.size() - offset, MSG_NOSIGNAL);
+            if (n > 0) {
+                sent += static_cast<std::size_t>(n);
+            } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            } else {
+                break;  // evicted
+            }
+        }
+    });
+
+    // A second connection is answered promptly, and the flooder's
+    // buffers stay within the per-connection bounds.
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    measure::WallTimer timer;
+    try {
+        ServeConfig probe_config;
+        probe_config.recv_timeout = 1.0;
+        ServeClient probe("127.0.0.1", server.port(), probe_config);
+        const ServerStats stats = probe.stats();
+        EXPECT_LT(timer.elapsed(), 1.0);
+        EXPECT_LE(stats.buffered_bytes,
+                  static_cast<std::int64_t>(2 * kMaxLineBytes + 64 * 1024));
+    } catch (const fpm::Error& e) {
+        ADD_FAILURE() << "STATS during the flood: " << e.what();
+    }
+    flooder.join();
+
+    // With nothing in flight and nothing read or queued for idle_timeout,
+    // the flooder is evicted.
+    for (int i = 0; i < 300 && server.open_connections() > 0; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_EQ(server.open_connections(), 0U);
+    EXPECT_EQ(metrics.idle_timeouts.value(), evictions_before + 1);
+    ::close(fd);
+    server.stop();
+}
+
+/// FEEDBACK lines for the two devices of `models`: samples cycle over
+/// three sizes, device 0 runs at half its modelled speed from the 40th
+/// line on, and every time carries a fixed pattern of +-2 % noise.
+std::vector<std::string> drifting_feedback(
+    const std::vector<SpeedFunction>& models, std::size_t count) {
+    const double sizes[] = {800.0, 1600.0, 3200.0};
+    std::vector<std::string> lines;
+    for (std::size_t i = 0; i < count; ++i) {
+        Request request;
+        request.kind = Request::Kind::kFeedback;
+        request.feedback.model_set = "hybrid";
+        request.feedback.device = static_cast<std::int64_t>(i % 2);
+        const double x = sizes[(i / 2) % 3];
+        const double slowdown = (i % 2 == 0 && i >= 40) ? 0.5 : 1.0;
+        const double noise =
+            1.0 + 0.004 * (static_cast<double>((i * 37) % 11) - 5.0);
+        request.feedback.problem_size = x;
+        request.feedback.seconds =
+            x / (models[i % 2].speed(x) * slowdown) * noise;
+        lines.push_back(request.encode());
+    }
+    return lines;
+}
+
+/// Replays `lines` against a fresh registry, 4-worker engine, adapter
+/// and server, `batch` lines per pipelined write; returns every reply.
+std::vector<std::string> replay_feedback(
+    const std::vector<SpeedFunction>& models,
+    const std::vector<std::string>& lines, std::size_t batch) {
+    ModelRegistry registry;
+    registry.put("hybrid", models);
+    RequestEngine engine(registry, {.workers = 4, .cache_capacity = 8});
+    adapt::AdaptConfig config;
+    config.min_samples = 2;
+    config.drift_threshold = 0.05;
+    config.cusum_limit = 0.1;
+    adapt::AdaptEngine adapter(engine, config);
+    SocketServer server(engine);
+    server.start();
+    ServeClient client("127.0.0.1", server.port());
+    std::vector<std::string> replies;
+    for (std::size_t i = 0; i < lines.size(); i += batch) {
+        const std::vector<std::string> group(
+            lines.begin() + static_cast<std::ptrdiff_t>(i),
+            lines.begin() +
+                static_cast<std::ptrdiff_t>(std::min(i + batch, lines.size())));
+        for (std::string& reply : client.pipeline(group)) {
+            replies.push_back(std::move(reply));
+        }
+    }
+    server.stop();
+    return replies;
+}
+
+TEST(ServeReactor, PipelinedFeedbackReplayMatchesSerialReplay) {
+    const auto models = synthetic_models(2, 16, 1.0);
+    const auto lines = drifting_feedback(models, 120);
+    const auto pipelined = replay_feedback(models, lines, 32);
+    const auto serial = replay_feedback(models, lines, 1);
+    ASSERT_EQ(pipelined.size(), lines.size());
+    EXPECT_EQ(pipelined, serial);
+    // The trace exercises the whole loop: windows turn reliable and the
+    // drift republishes the set.
+    const auto flagged = [&](const char* token) {
+        return std::count_if(serial.begin(), serial.end(),
+                             [&](const std::string& reply) {
+                                 return reply.find(token) != std::string::npos;
+                             });
+    };
+    EXPECT_GT(flagged("reliable=1"), 0);
+    EXPECT_GT(flagged("republished=1"), 0);
+}
+
+TEST(ServeReactor, HalfClosedBatchGetsEveryReplyThenEof) {
+    ModelRegistry registry;
+    registry.put("hybrid", synthetic_models(3, 64, 1.0));
+    RequestEngine engine(registry, {.workers = 2, .cache_capacity = 8});
+    SocketServer server(engine);
+    server.start();
+
+    const int fd = raw_connect(server.port());
+    send_all(fd, "PING\n" + partition_line("hybrid", 32, Algorithm::kFpm) +
+                     "\nBOGUS\n" +
+                     partition_line("hybrid", 32, Algorithm::kFpm) +
+                     "\nFEEDBACK hybrid 0 1000 2.5\nMODELS\n" +
+                     partition_line("hybrid", 40, Algorithm::kCpm) +
+                     "\nHEALTH\n");
+    ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+    const auto replies = read_lines_to_eof(fd);
+    ::close(fd);
+    ASSERT_EQ(replies.size(), 8U);
+    EXPECT_EQ(replies[0], "OK PONG v" + std::to_string(kProtocolVersion));
+    EXPECT_FALSE(parse_partition_reply(replies[1]).cached);
+    EXPECT_EQ(replies[2], "ERR unsupported_verb unknown command: BOGUS");
+    EXPECT_TRUE(parse_partition_reply(replies[3]).cached);
+    EXPECT_EQ(replies[4].rfind("ERR feedback_disabled", 0), 0U) << replies[4];
+    EXPECT_EQ(replies[5].rfind("OK MODELS ", 0), 0U) << replies[5];
+    EXPECT_EQ(parse_partition_reply(replies[6]).algorithm, Algorithm::kCpm);
+    EXPECT_EQ(replies[7].rfind("OK HEALTH ", 0), 0U) << replies[7];
+    server.stop();
+}
+
+/// Writes `lines` STATS requests in one write to a fresh connection and
+/// returns every reply: `lines` of them, or all up to the server's EOF
+/// after a half-close.  One pass of inline replies outgrows
+/// kMaxLineBytes, so the reactor stops taking lines at the full write
+/// buffer and must take the rest once it drained, however much of it
+/// the kernel absorbed in one send.
+std::vector<std::string> stats_batch(std::size_t lines, bool half_close) {
+    ModelRegistry registry;
+    registry.put("hybrid", synthetic_models(3, 64, 1.0));
+    RequestEngine engine(registry, {.workers = 1, .cache_capacity = 8});
+    SocketServer server(engine);
+    server.start();
+    std::string batch;
+    for (std::size_t i = 0; i < lines; ++i) {
+        batch += "STATS\n";
+    }
+    const int fd = raw_connect(server.port());
+    send_all(fd, batch);
+    std::vector<std::string> replies;
+    if (half_close) {
+        EXPECT_EQ(::shutdown(fd, SHUT_WR), 0);
+        replies = read_lines_to_eof(fd);
+        ::close(fd);
+    } else {
+        LineConn conn(fd, 5.0);  // owns and closes fd
+        try {
+            while (replies.size() < lines) {
+                replies.push_back(conn.read_line(kMaxLineBytes));
+            }
+        } catch (const TransportError& e) {
+            ADD_FAILURE() << "after " << replies.size() << " replies: "
+                          << e.what();
+        }
+    }
+    server.stop();
+    std::size_t bytes = 0;
+    for (const std::string& reply : replies) {
+        EXPECT_EQ(reply.rfind("OK STATS ", 0), 0U) << reply;
+        bytes += reply.size() + 1;
+    }
+    EXPECT_GT(bytes, 2 * kMaxLineBytes);  // the bound was genuinely hit
+    return replies;
+}
+
+TEST(ServeReactor, RepliesPastTheOutputBoundAreAnsweredInFull) {
+    EXPECT_EQ(stats_batch(3000, false).size(), 3000U);
+}
+
+TEST(ServeReactor, HalfClosedBatchPastTheOutputBoundGetsEveryReplyThenEof) {
+    EXPECT_EQ(stats_batch(3000, true).size(), 3000U);
+}
+
+// ServeClient::pipeline() reads while it writes, so a batch whose replies
+// and requests both outgrow the socket buffers and the server's output
+// bound completes instead of blocking in send().
+TEST(ServeReactor, PipelineOfABatchPastTheOutputBoundCompletes) {
+    ModelRegistry registry;
+    registry.put("hybrid", synthetic_models(3, 64, 1.0));
+    RequestEngine engine(registry, {.workers = 1, .cache_capacity = 8});
+    SocketServer server(engine);
+    server.start();
+    constexpr std::size_t kStats = 8000;  // ~6.6 MB of replies
+    constexpr std::size_t kJunk = 200;    // 12.5 MiB of requests
+    std::vector<std::string> lines(kStats, "STATS");
+    lines.insert(lines.end(), kJunk, "BOGUS " + std::string(64 * 1024, 'x'));
+    ServeClient client("127.0.0.1", server.port());
+    const auto replies = client.pipeline(lines);
+    ASSERT_EQ(replies.size(), lines.size());
+    for (std::size_t i = 0; i < kStats; ++i) {
+        ASSERT_EQ(replies[i].rfind("OK STATS ", 0), 0U) << i;
+    }
+    for (std::size_t i = kStats; i < replies.size(); ++i) {
+        ASSERT_EQ(replies[i], "ERR unsupported_verb unknown command: BOGUS")
+            << i;
+    }
+    server.stop();
+}
+
+/// Sends `pieces` one write at a time, a millisecond apart so the
+/// reactor tends to read them separately, to a fresh server; then
+/// half-closes and returns every reply up to the server's EOF.
+std::vector<std::string> exchange_pieces(
+    const std::vector<std::string>& pieces) {
+    ModelRegistry registry;
+    registry.put("hybrid", synthetic_models(3, 64, 1.0));
+    RequestEngine engine(registry, {.workers = 2, .cache_capacity = 8});
+    SocketServer server(engine);
+    server.start();
+    const int fd = raw_connect(server.port());
+    for (const std::string& piece : pieces) {
+        send_all(fd, piece);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ::shutdown(fd, SHUT_WR);
+    auto replies = read_lines_to_eof(fd);
+    ::close(fd);
+    server.stop();
+    return replies;
+}
+
+TEST(ServeReactor, SeededSplitsOfHostileInputAnswerLikeOneWrite) {
+    const std::string batch =
+        "PING\r\n"
+        "PARTITION hybrid 32 fpm\r\n"
+        "\r\n"
+        "PARTITION hybrid 32 fpm\n"
+        "BOGUS\r\n"
+        "\n"
+        "PARTITION hybrid 40 cpm nolayout\r\n"
+        "PARTITION nosuch 32 fpm\n"
+        "\r\n"
+        "PING\n";
+    const auto reference = exchange_pieces({batch});
+    ASSERT_EQ(reference.size(), 7U);
+    EXPECT_EQ(reference[0], "OK PONG v" + std::to_string(kProtocolVersion));
+    EXPECT_FALSE(parse_partition_reply(reference[1]).cached);
+    EXPECT_TRUE(parse_partition_reply(reference[2]).cached);
+    EXPECT_EQ(reference[3], "ERR unsupported_verb unknown command: BOGUS");
+    EXPECT_TRUE(parse_partition_reply(reference[4]).rects.empty());
+    EXPECT_EQ(reference[5].rfind("ERR bad_request unknown model set", 0), 0U)
+        << reference[5];
+    EXPECT_EQ(reference[6], reference[0]);
+
+    std::vector<std::size_t> crlf;  // offsets of the '\n' of each "\r\n"
+    for (std::size_t i = 1; i < batch.size(); ++i) {
+        if (batch[i] == '\n' && batch[i - 1] == '\r') {
+            crlf.push_back(i);
+        }
+    }
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        std::mt19937_64 rng(seed);
+        std::uniform_int_distribution<std::size_t> offset(1, batch.size() - 1);
+        // One cut inside a random "\r\n", then up to 12 anywhere.
+        std::vector<std::size_t> cuts = {crlf[rng() % crlf.size()]};
+        for (std::size_t i = rng() % 13; i > 0; --i) {
+            cuts.push_back(offset(rng));
+        }
+        std::sort(cuts.begin(), cuts.end());
+        cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+        std::vector<std::string> pieces;
+        std::size_t head = 0;
+        for (const std::size_t cut : cuts) {
+            pieces.push_back(batch.substr(head, cut - head));
+            head = cut;
+        }
+        pieces.push_back(batch.substr(head));
+        EXPECT_EQ(exchange_pieces(pieces), reference) << "seed " << seed;
+    }
+
+    // A final unterminated line one byte over the bound is refused and
+    // the connection closed.
+    const auto refused =
+        exchange_pieces({"PING\n", std::string(kMaxLineBytes + 1, 'x')});
+    ASSERT_EQ(refused.size(), 2U);
+    EXPECT_EQ(refused[0], reference[0]);
+    EXPECT_EQ(refused[1], "ERR bad_request request line too long");
 }
 
 } // namespace

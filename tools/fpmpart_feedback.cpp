@@ -5,7 +5,9 @@
 // FEEDBACK verb, so recorded production traces (or synthetic drift
 // scenarios) can be replayed against a live server to drive its online
 // adaptation loop (see docs/adaptation.md).  Rows are pipelined in
-// batches for throughput; the summary counts reliable windows, drift
+// batches for throughput; the server ingests one connection's samples
+// in the order they were written, so a pipelined replay prints the same
+// summary as --batch 1.  The summary counts reliable windows, drift
 // flags and republishes seen in the typed replies.
 //
 // CSV format (one sample per line, '#' comments and blank lines
