@@ -1,8 +1,9 @@
 // google-benchmark micro-benchmarks of the partition service: cold
-// partition computes, cached lookups, single-connection socket round
-// trips and multi-threaded engine throughput.  They locate costs inside
-// the serving path; the service's benchmark, whose end-to-end metrics
-// judge a change, is perfbench/ (BENCHMARK.json).  JSON output:
+// partition computes, cached lookups, the hit line and its typed encode,
+// single-connection socket round trips and multi-threaded engine
+// throughput.  They locate costs inside the serving path; the service's
+// benchmark, whose end-to-end metrics judge a change, is perfbench/
+// (BENCHMARK.json).  JSON output:
 // --benchmark_out=FILE --benchmark_out_format=json.
 #include <benchmark/benchmark.h>
 
@@ -150,6 +151,41 @@ std::string cached_partition_line() {
     request.partition = PartitionRequest{"hybrid", 52, Algorithm::kFpm, true};
     return request.encode();
 }
+
+// The reactor's answer to a cache hit, without the socket: decode the
+// PARTITION line, probe the cache, append the served line (head plus the
+// plan's stored reply fields) to a reused write buffer.
+void BM_PartitionHitLine(benchmark::State& state) {
+    auto& f = fixture();
+    const std::string line = cached_partition_line();
+    (void)f.engine.execute(Request::decode(line).partition);  // warm it
+    std::string outbuf;
+    for (auto _ : state) {
+        outbuf.clear();
+        const Request request = Request::decode(line);
+        const auto cached = f.engine.try_execute_cached(request.partition);
+        append_partition_line(outbuf, request.partition, *cached);
+        outbuf += '\n';
+        benchmark::DoNotOptimize(outbuf.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_PartitionHitLine);
+
+// The typed encoder of the same answer, as clients' references build it:
+// copy the plan into a PartitionReply and encode every field.
+void BM_TypedPartitionEncode(benchmark::State& state) {
+    auto& f = fixture();
+    const PartitionRequest request{"hybrid", 52, Algorithm::kFpm, true};
+    const PartitionResponse served = f.engine.execute(request);
+    for (auto _ : state) {
+        Response response;
+        response.kind = Response::Kind::kPartition;
+        response.partition = make_partition_reply(request, served);
+        benchmark::DoNotOptimize(response.encode());
+    }
+}
+BENCHMARK(BM_TypedPartitionEncode);
 
 // The pre-reactor wire pattern, scaled out: Arg(N) connections, each
 // doing strict one-request-per-round-trip in lockstep phases.  This is

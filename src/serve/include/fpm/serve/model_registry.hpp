@@ -63,9 +63,10 @@ public:
 
     /// Installs (or replaces) the set under `name`; returns the new
     /// snapshot.  Throws ServiceError(kBadRequest) for a name that is
-    /// empty or holds whitespace, ',', '=' or ':' (the MODELS reply's
-    /// separators), fpm::Error for an empty model list, and rethrows a
-    /// veto from the put observer (registry untouched).
+    /// empty or holds wire whitespace (is_wire_space() in protocol.hpp),
+    /// ',', '=' or ':' (the MODELS reply's separators), fpm::Error for an
+    /// empty model list, and rethrows a veto from the put observer
+    /// (registry untouched).
     std::shared_ptr<const ModelSet> put(const std::string& name,
                                         std::vector<core::SpeedFunction> models);
 

@@ -27,6 +27,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "fpm/part/request.hpp"
@@ -48,10 +49,16 @@ struct PlanKey {
 };
 
 /// A served partitioning answer: the library's PartitionPlan plus the
-/// cache identity and the model-set generation that produced it.
+/// cache identity, the model-set generation that produced it, and its
+/// encoded reply fields, so a cache hit formats nothing.
 struct PartitionPlan : part::PartitionPlan {
     PlanKey key;
     std::uint64_t generation = 0;  ///< model-set generation that produced it
+    /// The `OK PARTITION` tail this plan alone decides (` balanced=…`
+    /// through `layout=…`; see append_partition_fields() in protocol.hpp),
+    /// stored by RequestEngine::compute_plan().  Empty in a hand-built
+    /// plan, which must not be served.
+    std::string reply_fields;
 };
 
 /// Counter snapshot (one shard's or the whole cache's).

@@ -2,8 +2,9 @@
 /// \brief Typed messages of the partition-service wire protocol.
 ///
 /// The wire format stays line-oriented text — one request line, one
-/// response line, space-separated fields, values never contain spaces —
-/// but nothing outside this module splices or splits those strings.
+/// response line, fields separated by one space on send and by any run
+/// of wire whitespace on receipt, values never containing any — but
+/// nothing outside this module splices or splits those strings.
 /// Every message is a typed struct with `encode()`/`decode()`, and the
 /// reactor, ServeClient, the tools and the tests all speak structs:
 ///
@@ -19,11 +20,12 @@
 /// Failures are `ERR <code> [<message>]` since v5: the first token is a
 /// stable machine-readable ErrorCode token (see error.hpp) and the rest
 /// is the human diagnosis, built by current_error() from the failure's
-/// message alone.  Doubles travel as shortest-exact decimal (%.17g), so a
-/// partition reply decoded by the client compares bit-for-bit with the
-/// direct library call.  kProtocolVersion is the single revision
-/// constant: PING carries it, ServeClient::ping() enforces it, and
-/// nothing else restates it.
+/// message alone.  Doubles travel as round-trip-exact decimal: %.17g, 17
+/// significant digits (not the shortest form: 0.1 prints as
+/// 0.10000000000000001), so a partition reply decoded by the client
+/// compares bit-for-bit with the direct library call.  kProtocolVersion
+/// is the single revision constant: PING carries it, ServeClient::ping()
+/// enforces it, and nothing else restates it.
 ///
 /// The normative wire-format specification (framing, field grammars,
 /// the ERR taxonomy, the even-split fallback) lives in docs/protocol.md;
@@ -33,7 +35,9 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fpm/serve/error.hpp"
@@ -67,6 +71,14 @@ inline constexpr int kProtocolVersion = 7;
 /// kTooLong.
 inline constexpr std::size_t kMaxLineBytes = 1 << 20;
 
+/// Wire whitespace: space, \t, \n, \v, \f and \r, the bytes the C
+/// locale's isspace() matches.  Senders separate tokens with one space;
+/// decoders split on any run of these, and no token (a model-set name
+/// included) may hold one.
+[[nodiscard]] constexpr bool is_wire_space(char c) noexcept {
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
 /// A request message.  decode() parses a wire line (throws fpm::Error
 /// with a client-safe message on unknown verbs, arity errors or
 /// malformed numbers); encode() renders the line the client sends.
@@ -81,7 +93,7 @@ struct Request {
     std::string path;            ///< kLoad: model CSV path
 
     [[nodiscard]] std::string encode() const;
-    [[nodiscard]] static Request decode(const std::string& line);
+    [[nodiscard]] static Request decode(std::string_view line);
 };
 
 /// Payload of an `OK PARTITION` response.
@@ -275,7 +287,7 @@ struct Response {
     FeedbackReply feedback;            ///< kFeedback
 
     [[nodiscard]] std::string encode() const;
-    [[nodiscard]] static Response decode(const std::string& line);
+    [[nodiscard]] static Response decode(std::string_view line);
 
     /// Typed error; an empty `message` means the reply carries the code
     /// token alone (`ERR busy`), which is also how it decodes.
@@ -287,6 +299,26 @@ struct Response {
 [[nodiscard]] PartitionReply
 make_partition_reply(const PartitionRequest& request,
                      const PartitionResponse& response);
+
+/// Appends the part of an `OK PARTITION` line that the plan alone
+/// decides: ` balanced=… makespan=… comm=… blocks=… layout=…`, with its
+/// leading space.  The one writer of those fields: Response::encode()
+/// calls it on a PartitionReply, and RequestEngine::compute_plan() once
+/// per plan, storing the bytes in PartitionPlan::reply_fields.
+void append_partition_fields(std::string& out, double balanced_time,
+                             double makespan, std::int64_t comm_cost,
+                             std::span<const std::int64_t> blocks,
+                             std::span<const part::Rect> rects);
+
+/// Appends the served `OK PARTITION` line (no newline): the head that the
+/// request and `response`'s flags decide, then the plan's stored
+/// reply_fields, byte-identical to
+/// `Response{make_partition_reply(request, response)}.encode()`.  Throws
+/// fpm::Error, before appending anything, for a plan without stored
+/// fields; only RequestEngine::compute_plan() makes the plans an engine
+/// serves, and it always stores them.
+void append_partition_line(std::string& out, const PartitionRequest& request,
+                           const PartitionResponse& response);
 
 /// Builds the STATS response: engine counters, cache, per-algorithm
 /// latency quantiles and replication status, plus the reactor's
@@ -305,21 +337,23 @@ make_partition_reply(const PartitionRequest& request,
 [[nodiscard]] Response current_error(ErrorCode fallback);
 
 /// Executes one decoded request against the engine (and its registry)
-/// and returns the typed response; never throws.  Failures become kError
-/// through current_error(ErrorCode::kInternal).  Everything
-/// runs on the calling thread: the reactor calls this inline for PING,
-/// QUIT, STATS, HEALTH and MODELS, answers PARTITION cache hits itself
-/// (try_execute_cached() on the loop), and calls this on the engine pool
-/// for PARTITION misses, FEEDBACK and LOAD.
-[[nodiscard]] Response handle_request(RequestEngine& engine,
-                                      const Request& request);
+/// and returns its encoded reply line (no newline); never throws.
+/// Failures become `ERR` lines through current_error(ErrorCode::kInternal).
+/// A PARTITION answer is append_partition_line(): the plan's stored
+/// fields, encoded once when compute_plan() made it.  Everything runs on
+/// the calling thread: the reactor calls this inline for PING, QUIT,
+/// STATS, HEALTH and MODELS, answers PARTITION cache hits itself
+/// (try_execute_cached() and append_partition_line() on the loop), and
+/// calls this on the engine pool for PARTITION misses, FEEDBACK and LOAD.
+[[nodiscard]] std::string handle_request(RequestEngine& engine,
+                                         const Request& request);
 
 /// Line-in/line-out convenience used by tests and in-process callers:
-/// decode, dispatch, encode.  Never throws: a line that does not decode
-/// answers `ERR bad_request` (or the decoder's own code); QUIT answers
-/// `OK BYE` (hanging up is the transport's job).
+/// decode, then handle_request().  Never throws: a line that does not
+/// decode answers `ERR bad_request` (or the decoder's own code); QUIT
+/// answers `OK BYE` (hanging up is the transport's job).
 [[nodiscard]] std::string handle_line(RequestEngine& engine,
-                                      const std::string& line);
+                                      std::string_view line);
 
 /// Returns `response` when it is of kind `expected`; an `ERR` reply
 /// throws ServiceError (carrying the server's code and message), any
@@ -330,7 +364,7 @@ make_partition_reply(const PartitionRequest& request,
 
 /// Decodes a reply expected to be `OK PARTITION ...`; throws like
 /// expect_reply(), and fpm::Error on a malformed line.
-[[nodiscard]] PartitionReply parse_partition_reply(const std::string& reply);
+[[nodiscard]] PartitionReply parse_partition_reply(std::string_view reply);
 
 /// Stable 64-bit fingerprint of a request's encoded wire line (FNV-1a).
 /// ServeClient keys its retry jitter stream on this, so identical

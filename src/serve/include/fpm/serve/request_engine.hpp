@@ -231,8 +231,10 @@ public:
     [[nodiscard]] ModelRegistry& registry() noexcept { return registry_; }
 
     /// The direct library call the service must agree with: runs the full
-    /// pipeline on a model-set snapshot, bypassing registry and cache.
-    /// Exposed so tests and benches can compare answers bit-for-bit.
+    /// pipeline on a model-set snapshot, bypassing registry and cache, and
+    /// stores the plan's encoded reply fields (PartitionPlan::reply_fields),
+    /// the only place a served plan is made.  Exposed so tests and benches
+    /// can compare answers bit-for-bit.
     [[nodiscard]] static PartitionPlan
     compute_plan(const ModelSet& set, std::int64_t n, Algorithm algorithm,
                  bool with_layout);

@@ -9,6 +9,7 @@
 #include "fpm/core/model_io.hpp"
 #include "fpm/fault/fault.hpp"
 #include "fpm/serve/error.hpp"
+#include "fpm/serve/protocol.hpp"
 
 namespace fpm::serve {
 
@@ -30,10 +31,11 @@ void hash_double(std::uint64_t& h, double value) {
 
 /// The one set-name rule of put() and restore(): MODELS separates its
 /// entries with ',' and an entry's fields with ':', and the line
-/// protocol splits on whitespace and '=', so a name holding any of them
-/// would make every later MODELS reply undecodable.
+/// protocol splits on wire whitespace and '=', so a name holding any of
+/// them would make every later MODELS reply undecodable.
 void check_set_name(const std::string& name) {
-    if (name.empty() || name.find_first_of(" \t\r\n,=:") != std::string::npos) {
+    if (name.empty() || std::any_of(name.begin(), name.end(), is_wire_space) ||
+        name.find_first_of(",=:") != std::string::npos) {
         throw ServiceError(ErrorCode::kBadRequest,
                            "model set name must be non-empty without "
                            "whitespace, ',', '=' or ':': '" + name + "'");

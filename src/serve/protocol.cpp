@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cinttypes>
+#include <charconv>
 #include <cmath>
 #include <concepts>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 #include <type_traits>
 
 #include "fpm/common/error.hpp"
@@ -19,58 +18,187 @@ namespace fpm::serve {
 
 namespace {
 
-std::vector<std::string> tokenize(const std::string& line) {
-    std::vector<std::string> tokens;
-    std::istringstream stream(line);
-    std::string token;
-    while (stream >> token) {
-        tokens.push_back(token);
+// ---------------------------------------------------------------------------
+// Splitting
+// ---------------------------------------------------------------------------
+
+/// Takes the next token (a run of bytes that are not wire whitespace) off
+/// the front of `rest`; empty once only whitespace remains.
+std::string_view next_token(std::string_view& rest) {
+    std::size_t begin = 0;
+    while (begin < rest.size() && is_wire_space(rest[begin])) {
+        ++begin;
+    }
+    std::size_t end = begin;
+    while (end < rest.size() && !is_wire_space(rest[end])) {
+        ++end;
+    }
+    const std::string_view token = rest.substr(begin, end - begin);
+    rest.remove_prefix(end);
+    return token;
+}
+
+/// The first N pieces of a split and the number of pieces in all, so an
+/// arity check needs no allocation.
+template <std::size_t N>
+struct Pieces {
+    std::array<std::string_view, N> at{};
+    std::size_t size = 0;
+
+    void add(std::string_view piece) {
+        if (size < N) {
+            at[size] = piece;
+        }
+        ++size;
+    }
+    std::string_view operator[](std::size_t i) const { return at[i]; }
+};
+
+template <std::size_t N>
+Pieces<N> tokens_of(std::string_view line) {
+    Pieces<N> tokens;
+    for (std::string_view token = next_token(line); !token.empty();
+         token = next_token(line)) {
+        tokens.add(token);
     }
     return tokens;
 }
 
-std::int64_t parse_int(const std::string& text, const char* what) {
-    errno = 0;
-    char* end = nullptr;
-    const long long value = std::strtoll(text.c_str(), &end, 10);
-    FPM_CHECK(end != text.c_str() && *end == '\0' && errno == 0,
-              std::string("malformed ") + what + ": " + text);
-    return static_cast<std::int64_t>(value);
+/// Calls `visit` on each `sep`-separated part of `text`, split the way
+/// std::getline splits a stream: no part for empty text and none after
+/// a trailing separator.
+template <class Visit>
+void for_each_part(std::string_view text, char sep, Visit&& visit) {
+    while (!text.empty()) {
+        const std::size_t cut = text.find(sep);
+        visit(text.substr(0, cut));
+        if (cut == std::string_view::npos) {
+            return;
+        }
+        text.remove_prefix(cut + 1);
+    }
 }
 
-std::uint64_t parse_hex64(const std::string& text, const char* what) {
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(text.c_str(), &end, 16);
-    FPM_CHECK(end != text.c_str() && *end == '\0' && errno == 0,
-              std::string("malformed ") + what + ": " + text);
-    return static_cast<std::uint64_t>(value);
+template <std::size_t N>
+Pieces<N> parts_of(std::string_view text, char sep) {
+    Pieces<N> parts;
+    for_each_part(text, sep,
+                  [&parts](std::string_view part) { parts.add(part); });
+    return parts;
 }
 
-double parse_double(const std::string& text, const char* what) {
-    errno = 0;
-    char* end = nullptr;
-    const double value = std::strtod(text.c_str(), &end);
-    FPM_CHECK(end != text.c_str() && *end == '\0' && errno == 0,
-              std::string("malformed ") + what + ": " + text);
+/// Splits `token` at the first '=' and checks the key.
+std::string_view expect_kv(std::string_view token, const char* key) {
+    const auto eq = token.find('=');
+    FPM_CHECK(eq != std::string_view::npos && token.substr(0, eq) == key,
+              std::string("expected ") + key + "=..., got: " +
+                  std::string(token));
+    return token.substr(eq + 1);
+}
+
+// ---------------------------------------------------------------------------
+// Numbers
+// ---------------------------------------------------------------------------
+
+/// A whole-token decimal integer in strtoll's grammar: leading wire
+/// whitespace, an optional '+' or '-', digits (leading zeros allowed); a
+/// value outside int64 is malformed.
+std::int64_t parse_int(std::string_view text, const char* what) {
+    std::string_view digits = text;
+    while (!digits.empty() && is_wire_space(digits.front())) {
+        digits.remove_prefix(1);
+    }
+    // from_chars takes '-' but not '+'; "+-5" keeps its '+' and fails.
+    if (digits.size() > 1 && digits[0] == '+' && digits[1] >= '0' &&
+        digits[1] <= '9') {
+        digits.remove_prefix(1);
+    }
+    std::int64_t value = 0;
+    const char* const end = digits.data() + digits.size();
+    const auto parsed = std::from_chars(digits.data(), end, value);
+    FPM_CHECK(parsed.ec == std::errc{} && parsed.ptr == end,
+              std::string("malformed ") + what + ": " + std::string(text));
     return value;
 }
 
-/// Shortest-exact decimal form of a double (round-trips bit-for-bit).
-std::string format_double(double value) {
-    char buffer[64];
-    std::snprintf(buffer, sizeof buffer, "%.17g", value);
-    return buffer;
+/// Runs a C `strto*` parser over a NUL-terminated copy of `text`, which it
+/// must consume whole without a range error.
+template <class Parse>
+auto parse_whole(std::string_view text, const char* what, Parse parse) {
+    const std::string copy(text);
+    char* end = nullptr;
+    errno = 0;
+    const auto value = parse(copy.c_str(), &end);
+    FPM_CHECK(end != copy.c_str() && end == copy.c_str() + copy.size() &&
+                  errno == 0,
+              std::string("malformed ") + what + ": " + copy);
+    return value;
 }
 
-std::string format_hex64(std::uint64_t value) {
+std::uint64_t parse_hex64(std::string_view text, const char* what) {
+    return parse_whole(text, what, [](const char* begin, char** end) {
+        return std::strtoull(begin, end, 16);
+    });
+}
+
+/// strtod's grammar, hex floats and `inf`/`nan` included; an overflow or
+/// underflow (ERANGE) is malformed.
+double parse_double(std::string_view text, const char* what) {
+    return parse_whole(text, what, [](const char* begin, char** end) {
+        return std::strtod(begin, end);
+    });
+}
+
+// ---------------------------------------------------------------------------
+// Writing
+// ---------------------------------------------------------------------------
+
+/// A fingerprint on the wire: sixteen lower-case hex digits, zero-padded.
+struct Hex64 {
+    std::uint64_t value = 0;
+};
+
+void append_one(std::string& out, std::string_view text) { out += text; }
+
+void append_one(std::string& out, char ch) { out += ch; }
+
+template <std::integral T>
+void append_one(std::string& out, T value) {
+    char buffer[24];
+    const auto result = std::to_chars(buffer, buffer + sizeof buffer, value);
+    out.append(buffer, result.ptr);
+}
+
+/// Round-trip-exact decimal: %.17g, 17 significant digits (0.1 prints as
+/// 0.10000000000000001).  Not std::to_chars with precision 17, which
+/// prints the same bytes but pages in about 0.2 MB of conversion tables.
+void append_one(std::string& out, double value) {
     char buffer[32];
-    std::snprintf(buffer, sizeof buffer, "%016" PRIx64, value);
-    return buffer;
+    const int size = std::snprintf(buffer, sizeof buffer, "%.17g", value);
+    out.append(buffer, static_cast<std::size_t>(size));
 }
 
-std::string sanitize(const std::string& message) {
-    std::string clean = message;
+void append_one(std::string& out, Hex64 hex) {
+    char buffer[16];
+    const auto result =
+        std::to_chars(buffer, buffer + sizeof buffer, hex.value, 16);
+    out.append(static_cast<std::size_t>(buffer + sizeof buffer - result.ptr),
+               '0');
+    out.append(buffer, result.ptr);
+}
+
+/// Appends each part in turn: text and characters verbatim, integers in
+/// decimal, doubles round-trip exact, Hex64 as sixteen hex digits.
+template <class... Parts>
+void append(std::string& out, const Parts&... parts) {
+    (append_one(out, parts), ...);
+}
+
+/// A wire flag.
+constexpr char flag(bool value) noexcept { return value ? '1' : '0'; }
+
+std::string sanitize(std::string_view message) {
+    std::string clean(message);
     for (char& ch : clean) {
         if (ch == '\n' || ch == '\r') {
             ch = ' ';
@@ -79,23 +207,14 @@ std::string sanitize(const std::string& message) {
     return clean;
 }
 
-/// Splits `token` at the first '=' and checks the key.
-std::string expect_kv(const std::string& token, const char* key) {
-    const auto eq = token.find('=');
-    FPM_CHECK(eq != std::string::npos &&
-                  token.compare(0, eq, key) == 0,
-              std::string("expected ") + key + "=..., got: " + token);
-    return token.substr(eq + 1);
-}
-
-std::vector<std::string> split(const std::string& text, char sep) {
-    std::vector<std::string> parts;
-    std::string part;
-    std::istringstream stream(text);
-    while (std::getline(stream, part, sep)) {
-        parts.push_back(part);
-    }
-    return parts;
+/// The head of an `OK PARTITION` line: what the request and the way it
+/// was served decide.  append_partition_fields() writes the rest.
+void append_partition_head(std::string& out, std::string_view model,
+                           std::uint64_t generation, std::int64_t n,
+                           Algorithm algorithm, bool cached, bool degraded) {
+    append(out, "OK PARTITION model=", model, " gen=", generation, " n=", n,
+           " algo=", part::to_string(algorithm), " cached=", flag(cached),
+           " degraded=", flag(degraded));
 }
 
 } // namespace
@@ -119,70 +238,71 @@ std::string Request::encode() const {
     case Kind::kLoad:
         return "LOAD " + name + " " + path;
     case Kind::kPartition: {
-        std::ostringstream out;
-        out << "PARTITION " << partition.model_set << ' ' << partition.n
-            << ' ' << part::to_string(partition.algorithm);
+        std::string out;
+        append(out, "PARTITION ", partition.model_set, ' ', partition.n, ' ',
+               part::to_string(partition.algorithm));
         if (!partition.with_layout) {
-            out << " nolayout";
+            out += " nolayout";
         }
-        return out.str();
+        return out;
     }
     case Kind::kFeedback: {
-        std::ostringstream out;
-        out << "FEEDBACK " << feedback.model_set << ' ' << feedback.device
-            << ' ' << format_double(feedback.problem_size) << ' '
-            << format_double(feedback.seconds);
-        return out.str();
+        std::string out;
+        append(out, "FEEDBACK ", feedback.model_set, ' ', feedback.device, ' ',
+               feedback.problem_size, ' ', feedback.seconds);
+        return out;
     }
     }
     throw Error("unencodable request");
 }
 
-Request Request::decode(const std::string& line) {
-    const auto tokens = tokenize(line);
-    FPM_CHECK(!tokens.empty(), "empty request");
-    const std::string& verb = tokens[0];
+Request Request::decode(std::string_view line) {
+    // Five tokens is the longest request; the count covers any more.
+    const auto tokens = tokens_of<5>(line);
+    FPM_CHECK(tokens.size > 0, "empty request");
+    const std::string_view verb = tokens[0];
 
     Request request;
     if (verb == "PING") {
-        FPM_CHECK(tokens.size() == 1, "PING takes no arguments");
+        FPM_CHECK(tokens.size == 1, "PING takes no arguments");
         request.kind = Kind::kPing;
     } else if (verb == "QUIT") {
-        FPM_CHECK(tokens.size() == 1, "QUIT takes no arguments");
+        FPM_CHECK(tokens.size == 1, "QUIT takes no arguments");
         request.kind = Kind::kQuit;
     } else if (verb == "STATS") {
-        FPM_CHECK(tokens.size() == 1, "STATS takes no arguments");
+        FPM_CHECK(tokens.size == 1, "STATS takes no arguments");
         request.kind = Kind::kStats;
     } else if (verb == "HEALTH") {
-        FPM_CHECK(tokens.size() == 1, "HEALTH takes no arguments");
+        FPM_CHECK(tokens.size == 1, "HEALTH takes no arguments");
         request.kind = Kind::kHealth;
     } else if (verb == "MODELS") {
-        FPM_CHECK(tokens.size() == 1, "MODELS takes no arguments");
+        FPM_CHECK(tokens.size == 1, "MODELS takes no arguments");
         request.kind = Kind::kModels;
     } else if (verb == "LOAD") {
-        FPM_CHECK(tokens.size() == 3, "usage: LOAD <name> <path>");
+        FPM_CHECK(tokens.size == 3, "usage: LOAD <name> <path>");
         request.kind = Kind::kLoad;
         request.name = tokens[1];
         request.path = tokens[2];
     } else if (verb == "PARTITION") {
-        FPM_CHECK(tokens.size() == 4 || tokens.size() == 5,
+        FPM_CHECK(tokens.size == 4 || tokens.size == 5,
                   "usage: PARTITION <model> <n> <fpm|cpm|even> [nolayout]");
         request.kind = Kind::kPartition;
         request.partition.model_set = tokens[1];
         request.partition.n = parse_int(tokens[2], "workload size");
         FPM_CHECK(request.partition.n > 0, "workload size must be positive");
         FPM_CHECK(request.partition.n <= part::kMaxN,
-                  "workload size exceeds 2^26: " + tokens[2]);
+                  "workload size exceeds 2^26: " + std::string(tokens[2]));
         const auto algorithm = part::parse_algorithm(tokens[3]);
-        FPM_CHECK(algorithm.has_value(), "unknown algorithm: " + tokens[3]);
+        FPM_CHECK(algorithm.has_value(),
+                  "unknown algorithm: " + std::string(tokens[3]));
         request.partition.algorithm = *algorithm;
-        if (tokens.size() == 5) {
+        if (tokens.size == 5) {
             FPM_CHECK(tokens[4] == "nolayout",
-                      "unknown PARTITION option: " + tokens[4]);
+                      "unknown PARTITION option: " + std::string(tokens[4]));
             request.partition.with_layout = false;
         }
     } else if (verb == "FEEDBACK") {
-        FPM_CHECK(tokens.size() == 5,
+        FPM_CHECK(tokens.size == 5,
                   "usage: FEEDBACK <model> <device> <size> <seconds>");
         request.kind = Kind::kFeedback;
         request.feedback.model_set = tokens[1];
@@ -202,7 +322,7 @@ Request Request::decode(const std::string& line) {
         // Typed so the wire answer is `ERR unsupported_verb ...` — the
         // code a newer client probes for when feature-detecting verbs.
         throw ServiceError(ErrorCode::kUnsupportedVerb,
-                           "unknown command: " + verb);
+                           "unknown command: " + std::string(verb));
     }
     return request;
 }
@@ -224,111 +344,84 @@ Response Response::make_error(ErrorCode code, const std::string& message) {
 }
 
 std::string Response::encode() const {
+    std::string out;
     switch (kind) {
     case Kind::kError: {
         // `ERR <code>` when the message is just the token (or empty),
         // `ERR <code> <message>` otherwise.
         const std::string_view token = error_token(error_code);
-        if (error.empty() || error == token) {
-            return "ERR " + std::string(token);
+        out = "ERR ";
+        out += token;
+        if (!error.empty() && error != token) {
+            out += ' ';
+            out += sanitize(error);
         }
-        return "ERR " + std::string(token) + " " + sanitize(error);
+        return out;
     }
     case Kind::kPong:
-        return "OK PONG v" + std::to_string(version);
+        append(out, "OK PONG v", version);
+        return out;
     case Kind::kBye:
         return "OK BYE";
-    case Kind::kLoaded: {
-        std::ostringstream out;
-        out << "OK LOADED name=" << loaded.name << " models=" << loaded.models
-            << " gen=" << loaded.generation
-            << " fingerprint=" << format_hex64(loaded.fingerprint);
-        return out.str();
-    }
-    case Kind::kModels: {
-        std::ostringstream out;
-        out << "OK MODELS count=" << sets.size() << " sets=";
+    case Kind::kLoaded:
+        append(out, "OK LOADED name=", loaded.name, " models=", loaded.models,
+               " gen=", loaded.generation, " fingerprint=",
+               Hex64{loaded.fingerprint});
+        return out;
+    case Kind::kModels:
+        append(out, "OK MODELS count=", sets.size(), " sets=");
         if (sets.empty()) {
-            out << '-';
+            out += '-';
         }
         for (std::size_t i = 0; i < sets.size(); ++i) {
             if (i > 0) {
-                out << ',';
+                out += ',';
             }
-            out << sets[i].name << ':' << sets[i].generation << ':'
-                << sets[i].models;
+            append(out, sets[i].name, ':', sets[i].generation, ':',
+                   sets[i].models);
         }
-        return out.str();
-    }
+        return out;
     case Kind::kStats:
-    case Kind::kHealth: {
-        std::ostringstream out;
-        out << (kind == Kind::kStats ? "OK STATS" : "OK HEALTH");
+    case Kind::kHealth:
+        out = kind == Kind::kStats ? "OK STATS" : "OK HEALTH";
         for (const StatField& field : fields) {
-            out << ' ' << field.name << '=' << field.value;
+            append(out, ' ', field.name, '=', field.value);
         }
-        return out.str();
-    }
-    case Kind::kPartition: {
-        std::ostringstream out;
-        out << "OK PARTITION model=" << partition.model
-            << " gen=" << partition.generation << " n=" << partition.n
-            << " algo=" << part::to_string(partition.algorithm)
-            << " cached=" << (partition.cached ? 1 : 0)
-            << " degraded=" << (partition.degraded ? 1 : 0)
-            << " balanced=" << format_double(partition.balanced_time)
-            << " makespan=" << format_double(partition.makespan)
-            << " comm=" << partition.comm_cost << " blocks=";
-        for (std::size_t i = 0; i < partition.blocks.size(); ++i) {
-            if (i > 0) {
-                out << ',';
-            }
-            out << partition.blocks[i];
-        }
-        out << " layout=";
-        if (partition.rects.empty()) {
-            out << '-';
-        } else {
-            for (std::size_t i = 0; i < partition.rects.size(); ++i) {
-                const auto& rect = partition.rects[i];
-                if (i > 0) {
-                    out << '|';
-                }
-                out << rect.col0 << ':' << rect.row0 << ':' << rect.w << ':'
-                    << rect.h;
-            }
-        }
-        return out.str();
-    }
-    case Kind::kFeedback: {
-        std::ostringstream out;
-        out << "OK FEEDBACK set=" << feedback.model_set
-            << " device=" << feedback.device
-            << " samples=" << feedback.samples
-            << " reliable=" << (feedback.reliable ? 1 : 0)
-            << " drift=" << (feedback.drift ? 1 : 0)
-            << " republished=" << (feedback.republished ? 1 : 0)
-            << " version=" << feedback.version;
-        return out.str();
-    }
+        return out;
+    case Kind::kPartition:
+        append_partition_head(out, partition.model, partition.generation,
+                              partition.n, partition.algorithm,
+                              partition.cached, partition.degraded);
+        append_partition_fields(out, partition.balanced_time,
+                                partition.makespan, partition.comm_cost,
+                                partition.blocks, partition.rects);
+        return out;
+    case Kind::kFeedback:
+        append(out, "OK FEEDBACK set=", feedback.model_set,
+               " device=", feedback.device, " samples=", feedback.samples,
+               " reliable=", flag(feedback.reliable),
+               " drift=", flag(feedback.drift),
+               " republished=", flag(feedback.republished),
+               " version=", feedback.version);
+        return out;
     }
     throw Error("unencodable response");
 }
 
-Response Response::decode(const std::string& line) {
+Response Response::decode(std::string_view line) {
     Response response;
-    if (line.rfind("ERR", 0) == 0) {
+    if (line.starts_with("ERR")) {
         response.kind = Kind::kError;
-        const std::string body =
-            line.size() > 4 ? line.substr(4) : std::string{};
+        const std::string_view body =
+            line.size() > 4 ? line.substr(4) : std::string_view{};
         // The first token is an ErrorCode token.  One this build does not
         // know (a newer server added it) decodes as kInternal with the
         // whole body kept as the message.
         const auto space = body.find(' ');
-        const std::string head = body.substr(0, space);
+        const std::string_view head = body.substr(0, space);
         if (const auto code = parse_error_token(head)) {
             response.error_code = *code;
-            response.error = space == std::string::npos
+            response.error = space == std::string_view::npos
                                  ? head  // token alone; never empty
                                  : body.substr(space + 1);
         } else {
@@ -336,23 +429,27 @@ Response Response::decode(const std::string& line) {
         }
         return response;
     }
-    const auto tokens = tokenize(line);
-    FPM_CHECK(tokens.size() >= 2 && tokens[0] == "OK",
-              "malformed response: " + line);
-    const std::string& tag = tokens[1];
+    // Thirteen tokens is the longest fixed-arity reply (PARTITION); STATS
+    // and HEALTH walk the line for their open field lists.
+    const auto tokens = tokens_of<13>(line);
+    FPM_CHECK(tokens.size >= 2 && tokens[0] == "OK",
+              "malformed response: " + std::string(line));
+    const std::string_view tag = tokens[1];
 
     if (tag == "PONG") {
-        FPM_CHECK(tokens.size() == 3 && tokens[2].size() > 1 &&
+        FPM_CHECK(tokens.size == 3 && tokens[2].size() > 1 &&
                       tokens[2][0] == 'v',
-                  "malformed PONG reply: " + line);
+                  "malformed PONG reply: " + std::string(line));
         response.kind = Kind::kPong;
         response.version = static_cast<int>(
             parse_int(tokens[2].substr(1), "protocol version"));
     } else if (tag == "BYE") {
-        FPM_CHECK(tokens.size() == 2, "malformed BYE reply: " + line);
+        FPM_CHECK(tokens.size == 2,
+                  "malformed BYE reply: " + std::string(line));
         response.kind = Kind::kBye;
     } else if (tag == "LOADED") {
-        FPM_CHECK(tokens.size() == 6, "malformed LOADED reply: " + line);
+        FPM_CHECK(tokens.size == 6,
+                  "malformed LOADED reply: " + std::string(line));
         response.kind = Kind::kLoaded;
         response.loaded.name = expect_kv(tokens[2], "name");
         response.loaded.models = static_cast<std::uint64_t>(
@@ -362,16 +459,17 @@ Response Response::decode(const std::string& line) {
         response.loaded.fingerprint =
             parse_hex64(expect_kv(tokens[5], "fingerprint"), "fingerprint");
     } else if (tag == "MODELS") {
-        FPM_CHECK(tokens.size() == 4, "malformed MODELS reply: " + line);
+        FPM_CHECK(tokens.size == 4,
+                  "malformed MODELS reply: " + std::string(line));
         response.kind = Kind::kModels;
         const std::uint64_t count = static_cast<std::uint64_t>(
             parse_int(expect_kv(tokens[2], "count"), "set count"));
-        const std::string sets_text = expect_kv(tokens[3], "sets");
+        const std::string_view sets_text = expect_kv(tokens[3], "sets");
         if (sets_text != "-") {
-            for (const auto& entry : split(sets_text, ',')) {
-                const auto fields = split(entry, ':');
-                FPM_CHECK(fields.size() == 3,
-                          "malformed model-set entry: " + entry);
+            for_each_part(sets_text, ',', [&response](std::string_view entry) {
+                const auto fields = parts_of<4>(entry, ':');
+                FPM_CHECK(fields.size == 3,
+                          "malformed model-set entry: " + std::string(entry));
                 ModelSetInfo info;
                 info.name = fields[0];
                 info.generation = static_cast<std::uint64_t>(
@@ -379,21 +477,28 @@ Response Response::decode(const std::string& line) {
                 info.models = static_cast<std::uint64_t>(
                     parse_int(fields[2], "model count"));
                 response.sets.push_back(std::move(info));
-            }
+            });
         }
         FPM_CHECK(response.sets.size() == count,
-                  "MODELS count disagrees with its set list: " + line);
+                  "MODELS count disagrees with its set list: " +
+                      std::string(line));
     } else if (tag == "STATS" || tag == "HEALTH") {
         response.kind = tag == "STATS" ? Kind::kStats : Kind::kHealth;
-        for (std::size_t i = 2; i < tokens.size(); ++i) {
-            const auto eq = tokens[i].find('=');
-            FPM_CHECK(eq != std::string::npos && eq > 0,
-                      "malformed " + tag + " field: " + tokens[i]);
-            response.fields.push_back(
-                {tokens[i].substr(0, eq), tokens[i].substr(eq + 1)});
+        std::string_view rest = line;
+        (void)next_token(rest);  // OK
+        (void)next_token(rest);  // the tag
+        for (std::string_view field = next_token(rest); !field.empty();
+             field = next_token(rest)) {
+            const auto eq = field.find('=');
+            FPM_CHECK(eq != std::string_view::npos && eq > 0,
+                      "malformed " + std::string(tag) +
+                          " field: " + std::string(field));
+            response.fields.push_back({std::string(field.substr(0, eq)),
+                                       std::string(field.substr(eq + 1))});
         }
     } else if (tag == "PARTITION") {
-        FPM_CHECK(tokens.size() == 13, "malformed partition reply: " + line);
+        FPM_CHECK(tokens.size == 13,
+                  "malformed partition reply: " + std::string(line));
         response.kind = Kind::kPartition;
         PartitionReply& parsed = response.partition;
         parsed.model = expect_kv(tokens[2], "model");
@@ -403,7 +508,7 @@ Response Response::decode(const std::string& line) {
         const auto algorithm =
             part::parse_algorithm(expect_kv(tokens[5], "algo"));
         FPM_CHECK(algorithm.has_value(),
-                  "malformed algorithm in reply: " + line);
+                  "malformed algorithm in reply: " + std::string(line));
         parsed.algorithm = *algorithm;
         parsed.cached =
             parse_int(expect_kv(tokens[6], "cached"), "cached") != 0;
@@ -414,24 +519,28 @@ Response Response::decode(const std::string& line) {
         parsed.makespan =
             parse_double(expect_kv(tokens[9], "makespan"), "makespan");
         parsed.comm_cost = parse_int(expect_kv(tokens[10], "comm"), "comm cost");
-        for (const auto& cell : split(expect_kv(tokens[11], "blocks"), ',')) {
-            parsed.blocks.push_back(parse_int(cell, "block count"));
-        }
-        const std::string layout_text = expect_kv(tokens[12], "layout");
+        for_each_part(expect_kv(tokens[11], "blocks"), ',',
+                      [&parsed](std::string_view cell) {
+                          parsed.blocks.push_back(
+                              parse_int(cell, "block count"));
+                      });
+        const std::string_view layout_text = expect_kv(tokens[12], "layout");
         if (layout_text != "-") {
-            for (const auto& rect_text : split(layout_text, '|')) {
-                const auto fields = split(rect_text, ':');
-                FPM_CHECK(fields.size() == 4, "malformed rect: " + rect_text);
+            for_each_part(layout_text, '|', [&parsed](std::string_view text) {
+                const auto fields = parts_of<4>(text, ':');
+                FPM_CHECK(fields.size == 4,
+                          "malformed rect: " + std::string(text));
                 part::Rect rect;
                 rect.col0 = parse_int(fields[0], "rect col0");
                 rect.row0 = parse_int(fields[1], "rect row0");
                 rect.w = parse_int(fields[2], "rect w");
                 rect.h = parse_int(fields[3], "rect h");
                 parsed.rects.push_back(rect);
-            }
+            });
         }
     } else if (tag == "FEEDBACK") {
-        FPM_CHECK(tokens.size() == 9, "malformed FEEDBACK reply: " + line);
+        FPM_CHECK(tokens.size == 9,
+                  "malformed FEEDBACK reply: " + std::string(line));
         response.kind = Kind::kFeedback;
         FeedbackReply& parsed = response.feedback;
         parsed.model_set = expect_kv(tokens[2], "set");
@@ -446,7 +555,7 @@ Response Response::decode(const std::string& line) {
         parsed.version = static_cast<std::uint64_t>(
             parse_int(expect_kv(tokens[8], "version"), "version"));
     } else {
-        throw Error("unknown response tag: " + tag);
+        throw Error("unknown response tag: " + std::string(tag));
     }
     return response;
 }
@@ -473,6 +582,42 @@ PartitionReply make_partition_reply(const PartitionRequest& request,
         reply.rects = plan.layout.rects;
     }
     return reply;
+}
+
+void append_partition_fields(std::string& out, double balanced_time,
+                             double makespan, std::int64_t comm_cost,
+                             std::span<const std::int64_t> blocks,
+                             std::span<const part::Rect> rects) {
+    append(out, " balanced=", balanced_time, " makespan=", makespan,
+           " comm=", comm_cost, " blocks=");
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+        if (i > 0) {
+            out += ',';
+        }
+        append(out, blocks[i]);
+    }
+    out += " layout=";
+    if (rects.empty()) {
+        out += '-';
+    }
+    for (std::size_t i = 0; i < rects.size(); ++i) {
+        const part::Rect& rect = rects[i];
+        if (i > 0) {
+            out += '|';
+        }
+        append(out, rect.col0, ':', rect.row0, ':', rect.w, ':', rect.h);
+    }
+}
+
+void append_partition_line(std::string& out, const PartitionRequest& request,
+                           const PartitionResponse& response) {
+    const PartitionPlan& plan = *response.plan;
+    FPM_CHECK(!plan.reply_fields.empty(),
+              "served plan carries no encoded reply fields");
+    append_partition_head(out, request.model_set, plan.generation, plan.key.n,
+                          plan.key.algorithm, response.cache_hit,
+                          response.degraded);
+    out += plan.reply_fields;
 }
 
 // ---------------------------------------------------------------------------
@@ -560,12 +705,12 @@ template <class T>
 std::string render_value(const T& value) {
     if constexpr (std::is_same_v<T, bool>) {
         return value ? "1" : "0";
-    } else if constexpr (std::is_same_v<T, double>) {
-        return format_double(value);
     } else if constexpr (std::is_same_v<T, std::string>) {
         return value;
     } else {
-        return std::to_string(value);
+        std::string text;
+        append(text, value);
+        return text;
     }
 }
 
@@ -736,22 +881,21 @@ Response current_error(ErrorCode fallback) {
     }
 }
 
-Response handle_request(RequestEngine& engine, const Request& request) {
+std::string handle_request(RequestEngine& engine, const Request& request) {
     try {
         Response response;
         switch (request.kind) {
         case Request::Kind::kPing:
             response.kind = Response::Kind::kPong;
             response.version = kProtocolVersion;
-            return response;
+            break;
         case Request::Kind::kQuit:
             response.kind = Response::Kind::kBye;
-            return response;
+            break;
         case Request::Kind::kLoad: {
             if (engine.read_only()) {
-                return Response::make_error(
-                    ErrorCode::kReadOnly,
-                    "replica is read-only: LOAD rejected");
+                throw ServiceError(ErrorCode::kReadOnly,
+                                   "replica is read-only: LOAD rejected");
             }
             const auto set =
                 engine.registry().load_csv(request.name, request.path);
@@ -760,7 +904,7 @@ Response handle_request(RequestEngine& engine, const Request& request) {
             response.loaded.models = set->models.size();
             response.loaded.generation = set->generation;
             response.loaded.fingerprint = set->fingerprint;
-            return response;
+            break;
         }
         case Request::Kind::kModels: {
             response.kind = Response::Kind::kModels;
@@ -768,10 +912,12 @@ Response handle_request(RequestEngine& engine, const Request& request) {
                 response.sets.push_back(ModelSetInfo{
                     set->name, set->generation, set->models.size()});
             }
-            return response;
+            break;
         }
         case Request::Kind::kStats:
-            return make_stats_reply(engine.stats(), engine.registry().size());
+            response =
+                make_stats_reply(engine.stats(), engine.registry().size());
+            break;
         case Request::Kind::kHealth: {
             const EngineStats stats = engine.stats();
             ServerHealth health;
@@ -787,29 +933,28 @@ Response handle_request(RequestEngine& engine, const Request& request) {
             health.repl_applied_generation = stats.repl_applied_generation;
             response.kind = Response::Kind::kHealth;
             response.fields = health.to_fields();
-            return response;
+            break;
         }
         case Request::Kind::kPartition: {
-            const PartitionResponse served = engine.execute(request.partition);
-            response.kind = Response::Kind::kPartition;
-            response.partition = make_partition_reply(request.partition, served);
-            return response;
+            std::string line;
+            append_partition_line(line, request.partition,
+                                  engine.execute(request.partition));
+            return line;
         }
-        case Request::Kind::kFeedback: {
+        case Request::Kind::kFeedback:
             response.kind = Response::Kind::kFeedback;
             response.feedback = engine.execute_feedback(request.feedback);
-            return response;
+            break;
         }
-        }
-        return Response::make_error(ErrorCode::kInternal, "unreachable");
+        return response.encode();
     } catch (...) {
         // A ServiceError keeps its code; anything untyped from the
         // engine is a server-side fault.
-        return current_error(ErrorCode::kInternal);
+        return current_error(ErrorCode::kInternal).encode();
     }
 }
 
-std::string handle_line(RequestEngine& engine, const std::string& line) {
+std::string handle_line(RequestEngine& engine, std::string_view line) {
     Request request;
     try {
         request = Request::decode(line);
@@ -817,7 +962,7 @@ std::string handle_line(RequestEngine& engine, const std::string& line) {
         // The client sent a line this revision cannot parse.
         return current_error(ErrorCode::kBadRequest).encode();
     }
-    return handle_request(engine, request).encode();
+    return handle_request(engine, request);
 }
 
 std::uint64_t request_fingerprint(const Request& request) {
@@ -836,7 +981,7 @@ Response expect_reply(Response response, Response::Kind expected) {
     return response;
 }
 
-PartitionReply parse_partition_reply(const std::string& reply) {
+PartitionReply parse_partition_reply(std::string_view reply) {
     return expect_reply(Response::decode(reply), Response::Kind::kPartition)
         .partition;
 }

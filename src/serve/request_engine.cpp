@@ -52,6 +52,14 @@ PartitionPlan RequestEngine::compute_plan(const ModelSet& set, std::int64_t n,
     static_cast<part::PartitionPlan&>(plan) = part::partition(request);
     plan.key = PlanKey{set.fingerprint, n, algorithm, with_layout};
     plan.generation = set.generation;
+    // Encoded once here, so a hit and the miss that computed the plan
+    // both answer with a copy; sized to fit, since the cache keeps it.
+    append_partition_fields(
+        plan.reply_fields, plan.balanced_time, plan.makespan, plan.comm_cost,
+        plan.blocks,
+        with_layout ? std::span<const part::Rect>(plan.layout.rects)
+                    : std::span<const part::Rect>());
+    plan.reply_fields.shrink_to_fit();
     return plan;
 }
 

@@ -308,14 +308,20 @@ struct SocketServer::Reactor {
         }
     }
 
-    /// Appends one reply line to the write buffer and records its
-    /// queue-to-reply latency, from the read that brought its request in.
-    void queue_reply(Connection& conn, const std::string& text) {
+    /// Appends one reply line to the write buffer; see end_reply().
+    void queue_reply(Connection& conn, std::string_view text) {
+        conn.outbuf += text;
+        end_reply(conn);
+    }
+
+    /// Ends the reply line just appended to the write buffer and records
+    /// its queue-to-reply latency, from the read that brought its request
+    /// in.
+    void end_reply(Connection& conn) {
+        conn.outbuf += '\n';
         metrics().queue_to_reply_seconds.record(
             std::chrono::duration<double>(Clock::now() - conn.read_at)
                 .count());
-        conn.outbuf += text;
-        conn.outbuf += '\n';
         conn.last_active = now;
     }
 
@@ -324,7 +330,7 @@ struct SocketServer::Reactor {
     /// handle_request() on the engine pool (PARTITION misses, FEEDBACK,
     /// LOAD), which leaves the connection in flight until the completion
     /// returns.
-    void handle_line_on(Connection& conn, const std::string& line) {
+    void handle_line_on(Connection& conn, std::string_view line) {
         Request request;
         try {
             request = Request::decode(line);
@@ -335,18 +341,25 @@ struct SocketServer::Reactor {
         }
         if (request.kind == Request::Kind::kPartition) {
             // Cache hits answer on the loop thread — no pool hop, no
-            // eventfd round trip.  STATS counts them exactly like the
-            // pool's hit path.  A serve.cache fault skips the fast path
-            // (simulated cache outage); the pool still answers.
+            // eventfd round trip — with the plan's stored reply fields
+            // copied straight into the write buffer.  STATS counts them
+            // exactly like the pool's hit path.  A serve.cache fault
+            // skips the fast path (simulated cache outage); the pool
+            // still answers.
             static auto& cache_fault = fault::point("serve.cache");
             if (!cache_fault.fire()) {
                 if (auto cached =
                         engine.try_execute_cached(request.partition)) {
-                    Response response;
-                    response.kind = Response::Kind::kPartition;
-                    response.partition =
-                        make_partition_reply(request.partition, *cached);
-                    queue_reply(conn, response.encode());
+                    try {
+                        append_partition_line(conn.outbuf, request.partition,
+                                              *cached);
+                    } catch (...) {
+                        // It fails before appending: nothing escapes the
+                        // loop, and the client still gets one reply.
+                        conn.outbuf +=
+                            current_error(ErrorCode::kInternal).encode();
+                    }
+                    end_reply(conn);
                     return;
                 }
             }
@@ -355,7 +368,7 @@ struct SocketServer::Reactor {
             if (request.kind == Request::Kind::kQuit) {
                 conn.closing = true;  // drop any pipelined input after QUIT
             }
-            queue_reply(conn, handle_request(engine, request).encode());
+            queue_reply(conn, handle_request(engine, request));
             return;
         }
         // Compute, feedback ingest and model loads (a CSV read and a WAL
@@ -366,7 +379,7 @@ struct SocketServer::Reactor {
                      conn_id = conn.id, request = std::move(request)]() {
             std::string text;
             try {
-                text = handle_request(engine, request).encode();
+                text = handle_request(engine, request);
             } catch (...) {
                 text = current_error(ErrorCode::kInternal).encode();
             }
@@ -398,10 +411,12 @@ struct SocketServer::Reactor {
                 break;
             }
             conn.scanned = 0;
-            std::string line = conn.inbuf.substr(head, end - head);
+            // A view into inbuf: nothing below touches inbuf, and decode
+            // copies what the request keeps.
+            std::string_view line(conn.inbuf.data() + head, end - head);
             head = newline + 1;
             if (!line.empty() && line.back() == '\r') {
-                line.pop_back();
+                line.remove_suffix(1);
             }
             if (line.empty()) {
                 continue;

@@ -4,9 +4,15 @@
 // typed error, not a parse failure).  The wire spec these tests pin down is docs/protocol.md; the
 // invariant under fuzzing is that decode() either succeeds or throws
 // fpm::Error — truncated, oversized or garbage input must never crash,
-// hang, or escape as a different exception type.
+// hang, or escape as a different exception type.  The codec suites hold
+// the decoders to the iostream decoders they replaced, outcome for
+// outcome.
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -731,6 +737,517 @@ TEST(ProtocolFingerprint, StableAndDiscriminating) {
     EXPECT_EQ(request_fingerprint(feedback), request_fingerprint(feedback2));
     feedback2.feedback.seconds = 2.0;
     EXPECT_NE(request_fingerprint(feedback), request_fingerprint(feedback2));
+}
+
+// ---------------------------------------------------------------------------
+// The codec against its iostream predecessor
+// ---------------------------------------------------------------------------
+
+// The decoders as they were before they dropped iostreams, kept verbatim
+// (istringstream tokens, strtoll/strtoull/strtod numbers, getline splits)
+// as the reference the string_view decoders must agree with.
+namespace reference {
+
+std::vector<std::string> tokenize(const std::string& line) {
+    std::vector<std::string> tokens;
+    std::istringstream stream(line);
+    std::string token;
+    while (stream >> token) {
+        tokens.push_back(token);
+    }
+    return tokens;
+}
+
+std::int64_t parse_int(const std::string& text, const char* what) {
+    errno = 0;
+    char* end = nullptr;
+    const long long value = std::strtoll(text.c_str(), &end, 10);
+    FPM_CHECK(end != text.c_str() && *end == '\0' && errno == 0,
+              std::string("malformed ") + what + ": " + text);
+    return static_cast<std::int64_t>(value);
+}
+
+std::uint64_t parse_hex64(const std::string& text, const char* what) {
+    errno = 0;
+    char* end = nullptr;
+    const unsigned long long value = std::strtoull(text.c_str(), &end, 16);
+    FPM_CHECK(end != text.c_str() && *end == '\0' && errno == 0,
+              std::string("malformed ") + what + ": " + text);
+    return static_cast<std::uint64_t>(value);
+}
+
+double parse_double(const std::string& text, const char* what) {
+    errno = 0;
+    char* end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    FPM_CHECK(end != text.c_str() && *end == '\0' && errno == 0,
+              std::string("malformed ") + what + ": " + text);
+    return value;
+}
+
+/// Splits `token` at the first '=' and checks the key.
+std::string expect_kv(const std::string& token, const char* key) {
+    const auto eq = token.find('=');
+    FPM_CHECK(eq != std::string::npos &&
+                  token.compare(0, eq, key) == 0,
+              std::string("expected ") + key + "=..., got: " + token);
+    return token.substr(eq + 1);
+}
+
+std::vector<std::string> split(const std::string& text, char sep) {
+    std::vector<std::string> parts;
+    std::string part;
+    std::istringstream stream(text);
+    while (std::getline(stream, part, sep)) {
+        parts.push_back(part);
+    }
+    return parts;
+}
+
+Request decode_request(const std::string& line) {
+    const auto tokens = tokenize(line);
+    FPM_CHECK(!tokens.empty(), "empty request");
+    const std::string& verb = tokens[0];
+
+    Request request;
+    if (verb == "PING") {
+        FPM_CHECK(tokens.size() == 1, "PING takes no arguments");
+        request.kind = Request::Kind::kPing;
+    } else if (verb == "QUIT") {
+        FPM_CHECK(tokens.size() == 1, "QUIT takes no arguments");
+        request.kind = Request::Kind::kQuit;
+    } else if (verb == "STATS") {
+        FPM_CHECK(tokens.size() == 1, "STATS takes no arguments");
+        request.kind = Request::Kind::kStats;
+    } else if (verb == "HEALTH") {
+        FPM_CHECK(tokens.size() == 1, "HEALTH takes no arguments");
+        request.kind = Request::Kind::kHealth;
+    } else if (verb == "MODELS") {
+        FPM_CHECK(tokens.size() == 1, "MODELS takes no arguments");
+        request.kind = Request::Kind::kModels;
+    } else if (verb == "LOAD") {
+        FPM_CHECK(tokens.size() == 3, "usage: LOAD <name> <path>");
+        request.kind = Request::Kind::kLoad;
+        request.name = tokens[1];
+        request.path = tokens[2];
+    } else if (verb == "PARTITION") {
+        FPM_CHECK(tokens.size() == 4 || tokens.size() == 5,
+                  "usage: PARTITION <model> <n> <fpm|cpm|even> [nolayout]");
+        request.kind = Request::Kind::kPartition;
+        request.partition.model_set = tokens[1];
+        request.partition.n = parse_int(tokens[2], "workload size");
+        FPM_CHECK(request.partition.n > 0, "workload size must be positive");
+        FPM_CHECK(request.partition.n <= part::kMaxN,
+                  "workload size exceeds 2^26: " + tokens[2]);
+        const auto algorithm = part::parse_algorithm(tokens[3]);
+        FPM_CHECK(algorithm.has_value(), "unknown algorithm: " + tokens[3]);
+        request.partition.algorithm = *algorithm;
+        if (tokens.size() == 5) {
+            FPM_CHECK(tokens[4] == "nolayout",
+                      "unknown PARTITION option: " + tokens[4]);
+            request.partition.with_layout = false;
+        }
+    } else if (verb == "FEEDBACK") {
+        FPM_CHECK(tokens.size() == 5,
+                  "usage: FEEDBACK <model> <device> <size> <seconds>");
+        request.kind = Request::Kind::kFeedback;
+        request.feedback.model_set = tokens[1];
+        request.feedback.device = parse_int(tokens[2], "device index");
+        FPM_CHECK(request.feedback.device >= 0,
+                  "device index must be non-negative");
+        request.feedback.problem_size =
+            parse_double(tokens[3], "problem size");
+        FPM_CHECK(std::isfinite(request.feedback.problem_size) &&
+                      request.feedback.problem_size > 0.0,
+                  "problem size must be positive and finite");
+        request.feedback.seconds = parse_double(tokens[4], "measured time");
+        FPM_CHECK(std::isfinite(request.feedback.seconds) &&
+                      request.feedback.seconds > 0.0,
+                  "measured time must be positive and finite");
+    } else {
+        // Typed so the wire answer is `ERR unsupported_verb ...` — the
+        // code a newer client probes for when feature-detecting verbs.
+        throw ServiceError(ErrorCode::kUnsupportedVerb,
+                           "unknown command: " + verb);
+    }
+    return request;
+}
+
+Response decode_response(const std::string& line) {
+    Response response;
+    if (line.rfind("ERR", 0) == 0) {
+        response.kind = Response::Kind::kError;
+        const std::string body =
+            line.size() > 4 ? line.substr(4) : std::string{};
+        // The first token is an ErrorCode token.  One this build does not
+        // know (a newer server added it) decodes as kInternal with the
+        // whole body kept as the message.
+        const auto space = body.find(' ');
+        const std::string head = body.substr(0, space);
+        if (const auto code = parse_error_token(head)) {
+            response.error_code = *code;
+            response.error = space == std::string::npos
+                                 ? head  // token alone; never empty
+                                 : body.substr(space + 1);
+        } else {
+            response.error = body;
+        }
+        return response;
+    }
+    const auto tokens = tokenize(line);
+    FPM_CHECK(tokens.size() >= 2 && tokens[0] == "OK",
+              "malformed response: " + line);
+    const std::string& tag = tokens[1];
+
+    if (tag == "PONG") {
+        FPM_CHECK(tokens.size() == 3 && tokens[2].size() > 1 &&
+                      tokens[2][0] == 'v',
+                  "malformed PONG reply: " + line);
+        response.kind = Response::Kind::kPong;
+        response.version = static_cast<int>(
+            parse_int(tokens[2].substr(1), "protocol version"));
+    } else if (tag == "BYE") {
+        FPM_CHECK(tokens.size() == 2, "malformed BYE reply: " + line);
+        response.kind = Response::Kind::kBye;
+    } else if (tag == "LOADED") {
+        FPM_CHECK(tokens.size() == 6, "malformed LOADED reply: " + line);
+        response.kind = Response::Kind::kLoaded;
+        response.loaded.name = expect_kv(tokens[2], "name");
+        response.loaded.models = static_cast<std::uint64_t>(
+            parse_int(expect_kv(tokens[3], "models"), "model count"));
+        response.loaded.generation = static_cast<std::uint64_t>(
+            parse_int(expect_kv(tokens[4], "gen"), "generation"));
+        response.loaded.fingerprint =
+            parse_hex64(expect_kv(tokens[5], "fingerprint"), "fingerprint");
+    } else if (tag == "MODELS") {
+        FPM_CHECK(tokens.size() == 4, "malformed MODELS reply: " + line);
+        response.kind = Response::Kind::kModels;
+        const std::uint64_t count = static_cast<std::uint64_t>(
+            parse_int(expect_kv(tokens[2], "count"), "set count"));
+        const std::string sets_text = expect_kv(tokens[3], "sets");
+        if (sets_text != "-") {
+            for (const auto& entry : split(sets_text, ',')) {
+                const auto fields = split(entry, ':');
+                FPM_CHECK(fields.size() == 3,
+                          "malformed model-set entry: " + entry);
+                ModelSetInfo info;
+                info.name = fields[0];
+                info.generation = static_cast<std::uint64_t>(
+                    parse_int(fields[1], "generation"));
+                info.models = static_cast<std::uint64_t>(
+                    parse_int(fields[2], "model count"));
+                response.sets.push_back(std::move(info));
+            }
+        }
+        FPM_CHECK(response.sets.size() == count,
+                  "MODELS count disagrees with its set list: " + line);
+    } else if (tag == "STATS" || tag == "HEALTH") {
+        response.kind =
+            tag == "STATS" ? Response::Kind::kStats : Response::Kind::kHealth;
+        for (std::size_t i = 2; i < tokens.size(); ++i) {
+            const auto eq = tokens[i].find('=');
+            FPM_CHECK(eq != std::string::npos && eq > 0,
+                      "malformed " + tag + " field: " + tokens[i]);
+            response.fields.push_back(
+                {tokens[i].substr(0, eq), tokens[i].substr(eq + 1)});
+        }
+    } else if (tag == "PARTITION") {
+        FPM_CHECK(tokens.size() == 13, "malformed partition reply: " + line);
+        response.kind = Response::Kind::kPartition;
+        PartitionReply& parsed = response.partition;
+        parsed.model = expect_kv(tokens[2], "model");
+        parsed.generation = static_cast<std::uint64_t>(
+            parse_int(expect_kv(tokens[3], "gen"), "generation"));
+        parsed.n = parse_int(expect_kv(tokens[4], "n"), "n");
+        const auto algorithm =
+            part::parse_algorithm(expect_kv(tokens[5], "algo"));
+        FPM_CHECK(algorithm.has_value(),
+                  "malformed algorithm in reply: " + line);
+        parsed.algorithm = *algorithm;
+        parsed.cached =
+            parse_int(expect_kv(tokens[6], "cached"), "cached") != 0;
+        parsed.degraded =
+            parse_int(expect_kv(tokens[7], "degraded"), "degraded") != 0;
+        parsed.balanced_time =
+            parse_double(expect_kv(tokens[8], "balanced"), "balanced time");
+        parsed.makespan =
+            parse_double(expect_kv(tokens[9], "makespan"), "makespan");
+        parsed.comm_cost = parse_int(expect_kv(tokens[10], "comm"), "comm cost");
+        for (const auto& cell : split(expect_kv(tokens[11], "blocks"), ',')) {
+            parsed.blocks.push_back(parse_int(cell, "block count"));
+        }
+        const std::string layout_text = expect_kv(tokens[12], "layout");
+        if (layout_text != "-") {
+            for (const auto& rect_text : split(layout_text, '|')) {
+                const auto fields = split(rect_text, ':');
+                FPM_CHECK(fields.size() == 4, "malformed rect: " + rect_text);
+                part::Rect rect;
+                rect.col0 = parse_int(fields[0], "rect col0");
+                rect.row0 = parse_int(fields[1], "rect row0");
+                rect.w = parse_int(fields[2], "rect w");
+                rect.h = parse_int(fields[3], "rect h");
+                parsed.rects.push_back(rect);
+            }
+        }
+    } else if (tag == "FEEDBACK") {
+        FPM_CHECK(tokens.size() == 9, "malformed FEEDBACK reply: " + line);
+        response.kind = Response::Kind::kFeedback;
+        FeedbackReply& parsed = response.feedback;
+        parsed.model_set = expect_kv(tokens[2], "set");
+        parsed.device = parse_int(expect_kv(tokens[3], "device"), "device");
+        parsed.samples = static_cast<std::uint64_t>(
+            parse_int(expect_kv(tokens[4], "samples"), "sample count"));
+        parsed.reliable =
+            parse_int(expect_kv(tokens[5], "reliable"), "reliable") != 0;
+        parsed.drift = parse_int(expect_kv(tokens[6], "drift"), "drift") != 0;
+        parsed.republished =
+            parse_int(expect_kv(tokens[7], "republished"), "republished") != 0;
+        parsed.version = static_cast<std::uint64_t>(
+            parse_int(expect_kv(tokens[8], "version"), "version"));
+    } else {
+        throw Error("unknown response tag: " + tag);
+    }
+    return response;
+}
+
+} // namespace reference
+
+/// What one decode made of a line: the decoded message's encoding, or
+/// the failure's type, code and message (never its source location).
+template <class Decode>
+std::string decode_outcome(Decode&& decode) {
+    try {
+        return "ok " + decode().encode();
+    } catch (const ServiceError& e) {
+        return "ServiceError " + std::string(error_token(e.code())) + ": " +
+               std::string(e.message());
+    } catch (const Error& e) {
+        return "Error: " + std::string(e.message());
+    }
+}
+
+/// Wire whitespace: every run a decoder must split on.
+const std::vector<std::string> kWhitespace = {" ", "\t", "\n", "\v", "\f",
+                                              "\r"};
+
+/// Number spellings at the edges of strtoll's and strtod's grammars.
+const std::vector<std::string> kNumberSpellings = {
+    "0", "7", "+5", "007", "+007", "-0", "+0", "-5", "+-5", "-+5", "++5",
+    "--5", "+", "-", "9223372036854775807", "9223372036854775808",
+    "-9223372036854775808", "-9223372036854775809", "67108864", "67108865",
+    "1e-400", "1e400", "1e-310", "4.9e-324", "0x1p-3", "0x10", "0X1P4",
+    "-0x1.8p1", "inf", "-inf", "INF", "infinity", "nan", "NAN", "nan(0x1)",
+    "-nan", "1.5", ".5", "5.", "1e3", "1E+3", "1.5e", "12abc", "1,2", "1,",
+    ",1", "1,,2", "1:2:3:4", "1:2:3:4:", "1:2", "a:1:2", "a:1:2,", "-", "=",
+    "v7", "v", "0x", "1.5.5", "fpm", "nolayout", ""};
+
+/// Trailing garbage appended after a line's tokens.
+const std::vector<std::string> kTrailing = {"x", "\x01", "=", "nolayout",
+                                            "1", "fpm", "a=b", "-"};
+
+template <class T>
+const T& pick(const std::vector<T>& items, Rng& rng) {
+    return items[static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(items.size()) - 1))];
+}
+
+std::string whitespace_run(Rng& rng) {
+    if (rng.uniform_int(0, 1) == 0) {
+        return " ";
+    }
+    std::string run;
+    for (auto i = rng.uniform_int(1, 3); i > 0; --i) {
+        run += pick(kWhitespace, rng);
+    }
+    return run;
+}
+
+/// A seeded mutation of `seed` (space-separated tokens): values replaced
+/// by edge spellings (inside `key=value` tokens too), whitespace runs of
+/// all six characters between, before and after the tokens, trailing
+/// garbage, truncation, single-byte changes and empty lines.
+std::string mutate_line(const std::string& seed, Rng& rng) {
+    std::vector<std::string> tokens;
+    std::istringstream split_seed(seed);
+    for (std::string token; split_seed >> token;) {
+        tokens.push_back(token);
+    }
+    for (auto i = rng.uniform_int(0, 2); i > 0 && !tokens.empty(); --i) {
+        std::string& token = tokens[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(tokens.size()) - 1))];
+        const auto eq = token.find('=');
+        if (eq != std::string::npos && rng.uniform_int(0, 3) != 0) {
+            token = token.substr(0, eq + 1) + pick(kNumberSpellings, rng);
+        } else {
+            token = pick(kNumberSpellings, rng);
+        }
+    }
+    if (rng.uniform_int(0, 5) == 0) {
+        tokens.push_back(pick(kTrailing, rng));
+    }
+    std::string line;
+    if (rng.uniform_int(0, 5) == 0) {
+        line += whitespace_run(rng);
+    }
+    for (std::size_t i = 0; i < tokens.size(); ++i) {
+        if (i > 0) {
+            line += whitespace_run(rng);
+        }
+        line += tokens[i];
+    }
+    if (rng.uniform_int(0, 5) == 0) {
+        line += whitespace_run(rng);
+    }
+    switch (rng.uniform_int(0, 9)) {
+    case 0:
+        line.resize(static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(line.size()))));
+        break;
+    case 1:
+        if (!line.empty()) {
+            line[static_cast<std::size_t>(rng.uniform_int(
+                0, static_cast<std::int64_t>(line.size()) - 1))] =
+                rng.uniform_int(0, 3) == 0
+                    ? pick(kWhitespace, rng)[0]
+                    : static_cast<char>(rng.uniform_int(33, 126));
+        }
+        break;
+    case 2:
+        line.clear();
+        break;
+    default:
+        break;
+    }
+    return line;
+}
+
+std::string request_outcome(const std::string& line) {
+    return decode_outcome([&] { return Request::decode(line); });
+}
+
+std::string reference_request_outcome(const std::string& line) {
+    return decode_outcome([&] { return reference::decode_request(line); });
+}
+
+TEST(ProtocolCodec, RequestDecodeAgreesWithTheIostreamDecoder) {
+    std::vector<std::string> lines = {"", " ", " \t\n\v\f\r", "\v", "\f"};
+    // Every edge spelling in every numeric position, one at a time.
+    for (const std::string& number : kNumberSpellings) {
+        lines.push_back("PARTITION hybrid " + number + " fpm");
+        lines.push_back("PARTITION hybrid 64 " + number);
+        lines.push_back("FEEDBACK hybrid " + number + " 100 1.5");
+        lines.push_back("FEEDBACK hybrid 0 " + number + " 1.5");
+        lines.push_back("FEEDBACK hybrid 0 100 " + number);
+    }
+    const std::vector<std::string> seeds = {
+        "PARTITION hybrid 512 fpm", "PARTITION hybrid 96 cpm nolayout",
+        "PARTITION g 1 even", "FEEDBACK hybrid 2 1536.5 0.125",
+        "FEEDBACK hybrid 0 0x1p10 1e-3", "LOAD hybrid /tmp/models.csv",
+        "PING", "STATS", "MODELS"};
+    Rng rng(0xc0dec0deULL);
+    for (const std::string& seed : seeds) {
+        for (int i = 0; i < 3000; ++i) {
+            lines.push_back(mutate_line(seed, rng));
+        }
+    }
+    std::size_t accepted = 0;
+    for (const std::string& line : lines) {
+        const std::string expected = reference_request_outcome(line);
+        EXPECT_EQ(request_outcome(line), expected) << "line: " << line;
+        accepted += expected.starts_with("ok ") ? 1 : 0;
+    }
+    // Both outcomes occur often: the mutations are neither all fatal nor
+    // all harmless.
+    EXPECT_GT(accepted, lines.size() / 10);
+    EXPECT_LT(accepted, lines.size() * 9 / 10);
+}
+
+TEST(ProtocolCodec, ResponseDecodeAgreesWithTheIostreamDecoder) {
+    Response partition;
+    partition.kind = Response::Kind::kPartition;
+    partition.partition = sample_partition_reply(true, true);
+    Response nolayout = partition;
+    nolayout.partition = sample_partition_reply(false, false);
+    Response loaded;
+    loaded.kind = Response::Kind::kLoaded;
+    loaded.loaded = {"hybrid", 6, 12, 0x00ab0000cdef1234ULL};
+    Response models;
+    models.kind = Response::Kind::kModels;
+    models.sets = {ModelSetInfo{"cpu", 1, 2}, ModelSetInfo{"gpu", 3, 4}};
+    Response health;
+    health.kind = Response::Kind::kHealth;
+    health.fields = ServerHealth{}.to_fields();
+    Response feedback;
+    feedback.kind = Response::Kind::kFeedback;
+    feedback.feedback = {"hybrid", 1, 12, true, false, true, 9};
+    const std::vector<std::string> seeds = {
+        partition.encode(), nolayout.encode(), loaded.encode(),
+        models.encode(), health.encode(), feedback.encode(),
+        "OK MODELS count=0 sets=-", "OK STATS requests=5 q2r_p50_us=1.5",
+        "OK PONG v7", "OK BYE", "ERR busy", "ERR bad_request no such set",
+        "ERR novel_code some text"};
+    std::vector<std::string> lines = {"", "ERR", "ERR ", "OK", " OK BYE",
+                                      "OK\vBYE", "OK\fPONG\fv7"};
+    Rng rng(0x5eed5eedULL);
+    for (const std::string& seed : seeds) {
+        lines.push_back(seed);
+        for (int i = 0; i < 2000; ++i) {
+            lines.push_back(mutate_line(seed, rng));
+        }
+    }
+    std::size_t accepted = 0;
+    for (const std::string& line : lines) {
+        const std::string expected = decode_outcome(
+            [&] { return reference::decode_response(line); });
+        EXPECT_EQ(decode_outcome([&] { return Response::decode(line); }),
+                  expected)
+            << "line: " << line;
+        accepted += expected.starts_with("ok ") ? 1 : 0;
+    }
+    EXPECT_GT(accepted, lines.size() / 10);
+    EXPECT_LT(accepted, lines.size() * 9 / 10);
+}
+
+TEST(ProtocolCodec, StatValuesParseLikeStrtoll) {
+    // A STATS value reaches the integer parser whole, so strtoll's
+    // leading whitespace is part of the grammar to keep.
+    std::vector<std::string> values;
+    for (const std::string& number : kNumberSpellings) {
+        values.push_back(number);
+        for (const std::string& space : kWhitespace) {
+            values.push_back(space + number);
+            values.push_back(number + space);
+        }
+    }
+    const auto reply = [](const ServerStats& stats) {
+        Response response;
+        response.kind = Response::Kind::kStats;
+        response.fields = stats.to_fields();
+        return response;
+    };
+    for (const std::string& value : values) {
+        const std::string expected = decode_outcome([&] {
+            ServerStats stats;
+            stats.requests = static_cast<std::uint64_t>(
+                reference::parse_int(value, "requests"));
+            return reply(stats);
+        });
+        EXPECT_EQ(decode_outcome([&] {
+                      return reply(
+                          ServerStats::from_fields({{"requests", value}}));
+                  }),
+                  expected)
+            << "value: " << value;
+    }
+}
+
+TEST(ProtocolCodec, TokensEndAtTheirLengthNotAtAnEmbeddedNul) {
+    // The one deliberate difference from the reference: it read numbers
+    // through c_str(), so a token with a NUL byte parsed up to the NUL.
+    const std::string line("PARTITION hybrid 12\0x fpm", 25);
+    EXPECT_TRUE(reference_request_outcome(line).starts_with("ok "));
+    EXPECT_EQ(request_outcome(line),
+              "Error: malformed workload size: " + std::string("12\0x", 4));
 }
 
 } // namespace

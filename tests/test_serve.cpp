@@ -158,6 +158,35 @@ TEST(ModelRegistryTest, PutAndRestoreShareOneNameRule) {
     std::remove(csv.c_str());
 }
 
+TEST(ModelRegistryTest, NamesHoldingAnyWireWhitespaceAreRefused) {
+    // Decoders split on \v and \f as well as space, \t, \r and \n, so
+    // a set named "a\vb" would make every later MODELS reply undecodable.
+    ModelRegistry registry;
+    registry.put("ok", synthetic_models(2, 8, 1.0));
+    RequestEngine engine(registry, {.workers = 1, .cache_capacity = 4});
+    for (const std::string name : {"a\vb", "a\fb"}) {
+        try {
+            registry.put(name, synthetic_models(2, 8, 1.0));
+            ADD_FAILURE() << "put accepted a name holding byte "
+                          << static_cast<int>(name[1]);
+        } catch (const ServiceError& e) {
+            EXPECT_EQ(e.code(), ErrorCode::kBadRequest);
+        }
+        try {
+            registry.restore(name, synthetic_models(2, 8, 1.0), 9);
+            ADD_FAILURE() << "restore accepted a name holding byte "
+                          << static_cast<int>(name[1]);
+        } catch (const ServiceError& e) {
+            EXPECT_EQ(e.code(), ErrorCode::kBadRequest);
+        }
+    }
+    EXPECT_EQ(registry.size(), 1U);
+    const Response models = Response::decode(handle_line(engine, "MODELS"));
+    ASSERT_EQ(models.kind, Response::Kind::kModels);
+    ASSERT_EQ(models.sets.size(), 1U);
+    EXPECT_EQ(models.sets[0].name, "ok");
+}
+
 TEST(PartitionCacheTest, LruEvictionAndCounters) {
     PartitionCache cache(2);
     const PlanKey k1{1, 10, Algorithm::kFpm, true};
@@ -435,6 +464,81 @@ TEST(RequestEngineTest, MatchesDirectLibraryCallBitForBit) {
             }
         }
     }
+}
+
+/// The typed encoder's line for a served answer: what a client decodes
+/// and what a served line must equal byte for byte.
+std::string typed_partition_line(const PartitionRequest& request,
+                                 const PartitionResponse& served) {
+    Response response;
+    response.kind = Response::Kind::kPartition;
+    response.partition = make_partition_reply(request, served);
+    return response.encode();
+}
+
+std::string served_partition_line(const PartitionRequest& request,
+                                  const PartitionResponse& served) {
+    std::string line;
+    append_partition_line(line, request, served);
+    return line;
+}
+
+TEST(RequestEngineTest, ServedLinesEqualTheTypedEncoderByteForByte) {
+    // A served PARTITION line is a head plus the fields compute_plan()
+    // stored on the plan.  On a miss, a hit and a degraded answer, on a
+    // 6- and a 24-device set, for every algorithm with and without the
+    // layout, it must equal the typed encoder's line.
+    ModelRegistry registry;
+    const auto six = registry.put("six", synthetic_models(6, 24, 1.0));
+    registry.put("wide", synthetic_models(24, 24, 1.0));
+    RequestEngine engine(registry, {.workers = 1, .cache_capacity = 64});
+    for (const char* set : {"six", "wide"}) {
+        for (const Algorithm algorithm :
+             {Algorithm::kFpm, Algorithm::kCpm, Algorithm::kEven}) {
+            for (const bool with_layout : {true, false}) {
+                const PartitionRequest request{set, 96, algorithm,
+                                               with_layout};
+                const PartitionResponse miss = engine.execute(request);
+                ASSERT_FALSE(miss.cache_hit);
+                EXPECT_EQ(served_partition_line(request, miss),
+                          typed_partition_line(request, miss));
+                const PartitionResponse hit = engine.execute(request);
+                ASSERT_TRUE(hit.cache_hit);
+                const std::string line = typed_partition_line(request, hit);
+                EXPECT_EQ(served_partition_line(request, hit), line);
+                EXPECT_NE(line.find(" cached=1 "), std::string::npos);
+
+                Request wire;
+                wire.kind = Request::Kind::kPartition;
+                wire.partition = request;
+                EXPECT_EQ(handle_line(engine, wire.encode()), line);
+            }
+        }
+    }
+
+    // A failed compute answers the even split of the current models.
+    fault::install(fault::FaultPlan::parse("serve.compute=1"));
+    const PartitionRequest request{"wide", 97, Algorithm::kFpm, true};
+    const PartitionResponse degraded = engine.execute(request);
+    fault::uninstall();
+    ASSERT_TRUE(degraded.degraded);
+    EXPECT_EQ(served_partition_line(request, degraded),
+              typed_partition_line(request, degraded));
+
+    // The direct library call stores the same fields as the engine.
+    PartitionResponse direct;
+    direct.plan = std::make_shared<const PartitionPlan>(
+        RequestEngine::compute_plan(*six, 96, Algorithm::kFpm, true));
+    EXPECT_EQ(direct.plan->reply_fields,
+              engine.execute({"six", 96, Algorithm::kFpm, true})
+                  .plan->reply_fields);
+
+    // A hand-built plan carries no fields: it fails before writing.
+    PartitionResponse bare;
+    bare.plan = plan_of();
+    std::string out = "kept";
+    EXPECT_THROW(append_partition_line(out, request, bare), fpm::Error);
+    EXPECT_EQ(out, "kept");
 }
 
 TEST(RequestEngineTest, CachesRepeatsAndTracksGenerations) {

@@ -147,8 +147,7 @@ int main(int argc, char** argv) {
             try {
                 endpoints = serve::parse_endpoint_list(port_spec, host);
             } catch (const Error& e) {
-                std::fprintf(stderr, "error: --port: %s\n%s", e.what(),
-                             flags.usage().c_str());
+                fpmtool::print_error(e, "--port: ", flags.usage());
                 return 2;
             }
             if (!model_specs.empty()) {
@@ -252,7 +251,7 @@ int main(int argc, char** argv) {
                     out_path.c_str());
         return 0;
     } catch (const std::exception& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
+        fpmtool::print_error(e);
         return 1;
     }
 }

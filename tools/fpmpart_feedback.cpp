@@ -166,7 +166,7 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(rejected));
         return rejected == 0 ? 0 : 1;
     } catch (const std::exception& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
+        fpmtool::print_error(e);
         return 1;
     }
 }

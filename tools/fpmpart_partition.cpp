@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
         }
         return 0;
     } catch (const std::exception& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
+        fpmtool::print_error(e);
         return 1;
     }
 }

@@ -139,8 +139,7 @@ int main(int argc, char** argv) {
             try {
                 sources = serve::parse_endpoint_list(replica_of, "127.0.0.1");
             } catch (const Error& e) {
-                std::fprintf(stderr, "error: --replica-of: %s\n%s",
-                             e.what(), flags.usage().c_str());
+                fpmtool::print_error(e, "--replica-of: ", flags.usage());
                 return 2;
             }
             if (sources.size() != 1) {
@@ -167,8 +166,7 @@ int main(int argc, char** argv) {
             store_options.fsync_policy =
                 store::parse_fsync_policy(config.fsync_policy);
         } catch (const Error& e) {
-            std::fprintf(stderr, "error: --store-fsync: %s\n%s", e.what(),
-                         flags.usage().c_str());
+            fpmtool::print_error(e, "--store-fsync: ", flags.usage());
             return 2;
         }
         store_options.snapshot_every = config.snapshot_every;
@@ -350,7 +348,7 @@ int main(int argc, char** argv) {
         }
         return 0;
     } catch (const std::exception& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
+        fpmtool::print_error(e);
         return 1;
     }
 }

@@ -35,6 +35,19 @@
 
 namespace fpmtool {
 
+/// Prints `error: <context><message>` and then `tail` to stderr for a
+/// caught exception: an fpm::Error's message() alone, so a failed check's
+/// expression and source location never reach the user, and any other
+/// exception's what().
+inline void print_error(const std::exception& e, const char* context = "",
+                        const std::string& tail = {}) {
+    const auto* error = dynamic_cast<const fpm::Error*>(&e);
+    const std::string text =
+        error != nullptr ? std::string(error->message()) : e.what();
+    std::fprintf(stderr, "error: %s%s\n%s", context, text.c_str(),
+                 tail.c_str());
+}
+
 /// Checked whole-token integer parse (std::atol would silently yield 0).
 [[nodiscard]] inline long long parse_int(const std::string& text,
                                          const std::string& what) {
@@ -205,7 +218,7 @@ public:
                           flag.name + " is required");
             }
         } catch (const std::exception& e) {
-            std::fprintf(stderr, "error: %s\n%s", e.what(), usage().c_str());
+            print_error(e, "", usage());
             return false;
         }
         if (trace_enabled_) {
