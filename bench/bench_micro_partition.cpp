@@ -1,6 +1,8 @@
 // google-benchmark micro-benchmarks of the partitioning algorithms
-// themselves: FPM geometric bisection, integer refinement and the 2-D
-// column layout, across device counts.
+// themselves: the FPM geometric partitioner's exact solve for the balanced
+// time, integer refinement and the 2-D column layout, across device
+// counts.  The FPM benches report `evaluations`, the mean number of times
+// a call sums the devices' shares at a trial time.
 #include <benchmark/benchmark.h>
 
 #include "fpm/app/device_set.hpp"
@@ -69,12 +71,38 @@ std::vector<SpeedFunction> noisy_hybrid_nodes(std::uint64_t nodes) {
 void BM_FpmPartitionHybrid(benchmark::State& state) {
     const auto nodes = static_cast<std::uint64_t>(state.range(0)) / 6;
     const auto models = noisy_hybrid_nodes(nodes);
+    double evaluations = 0.0;
     for (auto _ : state) {
         const auto result = fpm::part::partition_fpm(models, 100.0 * 100.0);
+        evaluations += static_cast<double>(result.iterations);
         benchmark::DoNotOptimize(result.partition.share.data());
     }
+    state.counters["evaluations"] =
+        benchmark::Counter(evaluations, benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_FpmPartitionHybrid)->Arg(6)->Arg(24);
+
+// One iteration plans every n of the service benchmark's range, 16..150,
+// on the same sets; `evaluations` is per plan.
+void BM_FpmPartitionHybridSweep(benchmark::State& state) {
+    constexpr std::int64_t kFirst = 16;
+    constexpr std::int64_t kLast = 150;
+    const auto nodes = static_cast<std::uint64_t>(state.range(0)) / 6;
+    const auto models = noisy_hybrid_nodes(nodes);
+    double evaluations = 0.0;
+    for (auto _ : state) {
+        for (std::int64_t n = kFirst; n <= kLast; ++n) {
+            const auto result = fpm::part::partition_fpm(
+                models, static_cast<double>(n) * static_cast<double>(n));
+            evaluations += static_cast<double>(result.iterations);
+            benchmark::DoNotOptimize(result.partition.share.data());
+        }
+    }
+    state.counters["evaluations"] = benchmark::Counter(
+        evaluations / static_cast<double>(kLast - kFirst + 1),
+        benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_FpmPartitionHybridSweep)->Arg(6)->Arg(24);
 
 void BM_RoundPartition(benchmark::State& state) {
     const auto models = synthetic_devices(static_cast<std::size_t>(state.range(0)));

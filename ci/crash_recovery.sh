@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Crash-recovery and memory-safety job for the durable model store,
-# replication and the serving stack: configures (once) and builds the
-# ASan+UBSan tree, then runs every test labelled `store`, `repl` or
-# `serve` under the sanitizers — the WAL framing,
+# replication, the serving stack and partitioning: configures (once) and
+# builds the ASan+UBSan tree, then runs every test labelled `store`,
+# `repl`, `serve` or `part` under the sanitizers — the WAL framing,
 # torn-tail/corrupt-snapshot recovery, write-ahead veto, fork()+SIGKILL
 # crash and store-fault chaos suites, the repl drills (the
 # ReplicationLog catch-up suites, the fresh-join, restart and
@@ -10,8 +10,11 @@
 # repl.* fault-point chaos drill, the fork()+SIGKILL primary-failover
 # drill and the `fpmpart_serve` replica flag check), and the reactor's
 # buffer handling (test_serve, test_serve_reactor, test_protocol,
-# test_fault and test_loadgen).  This is the exact command documented
-# in docs/operations.md; keep the two in sync.
+# test_fault and test_loadgen), and the partitioning suites (speed
+# functions and their envelopes, the FPM solve, rounding, layouts, the
+# iterative and hierarchical partitioners, the partitioning fuzz).  Its
+# ctest line appears verbatim in docs/operations.md, which test_docs
+# checks.
 #
 # Usage: ci/crash_recovery.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -28,5 +31,6 @@ if [ ! -f "$build/CMakeCache.txt" ]; then
 fi
 
 cmake --build "$build" -j "$jobs"
+cd "$build"
 ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" \
-  ctest --test-dir "$build" -L "store|repl|serve" --output-on-failure -j 1
+  ctest -L "store|repl|serve|part" --output-on-failure -j 1

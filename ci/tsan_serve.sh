@@ -2,9 +2,9 @@
 # ThreadSanitizer job for the serving stack: configures (once) and
 # builds the TSan tree, then runs every test labelled `serve`, `adapt`,
 # `store` or `repl` — the reactor-pool, protocol, fault-injection,
-# adaptation, durable-store and replication suites — under TSan.  This is the
-# exact command documented in docs/operations.md; keep the two in
-# sync.
+# adaptation, durable-store and replication suites — under TSan.  Its
+# ctest line appears verbatim in docs/operations.md, which test_docs
+# checks.
 #
 # Usage: ci/tsan_serve.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -21,5 +21,6 @@ if [ ! -f "$build/CMakeCache.txt" ]; then
 fi
 
 cmake --build "$build" -j "$jobs"
+cd "$build"
 TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
-  ctest --test-dir "$build" -L "serve|adapt|store|repl" --output-on-failure -j 1
+  ctest -L "serve|adapt|store|repl" --output-on-failure -j 1

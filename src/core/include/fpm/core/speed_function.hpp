@@ -106,7 +106,9 @@ private:
 /// a GPU), so the partitioner works on an envelope: t sampled on a grid
 /// (eight samples per knot segment, then a tail segment out to a finite
 /// max_problem) under a running maximum, interpolated linearly between
-/// samples.
+/// samples.  The inverse is then linear between sample times, with a step
+/// at each flat run, and piece() hands the partitioner the linear piece
+/// that holds a time, so it can solve for the balanced time exactly.
 ///
 /// A SpeedFunction builds its envelope once, when constructed, and keeps
 /// only each grid segment's last sample (two doubles per knot); being
@@ -114,12 +116,21 @@ private:
 /// regenerates just the segment a query falls in, with the constructor's
 /// arithmetic, and keeps it for the next query, so results equal the full
 /// grid bit for bit.  Make one view per partitioning call: it points into
-/// its model and must not outlive it, and time() and invert() update its
-/// kept segment, so a view is never shared between threads.
+/// its model and must not outlive it, and time(), invert() and piece()
+/// update its kept segment, so a view is never shared between threads.
 class MonotoneTime {
 public:
     /// Grid samples per knot segment.
     static constexpr std::size_t kSamplesPerSegment = 8;
+
+    /// One linear piece of invert(): for every u in [t0, t1), invert(u) is
+    /// linear in u with this slope, and x is invert(t) for the queried t.
+    struct Piece {
+        double t0 = 0.0;
+        double t1 = 0.0;
+        double x = 0.0;
+        double slope = 0.0;
+    };
 
     explicit MonotoneTime(const SpeedFunction& fn);
     MonotoneTime(const SpeedFunction&&) = delete;  // would dangle
@@ -130,8 +141,15 @@ public:
     [[nodiscard]] double time(double x);
 
     /// Largest x with time(x) <= T (0 if nothing fits; never exceeds
-    /// max_problem).
+    /// max_problem); piece(t).x.
     [[nodiscard]] double invert(double t);
+
+    /// The piece of invert() that holds T: t0 and t1 are the grid samples
+    /// either side of it, as invert() chooses them.  Past the grid t1 is
+    /// infinity and the slope the terminal speed (0 for a bounded device).
+    /// `marks_only` reads the piece off the model's stored segment ends
+    /// instead, a coarser envelope that regenerates nothing.
+    [[nodiscard]] Piece piece(double t, bool marks_only = false);
 
     /// Capacity bound: the speed function's max_problem() (infinity for
     /// unbounded devices).
@@ -142,9 +160,11 @@ public:
 
 private:
     /// The grid samples either side of `value` along `key` (x or time): the
-    /// last at or below it and the first above it, which must exist.
+    /// last at or below it and the first above it, which must exist.  With
+    /// `marks_only`, the stored segment ends either side of it.
     std::pair<EnvelopeSample, EnvelopeSample> bracket(double value,
-                                                      double EnvelopeSample::*key);
+                                                      double EnvelopeSample::*key,
+                                                      bool marks_only = false);
 
     const SpeedFunction* fn_ = nullptr;
     double max_x_ = 0.0;           // end of the sampled grid

@@ -158,13 +158,19 @@ MonotoneTime::MonotoneTime(const SpeedFunction& fn) : fn_(&fn) {
 }
 
 std::pair<EnvelopeSample, EnvelopeSample>
-MonotoneTime::bracket(double value, double EnvelopeSample::*key) {
+MonotoneTime::bracket(double value, double EnvelopeSample::*key,
+                      bool marks_only) {
     // The first grid sample above `value` is in the first segment whose
     // last sample is above it.
     const auto& marks = fn_->envelope_;
     const auto k = static_cast<std::size_t>(
         std::ranges::upper_bound(marks, value, {}, key) - marks.begin());
     EnvelopeSample lo = k == 0 ? EnvelopeSample{} : marks[k - 1];
+    // A mark that an emptied segment repeats equals the one before, so it
+    // is never the first above `value`.
+    if (marks_only) {
+        return {lo, marks[k]};
+    }
     if (k != segment_) {
         sample_segment(*fn_, max_x_, k, lo, samples_.data());
         segment_ = k;
@@ -199,18 +205,26 @@ double MonotoneTime::max_time() const noexcept {
 }
 
 double MonotoneTime::invert(double t) {
+    return piece(t).x;
+}
+
+MonotoneTime::Piece MonotoneTime::piece(double t, bool marks_only) {
     FPM_CHECK(t >= 0.0, "time must be non-negative");
+    constexpr double kEnd = std::numeric_limits<double>::infinity();
     if (t >= max_time()) {
         if (!std::isfinite(max_problem())) {
             // Unbounded device: keep growing at the terminal speed.
-            return max_x_ + (t - max_time()) * terminal_speed_;
+            return {max_time(), kEnd,
+                    max_x_ + (t - max_time()) * terminal_speed_, terminal_speed_};
         }
-        return max_x_;
+        return {max_time(), kEnd, max_x_, 0.0};
     }
-    // Largest x with time <= t; within flat runs the rightmost x wins.
-    const auto [lo, hi] = bracket(t, &EnvelopeSample::time);
+    // Largest x with time <= t; within flat runs the rightmost x wins, so
+    // the upper sample's time is above the lower's.
+    const auto [lo, hi] = bracket(t, &EnvelopeSample::time, marks_only);
     const double f = (t - lo.time) / (hi.time - lo.time);
-    return lerp(lo.x, hi.x, f);
+    return {lo.time, hi.time, lerp(lo.x, hi.x, f),
+            (hi.x - lo.x) / (hi.time - lo.time)};
 }
 
 } // namespace fpm::core

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "fpm/common/error.hpp"
 #include "fpm/obs/metrics.hpp"
@@ -11,15 +13,9 @@ namespace fpm::part {
 
 namespace {
 
-/// The bisection stops once |sum x_i - n| <= kTolerance * n, or after
-/// kMaxIterations steps (counted in part.fpm.unconverged).
-constexpr double kTolerance = 1e-9;
-constexpr std::size_t kMaxIterations = 200;
-
 struct FpmMetrics {
     obs::Counter& calls;
     obs::Counter& iterations;
-    obs::Counter& unconverged;
     obs::Histogram& iterations_per_call;
 
     static const FpmMetrics& get() {
@@ -27,20 +23,69 @@ struct FpmMetrics {
         static const FpmMetrics metrics{
             registry.counter("part.fpm.calls"),
             registry.counter("part.fpm.iterations"),
-            registry.counter("part.fpm.unconverged"),
             registry.histogram("part.fpm.iterations_per_call")};
         return metrics;
     }
 };
 
+/// The smallest T with S(T) = sum_i envelopes[i].piece(T, marks_only).x
+/// at least `total`, by a safeguarded Newton iteration from `start`.  S is
+/// non-decreasing and linear between the devices' sample times, with a
+/// step up at each flat run.  At T the pieces give S, its slope and the
+/// interval [from, to) they share, where S is linear: the projection
+/// T + (total - S) / slope is the root if it falls there.  Otherwise the
+/// root is at or past `to` (S < total), which raises lo, or at or before
+/// `from`, which lowers hi; the next T is the projection if it falls in
+/// [lo, hi), else the midpoint, else lo.  Every pass thus returns, raises
+/// lo above T to a sample time or lowers hi to one at or below T.  There
+/// are finitely many sample times, so the loop ends, and a bracket that
+/// closes (lo >= hi) does so where S steps over the total: the root is hi.
+double solve(std::vector<core::MonotoneTime>& envelopes, double total,
+             double start, bool marks_only, std::size_t& evaluations) {
+    double lo = 0.0;
+    double hi = std::numeric_limits<double>::infinity();
+    for (double t = start;;) {
+        ++evaluations;
+        double assigned = 0.0;
+        double slope = 0.0;
+        double from = 0.0;
+        double to = std::numeric_limits<double>::infinity();
+        for (auto& envelope : envelopes) {
+            const core::MonotoneTime::Piece piece = envelope.piece(t, marks_only);
+            assigned += piece.x;
+            slope += piece.slope;
+            from = std::max(from, piece.t0);
+            to = std::min(to, piece.t1);
+        }
+        const double gap = total - assigned;
+        const double root = t + gap / slope;  // not finite when slope is 0
+        if (gap > 0.0) {
+            if (root < to) {
+                return root;
+            }
+            lo = to;
+        } else {
+            if (root >= from) {
+                return root;
+            }
+            hi = from;
+        }
+        if (lo >= hi) {
+            return hi;
+        }
+        const double mid = lo + 0.5 * (hi - lo);
+        t = root >= lo && root < hi ? root : mid < hi ? mid : lo;
+    }
+}
+
 } // namespace
 
 FpmPartitionResult partition_fpm(std::span<const core::SpeedFunction> models,
                                  double total) {
-    obs::Span span("part.fpm_partition",
-                   static_cast<std::uint64_t>(std::max(total, 0.0)));
     FPM_CHECK(!models.empty(), "need at least one device");
-    FPM_CHECK(total >= 0.0, "total workload must be non-negative");
+    FPM_CHECK(std::isfinite(total) && total >= 0.0,
+              "total workload must be finite and non-negative");
+    obs::Span span("part.fpm_partition", static_cast<std::uint64_t>(total));
 
     const std::size_t p = models.size();
     FpmPartitionResult result;
@@ -60,73 +105,26 @@ FpmPartitionResult partition_fpm(std::span<const core::SpeedFunction> models,
     FPM_CHECK(capacity >= total,
               "combined device capacity cannot hold the requested workload");
 
-    auto assigned_at = [&](double t) {
-        double sum = 0.0;
-        for (auto& envelope : envelopes) {
-            sum += envelope.invert(t);
-        }
-        return sum;
-    };
-
-    // Bracket the balanced time T.  An upper bound: the fastest single
-    // device running everything it can hold; grow geometrically until the
-    // assignment covers the total.
-    double lo = 0.0;
-    double hi = 0.0;
-    for (std::size_t i = 0; i < models.size(); ++i) {
-        const double probe = std::min(total, envelopes[i].max_problem());
-        if (probe > 0.0) {
-            const double t = models[i].time(probe);
-            if (std::isfinite(t)) {
-                hi = std::max(hi, t);
-            }
-        }
-    }
-    if (hi == 0.0) {
-        hi = 1.0;
-    }
-    std::size_t guard = 0;
-    while (assigned_at(hi) < total && guard++ < 128) {
-        hi *= 2.0;
-    }
-    FPM_CHECK(assigned_at(hi) >= total,
-              "could not bracket the balanced execution time");
-
-    // Bisection on T; sum_i x_i(T) is monotone non-decreasing.
-    double assigned = 0.0;
-    bool converged = false;
-    for (std::size_t it = 0; it < kMaxIterations; ++it) {
-        const double mid = 0.5 * (lo + hi);
-        assigned = assigned_at(mid);
-        result.iterations = it + 1;
-        if (std::fabs(assigned - total) <= kTolerance * total) {
-            hi = mid;
-            converged = true;
-            break;
-        }
-        if (assigned < total) {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
+    // The balanced time T solves sum_i x_i(T) = total exactly: first over
+    // the stored segment ends, then over the full grid from that root, so
+    // each device regenerates about one grid segment.
+    const double coarse = solve(envelopes, total, 0.0, true, result.iterations);
+    const double balanced =
+        solve(envelopes, total, coarse, false, result.iterations);
     const FpmMetrics& metrics = FpmMetrics::get();
     metrics.calls.add();
     metrics.iterations.add(result.iterations);
     metrics.iterations_per_call.record(
         static_cast<double>(result.iterations));
-    if (!converged) {
-        metrics.unconverged.add();
-    }
 
-    result.balanced_time = hi;
+    result.balanced_time = balanced;
     double sum = 0.0;
     for (std::size_t i = 0; i < p; ++i) {
-        result.partition.share[i] = envelopes[i].invert(hi);
+        result.partition.share[i] = envelopes[i].invert(balanced);
         sum += result.partition.share[i];
     }
 
-    // Normalise the residual rounding of the bisection onto unbounded
+    // Normalise the residual rounding of the solve onto unbounded
     // devices proportionally, so the shares add up to the total exactly.
     if (sum > 0.0) {
         const double scale = total / sum;

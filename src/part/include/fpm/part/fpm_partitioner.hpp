@@ -5,13 +5,15 @@
 /// finds shares x_1..x_p with sum x_i = n such that all devices finish
 /// simultaneously: x_i / s_i(x_i) = T for every device with x_i > 0.
 /// Geometrically, the solution points (x_i, s_i(x_i)) lie on one straight
-/// line through the origin; the algorithm bisects on the execution time T
-/// (equivalently, the slope of that line).  Because each device's monotone
-/// execution-time envelope x(T) is non-decreasing in T, the total assigned
-/// work sum_i x_i(T) is monotone and the bisection converges; it stops
-/// once the assigned total is within a relative 1e-9 of n.  Each model
-/// builds its envelope once, when it is constructed; a call only inverts
-/// it, through one core::MonotoneTime view per device.
+/// line through the origin, and T (equivalently, the slope of that line)
+/// is where the total assigned work sum_i x_i(T) reaches n.  Each device's
+/// monotone execution-time envelope makes x_i(T) non-decreasing and linear
+/// between its grid samples, so that sum is piecewise linear and T is
+/// solved for exactly: a safeguarded Newton iteration over the linear
+/// pieces (core::MonotoneTime::piece), first on the segment ends each model
+/// stores, then on the full grid.  Each model builds its envelope once,
+/// when it is constructed; a call only reads it, through one
+/// core::MonotoneTime view per device.
 ///
 /// Devices with a finite maximum problem size (a GPU without out-of-core
 /// support) simply saturate at that maximum; the algorithm remains correct
@@ -28,7 +30,7 @@ namespace fpm::part {
 struct FpmPartitionResult {
     Partition1D partition;
     double balanced_time = 0.0;  ///< the equalised execution time T
-    std::size_t iterations = 0;  ///< bisection steps used
+    std::size_t iterations = 0;  ///< evaluations of sum_i x_i(T), both stages
 };
 
 /// Computes the balanced continuous partition.  Throws fpm::Error when the

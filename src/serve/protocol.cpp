@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <type_traits>
+#include <utility>
 
 #include "fpm/common/error.hpp"
 #include "fpm/common/hash.hpp"
@@ -121,6 +122,16 @@ std::int64_t parse_int(std::string_view text, const char* what) {
     return value;
 }
 
+/// parse_int() narrowed to T: a value T cannot hold, a negative one for an
+/// unsigned T included, is malformed.
+template <std::integral T>
+T parse_int_as(std::string_view text, const char* what) {
+    const std::int64_t value = parse_int(text, what);
+    FPM_CHECK(std::in_range<T>(value),
+              std::string("malformed ") + what + ": " + std::string(text));
+    return static_cast<T>(value);
+}
+
 /// Runs a C `strto*` parser over a NUL-terminated copy of `text`, which it
 /// must consume whole without a range error.
 template <class Parse>
@@ -135,10 +146,14 @@ auto parse_whole(std::string_view text, const char* what, Parse parse) {
     return value;
 }
 
+/// A fingerprint: one to sixteen hex digits, with no sign, prefix or space.
 std::uint64_t parse_hex64(std::string_view text, const char* what) {
-    return parse_whole(text, what, [](const char* begin, char** end) {
-        return std::strtoull(begin, end, 16);
-    });
+    std::uint64_t value = 0;
+    const char* const end = text.data() + text.size();
+    const auto parsed = std::from_chars(text.data(), end, value, 16);
+    FPM_CHECK(text.size() <= 16 && parsed.ec == std::errc{} && parsed.ptr == end,
+              std::string("malformed ") + what + ": " + std::string(text));
+    return value;
 }
 
 /// strtod's grammar, hex floats and `inf`/`nan` included; an overflow or
@@ -441,8 +456,11 @@ Response Response::decode(std::string_view line) {
                       tokens[2][0] == 'v',
                   "malformed PONG reply: " + std::string(line));
         response.kind = Kind::kPong;
-        response.version = static_cast<int>(
-            parse_int(tokens[2].substr(1), "protocol version"));
+        response.version =
+            parse_int_as<int>(tokens[2].substr(1), "protocol version");
+        FPM_CHECK(response.version > 0,
+                  "malformed protocol version: " +
+                      std::string(tokens[2].substr(1)));
     } else if (tag == "BYE") {
         FPM_CHECK(tokens.size == 2,
                   "malformed BYE reply: " + std::string(line));
@@ -452,18 +470,18 @@ Response Response::decode(std::string_view line) {
                   "malformed LOADED reply: " + std::string(line));
         response.kind = Kind::kLoaded;
         response.loaded.name = expect_kv(tokens[2], "name");
-        response.loaded.models = static_cast<std::uint64_t>(
-            parse_int(expect_kv(tokens[3], "models"), "model count"));
-        response.loaded.generation = static_cast<std::uint64_t>(
-            parse_int(expect_kv(tokens[4], "gen"), "generation"));
+        response.loaded.models = parse_int_as<std::uint64_t>(
+            expect_kv(tokens[3], "models"), "model count");
+        response.loaded.generation = parse_int_as<std::uint64_t>(
+            expect_kv(tokens[4], "gen"), "generation");
         response.loaded.fingerprint =
             parse_hex64(expect_kv(tokens[5], "fingerprint"), "fingerprint");
     } else if (tag == "MODELS") {
         FPM_CHECK(tokens.size == 4,
                   "malformed MODELS reply: " + std::string(line));
         response.kind = Kind::kModels;
-        const std::uint64_t count = static_cast<std::uint64_t>(
-            parse_int(expect_kv(tokens[2], "count"), "set count"));
+        const auto count = parse_int_as<std::uint64_t>(
+            expect_kv(tokens[2], "count"), "set count");
         const std::string_view sets_text = expect_kv(tokens[3], "sets");
         if (sets_text != "-") {
             for_each_part(sets_text, ',', [&response](std::string_view entry) {
@@ -472,10 +490,10 @@ Response Response::decode(std::string_view line) {
                           "malformed model-set entry: " + std::string(entry));
                 ModelSetInfo info;
                 info.name = fields[0];
-                info.generation = static_cast<std::uint64_t>(
-                    parse_int(fields[1], "generation"));
-                info.models = static_cast<std::uint64_t>(
-                    parse_int(fields[2], "model count"));
+                info.generation =
+                    parse_int_as<std::uint64_t>(fields[1], "generation");
+                info.models =
+                    parse_int_as<std::uint64_t>(fields[2], "model count");
                 response.sets.push_back(std::move(info));
             });
         }
@@ -502,8 +520,8 @@ Response Response::decode(std::string_view line) {
         response.kind = Kind::kPartition;
         PartitionReply& parsed = response.partition;
         parsed.model = expect_kv(tokens[2], "model");
-        parsed.generation = static_cast<std::uint64_t>(
-            parse_int(expect_kv(tokens[3], "gen"), "generation"));
+        parsed.generation = parse_int_as<std::uint64_t>(
+            expect_kv(tokens[3], "gen"), "generation");
         parsed.n = parse_int(expect_kv(tokens[4], "n"), "n");
         const auto algorithm =
             part::parse_algorithm(expect_kv(tokens[5], "algo"));
@@ -545,15 +563,15 @@ Response Response::decode(std::string_view line) {
         FeedbackReply& parsed = response.feedback;
         parsed.model_set = expect_kv(tokens[2], "set");
         parsed.device = parse_int(expect_kv(tokens[3], "device"), "device");
-        parsed.samples = static_cast<std::uint64_t>(
-            parse_int(expect_kv(tokens[4], "samples"), "sample count"));
+        parsed.samples = parse_int_as<std::uint64_t>(
+            expect_kv(tokens[4], "samples"), "sample count");
         parsed.reliable =
             parse_int(expect_kv(tokens[5], "reliable"), "reliable") != 0;
         parsed.drift = parse_int(expect_kv(tokens[6], "drift"), "drift") != 0;
         parsed.republished =
             parse_int(expect_kv(tokens[7], "republished"), "republished") != 0;
-        parsed.version = static_cast<std::uint64_t>(
-            parse_int(expect_kv(tokens[8], "version"), "version"));
+        parsed.version = parse_int_as<std::uint64_t>(
+            expect_kv(tokens[8], "version"), "version");
     } else {
         throw Error("unknown response tag: " + std::string(tag));
     }
@@ -726,7 +744,7 @@ void parse_value(T& member, const std::string& name, const std::string& text) {
         FPM_CHECK(!text.empty(), "malformed value for " + name);
         member = text;
     } else {
-        member = static_cast<T>(parse_int(text, name.c_str()));
+        member = parse_int_as<T>(text, name.c_str());
     }
 }
 

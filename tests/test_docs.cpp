@@ -4,13 +4,15 @@
 // must be documented in docs/operations.md, every HEALTH field there and
 // in docs/protocol.md, every protocol verb in docs/protocol.md, every
 // AdaptConfig knob in docs/adaptation.md, and every fpmpart_bench flag
-// plus every BENCH_loadgen.json field in docs/benchmarking.md.  The
-// source tree's location is baked in via FPMPART_SOURCE_DIR at
-// configure time.
+// plus every BENCH_loadgen.json field in docs/benchmarking.md; the
+// ctest line of every ci/*.sh script appears verbatim in
+// docs/operations.md.  The source tree's location is baked in via
+// FPMPART_SOURCE_DIR at configure time.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cctype>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -183,6 +185,34 @@ TEST(DocsConsistency, OperationsRunbookCoversEveryStatsField) {
         }
     }
     EXPECT_GE(names, stats.fields.size());
+}
+
+TEST(DocsConsistency, OperationsRunbookShowsEveryCiScriptsCtestLine) {
+    const std::string runbook = read_file("docs/operations.md");
+    std::size_t scripts = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(
+             std::string(FPMPART_SOURCE_DIR) + "/ci")) {
+        if (entry.path().extension() != ".sh") {
+            continue;
+        }
+        ++scripts;
+        const std::string name = entry.path().filename().string();
+        std::istringstream lines(read_file("ci/" + name));
+        std::size_t commands = 0;
+        for (std::string line; std::getline(lines, line);) {
+            const auto first = line.find_first_not_of(" \t");
+            if (first == std::string::npos ||
+                line.compare(first, 6, "ctest ") != 0) {
+                continue;
+            }
+            ++commands;
+            EXPECT_NE(runbook.find(line.substr(first)), std::string::npos)
+                << "ci/" << name << " runs `" << line.substr(first)
+                << "`, which docs/operations.md does not show";
+        }
+        EXPECT_GE(commands, 1u) << "ci/" << name << " runs no ctest line";
+    }
+    EXPECT_GE(scripts, 2u);
 }
 
 TEST(DocsConsistency, ProtocolSpecHeadingNamesTheCurrentVersion) {

@@ -1,10 +1,14 @@
 // Tests for the FPM-based geometric partitioner (Lastovetsky & Reddy):
 // conservation, balance, optimality against brute force, capacity limits,
-// degenerate inputs, and a pin of the full pipeline's plans.
+// degenerate inputs, the exact solve against the bisection it replaced,
+// and a pin of the full pipeline's plans.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
+#include <sstream>
 
 #include "fpm/app/device_set.hpp"
 #include "fpm/common/hash.hpp"
@@ -13,6 +17,7 @@
 #include "fpm/part/integer.hpp"
 #include "fpm/part/request.hpp"
 #include "fpm/sim/specs.hpp"
+#include "random_model.hpp"
 
 namespace fpm::part {
 namespace {
@@ -202,6 +207,19 @@ std::vector<SpeedFunction> noisy_hybrid(std::uint64_t noise_seed) {
     return app::build_device_fpms(node, app::hybrid_devices(node), build);
 }
 
+/// A 6-device set measured with `seed`, and a 24-device set of four nodes
+/// measured with `first_seed`.. `first_seed` + 3: the shapes the service
+/// benchmark plans on.
+std::vector<std::vector<SpeedFunction>> hybrid_sets(std::uint64_t seed,
+                                                    std::uint64_t first_seed) {
+    std::vector<std::vector<SpeedFunction>> sets{noisy_hybrid(seed), {}};
+    for (std::uint64_t node = 0; node < 4; ++node) {
+        const auto part = noisy_hybrid(first_seed + node);
+        sets[1].insert(sets[1].end(), part.begin(), part.end());
+    }
+    return sets;
+}
+
 /// Little-endian bytes of one word folded into a running FNV-1a hash.
 void fold(std::uint64_t& hash, std::uint64_t word) {
     char bytes[8];
@@ -213,15 +231,11 @@ void fold(std::uint64_t& hash, std::uint64_t word) {
 
 TEST(PartitionPin, PlansMatchTheRecordedDigest) {
     // 810 plans (n = 16..150; fpm, cpm and even; with layout) on a 6- and
-    // a 24-device set.  The literal was recorded when the bisection's
-    // tolerance, iteration cap and envelope grid were still options at
-    // today's values; a new solver must reproduce it unless it means to
-    // move plans.
-    std::vector<std::vector<SpeedFunction>> sets{noisy_hybrid(11), {}};
-    for (std::uint64_t node = 0; node < 4; ++node) {
-        const auto part = noisy_hybrid(100 + node);
-        sets[1].insert(sets[1].end(), part.begin(), part.end());
-    }
+    // a 24-device set.  The literal was recorded when T became the exact
+    // root: it moved from the bisection's only through balanced_time's
+    // bits, as ExactSolve.NoiseFamiliesPlanAsTheBisectionDid checks; a new
+    // solver must reproduce it unless it means to move plans.
+    const auto sets = hybrid_sets(11, 100);
     ASSERT_EQ(sets[0].size(), 6u);
     ASSERT_EQ(sets[1].size(), 24u);
     std::uint64_t hash = kFnv1aOffset;
@@ -245,8 +259,319 @@ TEST(PartitionPin, PlansMatchTheRecordedDigest) {
             }
         }
     }
-    EXPECT_EQ(hash, 0x8ed318bb0ac528ebULL) << "digest now 0x" << std::hex
+    EXPECT_EQ(hash, 0x2ec076f88fcd0d75ULL) << "digest now 0x" << std::hex
                                            << hash;
+}
+
+// ---------------------------------------------------------------------------
+// The exact solve against the bisection it replaced
+// ---------------------------------------------------------------------------
+
+namespace reference {
+
+/// partition_fpm as it was when it bisected on T, kept verbatim but for
+/// its metrics: the reference the exact solve must agree with.
+FpmPartitionResult partition_fpm(std::span<const core::SpeedFunction> models,
+                                 double total) {
+    constexpr double kTolerance = 1e-9;
+    constexpr std::size_t kMaxIterations = 200;
+    FPM_CHECK(!models.empty(), "need at least one device");
+    FPM_CHECK(total >= 0.0, "total workload must be non-negative");
+
+    const std::size_t p = models.size();
+    FpmPartitionResult result;
+    result.partition.share.assign(p, 0.0);
+    if (total == 0.0) {
+        return result;
+    }
+
+    // Views of each model's monotone execution-time envelope.
+    std::vector<core::MonotoneTime> envelopes;
+    envelopes.reserve(p);
+    double capacity = 0.0;
+    for (const auto& model : models) {
+        envelopes.emplace_back(model);
+        capacity += envelopes.back().max_problem();
+    }
+    FPM_CHECK(capacity >= total,
+              "combined device capacity cannot hold the requested workload");
+
+    auto assigned_at = [&](double t) {
+        double sum = 0.0;
+        for (auto& envelope : envelopes) {
+            sum += envelope.invert(t);
+        }
+        return sum;
+    };
+
+    // Bracket the balanced time T.  An upper bound: the fastest single
+    // device running everything it can hold; grow geometrically until the
+    // assignment covers the total.
+    double lo = 0.0;
+    double hi = 0.0;
+    for (std::size_t i = 0; i < models.size(); ++i) {
+        const double probe = std::min(total, envelopes[i].max_problem());
+        if (probe > 0.0) {
+            const double t = models[i].time(probe);
+            if (std::isfinite(t)) {
+                hi = std::max(hi, t);
+            }
+        }
+    }
+    if (hi == 0.0) {
+        hi = 1.0;
+    }
+    std::size_t guard = 0;
+    while (assigned_at(hi) < total && guard++ < 128) {
+        hi *= 2.0;
+    }
+    FPM_CHECK(assigned_at(hi) >= total,
+              "could not bracket the balanced execution time");
+
+    // Bisection on T; sum_i x_i(T) is monotone non-decreasing.
+    double assigned = 0.0;
+    for (std::size_t it = 0; it < kMaxIterations; ++it) {
+        const double mid = 0.5 * (lo + hi);
+        assigned = assigned_at(mid);
+        result.iterations = it + 1;
+        if (std::fabs(assigned - total) <= kTolerance * total) {
+            hi = mid;
+            break;
+        }
+        if (assigned < total) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+
+    result.balanced_time = hi;
+    double sum = 0.0;
+    for (std::size_t i = 0; i < p; ++i) {
+        result.partition.share[i] = envelopes[i].invert(hi);
+        sum += result.partition.share[i];
+    }
+
+    // Normalise the residual rounding of the bisection onto unbounded
+    // devices proportionally, so the shares add up to the total exactly.
+    if (sum > 0.0) {
+        const double scale = total / sum;
+        double rescaled = 0.0;
+        for (std::size_t i = 0; i < p; ++i) {
+            double share = result.partition.share[i] * scale;
+            share = std::min(share, envelopes[i].max_problem());
+            result.partition.share[i] = share;
+            rescaled += share;
+        }
+        // Any capacity clamping leftovers go to the first device that can
+        // take them.
+        double leftover = total - rescaled;
+        for (std::size_t i = 0; i < p && leftover > 1e-12; ++i) {
+            const double room =
+                envelopes[i].max_problem() - result.partition.share[i];
+            const double take = std::min(room, leftover);
+            result.partition.share[i] += take;
+            leftover -= take;
+        }
+    }
+
+    return result;
+}
+
+} // namespace reference
+
+bool same_bits(double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Whether two balanced times agree within 1e-8 relative.
+bool close_times(double a, double b) {
+    return std::fabs(a - b) <= 1e-8 * std::max(std::fabs(a), std::fabs(b));
+}
+
+/// The plan partition() makes for `n`, its FPM step run by the reference
+/// bisection.
+PartitionPlan reference_plan(std::span<const SpeedFunction> models,
+                             std::int64_t n) {
+    const auto continuous = reference::partition_fpm(
+        models, static_cast<double>(n) * static_cast<double>(n));
+    auto rounded = round_partition(continuous.partition, n * n, models);
+    PartitionPlan plan;
+    plan.balanced_time = continuous.balanced_time;
+    plan.makespan =
+        makespan(models, std::span<const std::int64_t>(rounded.blocks));
+    plan.layout = column_partition(n, rounded.blocks);
+    plan.blocks = std::move(rounded.blocks);
+    return plan;
+}
+
+/// Where partition()'s fpm plan for `n` differs from reference_plan(), as
+/// text: blocks, rects or makespan in any bit, or balanced_time by more
+/// than 1e-8 relative.
+std::string plan_mismatches(std::span<const SpeedFunction> models,
+                            std::int64_t n) {
+    const PartitionPlan plan =
+        partition(PartitionRequest{models, n, Algorithm::kFpm, true});
+    const PartitionPlan expected = reference_plan(models, n);
+    std::ostringstream out;
+    if (plan.blocks != expected.blocks) {
+        out << " blocks";
+    }
+    if (!std::ranges::equal(plan.layout.rects, expected.layout.rects,
+                            [](const Rect& a, const Rect& b) {
+                                return a.col0 == b.col0 && a.row0 == b.row0 &&
+                                       a.w == b.w && a.h == b.h;
+                            })) {
+        out << " rects";
+    }
+    if (!same_bits(plan.makespan, expected.makespan)) {
+        out << " makespan";
+    }
+    if (!close_times(plan.balanced_time, expected.balanced_time)) {
+        out.precision(17);
+        out << " balanced_time " << plan.balanced_time << " vs "
+            << expected.balanced_time;
+    }
+    return out.str();
+}
+
+TEST(ExactSolve, NoiseFamiliesPlanAsTheBisectionDid) {
+    // Family 1 is PartitionPin's sets; four more noise families follow.
+    for (std::uint64_t family = 1; family <= 5; ++family) {
+        for (const auto& models : hybrid_sets(10 * family + 1, 100 * family)) {
+            for (std::int64_t n = 16; n <= 150; ++n) {
+                EXPECT_EQ(plan_mismatches(models, n), "")
+                    << "family " << family << ", " << models.size()
+                    << " devices, n = " << n;
+            }
+        }
+    }
+}
+
+TEST(ExactSolve, RandomPopulationsPlanAsTheBisectionDid) {
+    // test_fuzz's populations: ramps, cliffs and capacity bounds.
+    for (const std::uint64_t seed : {20120924ULL, 777ULL}) {
+        Rng rng(seed);
+        for (int trial = 0; trial < 60; ++trial) {
+            const std::size_t devices = 1 + rng.uniform_int(0, 7);
+            std::vector<SpeedFunction> models;
+            double capacity = 0.0;
+            for (std::size_t i = 0; i < devices; ++i) {
+                models.push_back(fuzz::random_model(rng, fuzz::device_name(i)));
+                capacity += models.back().max_problem();
+            }
+            const double total =
+                std::min(rng.uniform(1.0, 6000.0), 0.95 * capacity);
+            const double expected =
+                reference::partition_fpm(models, total).balanced_time;
+            const double solved = partition_fpm(models, total).balanced_time;
+            EXPECT_TRUE(close_times(solved, expected))
+                << "seed " << seed << ", trial " << trial << ": " << solved
+                << " vs " << expected;
+            for (std::int64_t n = 1; n * n <= total; n += 1 + n / 2) {
+                EXPECT_EQ(plan_mismatches(models, n), "")
+                    << "seed " << seed << ", trial " << trial << ", n = " << n;
+            }
+        }
+    }
+}
+
+TEST(ExactSolve, RootOnAFlatRunIsTheStepItself) {
+    // The cliff model's envelope is flat at t = 1 from x = 10 to 49, so
+    // beside a constant device of speed 10 the assigned total steps from
+    // 20 to 59 at T = 1: every total in between balances at exactly 1.
+    const std::vector<SpeedFunction> models = {
+        SpeedFunction({{10.0, 10.0}, {49.0, 50.0}, {51.0, 5.0}}, "cliff"),
+        SpeedFunction::constant(10.0, "cpu")};
+    for (const double total : {21.0, 40.0, 58.0}) {
+        const auto result = partition_fpm(models, total);
+        EXPECT_EQ(result.balanced_time, 1.0) << total;
+        EXPECT_EQ(reference::partition_fpm(models, total).balanced_time, 1.0);
+        EXPECT_NEAR(result.partition.total(), total, 1e-12 * total);
+    }
+}
+
+TEST(ExactSolve, CapacityExactlyTheTotalFillsEveryDevice) {
+    const std::vector<SpeedFunction> models = {
+        SpeedFunction({{10.0, 10.0}, {40.0, 25.0}}, "g1", 50.0),
+        SpeedFunction({{10.0, 20.0}}, "g2", 30.0),
+    };
+    const auto result = partition_fpm(models, 80.0);
+    EXPECT_DOUBLE_EQ(result.partition.share[0], 50.0);
+    EXPECT_DOUBLE_EQ(result.partition.share[1], 30.0);
+    EXPECT_EQ(result.partition.total(), 80.0);
+    EXPECT_TRUE(close_times(result.balanced_time,
+                            reference::partition_fpm(models, 80.0).balanced_time));
+    // Both devices are full only once the later one saturates.
+    const double later = std::max(core::MonotoneTime(models[0]).max_time(),
+                                  core::MonotoneTime(models[1]).max_time());
+    EXPECT_TRUE(close_times(result.balanced_time, later));
+}
+
+TEST(ExactSolve, OneDeviceBalancesAtItsOwnTime) {
+    const std::vector<SpeedFunction> models = {
+        SpeedFunction({{10.0, 5.0}, {100.0, 20.0}, {500.0, 18.0}}, "a")};
+    core::MonotoneTime envelope(models[0]);
+    for (const double total : {1.0, 57.0, 333.3, 4096.0}) {
+        const auto result = partition_fpm(models, total);
+        EXPECT_DOUBLE_EQ(result.partition.share[0], total);
+        EXPECT_TRUE(close_times(result.balanced_time, envelope.time(total)))
+            << total;
+        EXPECT_TRUE(close_times(
+            result.balanced_time,
+            reference::partition_fpm(models, total).balanced_time));
+    }
+}
+
+TEST(ExactSolve, ConstantSpeedsBalanceAtTotalOverSpeedSum) {
+    const std::vector<std::vector<double>> speed_sets = {
+        {3.0}, {10.0, 30.0}, {0.5, 1e3}, {1.0, 2.0, 3.0, 4.0, 5.0, 6.0}};
+    for (const auto& speeds : speed_sets) {
+        std::vector<SpeedFunction> models;
+        double speed_sum = 0.0;
+        for (const double speed : speeds) {
+            models.push_back(SpeedFunction::constant(speed));
+            speed_sum += speed;
+        }
+        for (const double total : {1e-3, 1.0, 42.0, 400.0, 1e4, 0x1p52}) {
+            const double expected = total / speed_sum;
+            const double solved = partition_fpm(models, total).balanced_time;
+            const auto ulps =
+                std::bit_cast<std::int64_t>(solved) -
+                std::bit_cast<std::int64_t>(expected);
+            EXPECT_LE(std::abs(ulps), 4)
+                << speeds.size() << " devices, total " << total << ": "
+                << solved << " vs " << expected;
+        }
+    }
+}
+
+TEST(ExactSolve, TotalsOfOneAndTwoToThe52Blocks) {
+    for (const auto& models : hybrid_sets(11, 100)) {
+        EXPECT_EQ(plan_mismatches(models, 1), "") << models.size();
+        // At 2^52 blocks the bisection's 1e-9 tolerance is millions of
+        // blocks, so after normalising its shares may round a block
+        // differently: the plans agree to 1e-12 relative.
+        const PartitionPlan plan =
+            partition(PartitionRequest{models, kMaxN, Algorithm::kFpm, false});
+        const PartitionPlan expected = reference_plan(models, kMaxN);
+        const double total = 0x1p52;
+        for (std::size_t i = 0; i < models.size(); ++i) {
+            EXPECT_LE(std::abs(plan.blocks[i] - expected.blocks[i]),
+                      1e-12 * total)
+                << models.size() << " devices, device " << i;
+        }
+        EXPECT_NEAR(plan.makespan, expected.makespan, 1e-12 * expected.makespan);
+        EXPECT_TRUE(close_times(plan.balanced_time, expected.balanced_time));
+    }
+}
+
+TEST(ExactSolve, NonFiniteTotalsThrow) {
+    const auto models = two_constant_devices();
+    EXPECT_THROW(partition_fpm(models, std::numeric_limits<double>::infinity()),
+                 fpm::Error);
+    EXPECT_THROW(partition_fpm(models, std::numeric_limits<double>::quiet_NaN()),
+                 fpm::Error);
 }
 
 } // namespace

@@ -12,50 +12,15 @@
 #include "fpm/part/column2d.hpp"
 #include "fpm/part/fpm_partitioner.hpp"
 #include "fpm/part/integer.hpp"
+#include "random_model.hpp"
 
 namespace fpm::part {
 namespace {
 
 using core::SpeedFunction;
-using core::SpeedPoint;
 
-/// `d<i>`, appended piece by piece: GCC 12 misreports
-/// `"d" + std::to_string(i)` under -Wrestrict.
-std::string device_name(std::size_t i) {
-    std::string name = "d";
-    name += std::to_string(i);
-    return name;
-}
-
-/// A random plausible speed function: ramp to a peak, optional cliff,
-/// optional capacity bound.
-SpeedFunction random_model(Rng& rng, std::string name) {
-    const double peak = rng.uniform(5.0, 500.0);
-    const double ramp_half = rng.uniform(0.5, 20.0);
-    const bool has_cliff = rng.uniform() < 0.4;
-    const double cliff_at = rng.uniform(50.0, 2000.0);
-    const double cliff_keep = rng.uniform(0.2, 0.7);
-    const bool bounded = rng.uniform() < 0.2;
-    const double bound = rng.uniform(500.0, 4000.0);
-
-    std::vector<SpeedPoint> points;
-    for (double x = 2.0; x <= 4000.0; x *= 1.6) {
-        if (bounded && x > bound) {
-            break;
-        }
-        double speed = peak * x / (x + ramp_half);
-        if (has_cliff && x > cliff_at) {
-            speed *= cliff_keep;
-        }
-        points.push_back(SpeedPoint{x, speed});
-    }
-    if (points.size() < 2) {
-        points = {SpeedPoint{1.0, peak}, SpeedPoint{2.0, peak}};
-    }
-    return SpeedFunction(std::move(points), std::move(name),
-                         bounded ? bound
-                                 : std::numeric_limits<double>::infinity());
-}
+using fuzz::device_name;
+using fuzz::random_model;
 
 TEST(FuzzPartition, InvariantsHoldAcrossRandomPopulations) {
     Rng rng(20120924);  // CLUSTER 2012 conference date

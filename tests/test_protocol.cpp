@@ -9,9 +9,11 @@
 // outcome.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -1162,6 +1164,67 @@ TEST(ProtocolCodec, RequestDecodeAgreesWithTheIostreamDecoder) {
     EXPECT_LT(accepted, lines.size() * 9 / 10);
 }
 
+/// Whether `line` is a reply holding a spelling the reference read through
+/// an unchecked cast and the decoder now refuses: a negative count,
+/// generation or version, a PONG version that is not a positive int, or a
+/// fingerprint that is not one to sixteen bare hex digits.
+bool holds_refused_spelling(const std::string& line) {
+    const auto negative = [](const std::string& text) {
+        try {
+            return reference::parse_int(text, "value") < 0;
+        } catch (const Error&) {
+            return false;
+        }
+    };
+    const auto tokens = reference::tokenize(line);
+    if (tokens.size() < 3 || tokens[0] != "OK") {
+        return false;
+    }
+    const std::string& tag = tokens[1];
+    if (tag == "PONG") {
+        try {
+            const auto version =
+                reference::parse_int(tokens[2].substr(1), "version");
+            return tokens[2][0] == 'v' &&
+                   (version <= 0 || version > std::numeric_limits<int>::max());
+        } catch (const Error&) {
+            return false;
+        }
+    }
+    if (tag != "LOADED" && tag != "MODELS" && tag != "PARTITION" &&
+        tag != "FEEDBACK") {
+        return false;
+    }
+    for (const std::string& token : tokens) {
+        const auto eq = token.find('=');
+        const std::string key = token.substr(0, eq);
+        const std::string value =
+            eq == std::string::npos ? "" : token.substr(eq + 1);
+        if (key == "fingerprint") {
+            if (value.empty() || value.size() > 16 ||
+                value.find_first_not_of("0123456789abcdefABCDEF") !=
+                    std::string::npos) {
+                return true;
+            }
+        } else if (key == "sets") {
+            for (const std::string& entry : reference::split(value, ',')) {
+                const auto fields = reference::split(entry, ':');
+                for (std::size_t i = 1; i < std::min<std::size_t>(3, fields.size());
+                     ++i) {
+                    if (negative(fields[i])) {
+                        return true;
+                    }
+                }
+            }
+        } else if ((key == "models" || key == "gen" || key == "count" ||
+                    key == "samples" || key == "version") &&
+                   negative(value)) {
+            return true;
+        }
+    }
+    return false;
+}
+
 TEST(ProtocolCodec, ResponseDecodeAgreesWithTheIostreamDecoder) {
     Response partition;
     partition.kind = Response::Kind::kPartition;
@@ -1196,14 +1259,22 @@ TEST(ProtocolCodec, ResponseDecodeAgreesWithTheIostreamDecoder) {
         }
     }
     std::size_t accepted = 0;
+    std::size_t refused = 0;
     for (const std::string& line : lines) {
+        const std::string outcome =
+            decode_outcome([&] { return Response::decode(line); });
+        if (holds_refused_spelling(line)) {
+            // RepliesRefuseOutOfRangeIntegers lists these spellings.
+            EXPECT_TRUE(outcome.starts_with("Error: ")) << "line: " << line;
+            ++refused;
+            continue;
+        }
         const std::string expected = decode_outcome(
             [&] { return reference::decode_response(line); });
-        EXPECT_EQ(decode_outcome([&] { return Response::decode(line); }),
-                  expected)
-            << "line: " << line;
+        EXPECT_EQ(outcome, expected) << "line: " << line;
         accepted += expected.starts_with("ok ") ? 1 : 0;
     }
+    EXPECT_GT(refused, 0u);
     EXPECT_GT(accepted, lines.size() / 10);
     EXPECT_LT(accepted, lines.size() * 9 / 10);
 }
@@ -1226,18 +1297,24 @@ TEST(ProtocolCodec, StatValuesParseLikeStrtoll) {
         return response;
     };
     for (const std::string& value : values) {
+        const std::string outcome = decode_outcome([&] {
+            return reply(ServerStats::from_fields({{"requests", value}}));
+        });
+        // A count below zero is refused (RepliesRefuseOutOfRangeIntegers).
+        try {
+            if (reference::parse_int(value, "requests") < 0) {
+                EXPECT_EQ(outcome, "Error: malformed requests: " + value);
+                continue;
+            }
+        } catch (const Error&) {
+        }
         const std::string expected = decode_outcome([&] {
             ServerStats stats;
             stats.requests = static_cast<std::uint64_t>(
                 reference::parse_int(value, "requests"));
             return reply(stats);
         });
-        EXPECT_EQ(decode_outcome([&] {
-                      return reply(
-                          ServerStats::from_fields({{"requests", value}}));
-                  }),
-                  expected)
-            << "value: " << value;
+        EXPECT_EQ(outcome, expected) << "value: " << value;
     }
 }
 
@@ -1248,6 +1325,74 @@ TEST(ProtocolCodec, TokensEndAtTheirLengthNotAtAnEmbeddedNul) {
     EXPECT_TRUE(reference_request_outcome(line).starts_with("ok "));
     EXPECT_EQ(request_outcome(line),
               "Error: malformed workload size: " + std::string("12\0x", 4));
+}
+
+TEST(ProtocolCodec, RepliesRefuseOutOfRangeIntegers) {
+    // The other deliberate difference from the reference, which narrowed
+    // integers with static_cast and read fingerprints with strtoull: each
+    // of these lines decoded there (a version of 2^32 + 7 as 7, -1 as
+    // 2^64 - 1) and is malformed now.
+    const std::string partition =
+        "OK PARTITION model=g gen=-1 n=4 algo=fpm cached=0 degraded=0 "
+        "balanced=1 makespan=1 comm=8 blocks=16 layout=0:0:4:4";
+    const std::string feedback =
+        "OK FEEDBACK set=g device=0 samples=3 reliable=1 drift=0 "
+        "republished=0 version=";
+    const std::vector<std::pair<std::string, std::string>> lines = {
+        {"OK PONG v4294967303", "protocol version: 4294967303"},
+        {"OK PONG v2147483648", "protocol version: 2147483648"},
+        {"OK PONG v0", "protocol version: 0"},
+        {"OK PONG v-7", "protocol version: -7"},
+        {"OK LOADED name=g models=-3 gen=-1 fingerprint=-1", "model count: -3"},
+        {"OK LOADED name=g models=3 gen=-1 fingerprint=1f", "generation: -1"},
+        {"OK LOADED name=g models=3 gen=1 fingerprint=-1", "fingerprint: -1"},
+        {"OK LOADED name=g models=3 gen=1 fingerprint=+1f", "fingerprint: +1f"},
+        {"OK LOADED name=g models=3 gen=1 fingerprint=0x1f", "fingerprint: 0x1f"},
+        {"OK LOADED name=g models=3 gen=1 fingerprint=00000000000000001f",
+         "fingerprint: 00000000000000001f"},
+        {"OK MODELS count=1 sets=a:-2:3", "generation: -2"},
+        {"OK MODELS count=1 sets=a:2:-3", "model count: -3"},
+        {partition, "generation: -1"},
+        {feedback + "-1", "version: -1"},
+        {"OK FEEDBACK set=g device=0 samples=-3 reliable=1 drift=0 "
+         "republished=0 version=1",
+         "sample count: -3"},
+    };
+    for (const auto& [line, message] : lines) {
+        EXPECT_TRUE(decode_outcome([&] {
+                        return reference::decode_response(line);
+                    }).starts_with("ok "))
+            << line;
+        EXPECT_EQ(decode_outcome([&] { return Response::decode(line); }),
+                  "Error: malformed " + message);
+        EXPECT_TRUE(holds_refused_spelling(line)) << line;
+    }
+    // The spellings either side of each rule still decode.
+    for (const std::string& line :
+         {std::string("OK PONG v2147483647"),
+          std::string("OK LOADED name=g models=0 gen=-0 "
+                      "fingerprint=FFFFFFFFFFFFFFFF"),
+          feedback + "0"}) {
+        EXPECT_TRUE(response_decodes(line)) << line;
+        EXPECT_FALSE(holds_refused_spelling(line)) << line;
+    }
+    // STATS and HEALTH values reach the same check through from_fields.
+    for (const auto& [line, message] :
+         {std::pair<std::string, std::string>{"OK STATS requests=-1",
+                                              "malformed requests: -1"},
+          {"OK HEALTH models=-2", "malformed models: -2"}}) {
+        const Response response = Response::decode(line);
+        try {
+            if (response.kind == Response::Kind::kStats) {
+                (void)ServerStats::from_fields(response.fields);
+            } else {
+                (void)ServerHealth::from_fields(response.fields);
+            }
+            ADD_FAILURE() << line << " decoded";
+        } catch (const Error& e) {
+            EXPECT_EQ(std::string(e.message()), message);
+        }
+    }
 }
 
 } // namespace

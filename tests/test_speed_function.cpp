@@ -301,7 +301,11 @@ std::string compact_mismatches(const SpeedFunction& fn) {
     return out.str();
 }
 
-TEST(MonotoneTime, CompactEnvelopeEqualsTheFullGridBitForBit) {
+/// Models whose envelopes exercise every grid shape: one point, a cliff,
+/// knots closer than the de-duplication step, capacity bounds cutting the
+/// grid at several places, a repeated x in the capacity slack, and the
+/// paper's hybrid node under noise.
+std::vector<SpeedFunction> envelope_models() {
     std::vector<SpeedFunction> models = {
         SpeedFunction::constant(12.0, "one point"),
         SpeedFunction({{10.0, 10.0}, {49.0, 50.0}, {51.0, 5.0}}, "cliff"),
@@ -336,11 +340,80 @@ TEST(MonotoneTime, CompactEnvelopeEqualsTheFullGridBitForBit) {
     build.reliability.max_repetitions = 1;
     const auto hybrid =
         app::build_device_fpms(node, app::hybrid_devices(node), build);
-    ASSERT_EQ(hybrid.size(), 6u);
+    EXPECT_EQ(hybrid.size(), 6u);
     models.insert(models.end(), hybrid.begin(), hybrid.end());
+    return models;
+}
 
-    for (const SpeedFunction& fn : models) {
+TEST(MonotoneTime, CompactEnvelopeEqualsTheFullGridBitForBit) {
+    for (const SpeedFunction& fn : envelope_models()) {
         EXPECT_EQ(compact_mismatches(fn), "")
+            << fn.name() << ", " << fn.points().size() << " knots";
+    }
+}
+
+/// Walks every piece of the reference grid's inverse, [ts_[j], ts_[j+1])
+/// with ts_[j] < ts_[j+1], and the piece past the grid, and returns as
+/// text where the view's piece() disagrees: its bounds and slope must be
+/// the reference's samples', and its x, at t0 and inside the piece,
+/// reference.invert() bit for bit.  The marks-only piece must hold t.
+std::string piece_mismatches(const SpeedFunction& fn) {
+    const FullGridEnvelope reference(fn);
+    MonotoneTime view(fn);
+    std::ostringstream out;
+    const auto same = [](double a, double b) {
+        return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+    };
+    const auto& xs = reference.xs_;
+    const auto& ts = reference.ts_;
+    for (std::size_t j = 0; j + 1 < ts.size(); ++j) {
+        // The piece starts at the last sample of a flat run.
+        if (ts[j] == ts[j + 1]) {
+            continue;
+        }
+        const double slope = (xs[j + 1] - xs[j]) / (ts[j + 1] - ts[j]);
+        for (const double t :
+             {ts[j], lerp(ts[j], ts[j + 1], 0.25), lerp(ts[j], ts[j + 1], 0.5),
+              std::nextafter(ts[j + 1], 0.0)}) {
+            if (t < ts[j]) {
+                continue;  // the piece holds one double
+            }
+            const MonotoneTime::Piece piece = view.piece(t);
+            if (!same(piece.t0, ts[j]) || !same(piece.t1, ts[j + 1]) ||
+                !same(piece.slope, slope) ||
+                !same(piece.x, reference.invert(t)) ||
+                !same(view.invert(t), reference.invert(t))) {
+                out << " piece(" << t << ")";
+            }
+            // Linear across the piece: x at t0 extends to x at t.
+            const double at_t0 = reference.invert(ts[j]);
+            if (std::fabs(at_t0 + slope * (t - ts[j]) - piece.x) >
+                1e-9 * (1.0 + piece.x)) {
+                out << " linear(" << t << ")";
+            }
+            const MonotoneTime::Piece coarse = view.piece(t, true);
+            if (!(coarse.t0 <= t && t < coarse.t1 && coarse.slope >= 0.0)) {
+                out << " marks(" << t << ")";
+            }
+        }
+    }
+    const double end = reference.max_time();
+    const double terminal =
+        std::isfinite(fn.max_problem()) ? 0.0 : reference.terminal_speed_;
+    for (const double t : {end, end * 1.5, end * 100.0}) {
+        const MonotoneTime::Piece piece = view.piece(t);
+        if (!same(piece.t0, end) || !std::isinf(piece.t1) ||
+            !same(piece.slope, terminal) ||
+            !same(piece.x, reference.invert(t))) {
+            out << " past(" << t << ")";
+        }
+    }
+    return out.str();
+}
+
+TEST(MonotoneTime, PiecesEqualTheFullGridBitForBit) {
+    for (const SpeedFunction& fn : envelope_models()) {
+        EXPECT_EQ(piece_mismatches(fn), "")
             << fn.name() << ", " << fn.points().size() << " knots";
     }
 }
