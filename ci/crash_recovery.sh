@@ -4,8 +4,9 @@
 # builds the ASan+UBSan tree, then runs every test labelled `store`,
 # `repl`, `serve` or `part` under the sanitizers — the WAL framing,
 # torn-tail/corrupt-snapshot recovery, write-ahead veto, fork()+SIGKILL
-# crash and store-fault chaos suites, the repl drills (the
-# ReplicationLog catch-up suites, the fresh-join, restart and
+# crash and store-fault chaos suites, the model codec its records carry
+# (test_model_io: the in-place parser fed mutated files), the repl
+# drills (the ReplicationLog catch-up suites, the fresh-join, restart and
 # ahead-of-primary tests, read-only serving, hostile primaries, the
 # repl.* fault-point chaos drill, the fork()+SIGKILL primary-failover
 # drill and the `fpmpart_serve` replica flag check), and the reactor's

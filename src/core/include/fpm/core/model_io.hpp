@@ -18,17 +18,19 @@
 /// header) still load; a file claiming a *newer* format version than
 /// this build understands is rejected instead of misparsed.
 ///
+/// One `\r` before a line's `\n` is dropped, so a CRLF file loads.
+///
 /// Malformed input is reported as ParseError, which pinpoints the
 /// offending line and CSV column instead of a free-text bool-ish
 /// failure; ParseError derives fpm::Error, so existing catch sites keep
-/// working.  The stream-based entry points exist for callers that embed
-/// model text in larger files (the durable model store's WAL records and
-/// snapshots).
+/// working.  The string entry points (no iostreams) exist for callers
+/// that embed model text in larger records (the durable model store's
+/// WAL records, snapshots and replication stream).
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fpm/core/speed_function.hpp"
@@ -62,16 +64,16 @@ private:
     std::string reason_;
 };
 
-/// Writes the models to `out` in the current format (v2 header included).
-/// Throws fpm::Error on empty input or a stream failure.
-void write_speed_functions(std::ostream& out,
+/// Appends the models to `out` in the current format (v2 header included).
+/// Throws fpm::Error on empty input or a model name holding a comma.
+void write_speed_functions(std::string& out,
                            const std::vector<SpeedFunction>& models);
 
-/// Reads models from `in` (v2 or headerless v1); `origin` labels
-/// ParseError diagnostics (a path, or e.g. "wal record").  Validates the
-/// schema and the per-model invariants (via the SpeedFunction
-/// constructor).  Throws ParseError on malformed input.
-std::vector<SpeedFunction> read_speed_functions(std::istream& in,
+/// Parses models from `text` (v2 or headerless v1) in place; `origin`
+/// labels ParseError diagnostics (a path, or e.g. "wal record").
+/// Validates the schema and the per-model invariants (via the
+/// SpeedFunction constructor).  Throws ParseError on malformed input.
+std::vector<SpeedFunction> read_speed_functions(std::string_view text,
                                                 const std::string& origin);
 
 /// Writes the models to `path` (truncates).  Throws fpm::Error on I/O

@@ -1,38 +1,51 @@
 #include "fpm/core/model_io.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
-#include <iomanip>
+#include <iterator>
 #include <limits>
-#include <sstream>
+
+#include "fpm/common/split.hpp"
 
 namespace fpm::core {
 
 namespace {
 
-constexpr const char* kColumnHeader = "name,max_problem,x,speed";
+constexpr std::string_view kColumnHeader = "name,max_problem,x,speed";
 
-std::vector<std::string> split_csv_line(const std::string& line) {
-    std::vector<std::string> cells;
-    std::string cell;
-    std::istringstream stream(line);
-    while (std::getline(stream, cell, ',')) {
-        cells.push_back(cell);
+/// The next line of `rest`, without its `\n` and one trailing `\r`.
+bool next_line(std::string_view& rest, std::string_view& line) {
+    if (!next_part(rest, '\n', line)) {
+        return false;
     }
-    return cells;
+    if (line.ends_with('\r')) {
+        line.remove_suffix(1);
+    }
+    return true;
 }
 
 /// Strict double parse for one CSV cell; throws ParseError pinpointing
-/// `column` (1-based cell index) on failure.
-double parse_cell(const std::string& text, const std::string& origin,
+/// `column` (1-based cell index) on failure.  strtod reads a
+/// NUL-terminated copy: on the stack, or for a long cell the heap.
+double parse_cell(std::string_view text, const std::string& origin,
                   std::size_t line, std::size_t column) {
-    const char* begin = text.c_str();
+    char stack[64];
+    std::string heap;
+    char* begin = stack;
+    if (text.size() < sizeof stack) {
+        std::memcpy(stack, text.data(), text.size());
+        stack[text.size()] = '\0';
+    } else {
+        begin = heap.assign(text).data();
+    }
     char* end = nullptr;
     const double value = std::strtod(begin, &end);
-    if (end == begin || *end != '\0') {
+    if (end == begin || end != begin + text.size()) {
         throw ParseError(origin, line, column,
-                         "non-numeric value '" + text + "'");
+                         "non-numeric value '" + std::string(text) + "'");
     }
     return value;
 }
@@ -40,15 +53,12 @@ double parse_cell(const std::string& text, const std::string& origin,
 /// Parses the `fpmmodel v<N>` magic line; returns 0 when `line` is not a
 /// header at all (a v1 file), throws for a recognisable header carrying
 /// an unusable version.
-int parse_magic(const std::string& line, const std::string& origin) {
-    std::istringstream stream(line);
-    std::string magic;
-    std::string version;
-    stream >> magic;
-    if (magic != kModelFileMagic) {
+int parse_magic(std::string_view line, const std::string& origin) {
+    const auto tokens = tokens_of<3>(line);
+    if (tokens[0] != kModelFileMagic) {
         return 0;
     }
-    stream >> version;
+    const std::string version(tokens[1]);
     if (version.size() < 2 || version[0] != 'v') {
         throw ParseError(origin, 1, 0,
                          "malformed format version '" + version + "'");
@@ -56,7 +66,7 @@ int parse_magic(const std::string& line, const std::string& origin) {
     const char* begin = version.c_str() + 1;
     char* end = nullptr;
     const long parsed = std::strtol(begin, &end, 10);
-    if (end == begin || *end != '\0' || parsed <= 0) {
+    if (end != version.c_str() + version.size() || parsed <= 0) {
         throw ParseError(origin, 1, 0,
                          "malformed format version '" + version + "'");
     }
@@ -67,12 +77,21 @@ int parse_magic(const std::string& line, const std::string& origin) {
                              "to v" + std::to_string(kModelFormatVersion) +
                              ")");
     }
-    std::string trailing;
-    if (stream >> trailing) {
+    if (tokens.size > 2) {
         throw ParseError(origin, 1, 0,
                          "trailing tokens after the format header");
     }
     return static_cast<int>(parsed);
+}
+
+/// Appends `value` as `ostream << setprecision(max_digits10)` prints it
+/// (`%.17g`), so a read reproduces every double bit-for-bit.
+void append_double(std::string& out, double value) {
+    char buffer[32];
+    const auto result = std::to_chars(
+        buffer, buffer + sizeof buffer, value, std::chars_format::general,
+        std::numeric_limits<double>::max_digits10);
+    out.append(buffer, result.ptr);
 }
 
 /// `origin:line` plus `:column` when known.  Appended piece by piece:
@@ -97,41 +116,44 @@ ParseError::ParseError(std::string origin, std::size_t line,
       origin_(std::move(origin)), line_(line), column_(column),
       reason_(std::move(reason)) {}
 
-void write_speed_functions(std::ostream& out,
+void write_speed_functions(std::string& out,
                            const std::vector<SpeedFunction>& models) {
     FPM_CHECK(!models.empty(), "nothing to save");
-    // Full precision so a load() reproduces every double bit-for-bit.
-    out << std::setprecision(std::numeric_limits<double>::max_digits10);
-
-    out << kModelFileMagic << " v" << kModelFormatVersion << '\n';
-    out << kColumnHeader << '\n';
+    out.append(kModelFileMagic).append(" v");
+    out.append(std::to_string(kModelFormatVersion)).append(1, '\n');
+    out.append(kColumnHeader).append(1, '\n');
     for (const auto& model : models) {
         FPM_CHECK(model.name().find(',') == std::string::npos,
                   "model names must not contain commas");
+        // Every row of a model starts `name,max_problem,`.
+        std::string prefix = model.name() + ',';
+        if (std::isfinite(model.max_problem())) {
+            append_double(prefix, model.max_problem());
+        } else {
+            prefix += "inf";
+        }
+        prefix += ',';
         for (const auto& point : model.points()) {
-            out << model.name() << ',';
-            if (std::isfinite(model.max_problem())) {
-                out << model.max_problem();
-            } else {
-                out << "inf";
-            }
-            out << ',' << point.x << ',' << point.speed << '\n';
+            out += prefix;
+            append_double(out, point.x);
+            out += ',';
+            append_double(out, point.speed);
+            out += '\n';
         }
     }
-    FPM_CHECK(out.good(), "model write failed");
 }
 
-std::vector<SpeedFunction> read_speed_functions(std::istream& in,
+std::vector<SpeedFunction> read_speed_functions(std::string_view text,
                                                 const std::string& origin) {
-    std::string line;
-    if (!std::getline(in, line)) {
+    std::string_view line;
+    if (!next_line(text, line)) {
         throw ParseError(origin, 1, 0, "model input is empty");
     }
     std::size_t line_number = 1;
     const int version = parse_magic(line, origin);
     if (version > 0) {
         // v2+: the magic line is followed by the column header.
-        if (!std::getline(in, line)) {
+        if (!next_line(text, line)) {
             throw ParseError(origin, 2, 0,
                              "missing column header after the format header");
         }
@@ -139,12 +161,12 @@ std::vector<SpeedFunction> read_speed_functions(std::istream& in,
     }
     if (line != kColumnHeader) {
         throw ParseError(origin, line_number, 0,
-                         "unexpected column header '" + line + "' (want '" +
-                             kColumnHeader + "')");
+                         "unexpected column header '" + std::string(line) +
+                             "' (want '" + std::string(kColumnHeader) + "')");
     }
 
     std::vector<SpeedFunction> models;
-    std::string current_name;
+    std::string_view current_name;
     double current_max = std::numeric_limits<double>::infinity();
     std::vector<SpeedPoint> current_points;
     std::size_t model_first_line = 0;
@@ -152,30 +174,30 @@ std::vector<SpeedFunction> read_speed_functions(std::istream& in,
     auto flush = [&]() {
         if (!current_points.empty()) {
             try {
-                models.emplace_back(std::move(current_points), current_name,
-                                    current_max);
+                models.emplace_back(std::move(current_points),
+                                    std::string(current_name), current_max);
             } catch (const Error& e) {
                 throw ParseError(origin, model_first_line, 0,
-                                 "invalid model '" + current_name +
+                                 "invalid model '" + std::string(current_name) +
                                      "': " + std::string(e.message()));
             }
             current_points = {};
         }
     };
 
-    while (std::getline(in, line)) {
+    while (next_line(text, line)) {
         ++line_number;
         if (line.empty()) {
             continue;
         }
-        const auto cells = split_csv_line(line);
-        if (cells.size() != 4) {
+        const auto cells = parts_of<4>(line, ',');
+        if (cells.size != 4) {
             throw ParseError(origin, line_number, 0,
                              "expected 4 CSV cells, got " +
-                                 std::to_string(cells.size()));
+                                 std::to_string(cells.size));
         }
 
-        const std::string& name = cells[0];
+        const std::string_view name = cells[0];
         if (name != current_name || current_points.empty()) {
             if (name != current_name) {
                 flush();
@@ -200,16 +222,19 @@ std::vector<SpeedFunction> read_speed_functions(std::istream& in,
 
 void save_speed_functions_csv(const std::string& path,
                               const std::vector<SpeedFunction>& models) {
+    std::string text;
+    write_speed_functions(text, models);
     std::ofstream out(path);
     FPM_CHECK(out.good(), "cannot open model file for writing: " + path);
-    write_speed_functions(out, models);
+    out.write(text.data(), static_cast<std::streamsize>(text.size()));
     FPM_CHECK(out.good(), "write failed: " + path);
 }
 
 std::vector<SpeedFunction> load_speed_functions_csv(const std::string& path) {
     std::ifstream in(path);
     FPM_CHECK(in.good(), "cannot open model file: " + path);
-    return read_speed_functions(in, path);
+    const std::string text{std::istreambuf_iterator<char>(in), {}};
+    return read_speed_functions(text, path);
 }
 
 } // namespace fpm::core

@@ -220,8 +220,7 @@ void Replicator::apply_frame(const std::string& frame) {
     const auto decoded = store::decode_frame(frame);
     FPM_CHECK(decoded && decoded->size == frame.size(),
               "repl stream: torn or corrupt replication frame");
-    apply_record(store::decode_publish_record(std::string(decoded->payload),
-                                              "repl stream"));
+    apply_record(store::decode_publish_record(decoded->payload, "repl stream"));
 }
 
 void Replicator::apply_record(const store::PublishRecord& record) {

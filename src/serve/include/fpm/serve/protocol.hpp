@@ -40,6 +40,7 @@
 #include <string_view>
 #include <vector>
 
+#include "fpm/common/split.hpp"
 #include "fpm/serve/error.hpp"
 #include "fpm/serve/request_engine.hpp"
 
@@ -72,11 +73,11 @@ inline constexpr int kProtocolVersion = 7;
 inline constexpr std::size_t kMaxLineBytes = 1 << 20;
 
 /// Wire whitespace: space, \t, \n, \v, \f and \r, the bytes the C
-/// locale's isspace() matches.  Senders separate tokens with one space;
-/// decoders split on any run of these, and no token (a model-set name
-/// included) may hold one.
+/// locale's isspace() matches (fpm::is_space).  Senders separate tokens
+/// with one space; decoders split on any run of these, and no token (a
+/// model-set name included) may hold one.
 [[nodiscard]] constexpr bool is_wire_space(char c) noexcept {
-    return c == ' ' || (c >= '\t' && c <= '\r');
+    return is_space(c);
 }
 
 /// A request message.  decode() parses a wire line (throws fpm::Error

@@ -12,6 +12,7 @@
 
 #include "fpm/common/error.hpp"
 #include "fpm/common/hash.hpp"
+#include "fpm/common/split.hpp"
 #include "fpm/fault/fault.hpp"
 #include "fpm/serve/reactor_metrics.hpp"
 
@@ -20,73 +21,8 @@ namespace fpm::serve {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Splitting
+// Splitting (lines split into tokens and parts by fpm/common/split.hpp)
 // ---------------------------------------------------------------------------
-
-/// Takes the next token (a run of bytes that are not wire whitespace) off
-/// the front of `rest`; empty once only whitespace remains.
-std::string_view next_token(std::string_view& rest) {
-    std::size_t begin = 0;
-    while (begin < rest.size() && is_wire_space(rest[begin])) {
-        ++begin;
-    }
-    std::size_t end = begin;
-    while (end < rest.size() && !is_wire_space(rest[end])) {
-        ++end;
-    }
-    const std::string_view token = rest.substr(begin, end - begin);
-    rest.remove_prefix(end);
-    return token;
-}
-
-/// The first N pieces of a split and the number of pieces in all, so an
-/// arity check needs no allocation.
-template <std::size_t N>
-struct Pieces {
-    std::array<std::string_view, N> at{};
-    std::size_t size = 0;
-
-    void add(std::string_view piece) {
-        if (size < N) {
-            at[size] = piece;
-        }
-        ++size;
-    }
-    std::string_view operator[](std::size_t i) const { return at[i]; }
-};
-
-template <std::size_t N>
-Pieces<N> tokens_of(std::string_view line) {
-    Pieces<N> tokens;
-    for (std::string_view token = next_token(line); !token.empty();
-         token = next_token(line)) {
-        tokens.add(token);
-    }
-    return tokens;
-}
-
-/// Calls `visit` on each `sep`-separated part of `text`, split the way
-/// std::getline splits a stream: no part for empty text and none after
-/// a trailing separator.
-template <class Visit>
-void for_each_part(std::string_view text, char sep, Visit&& visit) {
-    while (!text.empty()) {
-        const std::size_t cut = text.find(sep);
-        visit(text.substr(0, cut));
-        if (cut == std::string_view::npos) {
-            return;
-        }
-        text.remove_prefix(cut + 1);
-    }
-}
-
-template <std::size_t N>
-Pieces<N> parts_of(std::string_view text, char sep) {
-    Pieces<N> parts;
-    for_each_part(text, sep,
-                  [&parts](std::string_view part) { parts.add(part); });
-    return parts;
-}
 
 /// Splits `token` at the first '=' and checks the key.
 std::string_view expect_kv(std::string_view token, const char* key) {

@@ -66,8 +66,8 @@ namespace fpm::store {
 /// One WAL/snapshot publish record, decoded.  The encoded form is the
 /// unit of both durability and replication: a text header line
 /// (`publish <name> <generation> <16-hex fingerprint>`) followed by the
-/// core::write_speed_functions body, carried inside a length+CRC WAL
-/// frame on disk and on the replication stream alike.
+/// model text core::write_speed_functions appends, carried inside a
+/// length+CRC WAL frame on disk and on the replication stream alike.
 struct PublishRecord {
     std::string name;
     std::uint64_t generation = 0;
@@ -78,10 +78,12 @@ struct PublishRecord {
 /// Renders the publish record for `set` (the WAL frame payload).
 [[nodiscard]] std::string encode_publish_record(const serve::ModelSet& set);
 
-/// Parses and validates a publish record; `origin` names the source in
-/// error messages.  Throws fpm::Error on a malformed header or when the
-/// recomputed model fingerprint disagrees with the recorded one.
-[[nodiscard]] PublishRecord decode_publish_record(const std::string& payload,
+/// Parses and validates a publish record in place; `origin` names the
+/// source in error messages.  Throws fpm::Error on a malformed header
+/// (four tokens, the generation positive decimal digits, the fingerprint
+/// 16 hex digits) or when the recomputed model fingerprint disagrees
+/// with the recorded one.
+[[nodiscard]] PublishRecord decode_publish_record(std::string_view payload,
                                                   const std::string& origin);
 
 /// When the WAL is made durable relative to a publish acknowledgement.

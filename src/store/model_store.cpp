@@ -5,14 +5,15 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <sstream>
 #include <vector>
 
 #include "fpm/common/error.hpp"
+#include "fpm/common/split.hpp"
 #include "fpm/core/model_io.hpp"
 #include "fpm/fault/fault.hpp"
 #include "fpm/obs/metrics.hpp"
@@ -35,6 +36,13 @@ std::string fingerprint_hex(std::uint64_t fingerprint) {
     std::snprintf(buffer, sizeof buffer, "%016llx",
                   static_cast<unsigned long long>(fingerprint));
     return buffer;
+}
+
+/// A whole unsigned number in `base`: no sign, no blank, no overflow.
+bool parse_u64(std::string_view text, std::uint64_t& value, int base = 10) {
+    const char* end = text.data() + text.size();
+    const auto result = std::from_chars(text.data(), end, value, base);
+    return !text.empty() && result.ec == std::errc{} && result.ptr == end;
 }
 
 void write_file_durably(const std::string& path, const std::string& contents) {
@@ -67,29 +75,28 @@ void write_file_durably(const std::string& path, const std::string& contents) {
 } // namespace
 
 std::string encode_publish_record(const serve::ModelSet& set) {
-    std::ostringstream out;
-    out << "publish " << set.name << ' ' << set.generation << ' '
-        << fingerprint_hex(set.fingerprint) << '\n';
+    std::string out = "publish " + set.name + ' ' +
+                      std::to_string(set.generation) + ' ' +
+                      fingerprint_hex(set.fingerprint) + '\n';
     core::write_speed_functions(out, set.models);
-    return out.str();
+    return out;
 }
 
-PublishRecord decode_publish_record(const std::string& payload,
+PublishRecord decode_publish_record(std::string_view payload,
                                     const std::string& origin) {
-    std::istringstream in(payload);
-    std::string header;
-    FPM_CHECK(std::getline(in, header),
-              origin + ": empty publish record");
-    std::istringstream fields(header);
-    std::string verb;
-    std::string fingerprint;
+    FPM_CHECK(!payload.empty(), origin + ": empty publish record");
+    const std::string_view header = payload.substr(0, payload.find('\n'));
+    payload.remove_prefix(std::min(header.size() + 1, payload.size()));
+    const auto fields = tokens_of<4>(header);
     PublishRecord record;
-    fields >> verb >> record.name >> record.generation >> fingerprint;
-    FPM_CHECK(verb == "publish" && !record.name.empty() &&
-                  record.generation > 0 && fingerprint.size() == 16,
-              origin + ": malformed publish header '" + header + "'");
-    record.fingerprint = std::strtoull(fingerprint.c_str(), nullptr, 16);
-    record.models = core::read_speed_functions(in, origin);
+    FPM_CHECK(fields.size == 4 && fields[0] == "publish" &&
+                  parse_u64(fields[2], record.generation) &&
+                  record.generation > 0 && fields[3].size() == 16 &&
+                  parse_u64(fields[3], record.fingerprint, 16),
+              origin + ": malformed publish header '" + std::string(header) +
+                  "'");
+    record.name = fields[1];
+    record.models = core::read_speed_functions(payload, origin);
 
     // The CRC already guards against bit rot; the fingerprint check
     // catches a writer/reader logic mismatch, which must never be
@@ -175,20 +182,16 @@ RecoveryReport ModelStore::recover(serve::ModelRegistry& registry) {
         ReplayResult replay = replay_wal(snapshot_path, /*repair=*/false);
         FPM_CHECK(replay.truncated_bytes == 0 && !replay.payloads.empty(),
                   snapshot_path + ": torn snapshot");
-        std::istringstream header(replay.payloads.front());
-        std::string magic;
-        std::string version;
-        std::string next_field;
-        std::string sets_field;
-        header >> magic >> version >> next_field >> sets_field;
-        FPM_CHECK(magic == kSnapshotMagic && version == kSnapshotVersion &&
-                      next_field.starts_with("next=") &&
-                      sets_field.starts_with("sets="),
+        const auto fields = tokens_of<4>(replay.payloads.front());
+        std::uint64_t next = 0;
+        std::uint64_t sets = 0;
+        FPM_CHECK(fields.size == 4 && fields[0] == kSnapshotMagic &&
+                      fields[1] == kSnapshotVersion &&
+                      fields[2].starts_with("next=") &&
+                      parse_u64(fields[2].substr(5), next) &&
+                      fields[3].starts_with("sets=") &&
+                      parse_u64(fields[3].substr(5), sets),
                   snapshot_path + ": malformed snapshot header");
-        const std::uint64_t next =
-            std::strtoull(next_field.c_str() + 5, nullptr, 10);
-        const std::uint64_t sets =
-            std::strtoull(sets_field.c_str() + 5, nullptr, 10);
         FPM_CHECK(replay.payloads.size() == sets + 1,
                   snapshot_path + ": holds " +
                       std::to_string(replay.payloads.size() - 1) +
@@ -355,13 +358,10 @@ void ModelStore::snapshot_locked() {
         return;  // nothing new to compact
     }
 
-    std::string contents;
-    {
-        std::ostringstream header;
-        header << kSnapshotMagic << ' ' << kSnapshotVersion
-               << " next=" << next_generation_ << " sets=" << mirror_.size();
-        contents += encode_frame(header.str());
-    }
+    std::string contents = encode_frame(
+        std::string(kSnapshotMagic) + ' ' + kSnapshotVersion + " next=" +
+        std::to_string(next_generation_) +
+        " sets=" + std::to_string(mirror_.size()));
     for (const auto& [name, record] : mirror_) {
         contents += encode_frame(record.payload);
     }

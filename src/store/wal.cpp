@@ -16,17 +16,21 @@ namespace fpm::store {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-    std::array<std::uint32_t, 256> table{};
+/// Slice-by-8: kCrcTables[k][b] is the CRC register after byte b and k
+/// zero bytes, so eight lookups fold eight input bytes at once.
+constexpr auto kCrcTables = [] {
+    std::array<std::array<std::uint32_t, 256>, 8> tables{};
     for (std::uint32_t i = 0; i < 256; ++i) {
         std::uint32_t c = i;
-        for (int bit = 0; bit < 8; ++bit) {
-            c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+        for (auto& table : tables) {
+            for (int bit = 0; bit < 8; ++bit) {
+                c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+            }
+            table[i] = c;
         }
-        table[i] = c;
     }
-    return table;
-}
+    return tables;
+}();
 
 void put_u32_le(std::string& out, std::uint32_t value) {
     out.push_back(static_cast<char>(value & 0xFF));
@@ -61,11 +65,17 @@ void write_all_at(int fd, const char* data, std::size_t size,
 } // namespace
 
 std::uint32_t crc32(const void* data, std::size_t size) noexcept {
-    static const auto table = make_crc_table();
+    const auto& t = kCrcTables;
     const auto* bytes = static_cast<const unsigned char*>(data);
     std::uint32_t c = 0xFFFFFFFFu;
-    for (std::size_t i = 0; i < size; ++i) {
-        c = table[(c ^ bytes[i]) & 0xFF] ^ (c >> 8);
+    for (; size >= 8; bytes += 8, size -= 8) {
+        const std::uint32_t low = c ^ get_u32_le(bytes);
+        c = t[7][low & 0xFF] ^ t[6][(low >> 8) & 0xFF] ^
+            t[5][(low >> 16) & 0xFF] ^ t[4][low >> 24] ^ t[3][bytes[4]] ^
+            t[2][bytes[5]] ^ t[1][bytes[6]] ^ t[0][bytes[7]];
+    }
+    for (; size > 0; ++bytes, --size) {
+        c = t[0][(c ^ *bytes) & 0xFF] ^ (c >> 8);
     }
     return c ^ 0xFFFFFFFFu;
 }

@@ -38,6 +38,7 @@
 #include "fpm/serve/server.hpp"
 #include "fpm/store/model_store.hpp"
 #include "fpm/store/wal.hpp"
+#include "model_io_reference.hpp"
 #include "stress_harness.hpp"
 
 namespace fpm::store {
@@ -143,6 +144,27 @@ TEST(Wal, Crc32MatchesTheIeeeReferenceVector) {
     // The canonical CRC-32 check value ("123456789" -> 0xCBF43926).
     EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
     EXPECT_EQ(crc32("", 0), 0u);
+}
+
+TEST(Wal, Crc32EqualsTheBytewiseReferenceAtEveryLengthAndAlignment) {
+    // Slice-by-8 folds eight bytes per step and finishes bytewise: every
+    // length 0..64 from every start offset 0..7 covers each split of a
+    // buffer into aligned words and a tail.
+    std::string bytes(72, '\0');
+    std::uint64_t state = 0x2545F4914F6CDD1DULL;
+    for (char& byte : bytes) {
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        byte = static_cast<char>(state >> 56);
+    }
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (std::size_t length = 0; length <= 64; ++length) {
+            EXPECT_EQ(crc32(bytes.data() + offset, length),
+                      core::reference::crc32_bytewise(bytes.data() + offset,
+                                                      length))
+                << "offset " << offset << ", length " << length;
+        }
+    }
+    EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
 }
 
 TEST(Wal, FramesAreLengthCrcPayload) {
@@ -457,6 +479,100 @@ TEST(ModelStoreTest, SnapshotCompactsAndTruncatesTheLog) {
     store.abandon();
 }
 
+TEST(ModelStoreTest, WalAndSnapshotBytesMatchTheReferenceEncoder) {
+    // The store's files hold exactly what the iostream encoder and a
+    // bytewise CRC produced, so logs and snapshots written before and
+    // after the codec change are interchangeable.  Awkward doubles (no
+    // short decimal form, a finite capacity) exercise the number printing.
+    TempDir dir;
+    ModelRegistry registry;
+    StoreOptions options;
+    options.fsync_policy = FsyncPolicy::kNever;
+    options.snapshot_every = 4;
+    ModelStore store(dir.path, options);
+    store.recover(registry);
+    store.attach(registry);
+
+    std::map<std::string, std::string> latest;  // name -> reference record
+    std::string wal;
+    for (int round = 1; round <= 6; ++round) {
+        auto models = synthetic_models(3, 20, round / 3.0);
+        models.emplace_back(std::vector<SpeedPoint>{{1.0 / 3.0, 1e17 / 7.0},
+                                                    {97.0 / 7.0, 0.1 + 0.2}},
+                            "odd", 1e6 * 3.14159265358979323846 / round);
+        const std::string name = round % 2 == 1 ? "alpha" : "beta";
+        const auto set = registry.put(name, std::move(models));
+        const std::string record = core::reference::publish_record(*set);
+        latest[name] = record;
+        wal += core::reference::frame(record);
+        if (round == 4) {
+            // The snapshot every 4 appends covers both sets, then the
+            // log starts over.
+            std::string snapshot =
+                core::reference::frame("fpmstore v1 next=5 sets=2");
+            for (const auto& [set_name, set_record] : latest) {
+                snapshot += core::reference::frame(set_record);
+            }
+            EXPECT_EQ(read_bytes(dir.path + "/snapshot.fpms"), snapshot);
+            wal.clear();
+        }
+    }
+    EXPECT_EQ(store.stats().snapshots, 1u);
+    EXPECT_EQ(read_bytes(dir.path + "/wal.log"), wal);
+    store.abandon();
+}
+
+TEST(PublishRecordTest, HeaderIsExactlyFourStrictTokens) {
+    serve::ModelSet set;
+    set.name = "g";
+    set.models = synthetic_models(2, 8, 1.0);
+    set.generation = 3;
+    set.fingerprint = serve::fingerprint_models(set.models);
+    const std::string good = encode_publish_record(set);
+    const std::string body = good.substr(good.find('\n'));
+    const std::string fp = good.substr(good.find('\n') - 16, 16);
+
+    const PublishRecord record = decode_publish_record(good, "t");
+    EXPECT_EQ(record.name, "g");
+    EXPECT_EQ(record.generation, 3u);
+    EXPECT_EQ(record.fingerprint, set.fingerprint);
+
+    for (const std::string& header : std::vector<std::string>{
+             "publish g -1 " + fp,           // used to wrap to 2^64 - 1
+             "publish g +3 " + fp,           // a sign
+             "publish g 3 " + fp + " trailing junk",
+             "publish g 3 " + std::string(16, 'z'),  // not hex
+             "publish g 3 0x" + fp.substr(2),
+             "publish g 3 " + fp.substr(1),  // 15 digits
+             "publish g 3 " + fp + "0",      // 17 digits
+             "publish g 0 " + fp,
+             "publish g 18446744073709551616 " + fp,  // 2^64
+             "publish g 3x " + fp,
+             "publish g " + fp,
+             "publish  " + fp,
+             "publish",
+             "PUBLISH g 3 " + fp,
+         }) {
+        try {
+            (void)decode_publish_record(header + body, "t");
+            ADD_FAILURE() << "accepted '" << header << "'";
+        } catch (const fpm::Error& e) {
+            const std::string want =
+                "t: malformed publish header '" + header + "'";
+            EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+                << e.what();
+        }
+    }
+    // The largest generation still parses, and blanks between tokens
+    // are separators, as they were.
+    EXPECT_EQ(decode_publish_record(
+                  "publish g 18446744073709551615 " + fp + body, "t")
+                  .generation,
+              18446744073709551615u);
+    EXPECT_EQ(decode_publish_record("publish\tg  3 " + fp + body, "t").name,
+              "g");
+}
+
 TEST(ModelStoreTest, GracefulStopTakesAFinalSnapshotThatCoversEverything) {
     TempDir dir;
     {
@@ -618,6 +734,46 @@ TEST(ModelStoreTest, CorruptSnapshotFailsRecovery) {
         EXPECT_NE(std::string(e.what()).find(snapshot), std::string::npos)
             << e.what();
     }
+    store.abandon();
+}
+
+TEST(ModelStoreTest, SnapshotHeaderIsExactlyFourStrictTokens) {
+    // A snapshot whose header is not `fpmstore v1 next=<digits>
+    // sets=<digits>` fails recovery, however intact its framing: a signed
+    // or junk-suffixed count must not set the generation counter.
+    serve::ModelSet set;
+    set.name = "alpha";
+    set.models = synthetic_models(2, 16, 1.0);
+    set.generation = 1;
+    set.fingerprint = serve::fingerprint_models(set.models);
+    const std::string record = encode_frame(encode_publish_record(set));
+    for (const std::string header : {
+             "fpmstore v1 next=-1 sets=1", "fpmstore v1 next=+2 sets=1",
+             "fpmstore v1 next=2x sets=1", "fpmstore v1 next= sets=1",
+             "fpmstore v1 next=2 sets=1 extra",
+             "fpmstore v1 next=18446744073709551616 sets=1",
+             "fpmstore v1 next=2", "fpmstore v2 next=2 sets=1"}) {
+        TempDir dir;
+        append_raw(dir.path + "/snapshot.fpms", encode_frame(header) + record);
+        ModelRegistry registry;
+        ModelStore store(dir.path);
+        try {
+            (void)store.recover(registry);
+            ADD_FAILURE() << "recovered under '" << header << "'";
+        } catch (const fpm::Error& e) {
+            EXPECT_NE(std::string(e.what()).find("malformed snapshot header"),
+                      std::string::npos)
+                << header << ": " << e.what();
+        }
+        store.abandon();
+    }
+    // The header the store writes recovers.
+    TempDir dir;
+    append_raw(dir.path + "/snapshot.fpms",
+               encode_frame("fpmstore v1 next=2 sets=1") + record);
+    ModelRegistry registry;
+    ModelStore store(dir.path);
+    EXPECT_EQ(store.recover(registry).recovered_generation, 1u);
     store.abandon();
 }
 
