@@ -1,8 +1,10 @@
 // google-benchmark micro-benchmarks of the partitioning algorithms
 // themselves: the FPM geometric partitioner's exact solve for the balanced
-// time, integer refinement and the 2-D column layout, across device
-// counts.  The FPM benches report `evaluations`, the mean number of times
-// a call sums the devices' shares at a trial time.
+// time, integer rounding, the 2-D column layout and the whole
+// part::partition pipeline, across device counts.  The FPM benches report
+// `evaluations`, the mean number of times a call sums the devices' shares
+// at a trial time; the sweeps over the service benchmark's sizes report
+// `s_per_plan`, the time per size.
 #include <benchmark/benchmark.h>
 
 #include "fpm/app/device_set.hpp"
@@ -10,6 +12,7 @@
 #include "fpm/part/column2d.hpp"
 #include "fpm/part/fpm_partitioner.hpp"
 #include "fpm/part/integer.hpp"
+#include "fpm/part/request.hpp"
 #include "fpm/sim/specs.hpp"
 
 namespace {
@@ -82,16 +85,26 @@ void BM_FpmPartitionHybrid(benchmark::State& state) {
 }
 BENCHMARK(BM_FpmPartitionHybrid)->Arg(6)->Arg(24);
 
-// One iteration plans every n of the service benchmark's range, 16..150,
-// on the same sets; `evaluations` is per plan.
+// The service benchmark's range of n.
+constexpr std::int64_t kSweepFirst = 16;
+constexpr std::int64_t kSweepLast = 150;
+constexpr auto kSweepSizes = static_cast<double>(kSweepLast - kSweepFirst + 1);
+
+/// Seconds per size of a sweep.
+benchmark::Counter per_plan() {
+    return benchmark::Counter(kSweepSizes,
+                              benchmark::Counter::kIsIterationInvariantRate |
+                                  benchmark::Counter::kInvert);
+}
+
+// One iteration plans every n of the service benchmark's range on the
+// same sets; `evaluations` is per plan.
 void BM_FpmPartitionHybridSweep(benchmark::State& state) {
-    constexpr std::int64_t kFirst = 16;
-    constexpr std::int64_t kLast = 150;
     const auto nodes = static_cast<std::uint64_t>(state.range(0)) / 6;
     const auto models = noisy_hybrid_nodes(nodes);
     double evaluations = 0.0;
     for (auto _ : state) {
-        for (std::int64_t n = kFirst; n <= kLast; ++n) {
+        for (std::int64_t n = kSweepFirst; n <= kSweepLast; ++n) {
             const auto result = fpm::part::partition_fpm(
                 models, static_cast<double>(n) * static_cast<double>(n));
             evaluations += static_cast<double>(result.iterations);
@@ -99,21 +112,57 @@ void BM_FpmPartitionHybridSweep(benchmark::State& state) {
         }
     }
     state.counters["evaluations"] = benchmark::Counter(
-        evaluations / static_cast<double>(kLast - kFirst + 1),
-        benchmark::Counter::kAvgIterations);
+        evaluations / kSweepSizes, benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_FpmPartitionHybridSweep)->Arg(6)->Arg(24);
 
+// One iteration rounds the FPM shares of every n of the range on the same
+// sets: the floors, the greedy and the makespan.
 void BM_RoundPartition(benchmark::State& state) {
-    const auto models = synthetic_devices(static_cast<std::size_t>(state.range(0)));
-    const auto continuous = fpm::part::partition_fpm(models, 4900.0);
-    for (auto _ : state) {
-        const auto rounded =
-            fpm::part::round_partition(continuous.partition, 4900, models);
-        benchmark::DoNotOptimize(rounded.blocks.data());
+    const auto nodes = static_cast<std::uint64_t>(state.range(0)) / 6;
+    const auto models = noisy_hybrid_nodes(nodes);
+    std::vector<fpm::part::Partition1D> shares;
+    for (std::int64_t n = kSweepFirst; n <= kSweepLast; ++n) {
+        const double total = static_cast<double>(n) * static_cast<double>(n);
+        shares.push_back(fpm::part::partition_fpm(models, total).partition);
     }
+    for (auto _ : state) {
+        for (std::int64_t n = kSweepFirst; n <= kSweepLast; ++n) {
+            const auto& continuous =
+                shares[static_cast<std::size_t>(n - kSweepFirst)];
+            const auto rounded =
+                fpm::part::round_partition(continuous, n * n, models);
+            benchmark::DoNotOptimize(rounded.blocks.data());
+        }
+    }
+    state.counters["s_per_plan"] = per_plan();
 }
 BENCHMARK(BM_RoundPartition)->Arg(6)->Arg(24);
+
+// One iteration plans every n of the range with part::partition and the
+// column layout, as a cache miss of the service does.
+void BM_PlanHybridSweep(benchmark::State& state,
+                        fpm::part::Algorithm algorithm) {
+    const auto nodes = static_cast<std::uint64_t>(state.range(0)) / 6;
+    const auto models = noisy_hybrid_nodes(nodes);
+    for (auto _ : state) {
+        for (std::int64_t n = kSweepFirst; n <= kSweepLast; ++n) {
+            const auto plan = fpm::part::partition(
+                fpm::part::PartitionRequest{models, n, algorithm, true});
+            benchmark::DoNotOptimize(plan.blocks.data());
+        }
+    }
+    state.counters["s_per_plan"] = per_plan();
+}
+BENCHMARK_CAPTURE(BM_PlanHybridSweep, fpm, fpm::part::Algorithm::kFpm)
+    ->Arg(6)
+    ->Arg(24);
+BENCHMARK_CAPTURE(BM_PlanHybridSweep, cpm, fpm::part::Algorithm::kCpm)
+    ->Arg(6)
+    ->Arg(24);
+BENCHMARK_CAPTURE(BM_PlanHybridSweep, even, fpm::part::Algorithm::kEven)
+    ->Arg(6)
+    ->Arg(24);
 
 void BM_ColumnLayout(benchmark::State& state) {
     const auto devices = static_cast<std::size_t>(state.range(0));

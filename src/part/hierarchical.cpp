@@ -82,12 +82,9 @@ HierarchicalResult partition_hierarchical(
         }
         const auto intra =
             partition_fpm(node_models[i], static_cast<double>(share));
-        result.device_blocks[i] =
-            round_partition(intra.partition, share, node_models[i]).blocks;
-        result.makespan = std::max(
-            result.makespan,
-            makespan(node_models[i],
-                     std::span<const std::int64_t>(result.device_blocks[i])));
+        auto rounded = round_partition(intra.partition, share, node_models[i]);
+        result.makespan = std::max(result.makespan, rounded.makespan);
+        result.device_blocks[i] = std::move(rounded.blocks);
     }
     return result;
 }

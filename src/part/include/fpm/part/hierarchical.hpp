@@ -46,7 +46,8 @@ struct HierarchicalResult {
     /// Whole blocks per device within each node (each sums to its node's
     /// share).
     std::vector<std::vector<std::int64_t>> device_blocks;
-    /// Predicted balanced time of the slowest node.
+    /// Predicted makespan of the slowest node: the largest envelope
+    /// makespan of any node's device blocks.
     double makespan = 0.0;
 };
 

@@ -32,15 +32,12 @@ Partition1D partition_homogeneous(std::size_t devices, double total);
 Partition1D partition_cpm(std::span<const double> speeds, double total);
 
 /// Parallel completion time of a distribution under the given speed
-/// functions: max_i t_i(x_i).  Devices with x_i == 0 cost nothing.
+/// functions: max_i t_i(x_i), with t_i each model's monotone time envelope
+/// (core::MonotoneTime), the time the FPM solve balances and integer
+/// rounding minimises.  Devices with x_i == 0 cost nothing.
 double makespan(std::span<const core::SpeedFunction> models,
                 std::span<const double> shares);
 double makespan(std::span<const core::SpeedFunction> models,
                 std::span<const std::int64_t> shares);
-
-/// Load imbalance of a distribution: (max_i t_i - min over busy i of t_i)
-/// divided by max_i t_i; 0 for a perfectly balanced load.
-double imbalance(std::span<const core::SpeedFunction> models,
-                 std::span<const double> shares);
 
 } // namespace fpm::part

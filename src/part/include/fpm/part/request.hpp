@@ -55,7 +55,10 @@ struct PartitionPlan {
     std::vector<std::int64_t> blocks;  ///< per-device block counts
     ColumnLayout layout;        ///< rects empty when !with_layout
     double balanced_time = 0.0; ///< equalised time T (0 for cpm/even)
-    double makespan = 0.0;      ///< predicted max_i t_i under the models
+    /// Predicted max_i t_i(blocks[i]), t_i each model's monotone time
+    /// envelope: the time the FPM solve balances and round_partition()
+    /// minimises (see part::makespan).
+    double makespan = 0.0;
     std::int64_t comm_cost = 0; ///< half-perimeter sum (0 without layout)
 };
 

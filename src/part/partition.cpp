@@ -49,7 +49,7 @@ double makespan_impl(std::span<const core::SpeedFunction> models,
         const double x = static_cast<double>(shares[i]);
         FPM_CHECK(x >= 0.0, "shares must be non-negative");
         if (x > 0.0) {
-            worst = std::max(worst, models[i].time(x));
+            worst = std::max(worst, core::MonotoneTime(models[i]).time(x));
         }
     }
     return worst;
@@ -65,27 +65,6 @@ double makespan(std::span<const core::SpeedFunction> models,
 double makespan(std::span<const core::SpeedFunction> models,
                 std::span<const std::int64_t> shares) {
     return makespan_impl(models, shares);
-}
-
-double imbalance(std::span<const core::SpeedFunction> models,
-                 std::span<const double> shares) {
-    FPM_CHECK(models.size() == shares.size(),
-              "models and shares must have equal length");
-    double worst = 0.0;
-    double best = std::numeric_limits<double>::infinity();
-    bool any = false;
-    for (std::size_t i = 0; i < models.size(); ++i) {
-        if (shares[i] > 0.0) {
-            const double t = models[i].time(shares[i]);
-            worst = std::max(worst, t);
-            best = std::min(best, t);
-            any = true;
-        }
-    }
-    if (!any || worst == 0.0) {
-        return 0.0;
-    }
-    return (worst - best) / worst;
 }
 
 } // namespace fpm::part

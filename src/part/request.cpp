@@ -35,6 +35,35 @@ std::optional<Algorithm> parse_algorithm(std::string_view text) noexcept {
     return std::nullopt;
 }
 
+namespace {
+
+/// Moves blocks off every device past its capacity, one at a time, to the
+/// device with the most headroom; throws when no device has room.
+void repair_capacity(std::vector<std::int64_t>& blocks,
+                     std::span<const core::SpeedFunction> models) {
+    const std::size_t p = blocks.size();
+    for (std::size_t i = 0; i < p; ++i) {
+        while (static_cast<double>(blocks[i]) > models[i].max_problem()) {
+            std::size_t best = p;
+            double best_room = 0.0;
+            for (std::size_t j = 0; j < p; ++j) {
+                const double room =
+                    models[j].max_problem() - static_cast<double>(blocks[j]);
+                if (j != i && room > best_room) {
+                    best_room = room;
+                    best = j;
+                }
+            }
+            FPM_CHECK(best < p && best_room >= 1.0,
+                      "no device has room for the capacity overflow");
+            blocks[i] -= 1;
+            blocks[best] += 1;
+        }
+    }
+}
+
+} // namespace
+
 PartitionPlan partition(const PartitionRequest& request) {
     obs::Span span("part.partition", static_cast<std::uint64_t>(request.n));
     FPM_CHECK(request.n > 0, "workload size must be positive");
@@ -73,9 +102,17 @@ PartitionPlan partition(const PartitionRequest& request) {
         break;
     }
 
-    auto rounded = round_partition(continuous, request.n * request.n, models);
-    plan.makespan =
-        makespan(models, std::span<const std::int64_t>(rounded.blocks));
+    IntPartition1D rounded;
+    if (request.algorithm == Algorithm::kFpm) {
+        rounded = round_partition(continuous, request.n * request.n, models);
+    } else {
+        // The paper's baselines round by largest remainder.
+        rounded = round_largest_remainder(continuous, request.n * request.n);
+        repair_capacity(rounded.blocks, models);
+        rounded.makespan =
+            makespan(models, std::span<const std::int64_t>(rounded.blocks));
+    }
+    plan.makespan = rounded.makespan;
     if (request.with_layout) {
         plan.layout = column_partition(request.n, rounded.blocks);
         plan.comm_cost = plan.layout.comm_cost();

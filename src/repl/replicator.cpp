@@ -3,7 +3,7 @@
 #include <sys/socket.h>
 
 #include <algorithm>
-#include <cerrno>
+#include <charconv>
 #include <chrono>
 
 #include "fpm/common/error.hpp"
@@ -69,15 +69,17 @@ std::string line_field(const std::string& line, const std::string& key) {
                                                     : end - at);
 }
 
+/// A `key=` count of a REPL control line: the whole value is decimal
+/// digits, without a sign, that fit in 64 bits.
 std::uint64_t parse_u64_field(const std::string& line,
                               const std::string& key) {
     const std::string text = line_field(line, key);
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-    FPM_CHECK(end != text.c_str() && *end == '\0' && errno == 0,
+    const char* const end = text.data() + text.size();
+    std::uint64_t value = 0;
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    FPM_CHECK(ec == std::errc() && ptr == end,
               "malformed " + key + "= in REPL line: " + line);
-    return static_cast<std::uint64_t>(value);
+    return value;
 }
 
 } // namespace

@@ -1,7 +1,9 @@
 // Tests for integer rounding of continuous partitions: largest-remainder
-// conservation, capacity repair and the makespan-reducing local search.
+// conservation and tie order, and the exact floor-plus-greedy rounding of
+// FPM partitions under capacity bounds.
 #include <gtest/gtest.h>
 
+#include "fpm/part/fpm_partitioner.hpp"
 #include "fpm/part/integer.hpp"
 
 namespace fpm::part {
@@ -38,6 +40,17 @@ TEST(LargestRemainder, ExactIntegersPassThrough) {
     EXPECT_EQ(rounded.blocks[2], 0);
 }
 
+TEST(LargestRemainder, EqualRemaindersGoToLowerIndices) {
+    // 24 equal shares of 256 blocks: 10 each, and the 16 left over go to
+    // devices 0..15, past the 16 elements an unstable sort keeps in order.
+    Partition1D p;
+    p.share.assign(24, 256.0 / 24.0);
+    const auto rounded = round_largest_remainder(p, 256);
+    for (std::size_t i = 0; i < 24; ++i) {
+        EXPECT_EQ(rounded.blocks[i], i < 16 ? 11 : 10) << "device " << i;
+    }
+}
+
 TEST(LargestRemainder, Validation) {
     Partition1D empty;
     EXPECT_THROW(round_largest_remainder(empty, 10), fpm::Error);
@@ -64,50 +77,77 @@ TEST(RoundPartition, KeepsSumAndRespectsCapacity) {
     EXPECT_LE(static_cast<double>(rounded.blocks[0]), 50.0);
 }
 
-TEST(RoundPartition, LocalSearchNeverWorsensMakespan) {
+TEST(RoundPartition, EqualDevicesDoNotStallTheRounding) {
+    // 7 blocks on speeds 1, 1 and 8: the shares are 0.7, 0.7 and 5.6.
+    // Largest remainder gives each slow device a block (1 s apiece), and
+    // moving either block alone leaves the other at 1 s; the optimum gives
+    // both to the fast device, 7 / 8 s.
     const std::vector<SpeedFunction> models = {
-        SpeedFunction::constant(3.0, "a"),
-        SpeedFunction::constant(11.0, "b"),
-        SpeedFunction::constant(23.0, "c"),
+        SpeedFunction::constant(1.0, "a"),
+        SpeedFunction::constant(1.0, "b"),
+        SpeedFunction::constant(8.0, "fast"),
     };
-    Partition1D p;
-    // Deliberately unbalanced continuous shares that still sum to 100.
-    p.share = {40.0, 30.0, 30.0};
-    const auto naive = round_largest_remainder(p, 100);
-    const auto refined = round_partition(p, 100, models);
-    EXPECT_EQ(refined.total(), 100);
-    EXPECT_LE(makespan(models, std::span<const std::int64_t>(refined.blocks)),
-              makespan(models, std::span<const std::int64_t>(naive.blocks)) +
-                  1e-12);
+    const auto continuous = partition_fpm(models, 7.0);
+    EXPECT_EQ(round_largest_remainder(continuous.partition, 7).blocks,
+              (std::vector<std::int64_t>{1, 1, 5}));
+    const auto rounded = round_partition(continuous.partition, 7, models);
+    EXPECT_EQ(rounded.blocks, (std::vector<std::int64_t>{0, 0, 7}));
+    EXPECT_DOUBLE_EQ(rounded.makespan, 0.875);
 }
 
-TEST(RoundPartition, LocalSearchFindsBalancedSolution) {
+TEST(RoundPartition, EqualTimesGoToTheLowerIndex) {
     const std::vector<SpeedFunction> models = {
-        SpeedFunction::constant(1.0, "slow"),
-        SpeedFunction::constant(9.0, "fast"),
-    };
+        SpeedFunction::constant(1.0), SpeedFunction::constant(1.0),
+        SpeedFunction::constant(1.0)};
     Partition1D p;
-    p.share = {50.0, 50.0};  // badly unbalanced starting point
-    const auto refined = round_partition(p, 100, models);
-    // Optimum: 10 / 90 (both take 10 s).
-    const double t =
-        makespan(models, std::span<const std::int64_t>(refined.blocks));
-    EXPECT_NEAR(t, 10.0, 1.0);
+    p.share = {1.5, 1.5, 1.0};
+    const auto rounded = round_partition(p, 4, models);
+    EXPECT_EQ(rounded.blocks, (std::vector<std::int64_t>{2, 1, 1}));
+    EXPECT_DOUBLE_EQ(rounded.makespan, 2.0);
 }
 
-TEST(RoundPartition, CapacityOverflowRepaired) {
+TEST(RoundPartition, MakespanIsTheEnvelopes) {
+    // Raw time falls from 1 s at 10 blocks to 0.5 s at 20; the plan's
+    // makespan reads the envelope, 1 s.
+    const std::vector<SpeedFunction> models = {
+        SpeedFunction({{10.0, 10.0}, {20.0, 40.0}}, "ramp"),
+        SpeedFunction::constant(100.0, "fast"),
+    };
+    Partition1D p;
+    p.share = {20.0, 30.0};
+    const auto rounded = round_partition(p, 50, models);
+    EXPECT_EQ(rounded.blocks, (std::vector<std::int64_t>{20, 30}));
+    EXPECT_DOUBLE_EQ(rounded.makespan, 1.0);
+    EXPECT_DOUBLE_EQ(rounded.makespan,
+                     makespan(models,
+                              std::span<const std::int64_t>(rounded.blocks)));
+}
+
+TEST(RoundPartition, LeftoverBlocksSkipFullDevices) {
+    // The GPU holds at most 10 blocks, so the leftover block goes to the
+    // CPU although the GPU would finish it sooner.
     const std::vector<SpeedFunction> models = {
         SpeedFunction({{1.0, 100.0}}, "gpu", 10.0),
         SpeedFunction::constant(1.0, "cpu"),
     };
     Partition1D p;
-    p.share = {10.6, 9.4};  // remainder rounding could push gpu to 11 > cap
+    p.share = {10.0, 9.4};
     const auto rounded = round_partition(p, 20, models);
-    EXPECT_EQ(rounded.total(), 20);
-    EXPECT_LE(rounded.blocks[0], 10);
+    EXPECT_EQ(rounded.blocks, (std::vector<std::int64_t>{10, 10}));
+
+    // At 10^13 blocks the envelope's 1e-12 relative slack past capacity
+    // would admit ten more; the capacity admits none.
+    const std::vector<SpeedFunction> huge = {
+        SpeedFunction({{1.0, 1e9}}, "gpu", 1e13),
+        SpeedFunction::constant(1e-6, "cpu"),
+    };
+    Partition1D full;
+    full.share = {1e13, 0.5};
+    EXPECT_EQ(round_partition(full, 10'000'000'000'001, huge).blocks,
+              (std::vector<std::int64_t>{10'000'000'000'000, 1}));
 }
 
-TEST(RoundPartition, ImpossibleCapacityThrows) {
+TEST(RoundPartition, CapacityViolationsThrow) {
     const std::vector<SpeedFunction> models = {
         SpeedFunction({{1.0, 10.0}}, "g1", 5.0),
         SpeedFunction({{1.0, 10.0}}, "g2", 5.0),
@@ -116,20 +156,20 @@ TEST(RoundPartition, ImpossibleCapacityThrows) {
     p.share = {5.0, 5.0};
     EXPECT_NO_THROW(round_partition(p, 10, models));
 
-    // A genuinely infeasible total: no redistribution can fit 10 blocks
-    // into capacities 5 + 4.
-    const std::vector<SpeedFunction> tight = {
-        SpeedFunction({{1.0, 10.0}}, "g1", 5.0),
-        SpeedFunction({{1.0, 10.0}}, "g2", 4.0),
-    };
+    // A floor past its device's capacity.
     Partition1D overflow;
     overflow.share = {6.0, 4.0};
-    EXPECT_THROW(round_partition(overflow, 10, tight), fpm::Error);
+    EXPECT_THROW(round_partition(overflow, 10, models), fpm::Error);
 
-    // A repairable overflow moves the excess to the device with room.
-    const auto repaired = round_partition(overflow, 10, models);
-    EXPECT_EQ(repaired.blocks[0], 5);
-    EXPECT_EQ(repaired.blocks[1], 5);
+    // A leftover block that fits no device: capacities 5.5 + 4.5 hold
+    // only 9 whole blocks.
+    const std::vector<SpeedFunction> fractional = {
+        SpeedFunction({{1.0, 10.0}}, "g1", 5.5),
+        SpeedFunction({{1.0, 10.0}}, "g2", 4.5),
+    };
+    Partition1D full;
+    full.share = {5.5, 4.5};
+    EXPECT_THROW(round_partition(full, 10, fractional), fpm::Error);
 }
 
 TEST(RoundPartition, ZeroBlocksForZeroShares) {

@@ -1,5 +1,5 @@
-// Tests for the simple partitioners (homogeneous, CPM) and the
-// makespan/imbalance evaluators.
+// Tests for the simple partitioners (homogeneous, CPM) and the makespan
+// evaluator.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -78,6 +78,17 @@ TEST(Makespan, IntegerOverload) {
                      2.0);
 }
 
+TEST(Makespan, ReadsTheMonotoneEnvelope) {
+    // The speed ramps up four-fold from x = 10 to 20, so raw time falls
+    // from 1 s to 0.5 s; the envelope keeps its running maximum, 1 s.
+    const std::vector<core::SpeedFunction> models = {
+        core::SpeedFunction({{10.0, 10.0}, {20.0, 40.0}}),
+    };
+    EXPECT_DOUBLE_EQ(models[0].time(20.0), 0.5);
+    const std::vector<double> shares = {20.0};
+    EXPECT_DOUBLE_EQ(makespan(models, shares), 1.0);
+}
+
 TEST(Makespan, Validation) {
     const std::vector<core::SpeedFunction> models = {
         core::SpeedFunction::constant(4.0),
@@ -86,32 +97,6 @@ TEST(Makespan, Validation) {
     EXPECT_THROW(makespan(models, wrong_size), fpm::Error);
     const std::vector<double> negative = {-1.0};
     EXPECT_THROW(makespan(models, negative), fpm::Error);
-}
-
-TEST(Imbalance, ZeroForBalancedLoad) {
-    const std::vector<core::SpeedFunction> models = {
-        core::SpeedFunction::constant(10.0),
-        core::SpeedFunction::constant(20.0),
-    };
-    const std::vector<double> balanced = {10.0, 20.0};  // both take 1 s
-    EXPECT_NEAR(imbalance(models, balanced), 0.0, 1e-12);
-}
-
-TEST(Imbalance, DetectsStraggler) {
-    const std::vector<core::SpeedFunction> models = {
-        core::SpeedFunction::constant(10.0),
-        core::SpeedFunction::constant(10.0),
-    };
-    const std::vector<double> skewed = {30.0, 10.0};  // 3 s vs 1 s
-    EXPECT_NEAR(imbalance(models, skewed), 2.0 / 3.0, 1e-12);
-}
-
-TEST(Imbalance, AllIdleIsZero) {
-    const std::vector<core::SpeedFunction> models = {
-        core::SpeedFunction::constant(10.0),
-    };
-    const std::vector<double> idle = {0.0};
-    EXPECT_DOUBLE_EQ(imbalance(models, idle), 0.0);
 }
 
 } // namespace

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -899,7 +900,7 @@ private:
     std::thread thread_;
 };
 
-TEST(ReplHostile, OverLongLinesAndFramesAreRefusedBeforeBuffering) {
+TEST(ReplHostile, HostileRepliesEndTheSessionUnapplied) {
     const std::string over_long_frame =
         "OK REPL STREAM committed=1\nREPL FRAME bytes=" +
         std::to_string(store::kFrameHeaderBytes + store::kMaxFrameBytes + 1) +
@@ -916,9 +917,13 @@ TEST(ReplHostile, OverLongLinesAndFramesAreRefusedBeforeBuffering) {
     const std::string corrupt_frame =
         "OK REPL STREAM committed=1\nREPL FRAME bytes=" +
         std::to_string(corrupt.size()) + "\n" + corrupt;
+    // A REPL count is digits only: a signed one ends the session, and
+    // committed=-1 never reads as a lag of 2^64 - 1 frames.
     for (const std::string& reply :
          {std::string(kMaxReplLineBytes + 1, 'x'), over_long_frame,
-          corrupt_frame}) {
+          corrupt_frame, std::string("OK REPL STREAM committed=-1\n"),
+          std::string("OK REPL STREAM committed=+3\n"),
+          std::string("OK REPL STREAM committed=1\nREPL FRAME bytes=-1\n")}) {
         // Every reply leaves the socket open, so only the replica's own
         // checks can end the session: recv_timeout is far longer than
         // the wait below.
@@ -933,11 +938,14 @@ TEST(ReplHostile, OverLongLinesAndFramesAreRefusedBeforeBuffering) {
         replicator.start();
         EXPECT_TRUE(wait_until([&] { return primary.accepts().size() >= 2; },
                                10.0))
-            << "the replica never dropped the hostile primary";
+            << "the replica never dropped the hostile primary: "
+            << reply.substr(0, 64);
         replicator.stop();
         EXPECT_EQ(replicator.frames_applied(), 0u);
         EXPECT_EQ(replicator.applied_generation(), 0u);
         EXPECT_EQ(registry.size(), 0u);
+        EXPECT_NE(engine.stats().repl_lag_frames,
+                  std::numeric_limits<std::uint64_t>::max());
     }
 }
 
