@@ -28,17 +28,7 @@ int main() {
     // Shape oracle = the simulator itself.
     const part::RectTimeFn oracle = [&](std::size_t device,
                                         const part::Rect& rect) {
-        const app::Device& d = set.devices[device];
-        if (d.kind == app::DeviceKind::kCpuSocket) {
-            return node.cpu_kernel_time(d.socket, d.cores,
-                                        static_cast<double>(rect.area()),
-                                        set.gpu_on_socket(d.socket));
-        }
-        const double factor = node.gpu_contention_factor(
-            d.gpu_index, set.cpu_cores_on_socket(d.socket));
-        return node.gpu_sim(d.gpu_index)
-            .time_invocation(rect.w, rect.h, d.gpu_version, factor)
-            .total_s;
+        return app::rect_time(node, set, device, rect);
     };
 
     trace::Table table({"n", "one-shot makespan (s)", "iterative (s)",

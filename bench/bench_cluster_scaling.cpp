@@ -4,7 +4,8 @@
 //  (a) strong scaling of a fixed problem on 1..8 identical hybrid nodes,
 //      with interconnect broadcasts eroding the parallel efficiency;
 //  (b) a heterogeneous 3-node cluster (full hybrid + CPU-only + small),
-//      where node-level aggregate FPMs beat an even inter-node split.
+//      where the FPM plan over every device of the cluster beats an even
+//      inter-node split.
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -50,10 +51,7 @@ int main() {
         auto sets = app::cluster_device_sets(cluster);
         const auto models =
             app::cluster_device_fpms(cluster, sets, model_options());
-        part::AggregateOptions agg;
-        agg.x_max = 5200.0;
-        const auto partitioned =
-            part::partition_hierarchical(models, n * n, agg);
+        const auto partitioned = part::partition_hierarchical(models, n * n);
         const auto result = app::run_simulated_cluster_app(
             cluster, sets, partitioned.device_blocks, n);
 
@@ -92,10 +90,7 @@ int main() {
     const auto models = app::cluster_device_fpms(hetero, sets, model_options());
 
     const std::int64_t hn = 60;
-    part::AggregateOptions agg;
-    agg.x_max = 3700.0;
-    const auto fpm_partitioned =
-        part::partition_hierarchical(models, hn * hn, agg);
+    const auto fpm_partitioned = part::partition_hierarchical(models, hn * hn);
     const auto fpm_result = app::run_simulated_cluster_app(
         hetero, sets, fpm_partitioned.device_blocks, hn);
 

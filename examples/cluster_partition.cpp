@@ -2,10 +2,9 @@
 // cluster of hybrid nodes.
 //
 // Builds the device FPMs of every node of a 3-node heterogeneous cluster
-// (full hybrid, CPU-only, small), composes node-level aggregate models,
-// balances a matrix across nodes and then across each node's devices, and
-// prints the resulting two-level distribution with per-node completion
-// times.
+// (full hybrid, CPU-only, small), balances a matrix across every device
+// of the cluster at once (the exact two-level plan), and prints the
+// resulting distribution by node with per-node completion times.
 //
 // Usage: ./examples/cluster_partition [n_blocks]   (default 60)
 #include <cstdio>
@@ -37,10 +36,7 @@ int main(int argc, char** argv) {
     model_options.reliability.max_repetitions = 1;
     const auto models = app::cluster_device_fpms(cluster, sets, model_options);
 
-    part::AggregateOptions aggregate_options;
-    aggregate_options.x_max = model_options.x_max - 32.0;
-    const auto partitioned =
-        part::partition_hierarchical(models, n * n, aggregate_options);
+    const auto partitioned = part::partition_hierarchical(models, n * n);
     const auto result = app::run_simulated_cluster_app(
         cluster, sets, partitioned.device_blocks, n);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "fpm/app/matmul_sim.hpp"
 #include "fpm/common/math.hpp"
 #include "fpm/part/column2d.hpp"
 
@@ -121,19 +122,7 @@ double run_static_app_perturbed(const sim::HybridNode& node, const DeviceSet& se
             if (rect.area() == 0) {
                 continue;
             }
-            const Device& d = set.devices[i];
-            double t = 0.0;
-            if (d.kind == DeviceKind::kCpuSocket) {
-                t = node.cpu_kernel_time(d.socket, d.cores,
-                                         static_cast<double>(rect.area()),
-                                         set.gpu_on_socket(d.socket));
-            } else {
-                const double factor = node.gpu_contention_factor(
-                    d.gpu_index, set.cpu_cores_on_socket(d.socket));
-                t = node.gpu_sim(d.gpu_index)
-                        .time_invocation(rect.w, rect.h, d.gpu_version, factor)
-                        .total_s;
-            }
+            double t = rect_time(node, set, i, rect);
             if (modulation) {
                 const double m = modulation(i, now);
                 FPM_CHECK(m > 0.0 && m <= 1.0, "modulation must be in (0, 1]");

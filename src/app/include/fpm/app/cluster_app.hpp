@@ -1,6 +1,6 @@
 /// \file cluster_app.hpp
 /// \brief Simulated execution of the application on a cluster of hybrid
-///        nodes (hierarchical-partitioning extension).
+///        nodes (two-level partitioning extension).
 ///
 /// The blocked matrix multiplication runs exactly as on one node, except
 /// that the pivot column/row must also cross the interconnect once per
@@ -25,8 +25,9 @@ struct ClusterAppResult {
 };
 
 /// Simulates the application on `cluster`.  `sets[i]` describes node i's
-/// devices and `device_blocks[i]` their assigned areas (as produced by
-/// part::partition_hierarchical); the grand total must be n*n.
+/// devices and `device_blocks[i]` their assigned areas (as
+/// part::partition_hierarchical groups the flat plan by node); the grand
+/// total must be n*n.
 ClusterAppResult run_simulated_cluster_app(
     const sim::HybridCluster& cluster, const std::vector<DeviceSet>& sets,
     const std::vector<std::vector<std::int64_t>>& device_blocks,

@@ -34,6 +34,12 @@ struct SimAppResult {
     part::ColumnLayout layout;
 };
 
+/// Device `device`'s kernel time for one iteration's update of `rect`: a
+/// socket's time depends on the rectangle's area, a GPU's on its w x h
+/// shape, each under the set's contention.
+[[nodiscard]] double rect_time(const sim::HybridNode& node, const DeviceSet& set,
+                               std::size_t device, const part::Rect& rect);
+
 /// Simulates the application for the given block areas (one per device of
 /// the set, summing to n*n).
 SimAppResult run_simulated_app(const sim::HybridNode& node, const DeviceSet& set,

@@ -7,6 +7,21 @@
 
 namespace fpm::app {
 
+double rect_time(const sim::HybridNode& node, const DeviceSet& set,
+                 std::size_t device, const part::Rect& rect) {
+    const Device& d = set.devices[device];
+    if (d.kind == DeviceKind::kCpuSocket) {
+        return node.cpu_kernel_time(d.socket, d.cores,
+                                    static_cast<double>(rect.area()),
+                                    set.gpu_on_socket(d.socket));
+    }
+    const double factor = node.gpu_contention_factor(
+        d.gpu_index, set.cpu_cores_on_socket(d.socket));
+    return node.gpu_sim(d.gpu_index)
+        .time_invocation(rect.w, rect.h, d.gpu_version, factor)
+        .total_s;
+}
+
 SimAppResult run_simulated_app(const sim::HybridNode& node, const DeviceSet& set,
                                const std::vector<std::int64_t>& areas,
                                std::int64_t n, const SimAppOptions& options) {
@@ -27,24 +42,9 @@ SimAppResult run_simulated_app(const sim::HybridNode& node, const DeviceSet& set
     // transfer counts, so their time matches the forward ones.
     for (std::size_t i = 0; i < p; ++i) {
         const part::Rect& rect = result.layout.rects[i];
-        if (rect.area() == 0) {
-            continue;
+        if (rect.area() > 0) {
+            result.device_iter_time[i] = rect_time(node, set, i, rect);
         }
-        const Device& device = set.devices[i];
-        double t = 0.0;
-        if (device.kind == DeviceKind::kCpuSocket) {
-            t = node.cpu_kernel_time(device.socket, device.cores,
-                                     static_cast<double>(rect.area()),
-                                     set.gpu_on_socket(device.socket));
-        } else {
-            const double factor = node.gpu_contention_factor(
-                device.gpu_index, set.cpu_cores_on_socket(device.socket));
-            const auto timing = node.gpu_sim(device.gpu_index)
-                                    .time_invocation(rect.w, rect.h,
-                                                     device.gpu_version, factor);
-            t = timing.total_s;
-        }
-        result.device_iter_time[i] = t;
     }
 
     const double iter_compute =

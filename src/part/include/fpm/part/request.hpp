@@ -66,4 +66,13 @@ struct PartitionPlan {
 /// 1..kMaxN, an empty model set or an infeasible workload.
 [[nodiscard]] PartitionPlan partition(const PartitionRequest& request);
 
+/// The capacity repair of the cpm and even plans: every device past its
+/// capacity keeps the floor of it, and the overflow goes where moving it
+/// one block at a time, in device order, to the device with the most room
+/// (ties to the lower index) would put it.  The first unbounded device
+/// takes it all; bounded ones fill by room.  O(p log n), whatever the
+/// overflow.  Throws fpm::Error when the devices have no room for it.
+void repair_capacity(std::vector<std::int64_t>& blocks,
+                     std::span<const core::SpeedFunction> models);
+
 } // namespace fpm::part

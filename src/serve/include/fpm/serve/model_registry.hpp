@@ -29,6 +29,15 @@
 
 namespace fpm::serve {
 
+/// Most devices in one model set.  An fpm plan with layout on 1,024
+/// devices of 1,024 points each takes under 10 ms on one core, and its
+/// PARTITION reply stays far below kMaxLineBytes even at the largest n.
+inline constexpr std::size_t kMaxDevices = 1024;
+
+/// Most points in one model: fpmpart_model builds 44 by default, and an
+/// adapt republish splices in at most one per reliable window.
+inline constexpr std::size_t kMaxPoints = 1024;
+
 /// Immutable snapshot of one named set of device models.
 struct ModelSet {
     std::string name;
@@ -64,9 +73,10 @@ public:
     /// Installs (or replaces) the set under `name`; returns the new
     /// snapshot.  Throws ServiceError(kBadRequest) for a name that is
     /// empty or holds wire whitespace (is_wire_space() in protocol.hpp),
-    /// ',', '=' or ':' (the MODELS reply's separators), fpm::Error for an
-    /// empty model list, and rethrows a veto from the put observer
-    /// (registry untouched).
+    /// ',', '=' or ':' (the MODELS reply's separators), and for more than
+    /// kMaxDevices models or a model of more than kMaxPoints points;
+    /// fpm::Error for an empty model list, and rethrows a veto from the
+    /// put observer (registry untouched).
     std::shared_ptr<const ModelSet> put(const std::string& name,
                                         std::vector<core::SpeedFunction> models);
 
@@ -74,8 +84,8 @@ public:
     /// *explicit* generation it carried before the crash, advancing the
     /// registry's generation counter past it.  Bypasses the put observer
     /// (recovery must not re-log what it replays) and the serve.reload
-    /// fault point.  Refuses the names put() refuses, and throws
-    /// fpm::Error on other invalid input.
+    /// fault point.  Refuses the names and sizes put() refuses, and
+    /// throws fpm::Error on other invalid input.
     std::shared_ptr<const ModelSet>
     restore(const std::string& name, std::vector<core::SpeedFunction> models,
             std::uint64_t generation);

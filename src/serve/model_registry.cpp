@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <string>
 
 #include "fpm/common/error.hpp"
 #include "fpm/common/hash.hpp"
@@ -42,6 +43,26 @@ void check_set_name(const std::string& name) {
     }
 }
 
+/// The one size rule of put() and restore(), beside the name rule.
+void check_set_size(const std::vector<core::SpeedFunction>& models) {
+    if (models.size() > kMaxDevices) {
+        throw ServiceError(ErrorCode::kBadRequest,
+                           "model set holds " + std::to_string(models.size()) +
+                               " devices, more than " +
+                               std::to_string(kMaxDevices));
+    }
+    for (std::size_t i = 0; i < models.size(); ++i) {
+        const std::size_t points = models[i].points().size();
+        if (points > kMaxPoints) {
+            throw ServiceError(ErrorCode::kBadRequest,
+                               "model " + std::to_string(i) + " holds " +
+                                   std::to_string(points) +
+                                   " points, more than " +
+                                   std::to_string(kMaxPoints));
+        }
+    }
+}
+
 } // namespace
 
 std::uint64_t fingerprint_models(const std::vector<core::SpeedFunction>& models) {
@@ -65,6 +86,7 @@ std::shared_ptr<const ModelSet>
 ModelRegistry::put(const std::string& name,
                    std::vector<core::SpeedFunction> models) {
     check_set_name(name);
+    check_set_size(models);
     FPM_CHECK(!models.empty(), "model set must hold at least one model");
 
     static auto& reload_fault = fault::point("serve.reload");
@@ -105,6 +127,7 @@ ModelRegistry::restore(const std::string& name,
                        std::vector<core::SpeedFunction> models,
                        std::uint64_t generation) {
     check_set_name(name);
+    check_set_size(models);
     FPM_CHECK(!models.empty(), "model set must hold at least one model");
     FPM_CHECK(generation > 0, "restored generation must be positive");
 

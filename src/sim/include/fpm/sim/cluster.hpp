@@ -33,7 +33,8 @@ ClusterSpec homogeneous_hybrid_cluster(std::size_t nodes);
 
 /// A deliberately heterogeneous cluster: one full hybrid node, one
 /// CPU-only node (no GPUs), and one under-clocked hybrid node with only
-/// the Tesla C870 — the setting where node-level FPMs matter most.
+/// the Tesla C870 — the setting where partitioning by FPMs across nodes
+/// matters most.
 ClusterSpec heterogeneous_cluster();
 
 /// Simulation facade over all nodes of a cluster.

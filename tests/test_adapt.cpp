@@ -489,6 +489,38 @@ TEST(AdaptEngineTest, ConcurrentIngestsOfOneSetNeverResync) {
     EXPECT_EQ(adapter.stats().resyncs, 0u);
 }
 
+TEST(AdaptEngineTest, RepublishPastThePointBoundIsRefused) {
+    // Device 0 holds kMaxPoints points up to 6,000 blocks, so a splice at
+    // 12,000 blocks would give it one more.
+    ModelRegistry registry;
+    auto models = synthetic_models(2, 16, 1.0);
+    models[0] = synthetic_models(1, serve::kMaxPoints, 1.0)[0];
+    const auto published = registry.put("hybrid", models);
+    RequestEngine engine(registry, {.workers = 1, .cache_capacity = 16});
+    AdaptConfig config;
+    config.min_samples = 2;
+    config.drift_threshold = 0.05;
+    config.cusum_limit = 0.1;
+    AdaptEngine adapter(engine, config);
+    const std::uint64_t republished_before = adapter.stats().republished;
+
+    const double x = 12000.0;
+    const double half_speed_seconds = x / (0.5 * models[0].speed(x));
+    bool refused = false;
+    for (int i = 0; i < 8 && !refused; ++i) {
+        try {
+            (void)adapter.ingest({"hybrid", 0, x, half_speed_seconds});
+        } catch (const serve::ServiceError& e) {
+            EXPECT_EQ(e.code(), serve::ErrorCode::kBadRequest);
+            EXPECT_EQ(e.message(), "model 0 holds 1025 points, more than 1024");
+            refused = true;
+        }
+    }
+    EXPECT_TRUE(refused);
+    EXPECT_EQ(registry.get("hybrid")->generation, published->generation);
+    EXPECT_EQ(adapter.stats().republished, republished_before);
+}
+
 TEST(AdaptEngineTest, RejectsUnknownSetsAndBadDevices) {
     ModelRegistry registry;
     registry.put("hybrid", synthetic_models(2, 16, 1.0));

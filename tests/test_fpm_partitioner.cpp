@@ -2,7 +2,7 @@
 // conservation, balance, optimality against brute force, capacity limits,
 // degenerate inputs, the exact solve against the bisection it replaced,
 // a pin of the full pipeline's plans, integer plans against an exhaustive
-// oracle and the rounding of the cpm/even baselines.
+// oracle, and the rounding and capacity repair of the cpm/even baselines.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,14 +10,14 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <string>
 
-#include "fpm/app/device_set.hpp"
 #include "fpm/common/hash.hpp"
 #include "fpm/core/speed_function.hpp"
 #include "fpm/part/fpm_partitioner.hpp"
 #include "fpm/part/integer.hpp"
 #include "fpm/part/request.hpp"
-#include "fpm/sim/specs.hpp"
+#include "hybrid_sets.hpp"
 #include "random_model.hpp"
 
 namespace fpm::part {
@@ -25,6 +25,8 @@ namespace {
 
 using core::SpeedFunction;
 using core::SpeedPoint;
+using testsets::hybrid_fpms;
+using testsets::hybrid_sets;
 
 std::vector<SpeedFunction> two_constant_devices() {
     return {SpeedFunction::constant(10.0, "slow"),
@@ -191,47 +193,10 @@ TEST(PartitionRequestBound, PlansUpToKMaxNAndThrowsAbove) {
     }
 }
 
-/// FPMs of the paper's hybrid node (2 GPUs + 4 socket groups) built from
-/// a simulator run with `options`, one timing per point.
-std::vector<SpeedFunction> hybrid_fpms(const sim::SimOptions& options,
-                                       double refine_tolerance) {
-    sim::HybridNode node(sim::ig_platform(), options);
-    core::FpmBuildOptions build;
-    build.x_min = 4.0;
-    build.x_max = 5200.0;
-    build.initial_points = 14;
-    build.max_points = 44;
-    build.refine_tolerance = refine_tolerance;
-    build.reliability.min_repetitions = 1;
-    build.reliability.max_repetitions = 1;
-    return app::build_device_fpms(node, app::hybrid_devices(node), build);
-}
-
-/// The node measured under 3 % simulator noise with a fixed seed.
-std::vector<SpeedFunction> noisy_hybrid(std::uint64_t noise_seed) {
-    sim::SimOptions options;
-    options.noise_sigma = 0.03;
-    options.noise_seed = noise_seed;
-    return hybrid_fpms(options, core::FpmBuildOptions{}.refine_tolerance);
-}
-
 /// The noise-free node built as the paper benches build it
 /// (bench_fpm_options(5200)): the models behind Table III.  Its two S5
 /// and its two S6 sockets have identical models.
 std::vector<SpeedFunction> paper_node() { return hybrid_fpms({}, 0.04); }
-
-/// A 6-device set measured with `seed`, and a 24-device set of four nodes
-/// measured with `first_seed`.. `first_seed` + 3: the shapes the service
-/// benchmark plans on.
-std::vector<std::vector<SpeedFunction>> hybrid_sets(std::uint64_t seed,
-                                                    std::uint64_t first_seed) {
-    std::vector<std::vector<SpeedFunction>> sets{noisy_hybrid(seed), {}};
-    for (std::uint64_t node = 0; node < 4; ++node) {
-        const auto part = noisy_hybrid(first_seed + node);
-        sets[1].insert(sets[1].end(), part.begin(), part.end());
-    }
-    return sets;
-}
 
 /// Little-endian bytes of one word folded into a running FNV-1a hash.
 void fold(std::uint64_t& hash, std::uint64_t word) {
@@ -736,6 +701,103 @@ TEST(Baselines, CapacityRepairMovesTheOverflowToTheRoomiestDevice) {
     for (const Algorithm algorithm : {Algorithm::kCpm, Algorithm::kEven}) {
         const PartitionRequest request{tight, 4, algorithm, true};
         EXPECT_THROW((void)partition(request), fpm::Error)
+            << to_string(algorithm);
+    }
+}
+
+/// The one-block-at-a-time capacity repair that repair_capacity()
+/// replaced, kept as its reference.
+void repair_one_block_at_a_time(std::vector<std::int64_t>& blocks,
+                                std::span<const SpeedFunction> models) {
+    const std::size_t p = blocks.size();
+    for (std::size_t i = 0; i < p; ++i) {
+        while (static_cast<double>(blocks[i]) > models[i].max_problem()) {
+            std::size_t best = p;
+            double best_room = 0.0;
+            for (std::size_t j = 0; j < p; ++j) {
+                const double room =
+                    models[j].max_problem() - static_cast<double>(blocks[j]);
+                if (j != i && room > best_room) {
+                    best_room = room;
+                    best = j;
+                }
+            }
+            FPM_CHECK(best < p && best_room >= 1.0,
+                      "no device has room for the capacity overflow");
+            blocks[i] -= 1;
+            blocks[best] += 1;
+        }
+    }
+}
+
+TEST(Baselines, CapacityRepairPutsTheOverflowWhereTheOneBlockLoopDid) {
+    // Up to 8 devices: unbounded, whole, fractional, or the previous
+    // device's capacity again; each device's blocks below or past it.
+    Rng rng(20121015);
+    int repaired = 0;
+    int refused = 0;
+    for (int trial = 0; trial < 4000; ++trial) {
+        const std::size_t p = 1 + static_cast<std::size_t>(rng.uniform_int(0, 7));
+        std::vector<SpeedFunction> models;
+        std::vector<std::int64_t> blocks;
+        int overflowing = 0;
+        for (std::size_t i = 0; i < p; ++i) {
+            const double kind = rng.uniform();
+            double capacity = std::numeric_limits<double>::infinity();
+            if (kind < 0.3 && i > 0) {
+                capacity = models.back().max_problem();
+            } else if (kind < 0.6) {
+                capacity = static_cast<double>(rng.uniform_int(1, 40));
+            } else if (kind < 0.9) {
+                capacity = rng.uniform(0.25, 40.0);
+            }
+            models.push_back(
+                SpeedFunction({{1.0, 1.0}}, fuzz::device_name(i), capacity));
+            const double reach = std::isinf(capacity) ? 40.0 : capacity;
+            blocks.push_back(rng.uniform_int(
+                0, static_cast<std::int64_t>(1.8 * reach) + 2));
+            overflowing += static_cast<double>(blocks.back()) > capacity;
+        }
+        std::vector<std::int64_t> expected = blocks;
+        std::string expected_error;
+        try {
+            repair_one_block_at_a_time(expected, models);
+        } catch (const fpm::Error& e) {
+            expected_error = e.message();
+        }
+        std::vector<std::int64_t> actual = blocks;
+        std::string actual_error;
+        try {
+            repair_capacity(actual, models);
+        } catch (const fpm::Error& e) {
+            actual_error = e.message();
+        }
+        ASSERT_EQ(actual_error, expected_error) << "trial " << trial;
+        if (expected_error.empty()) {
+            ASSERT_EQ(actual, expected) << "trial " << trial;
+            repaired += overflowing > 1;
+        } else {
+            ++refused;
+        }
+    }
+    // Both outcomes occur, and many repairs move several overflows.
+    EXPECT_GT(repaired, 400);
+    EXPECT_GT(refused, 400);
+}
+
+TEST(Baselines, CapacityRepairTakesNoStepPerOverflowBlock) {
+    // At n = kMaxN the even split gives the 1000-block GPU 2^51 blocks and
+    // cpm gives it more; moved one block at a time, the repair would run
+    // for months.
+    const std::vector<SpeedFunction> models = {
+        SpeedFunction({{1.0, 10.0}}, "gpu", 1000.0),
+        SpeedFunction::constant(1.0, "cpu"),
+    };
+    for (const Algorithm algorithm : {Algorithm::kCpm, Algorithm::kEven}) {
+        const PartitionPlan plan =
+            partition(PartitionRequest{models, kMaxN, algorithm, true});
+        EXPECT_EQ(plan.blocks,
+                  (std::vector<std::int64_t>{1000, kMaxN * kMaxN - 1000}))
             << to_string(algorithm);
     }
 }

@@ -21,6 +21,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "fpm/core/model_io.hpp"
@@ -185,6 +186,41 @@ TEST(ModelRegistryTest, NamesHoldingAnyWireWhitespaceAreRefused) {
     ASSERT_EQ(models.kind, Response::Kind::kModels);
     ASSERT_EQ(models.sets.size(), 1U);
     EXPECT_EQ(models.sets[0].name, "ok");
+}
+
+TEST(ModelRegistryTest, PutAndRestoreShareOneSizeRule) {
+    ModelRegistry registry;
+    // The largest admissible set: kMaxDevices models, one of them holding
+    // kMaxPoints points.
+    auto largest = synthetic_models(kMaxDevices, 8, 1.0);
+    largest[0] = synthetic_models(1, kMaxPoints, 1.0)[0];
+    EXPECT_NO_THROW(registry.put("largest", largest));
+
+    auto too_long = synthetic_models(2, 8, 1.0);
+    too_long[1] = synthetic_models(1, kMaxPoints + 1, 1.0)[0];
+    const std::vector<std::pair<std::vector<SpeedFunction>, std::string>>
+        refused = {
+            {synthetic_models(kMaxDevices + 1, 8, 1.0),
+             "model set holds 1025 devices, more than 1024"},
+            {too_long, "model 1 holds 1025 points, more than 1024"},
+        };
+    for (const auto& [models, message] : refused) {
+        for (const bool restoring : {false, true}) {
+            try {
+                if (restoring) {
+                    registry.restore("big", models, 9);
+                } else {
+                    registry.put("big", models);
+                }
+                ADD_FAILURE() << "accepted: " << message;
+            } catch (const ServiceError& e) {
+                EXPECT_EQ(e.code(), ErrorCode::kBadRequest) << message;
+                EXPECT_EQ(e.message(), message);
+            }
+        }
+    }
+    EXPECT_EQ(registry.size(), 1U);
+    EXPECT_EQ(registry.next_generation(), 2U);
 }
 
 TEST(PartitionCacheTest, LruEvictionAndCounters) {
@@ -881,6 +917,42 @@ TEST(ServeIntegration, WireCapacityShortfallAnswersTypedError) {
     EXPECT_EQ(engine.stats().degraded, 0U);
 
     server.stop();
+}
+
+TEST(ServeIntegration, WireLoadRefusesASetPastTheDeviceBound) {
+    const std::string too_many = "/tmp/fpmpart_serve_too_many.csv";
+    const std::string largest = "/tmp/fpmpart_serve_largest.csv";
+    core::save_speed_functions_csv(too_many,
+                                   synthetic_models(kMaxDevices + 1, 8, 1.0));
+    core::save_speed_functions_csv(largest,
+                                   synthetic_models(kMaxDevices, 8, 1.0));
+
+    ModelRegistry registry;
+    RequestEngine engine(registry, {.workers = 2, .cache_capacity = 4});
+    SocketServer server(engine);
+    server.start();
+
+    ServeClient client("127.0.0.1", server.port());
+    EXPECT_EQ(client.request("LOAD big " + too_many),
+              "ERR bad_request model set holds 1025 devices, more than 1024");
+    client.ping();  // the connection stays usable
+    EXPECT_EQ(registry.size(), 0U);
+
+    // The largest admissible set plans at the largest n, and the reply,
+    // layout included, reaches the client: ServeClient refuses a line
+    // over kMaxLineBytes.
+    EXPECT_EQ(client.request("LOAD big " + largest)
+                  .rfind("OK LOADED name=big models=1024 ", 0),
+              0U);
+    const std::string line = client.request("PARTITION big 67108864 fpm");
+    EXPECT_LT(line.size(), kMaxLineBytes / 8) << line.substr(0, 80);
+    const PartitionReply reply = parse_partition_reply(line);
+    EXPECT_EQ(reply.blocks.size(), kMaxDevices);
+    EXPECT_EQ(reply.rects.size(), kMaxDevices);
+
+    server.stop();
+    std::remove(too_many.c_str());
+    std::remove(largest.c_str());
 }
 
 /// Binds a loopback listener on an ephemeral port (never accepts unless
