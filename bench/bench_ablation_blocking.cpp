@@ -34,14 +34,14 @@ int main() {
 
         bench::HybridPipeline pipeline(
             node, static_cast<double>(n) * static_cast<double>(n) + 16.0);
-        const auto blocks = pipeline.fpm_blocks(n);
-        const auto result = pipeline.run(blocks, n);
+        const auto plan = pipeline.plan(part::Algorithm::kFpm, n);
+        const auto result = pipeline.run(plan);
 
         // Load imbalance across busy devices for this granularity.
         double worst = 0.0;
         double best = 1e300;
-        for (std::size_t i = 0; i < blocks.size(); ++i) {
-            if (blocks[i] > 0) {
+        for (std::size_t i = 0; i < plan.blocks.size(); ++i) {
+            if (plan.blocks[i] > 0) {
                 worst = std::max(worst, result.device_iter_time[i]);
                 best = std::min(best, result.device_iter_time[i]);
             }

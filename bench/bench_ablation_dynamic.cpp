@@ -24,11 +24,11 @@ int main() {
     bench::HybridPipeline pipeline(node);
     const app::DeviceSet& set = pipeline.set();
     const std::int64_t n = 40;
-    const auto fpm_blocks = pipeline.fpm_blocks(n);
+    const auto fpm = pipeline.plan(part::Algorithm::kFpm, n);
 
     // --- dedicated platform -------------------------------------------
     const double static_dedicated =
-        app::run_static_app_perturbed(node, set, fpm_blocks, n);
+        app::run_static_app_perturbed(node, set, fpm.layout);
 
     trace::Table table({"strategy", "granularity", "dedicated (s)",
                         "perturbed (s)"});
@@ -52,7 +52,7 @@ int main() {
                    : 1.0;
     };
     const double static_perturbed =
-        app::run_static_app_perturbed(node, set, fpm_blocks, n, modulation);
+        app::run_static_app_perturbed(node, set, fpm.layout, modulation);
 
     table.row().cell("static FPM").cell("-").cell(static_dedicated, 1)
         .cell(static_perturbed, 1);

@@ -37,8 +37,7 @@ int main() {
     double worst_gain = 0.0;
     for (const std::int64_t n : {40L, 60L, 80L}) {
         // One-shot: area partition, then price the layout with the oracle.
-        const auto blocks = pipeline.fpm_blocks(n);
-        const auto layout = part::column_partition(n, blocks);
+        const auto layout = pipeline.plan(part::Algorithm::kFpm, n).layout;
         double one_shot = 0.0;
         for (std::size_t i = 0; i < layout.rects.size(); ++i) {
             if (layout.rects[i].area() > 0) {
@@ -72,10 +71,8 @@ int main() {
                            : base;
     };
     const std::int64_t n = 30;
-    const auto synth_blocks = part::round_partition(
-        part::partition_fpm(synth, static_cast<double>(n) * n).partition,
-        n * n, synth);
-    const auto synth_layout = part::column_partition(n, synth_blocks.blocks);
+    const auto synth_layout =
+        part::partition({synth, n, part::Algorithm::kFpm}).layout;
     double synth_one_shot = 0.0;
     for (std::size_t i = 0; i < synth_layout.rects.size(); ++i) {
         synth_one_shot =

@@ -42,16 +42,15 @@ int main() {
     double cpm70 = 0.0;
     double fpm70 = 0.0;
     for (std::int64_t n = 20; n <= 80; n += 10) {
-        const double even = pipeline.run(pipeline.even_blocks(n), n).total_time;
-        const double cpm = pipeline.run(pipeline.cpm_blocks(n), n).total_time;
-
-        const auto lpm_cont =
-            part::partition_fpm(lpm_models, static_cast<double>(n) * n);
-        const auto lpm_blocks =
-            part::round_partition(lpm_cont.partition, n * n, lpm_models);
-        const double lpm = pipeline.run(lpm_blocks.blocks, n).total_time;
-
-        const double fpm = pipeline.run(pipeline.fpm_blocks(n), n).total_time;
+        const auto time = [&](part::Algorithm algorithm) {
+            return pipeline.run(pipeline.plan(algorithm, n)).total_time;
+        };
+        const double even = time(part::Algorithm::kEven);
+        const double cpm = time(part::Algorithm::kCpm);
+        const double lpm =
+            pipeline.run(part::partition({lpm_models, n, part::Algorithm::kFpm}))
+                .total_time;
+        const double fpm = time(part::Algorithm::kFpm);
 
         table.row().cell(n).cell(even, 1).cell(cpm, 1).cell(lpm, 1).cell(fpm, 1);
         csv.write_row(std::vector<double>{static_cast<double>(n), even, cpm,

@@ -31,16 +31,13 @@ int main() {
         options.max_points = budget;
         const auto fpms = app::build_device_fpms(node, set, options);
 
-        const auto continuous =
-            part::partition_fpm(fpms, static_cast<double>(n) * n);
-        const auto blocks =
-            part::round_partition(continuous.partition, n * n, fpms);
-        const auto result = app::run_simulated_app(node, set, blocks.blocks, n);
+        const auto plan = part::partition({fpms, n, part::Algorithm::kFpm});
+        const auto result = app::run_simulated_app(node, set, plan.layout);
 
         double worst = 0.0;
         double best = 1e300;
-        for (std::size_t i = 0; i < blocks.blocks.size(); ++i) {
-            if (blocks.blocks[i] > 0) {
+        for (std::size_t i = 0; i < plan.blocks.size(); ++i) {
+            if (plan.blocks[i] > 0) {
                 worst = std::max(worst, result.device_iter_time[i]);
                 best = std::min(best, result.device_iter_time[i]);
             }

@@ -34,15 +34,10 @@ double partition_quality(double sigma, bool reliable, std::uint64_t seed,
     }
     const auto models = app::build_device_fpms(noisy, set, model_options);
 
-    const std::int64_t n = 60;
-    const auto continuous =
-        part::partition_fpm(models, static_cast<double>(n) * n);
-    const auto blocks =
-        part::round_partition(continuous.partition, n * n, models);
+    const auto plan = part::partition({models, 60, part::Algorithm::kFpm});
 
     // True cost under the exact models.
-    return part::makespan(exact_models,
-                          std::span<const std::int64_t>(blocks.blocks));
+    return part::makespan(exact_models, plan.blocks);
 }
 
 } // namespace

@@ -8,8 +8,6 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "fpm/part/fpm_partitioner.hpp"
-#include "fpm/part/integer.hpp"
 #include "fpm/trace/table.hpp"
 
 using namespace fpm;
@@ -26,7 +24,6 @@ sim::NodeSpec gtx_only_platform() {
 struct PrecisionRun {
     std::vector<std::string> names;
     std::vector<std::int64_t> blocks;
-    double makespan = 0.0;
     double gpu_share = 0.0;
 };
 
@@ -38,19 +35,13 @@ PrecisionRun run(sim::Precision precision, std::int64_t n) {
 
     core::FpmBuildOptions model_options = bench::bench_fpm_options(5200.0);
     const auto models = app::build_device_fpms(node, set, model_options);
-    const auto continuous =
-        part::partition_fpm(models, static_cast<double>(n) * n);
-    const auto blocks =
-        part::round_partition(continuous.partition, n * n, models);
 
     PrecisionRun result;
-    result.makespan = part::makespan(
-        models, std::span<const std::int64_t>(blocks.blocks));
+    result.blocks = part::partition({models, n, part::Algorithm::kFpm}).blocks;
     for (std::size_t i = 0; i < set.devices.size(); ++i) {
         result.names.push_back(set.devices[i].name);
-        result.blocks.push_back(blocks.blocks[i]);
         if (set.devices[i].kind == app::DeviceKind::kGpu) {
-            result.gpu_share += static_cast<double>(blocks.blocks[i]);
+            result.gpu_share += static_cast<double>(result.blocks[i]);
         }
     }
     result.gpu_share /= static_cast<double>(n) * static_cast<double>(n);

@@ -11,6 +11,7 @@
 
 #include "bench_common.hpp"
 #include "fpm/core/stencil_bench.hpp"
+#include "fpm/part/fpm_partitioner.hpp"
 #include "fpm/sim/stencil_model.hpp"
 #include "fpm/trace/ascii_chart.hpp"
 #include "fpm/trace/csv.hpp"

@@ -10,6 +10,7 @@
 
 #include "bench_common.hpp"
 #include "fpm/app/cluster_app.hpp"
+#include "fpm/part/fpm_partitioner.hpp"
 #include "fpm/part/hierarchical.hpp"
 #include "fpm/trace/csv.hpp"
 #include "fpm/trace/table.hpp"

@@ -84,8 +84,7 @@ std::size_t find_device(const app::DeviceSet& set, Pred&& pred) {
 } // namespace fpm::bench
 
 #include "fpm/app/matmul_sim.hpp"
-#include "fpm/part/fpm_partitioner.hpp"
-#include "fpm/part/integer.hpp"
+#include "fpm/part/request.hpp"
 
 namespace fpm::bench {
 
@@ -104,29 +103,20 @@ public:
         return fpms_;
     }
 
-    [[nodiscard]] std::vector<std::int64_t> fpm_blocks(std::int64_t n) const {
-        const auto continuous =
-            part::partition_fpm(fpms_, static_cast<double>(n) * n);
-        return part::round_partition(continuous.partition, n * n, fpms_).blocks;
+    /// `algorithm`'s plan of an n x n matrix: fpm and even under the FPMs,
+    /// cpm under the CPMs measured at this size's even share.
+    [[nodiscard]] part::PartitionPlan plan(part::Algorithm algorithm,
+                                           std::int64_t n) const {
+        if (algorithm == part::Algorithm::kCpm) {
+            const auto cpms = app::build_device_cpms(
+                node_, set_, static_cast<double>(n) * n);
+            return part::partition({cpms, n, algorithm});
+        }
+        return part::partition({fpms_, n, algorithm});
     }
 
-    [[nodiscard]] std::vector<std::int64_t> cpm_blocks(std::int64_t n) const {
-        const auto speeds = app::build_device_cpms(
-            node_, set_, static_cast<double>(n) * n);
-        const auto continuous =
-            part::partition_cpm(speeds, static_cast<double>(n) * n);
-        return part::round_largest_remainder(continuous, n * n).blocks;
-    }
-
-    [[nodiscard]] std::vector<std::int64_t> even_blocks(std::int64_t n) const {
-        const auto continuous = part::partition_homogeneous(
-            set_.devices.size(), static_cast<double>(n) * n);
-        return part::round_largest_remainder(continuous, n * n).blocks;
-    }
-
-    [[nodiscard]] app::SimAppResult run(const std::vector<std::int64_t>& blocks,
-                                        std::int64_t n) const {
-        return app::run_simulated_app(node_, set_, blocks, n);
+    [[nodiscard]] app::SimAppResult run(const part::PartitionPlan& plan) const {
+        return app::run_simulated_app(node_, set_, plan.layout);
     }
 
 private:

@@ -37,8 +37,8 @@ int main() {
     bench::HybridPipeline pipeline(node);
     const std::int64_t n = 60;
 
-    const auto cpm_result = pipeline.run(pipeline.cpm_blocks(n), n);
-    const auto fpm_result = pipeline.run(pipeline.fpm_blocks(n), n);
+    const auto cpm_result = pipeline.run(pipeline.plan(part::Algorithm::kCpm, n));
+    const auto fpm_result = pipeline.run(pipeline.plan(part::Algorithm::kFpm, n));
     const auto cpm_times =
         app::per_process_times(pipeline.set(), cpm_result.device_compute_time);
     const auto fpm_times =

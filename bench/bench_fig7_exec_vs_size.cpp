@@ -37,9 +37,12 @@ int main() {
     std::vector<double> t_cpm;
     std::vector<double> t_fpm;
     for (std::int64_t n = 10; n <= 80; n += 10) {
-        const double even = pipeline.run(pipeline.even_blocks(n), n).total_time;
-        const double cpm = pipeline.run(pipeline.cpm_blocks(n), n).total_time;
-        const double fpm = pipeline.run(pipeline.fpm_blocks(n), n).total_time;
+        const auto time = [&](part::Algorithm algorithm) {
+            return pipeline.run(pipeline.plan(algorithm, n)).total_time;
+        };
+        const double even = time(part::Algorithm::kEven);
+        const double cpm = time(part::Algorithm::kCpm);
+        const double fpm = time(part::Algorithm::kFpm);
         sizes.push_back(n);
         t_even.push_back(even);
         t_cpm.push_back(cpm);

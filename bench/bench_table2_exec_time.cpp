@@ -50,20 +50,21 @@ int main() {
     for (std::size_t r = 0; r < 4; ++r) {
         const std::int64_t n = paper[r].n;
 
-        // Column 2: homogeneous distribution over 24 cores (4 sockets).
-        const auto even = part::round_largest_remainder(
-            part::partition_homogeneous(cpu_set.devices.size(),
-                                        static_cast<double>(n) * n),
-            n * n);
-        const double t_cpu =
-            app::run_simulated_app(node, cpu_set, even.blocks, n).total_time;
-
-        // Column 3: everything on the GTX680 + its dedicated core.
-        const double t_gpu =
-            app::run_simulated_app(node, gpu_set, {n * n}, n).total_time;
+        // Columns 2 and 3: homogeneous distribution over 24 cores (4
+        // sockets), and everything on the GTX680 + its dedicated core.
+        const auto even_time = [&](const app::DeviceSet& set) {
+            const auto cpms = app::build_device_cpms(
+                node, set, static_cast<double>(n) * n);
+            const auto plan =
+                part::partition({cpms, n, part::Algorithm::kEven});
+            return app::run_simulated_app(node, set, plan.layout).total_time;
+        };
+        const double t_cpu = even_time(cpu_set);
+        const double t_gpu = even_time(gpu_set);
 
         // Column 4: FPM-partitioned hybrid.
-        const double t_hybrid = pipeline.run(pipeline.fpm_blocks(n), n).total_time;
+        const double t_hybrid =
+            pipeline.run(pipeline.plan(part::Algorithm::kFpm, n)).total_time;
 
         measured[r][0] = t_cpu;
         measured[r][1] = t_gpu;

@@ -45,8 +45,8 @@ int main() {
     std::int64_t fpm_g1_blocks[4] = {};
     for (std::size_t r = 0; r < 4; ++r) {
         const std::int64_t n = 40 + 10 * static_cast<std::int64_t>(r);
-        const auto cpm = pipeline.cpm_blocks(n);
-        const auto fpm = pipeline.fpm_blocks(n);
+        const auto cpm = pipeline.plan(part::Algorithm::kCpm, n).blocks;
+        const auto fpm = pipeline.plan(part::Algorithm::kFpm, n).blocks;
         table.row()
             .cell(std::to_string(n) + " x " + std::to_string(n))
             .cell(cpm[g1]).cell(cpm[g2]).cell(cpm[s5]).cell(cpm[s6])

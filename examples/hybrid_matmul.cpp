@@ -16,9 +16,7 @@
 #include "fpm/blas/gemm.hpp"
 #include "fpm/common/rng.hpp"
 #include "fpm/core/speed_function.hpp"
-#include "fpm/part/column2d.hpp"
-#include "fpm/part/fpm_partitioner.hpp"
-#include "fpm/part/integer.hpp"
+#include "fpm/part/request.hpp"
 
 int main(int argc, char** argv) {
     using namespace fpm;
@@ -50,16 +48,14 @@ int main(int argc, char** argv) {
     };
 
     // FPM partition + integer rounding + 2-D layout.
-    const auto balanced = part::partition_fpm(models, static_cast<double>(n) * n);
-    const auto blocks = part::round_partition(balanced.partition, n * n, models);
-    const auto layout = part::column_partition(n, blocks.blocks);
+    const auto plan = part::partition({models, n, part::Algorithm::kFpm});
 
     std::printf("%-9s %7s %12s\n", "device", "blocks", "rectangle");
     for (std::size_t i = 0; i < devices.size(); ++i) {
         std::printf("%-9s %7lld %5lld x %lld\n", models[i].name().c_str(),
-                    static_cast<long long>(blocks.blocks[i]),
-                    static_cast<long long>(layout.rects[i].w),
-                    static_cast<long long>(layout.rects[i].h));
+                    static_cast<long long>(plan.blocks[i]),
+                    static_cast<long long>(plan.layout.rects[i].w),
+                    static_cast<long long>(plan.layout.rects[i].h));
     }
 
     // Random operands; run the real parallel application.
@@ -73,8 +69,8 @@ int main(int argc, char** argv) {
         }
     }
     blas::Matrix<float> c(elems, elems, 0.0F);
-    const auto report =
-        app::run_real_matmul(layout, devices, b, a.view(), bm.view(), c.view());
+    const auto report = app::run_real_matmul(plan.layout, devices, b, a.view(),
+                                             bm.view(), c.view());
 
     std::printf("\nparallel run: %.3f s wall\n", report.seconds);
     for (std::size_t i = 0; i < devices.size(); ++i) {

@@ -2,8 +2,8 @@
 // partitioning algorithms distribute work on the simulated hybrid node as
 // the problem grows across the GPU memory cliff.
 //
-// For each matrix size it prints the per-device shares of the
-// homogeneous, CPM-based and FPM-based algorithms side by side, with the
+// For each matrix size it prints the per-device blocks of the
+// homogeneous, CPM-based and FPM-based plans side by side, with the
 // predicted makespan of each, and draws the FPM 2-D layout as ASCII art.
 //
 // Usage: ./examples/partition_explorer [n1 n2 ...]   (default: 30 50 70)
@@ -12,9 +12,7 @@
 #include <vector>
 
 #include "fpm/app/device_set.hpp"
-#include "fpm/part/column2d.hpp"
-#include "fpm/part/fpm_partitioner.hpp"
-#include "fpm/part/integer.hpp"
+#include "fpm/part/request.hpp"
 #include "fpm/trace/table.hpp"
 
 namespace {
@@ -90,34 +88,29 @@ int main(int argc, char** argv) {
         std::printf("\n=== matrix %lld x %lld blocks (%.0f total) ===\n\n",
                     static_cast<long long>(n), static_cast<long long>(n), total);
 
-        const auto even = part::partition_homogeneous(set.devices.size(), total);
-        const auto cpm_speeds = app::build_device_cpms(node, set, total);
-        const auto cpm = part::partition_cpm(cpm_speeds, total);
-        const auto fpm = part::partition_fpm(fpms, total);
-        const auto fpm_blocks = part::round_partition(fpm.partition,
-                                                      n * n, fpms);
+        const auto cpms = app::build_device_cpms(node, set, total);
+        const auto even = part::partition({fpms, n, part::Algorithm::kEven});
+        const auto cpm = part::partition({cpms, n, part::Algorithm::kCpm});
+        const auto fpm = part::partition({fpms, n, part::Algorithm::kFpm});
 
         trace::Table table({"device", "homogeneous", "CPM", "FPM",
                             "FPM time (s)"});
         for (std::size_t i = 0; i < set.devices.size(); ++i) {
             table.row()
                 .cell(set.devices[i].name)
-                .cell(even.share[i], 0)
-                .cell(cpm.share[i], 0)
-                .cell(static_cast<std::int64_t>(fpm_blocks.blocks[i]))
-                .cell(fpms[i].time(static_cast<double>(fpm_blocks.blocks[i])), 2);
+                .cell(even.blocks[i])
+                .cell(cpm.blocks[i])
+                .cell(fpm.blocks[i])
+                .cell(fpms[i].time(static_cast<double>(fpm.blocks[i])), 2);
         }
         table.print();
         std::printf("\npredicted makespans: homogeneous %.2f s, CPM %.2f s, "
                     "FPM %.2f s (per kernel sweep)\n",
-                    part::makespan(fpms, even.share),
-                    part::makespan(fpms, cpm.share),
-                    part::makespan(fpms,
-                                   std::span<const std::int64_t>(
-                                       fpm_blocks.blocks)));
+                    even.makespan, part::makespan(fpms, cpm.blocks),
+                    fpm.makespan);
 
         std::printf("\nFPM column layout:\n");
-        draw_layout(part::column_partition(n, fpm_blocks.blocks), set);
+        draw_layout(fpm.layout, set);
     }
     return 0;
 }

@@ -3,16 +3,14 @@
 //  1. describe a hybrid platform (here: the paper's 4-socket + 2-GPU node),
 //  2. build a functional performance model (FPM) per device by timing the
 //     application kernel,
-//  3. run the FPM-based data partitioner,
-//  4. lay the shares out as a 2-D column partition and inspect the result.
+//  3. run the FPM-based data partitioner, which also lays the shares out
+//     as a 2-D column partition, and inspect the result.
 //
 // Build & run:  ./examples/quickstart
 #include <cstdio>
 
 #include "fpm/app/device_set.hpp"
-#include "fpm/part/column2d.hpp"
-#include "fpm/part/fpm_partitioner.hpp"
-#include "fpm/part/integer.hpp"
+#include "fpm/part/request.hpp"
 
 int main() {
     using namespace fpm;
@@ -37,30 +35,26 @@ int main() {
     const auto models = app::build_device_fpms(node, devices, options);
 
     // 3. Balance a 60 x 60-block matrix multiplication: find shares x_i
-    //    with sum x_i = 3600 and x_i / s_i(x_i) equal for all devices.
+    //    with sum x_i = 3600 and x_i / s_i(x_i) equal for all devices,
+    //    round them to whole blocks and lay them out in 2-D columns of
+    //    near-square rectangles (minimal communication volume).
     const std::int64_t n = 60;
-    const auto balanced = part::partition_fpm(models, static_cast<double>(n) * n);
-    const auto blocks =
-        part::round_partition(balanced.partition, n * n, models);
+    const auto plan = part::partition({models, n, part::Algorithm::kFpm});
     std::printf("\nbalanced execution time per iteration: %.3f s\n",
-                balanced.balanced_time);
-
-    // 4. Column-based 2-D layout: near-square rectangles, minimal
-    //    communication volume.
-    const auto layout = part::column_partition(n, blocks.blocks);
+                plan.balanced_time);
     std::printf("\n%-18s %8s %14s %10s\n", "device", "blocks", "rectangle",
                 "share %");
     for (std::size_t i = 0; i < devices.devices.size(); ++i) {
-        const auto& rect = layout.rects[i];
+        const auto& rect = plan.layout.rects[i];
         std::printf("%-18s %8lld %6lld x %-6lld %9.1f%%\n",
                     devices.devices[i].name.c_str(),
-                    static_cast<long long>(blocks.blocks[i]),
+                    static_cast<long long>(plan.blocks[i]),
                     static_cast<long long>(rect.w),
                     static_cast<long long>(rect.h),
-                    100.0 * static_cast<double>(blocks.blocks[i]) /
+                    100.0 * static_cast<double>(plan.blocks[i]) /
                         static_cast<double>(n * n));
     }
     std::printf("\ntotal communication cost (half-perimeter sum): %lld blocks\n",
-                static_cast<long long>(layout.comm_cost()));
+                static_cast<long long>(plan.comm_cost));
     return 0;
 }

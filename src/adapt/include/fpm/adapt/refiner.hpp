@@ -9,7 +9,9 @@
 /// a few windows instead) and the *deadband* (changes below
 /// min_speed_change are skipped entirely).  The splice itself
 /// revalidates strict monotonicity of the knots, which is the
-/// monotone-interpolation safety check.
+/// monotone-interpolation safety check.  A model already at
+/// serve::kMaxPoints points keeps that many: the splice replaces the knot
+/// nearest x instead of adding one.
 #pragma once
 
 #include <cstddef>

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "fpm/common/error.hpp"
+#include "fpm/serve/model_registry.hpp"
 
 namespace fpm::adapt {
 
@@ -70,6 +71,18 @@ RefineResult OnlineRefiner::refine(std::vector<core::SpeedFunction>& models,
     for (core::SpeedPoint& point : points) {
         if (point.x < anchor) {
             point.speed *= ratio;
+        }
+    }
+    // A model at the registry's point bound takes no new knot: the
+    // splice replaces the knot nearest the anchor, so its republish (and
+    // with it every later republish of the set) is not refused.
+    if (points.size() >= serve::kMaxPoints) {
+        const auto nearest = std::ranges::min_element(
+            points, {}, [&](const core::SpeedPoint& point) {
+                return std::abs(point.x - anchor);
+            });
+        if (std::abs(nearest->x - anchor) > kMergeRadius * anchor) {
+            points.erase(nearest);
         }
     }
     const core::SpeedFunction rescaled(std::move(points), model.name(),

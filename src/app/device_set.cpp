@@ -127,21 +127,20 @@ std::vector<core::SpeedFunction> build_device_fpms(
     return models;
 }
 
-std::vector<double> build_device_cpms(sim::HybridNode& node, const DeviceSet& set,
-                                      double total_area) {
+std::vector<core::SpeedFunction> build_device_cpms(sim::HybridNode& node,
+                                                   const DeviceSet& set,
+                                                   double total_area) {
     std::vector<std::unique_ptr<core::KernelBenchmark>> benches;
     std::vector<core::KernelBenchmark*> pointers;
     for (std::size_t i = 0; i < set.devices.size(); ++i) {
         benches.push_back(make_device_bench(node, set, i));
         pointers.push_back(benches.back().get());
     }
-    const auto models = core::build_cpm_even_share(pointers, total_area);
-    std::vector<double> speeds;
-    speeds.reserve(models.size());
-    for (const auto& model : models) {
-        speeds.push_back(model.speed);
+    std::vector<core::SpeedFunction> cpms;
+    for (const auto& model : core::build_cpm_even_share(pointers, total_area)) {
+        cpms.push_back(model.to_speed_function());
     }
-    return speeds;
+    return cpms;
 }
 
 } // namespace fpm::app

@@ -5,7 +5,6 @@
 
 #include "fpm/app/matmul_sim.hpp"
 #include "fpm/common/math.hpp"
-#include "fpm/part/column2d.hpp"
 
 namespace fpm::app {
 
@@ -106,16 +105,14 @@ DynamicResult run_dynamic_app(const sim::HybridNode& node, const DeviceSet& set,
 }
 
 double run_static_app_perturbed(const sim::HybridNode& node, const DeviceSet& set,
-                                const std::vector<std::int64_t>& areas,
-                                std::int64_t n,
+                                const part::ColumnLayout& layout,
                                 const SpeedModulation& modulation) {
-    FPM_CHECK(areas.size() == set.devices.size(),
-              "areas must match the device set");
-    FPM_CHECK(n >= 1, "matrix size must be positive");
+    FPM_CHECK(layout.rects.size() == set.devices.size(),
+              "layout must match the device set");
+    FPM_CHECK(layout.n >= 1, "matrix size must be positive");
 
-    const auto layout = part::column_partition(n, areas);
     double now = 0.0;
-    for (std::int64_t iteration = 0; iteration < n; ++iteration) {
+    for (std::int64_t iteration = 0; iteration < layout.n; ++iteration) {
         double iter_time = 0.0;
         for (std::size_t i = 0; i < set.devices.size(); ++i) {
             const part::Rect& rect = layout.rects[i];

@@ -78,9 +78,11 @@ std::vector<core::SpeedFunction> build_device_fpms(sim::HybridNode& node,
                                                    const DeviceSet& set,
                                                    const core::FpmBuildOptions& options);
 
-/// Builds even-share CPM constants (blocks/s) for every device of the set,
-/// the traditional-model baseline of Tables II/III.
-std::vector<double> build_device_cpms(sim::HybridNode& node, const DeviceSet& set,
-                                      double total_area);
+/// Builds the even-share CPM of every device of the set, the
+/// traditional-model baseline of Tables II/III, as an unbounded constant
+/// speed function (blocks/s) for part::partition's kCpm.
+std::vector<core::SpeedFunction> build_device_cpms(sim::HybridNode& node,
+                                                   const DeviceSet& set,
+                                                   double total_area);
 
 } // namespace fpm::app

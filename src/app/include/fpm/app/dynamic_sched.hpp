@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "fpm/app/device_set.hpp"
+#include "fpm/part/column2d.hpp"
 
 namespace fpm::app {
 
@@ -51,12 +52,11 @@ DynamicResult run_dynamic_app(const sim::HybridNode& node, const DeviceSet& set,
                               const SpeedModulation& modulation = {});
 
 /// Simulates the statically partitioned application (fixed per-device
-/// areas) under the same time-varying modulation, for apples-to-apples
-/// comparison with run_dynamic_app.  With an empty modulation this agrees
-/// with run_simulated_app's compute time.
+/// rectangles of `layout`) under the same time-varying modulation, for
+/// apples-to-apples comparison with run_dynamic_app.  With an empty
+/// modulation this agrees with run_simulated_app's compute time.
 double run_static_app_perturbed(const sim::HybridNode& node, const DeviceSet& set,
-                                const std::vector<std::int64_t>& areas,
-                                std::int64_t n,
+                                const part::ColumnLayout& layout,
                                 const SpeedModulation& modulation = {});
 
 } // namespace fpm::app

@@ -2,13 +2,13 @@
 /// \brief Simulated execution of the heterogeneous parallel matrix
 ///        multiplication (paper sections IV and VI).
 ///
-/// Given a device set, an integer 1-D partition of the n x n block matrix
-/// and the 2-D column layout derived from it, the simulator reproduces the
+/// Given a device set and the 2-D column layout of the n x n block matrix
+/// (part::partition's plan.layout), the simulator reproduces the
 /// application's timing structure: n iterations, each of which broadcasts
 /// the pivot column/row and then updates every device's rectangle in
 /// parallel.  Per-iteration compute time of a device comes from the
 /// contention-aware kernel models of fpm::sim; the iteration cost is the
-/// maximum over devices plus the (optional) communication term.
+/// maximum over devices plus the communication term.
 #pragma once
 
 #include <cstdint>
@@ -19,11 +19,6 @@
 
 namespace fpm::app {
 
-/// Options of a simulated run.
-struct SimAppOptions {
-    bool include_comm = true;  ///< add the pivot-broadcast communication term
-};
-
 /// Result of a simulated run.
 struct SimAppResult {
     double total_time = 0.0;    ///< execution time (compute + comm), seconds
@@ -31,7 +26,6 @@ struct SimAppResult {
     double comm_time = 0.0;
     std::vector<double> device_compute_time;  ///< per device, whole run
     std::vector<double> device_iter_time;     ///< per device, one iteration
-    part::ColumnLayout layout;
 };
 
 /// Device `device`'s kernel time for one iteration's update of `rect`: a
@@ -40,11 +34,10 @@ struct SimAppResult {
 [[nodiscard]] double rect_time(const sim::HybridNode& node, const DeviceSet& set,
                                std::size_t device, const part::Rect& rect);
 
-/// Simulates the application for the given block areas (one per device of
-/// the set, summing to n*n).
+/// Simulates the application on `layout`: one rectangle per device of the
+/// set, tiling the layout.n x layout.n block matrix.
 SimAppResult run_simulated_app(const sim::HybridNode& node, const DeviceSet& set,
-                               const std::vector<std::int64_t>& areas,
-                               std::int64_t n, const SimAppOptions& options = {});
+                               const part::ColumnLayout& layout);
 
 /// Expands per-device compute times to per-process times in rank order
 /// (the paper's Fig. 6 view: one bar per process, sockets contribute one

@@ -23,15 +23,13 @@ double rect_time(const sim::HybridNode& node, const DeviceSet& set,
 }
 
 SimAppResult run_simulated_app(const sim::HybridNode& node, const DeviceSet& set,
-                               const std::vector<std::int64_t>& areas,
-                               std::int64_t n, const SimAppOptions& options) {
-    FPM_CHECK(areas.size() == set.devices.size(),
-              "areas must match the device set");
+                               const part::ColumnLayout& layout) {
+    FPM_CHECK(layout.rects.size() == set.devices.size(),
+              "layout must match the device set");
+    const std::int64_t n = layout.n;
     FPM_CHECK(n >= 1, "matrix size must be positive");
 
     SimAppResult result;
-    result.layout = part::column_partition(n, areas);
-
     const std::size_t p = set.devices.size();
     result.device_iter_time.assign(p, 0.0);
     result.device_compute_time.assign(p, 0.0);
@@ -41,7 +39,7 @@ SimAppResult run_simulated_app(const sim::HybridNode& node, const DeviceSet& set
     // (reversed) iterations of the out-of-core kernel have identical
     // transfer counts, so their time matches the forward ones.
     for (std::size_t i = 0; i < p; ++i) {
-        const part::Rect& rect = result.layout.rects[i];
+        const part::Rect& rect = layout.rects[i];
         if (rect.area() > 0) {
             result.device_iter_time[i] = rect_time(node, set, i, rect);
         }
@@ -58,14 +56,14 @@ SimAppResult run_simulated_app(const sim::HybridNode& node, const DeviceSet& set
     // not own.  The broadcast is a memcpy-speed tree of depth ~log2(P)
     // over the node's processes.
     double iter_comm = 0.0;
-    if (options.include_comm && p > 1) {
+    if (p > 1) {
         const double bb = sim::block_bytes(node.options().block_size,
                                            node.options().precision);
         const double procs = static_cast<double>(set.process_count());
         const double depth = std::max(1.0, std::ceil(std::log2(procs)));
         double worst_bytes = 0.0;
         for (std::size_t i = 0; i < p; ++i) {
-            const part::Rect& rect = result.layout.rects[i];
+            const part::Rect& rect = layout.rects[i];
             if (rect.area() == 0) {
                 continue;
             }

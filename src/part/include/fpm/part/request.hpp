@@ -3,9 +3,11 @@
 ///
 /// The pipeline algorithm dispatch → continuous partition → integer
 /// rounding → column 2-D layout behind one call: build a
-/// PartitionRequest, call partition(), get a PartitionPlan.  The serve
-/// subsystem and `fpmpart_partition` plan through it; the paper benches
-/// and examples that need the continuous shares or one stage alone call
+/// PartitionRequest, call partition(), get a PartitionPlan.  Every 2-D
+/// plan comes from here: the serve subsystem, `fpmpart_partition`, the
+/// paper benches and the examples plan through it, and the simulated
+/// applications run its layout.  1-D workloads (stencil rows, LU panels,
+/// a cluster's per-node shares) and the per-stage benchmarks call
 /// partition_fpm() and round_partition() directly.  Algorithm and its
 /// one to_string()/parse_algorithm() pair live here and nowhere else.
 #pragma once

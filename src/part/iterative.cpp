@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "fpm/common/error.hpp"
+#include "fpm/part/request.hpp"
 
 namespace fpm::part {
 
@@ -36,8 +37,6 @@ IterativeResult partition_iterative(std::span<const core::SpeedFunction> models,
     FPM_CHECK(n >= 1, "matrix size must be positive");
     FPM_CHECK(static_cast<bool>(rect_time), "need a shape-aware time oracle");
 
-    const double total = static_cast<double>(n) * static_cast<double>(n);
-
     // Working copy of the models; corrections accumulate multiplicatively.
     std::vector<core::SpeedFunction> corrected(models.begin(), models.end());
 
@@ -45,14 +44,12 @@ IterativeResult partition_iterative(std::span<const core::SpeedFunction> models,
     double previous_makespan = std::numeric_limits<double>::infinity();
 
     for (std::size_t round = 0; round < kMaxRounds; ++round) {
-        const auto continuous = partition_fpm(corrected, total);
-        const auto blocks =
-            round_partition(continuous.partition, n * n, corrected);
-        ColumnLayout layout = column_partition(n, blocks.blocks);
+        const PartitionPlan plan = partition({corrected, n, Algorithm::kFpm});
+        const ColumnLayout& layout = plan.layout;
         const double makespan = layout_makespan(layout, rect_time);
 
         if (round == 0 || makespan < best.makespan) {
-            best.blocks = blocks;
+            best.blocks = {plan.blocks, plan.makespan};
             best.layout = layout;
             best.makespan = makespan;
         }

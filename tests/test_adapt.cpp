@@ -489,9 +489,10 @@ TEST(AdaptEngineTest, ConcurrentIngestsOfOneSetNeverResync) {
     EXPECT_EQ(adapter.stats().resyncs, 0u);
 }
 
-TEST(AdaptEngineTest, RepublishPastThePointBoundIsRefused) {
-    // Device 0 holds kMaxPoints points up to 6,000 blocks, so a splice at
-    // 12,000 blocks would give it one more.
+TEST(AdaptEngineTest, RepublishAtThePointBoundKeepsTheBound) {
+    // Device 0 holds kMaxPoints points up to 6,000 blocks, and no knot
+    // lies within 10 % of 12,000 blocks: the splice there replaces the
+    // nearest knot instead of adding one, so the republish goes through.
     ModelRegistry registry;
     auto models = synthetic_models(2, 16, 1.0);
     models[0] = synthetic_models(1, serve::kMaxPoints, 1.0)[0];
@@ -506,19 +507,53 @@ TEST(AdaptEngineTest, RepublishPastThePointBoundIsRefused) {
 
     const double x = 12000.0;
     const double half_speed_seconds = x / (0.5 * models[0].speed(x));
-    bool refused = false;
-    for (int i = 0; i < 8 && !refused; ++i) {
+    bool republished = false;
+    for (int i = 0; i < 8 && !republished; ++i) {
+        republished = adapter.ingest({"hybrid", 0, x, half_speed_seconds}).republished;
+    }
+    EXPECT_TRUE(republished);
+    const auto current = registry.get("hybrid");
+    EXPECT_GT(current->generation, published->generation);
+    EXPECT_EQ(adapter.stats().republished, republished_before + 1);
+    const auto& points = current->models[0].points();
+    EXPECT_EQ(points.size(), serve::kMaxPoints);
+    EXPECT_EQ(points.back().x, x);
+    EXPECT_LT(points.back().speed, models[0].speed(x));
+}
+
+TEST(AdaptEngineTest, PointBoundDoesNotStallTheSet) {
+    // Device 0 at the point bound, fed past its last knot, interleaved
+    // with device 1 at half speed: every round is accepted, the set keeps
+    // republishing and device 0 stays at exactly kMaxPoints points.
+    ModelRegistry registry;
+    auto models = synthetic_models(2, 16, 1.0);
+    models[0] = synthetic_models(1, serve::kMaxPoints, 1.0)[0];
+    const auto published = registry.put("hybrid", models);
+    RequestEngine engine(registry, {.workers = 1, .cache_capacity = 16});
+    AdaptConfig config;
+    config.min_samples = 2;
+    config.drift_threshold = 0.05;
+    config.cusum_limit = 0.1;
+    AdaptEngine adapter(engine, config);
+
+    const double x0 = 12000.0;
+    const double x1 = 1000.0;
+    const double seconds0 = x0 / (0.5 * models[0].speed(x0));
+    const double seconds1 = x1 / (0.5 * models[1].speed(x1));
+    int refused = 0;
+    for (int round = 0; round < 40; ++round) {
         try {
-            (void)adapter.ingest({"hybrid", 0, x, half_speed_seconds});
-        } catch (const serve::ServiceError& e) {
-            EXPECT_EQ(e.code(), serve::ErrorCode::kBadRequest);
-            EXPECT_EQ(e.message(), "model 0 holds 1025 points, more than 1024");
-            refused = true;
+            (void)adapter.ingest({"hybrid", 0, x0, seconds0});
+            (void)adapter.ingest({"hybrid", 1, x1, seconds1});
+        } catch (const serve::ServiceError&) {
+            ++refused;
         }
     }
-    EXPECT_TRUE(refused);
-    EXPECT_EQ(registry.get("hybrid")->generation, published->generation);
-    EXPECT_EQ(adapter.stats().republished, republished_before);
+    EXPECT_EQ(refused, 0);
+    const auto current = registry.get("hybrid");
+    EXPECT_GE(current->generation, published->generation + 2);
+    EXPECT_EQ(current->models[0].points().size(), serve::kMaxPoints);
+    EXPECT_LT(current->models[1].speed(x1), 0.75 * models[1].speed(x1));
 }
 
 TEST(AdaptEngineTest, RejectsUnknownSetsAndBadDevices) {

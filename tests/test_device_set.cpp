@@ -2,6 +2,8 @@
 // contention-aware benchmark factory.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "fpm/app/device_set.hpp"
 
 namespace fpm::app {
@@ -113,18 +115,22 @@ TEST_F(DeviceSetTest, BuildDeviceFpmsProducesOneModelPerDevice) {
 
 TEST_F(DeviceSetTest, BuildDeviceCpmsEvenShare) {
     const DeviceSet set = hybrid_devices(node_);
-    const auto speeds = build_device_cpms(node_, set, 1600.0);
-    ASSERT_EQ(speeds.size(), set.devices.size());
+    const auto cpms = build_device_cpms(node_, set, 1600.0);
+    ASSERT_EQ(cpms.size(), set.devices.size());
     // The GTX680 constant dwarfs every socket constant when measured at
     // the even share of a small problem (it fits in device memory there).
     double gtx = 0.0;
     double socket_max = 0.0;
-    for (std::size_t i = 0; i < speeds.size(); ++i) {
+    for (std::size_t i = 0; i < cpms.size(); ++i) {
+        // Constant and unbounded: the same speed at any size.
+        EXPECT_EQ(cpms[i].max_problem(), std::numeric_limits<double>::infinity());
+        const double speed = cpms[i].speed(1600.0);
+        EXPECT_EQ(cpms[i].speed(4.0), speed);
         if (set.devices[i].name == "GeForce GTX680") {
-            gtx = speeds[i];
+            gtx = speed;
         }
         if (set.devices[i].kind == DeviceKind::kCpuSocket) {
-            socket_max = std::max(socket_max, speeds[i]);
+            socket_max = std::max(socket_max, speed);
         }
     }
     EXPECT_GT(gtx, 5.0 * socket_max);

@@ -8,8 +8,7 @@
 #include "fpm/app/dynamic_sched.hpp"
 #include "fpm/app/matmul_sim.hpp"
 #include "fpm/common/math.hpp"
-#include "fpm/part/fpm_partitioner.hpp"
-#include "fpm/part/integer.hpp"
+#include "fpm/part/request.hpp"
 
 namespace fpm::app {
 namespace {
@@ -86,13 +85,10 @@ TEST_F(DynamicSchedTest, MigrationCostHurts) {
 TEST_F(DynamicSchedTest, StaticPerturbedMatchesSimulatedAppWhenUnperturbed) {
     const DeviceSet set = cpu_only_devices(node_);
     const std::int64_t n = 12;
-    std::vector<std::int64_t> areas(4, n * n / 4);
-    const double static_time =
-        run_static_app_perturbed(node_, set, areas, n);
-    SimAppOptions options;
-    options.include_comm = false;
-    const double app_time =
-        run_simulated_app(node_, set, areas, n, options).total_time;
+    const auto layout =
+        part::column_partition(n, std::vector<std::int64_t>(4, n * n / 4));
+    const double static_time = run_static_app_perturbed(node_, set, layout);
+    const double app_time = run_simulated_app(node_, set, layout).compute_time;
     EXPECT_NEAR(static_time, app_time, 1e-9 * app_time);
 }
 
@@ -110,12 +106,9 @@ TEST_F(DynamicSchedTest, StaticWinsOnDedicatedPlatform) {
     model_options.reliability.max_repetitions = 1;
     sim::HybridNode& node = node_;
     const auto fpms = build_device_fpms(node, set, model_options);
-    const auto continuous =
-        part::partition_fpm(fpms, static_cast<double>(n) * n);
-    const auto blocks = part::round_partition(continuous.partition, n * n, fpms);
+    const auto plan = part::partition({fpms, n, part::Algorithm::kFpm});
 
-    const double static_time =
-        run_static_app_perturbed(node_, set, blocks.blocks, n);
+    const double static_time = run_static_app_perturbed(node_, set, plan.layout);
     DynamicOptions options;
     options.granularity = 3;
     const double dynamic_time =
@@ -129,16 +122,16 @@ TEST_F(DynamicSchedTest, DynamicAdaptsToLoadChange) {
     // the dynamic queue reroutes tasks.
     const DeviceSet set = cpu_only_devices(node_);
     const std::int64_t n = 24;
-    std::vector<std::int64_t> areas(4, n * n / 4);
+    const auto layout =
+        part::column_partition(n, std::vector<std::int64_t>(4, n * n / 4));
 
-    const double unperturbed =
-        run_static_app_perturbed(node_, set, areas, n);
+    const double unperturbed = run_static_app_perturbed(node_, set, layout);
     const SpeedModulation modulation = [&](std::size_t device, double time) {
         return (device == 0 && time > unperturbed / 4.0) ? 0.2 : 1.0;
     };
 
     const double static_time =
-        run_static_app_perturbed(node_, set, areas, n, modulation);
+        run_static_app_perturbed(node_, set, layout, modulation);
     DynamicOptions options;
     options.granularity = 6;
     options.charge_migration = true;
@@ -155,9 +148,8 @@ TEST_F(DynamicSchedTest, Validation) {
     DynamicOptions bad;
     bad.granularity = 0;
     EXPECT_THROW(run_dynamic_app(node_, set, 4, bad), fpm::Error);
-    EXPECT_THROW(
-        run_static_app_perturbed(node_, set, {1, 2}, 4),
-        fpm::Error);
+    const auto two = part::column_partition(4, std::vector<std::int64_t>{6, 10});
+    EXPECT_THROW(run_static_app_perturbed(node_, set, two), fpm::Error);
     // Modulation outside (0, 1] rejected.
     EXPECT_THROW(run_dynamic_app(node_, set, 4, {},
                                  [](std::size_t, double) { return 1.5; }),

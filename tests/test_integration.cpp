@@ -3,14 +3,17 @@
 // paper's qualitative claims (section VI).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
 
 #include "fpm/app/matmul_sim.hpp"
-#include "fpm/part/fpm_partitioner.hpp"
 #include "fpm/part/integer.hpp"
+#include "fpm/part/request.hpp"
 
 namespace fpm::app {
 namespace {
+
+using part::Algorithm;
 
 core::FpmBuildOptions fast_fpm_options(double x_max) {
     core::FpmBuildOptions options;
@@ -27,24 +30,13 @@ class IntegrationTest : public ::testing::Test {
 protected:
     sim::HybridNode node_{sim::ig_platform(), {}};
 
-    std::vector<std::int64_t> fpm_partition(std::int64_t n,
-                                            const std::vector<core::SpeedFunction>& fpms) {
-        const auto continuous =
-            part::partition_fpm(fpms, static_cast<double>(n * n));
-        return part::round_partition(continuous.partition, n * n, fpms).blocks;
-    }
-
-    std::vector<std::int64_t> cpm_partition(std::int64_t n,
-                                            const std::vector<double>& speeds) {
-        const auto continuous =
-            part::partition_cpm(speeds, static_cast<double>(n * n));
-        return part::round_largest_remainder(continuous, n * n).blocks;
-    }
-
-    std::vector<std::int64_t> even_partition(std::size_t devices, std::int64_t n) {
-        const auto continuous =
-            part::partition_homogeneous(devices, static_cast<double>(n * n));
-        return part::round_largest_remainder(continuous, n * n).blocks;
+    /// Simulated time of `algorithm`'s plan of an n x n matrix under
+    /// `models` on `set`.
+    double run_time(const DeviceSet& set,
+                    const std::vector<core::SpeedFunction>& models,
+                    std::int64_t n, Algorithm algorithm) {
+        const auto plan = part::partition({models, n, algorithm});
+        return run_simulated_app(node_, set, plan.layout).total_time;
     }
 };
 
@@ -52,12 +44,13 @@ TEST_F(IntegrationTest, FpmPartitionBalancesHybridNode) {
     const DeviceSet set = hybrid_devices(node_);
     const auto fpms = build_device_fpms(node_, set, fast_fpm_options(5200.0));
     const std::int64_t n = 60;
-    const auto blocks = fpm_partition(n, fpms);
+    const auto plan = part::partition({fpms, n, Algorithm::kFpm});
+    const auto& blocks = plan.blocks;
 
     EXPECT_EQ(std::accumulate(blocks.begin(), blocks.end(), std::int64_t{0}),
               n * n);
 
-    const auto result = run_simulated_app(node_, set, blocks, n);
+    const auto result = run_simulated_app(node_, set, plan.layout);
     // All devices finish within a tight band of the straggler.
     const double makespan = *std::max_element(result.device_iter_time.begin(),
                                               result.device_iter_time.end());
@@ -91,9 +84,9 @@ TEST_F(IntegrationTest, CpmOverloadsGpuBeyondMemoryLimit) {
     }
 
     const std::int64_t n = 70;
-    const auto cpm_speeds = build_device_cpms(node_, set, static_cast<double>(n * n));
-    const auto cpm_blocks = cpm_partition(n, cpm_speeds);
-    const auto fpm_blocks = fpm_partition(n, fpms);
+    const auto cpms = build_device_cpms(node_, set, static_cast<double>(n * n));
+    const auto cpm_blocks = part::partition({cpms, n, Algorithm::kCpm}).blocks;
+    const auto fpm_blocks = part::partition({fpms, n, Algorithm::kFpm}).blocks;
 
     const double cpm_ratio = static_cast<double>(cpm_blocks[gtx]) /
                              static_cast<double>(cpm_blocks[s6]);
@@ -111,16 +104,11 @@ TEST_F(IntegrationTest, FpmBeatsCpmAndHomogeneousAtLargeSizes) {
     const auto fpms = build_device_fpms(node_, set, fast_fpm_options(5200.0));
 
     const std::int64_t n = 70;
-    const auto cpm_speeds = build_device_cpms(node_, set, static_cast<double>(n * n));
+    const auto cpms = build_device_cpms(node_, set, static_cast<double>(n * n));
 
-    const auto t_even =
-        run_simulated_app(node_, set, even_partition(set.devices.size(), n), n)
-            .total_time;
-    const auto t_cpm =
-        run_simulated_app(node_, set, cpm_partition(n, cpm_speeds), n)
-            .total_time;
-    const auto t_fpm =
-        run_simulated_app(node_, set, fpm_partition(n, fpms), n).total_time;
+    const auto t_even = run_time(set, fpms, n, Algorithm::kEven);
+    const auto t_cpm = run_time(set, cpms, n, Algorithm::kCpm);
+    const auto t_fpm = run_time(set, fpms, n, Algorithm::kFpm);
 
     EXPECT_LT(t_fpm, t_cpm);
     EXPECT_LT(t_cpm, t_even);
@@ -134,12 +122,9 @@ TEST_F(IntegrationTest, CpmMatchesFpmWhileProblemsAreSmall) {
     const auto fpms = build_device_fpms(node_, set, fast_fpm_options(5200.0));
 
     const std::int64_t n = 30;  // everything fits the GTX680's memory
-    const auto cpm_speeds = build_device_cpms(node_, set, static_cast<double>(n * n));
-    const auto t_cpm =
-        run_simulated_app(node_, set, cpm_partition(n, cpm_speeds), n)
-            .total_time;
-    const auto t_fpm =
-        run_simulated_app(node_, set, fpm_partition(n, fpms), n).total_time;
+    const auto cpms = build_device_cpms(node_, set, static_cast<double>(n * n));
+    const auto t_cpm = run_time(set, cpms, n, Algorithm::kCpm);
+    const auto t_fpm = run_time(set, fpms, n, Algorithm::kFpm);
     EXPECT_NEAR(t_cpm / t_fpm, 1.0, 0.12);
 }
 
@@ -153,16 +138,14 @@ TEST_F(IntegrationTest, TableIIOrderingReproduced) {
 
     double previous_gpu_advantage = 1e9;
     for (const std::int64_t n : {40, 50, 60, 70}) {
-        const auto t_cpu =
-            run_simulated_app(node_, cpu_set,
-                              even_partition(cpu_set.devices.size(), n), n)
-                .total_time;
-        const auto t_gpu =
-            run_simulated_app(node_, gpu_set, {n * n}, n).total_time;
-        const auto t_hybrid =
-            run_simulated_app(node_, hybrid_set, fpm_partition(n, fpms),
-                              n)
-                .total_time;
+        const auto even_time = [&](const DeviceSet& set) {
+            const auto cpms =
+                build_device_cpms(node_, set, static_cast<double>(n * n));
+            return run_time(set, cpms, n, Algorithm::kEven);
+        };
+        const auto t_cpu = even_time(cpu_set);
+        const auto t_gpu = even_time(gpu_set);
+        const auto t_hybrid = run_time(hybrid_set, fpms, n, Algorithm::kFpm);
 
         EXPECT_LT(t_hybrid, t_cpu) << "n=" << n;
         EXPECT_LT(t_hybrid, t_gpu) << "n=" << n;
@@ -180,6 +163,51 @@ TEST_F(IntegrationTest, TableIIOrderingReproduced) {
     }
 }
 
+TEST_F(IntegrationTest, BaselinesKeepTheirMeasuredConstants) {
+    // Planned through part::partition, the cpm baseline is the largest-
+    // remainder rounding of the constants build_cpm_even_share measures,
+    // and every even plan that of the even shares: the hybrid one under
+    // the FPMs, the CPU-only and GTX680-only ones under their own CPMs.
+    const DeviceSet hybrid = hybrid_devices(node_);
+    const auto fpms = build_device_fpms(node_, hybrid, fast_fpm_options(5200.0));
+    for (std::int64_t n = 10; n <= 80; n += 10) {
+        const double total = static_cast<double>(n * n);
+        std::vector<std::unique_ptr<core::KernelBenchmark>> benches;
+        std::vector<core::KernelBenchmark*> pointers;
+        for (std::size_t i = 0; i < hybrid.devices.size(); ++i) {
+            benches.push_back(make_device_bench(node_, hybrid, i));
+            pointers.push_back(benches.back().get());
+        }
+        std::vector<double> speeds;
+        for (const auto& model : core::build_cpm_even_share(pointers, total)) {
+            speeds.push_back(model.speed);
+        }
+        const auto cpms = build_device_cpms(node_, hybrid, total);
+        EXPECT_EQ(part::partition({cpms, n, Algorithm::kCpm}).blocks,
+                  part::round_largest_remainder(
+                      part::partition_cpm(speeds, total), n * n)
+                      .blocks)
+            << "n=" << n;
+
+        const auto even_blocks = [&](std::size_t devices) {
+            return part::round_largest_remainder(
+                       part::partition_homogeneous(devices, total), n * n)
+                .blocks;
+        };
+        EXPECT_EQ(part::partition({fpms, n, Algorithm::kEven}).blocks,
+                  even_blocks(hybrid.devices.size()))
+            << "n=" << n;
+        for (const DeviceSet& set :
+             {cpu_only_devices(node_),
+              single_gpu_devices(node_, 1, sim::KernelVersion::kV2)}) {
+            const auto own = build_device_cpms(node_, set, total);
+            EXPECT_EQ(part::partition({own, n, Algorithm::kEven}).blocks,
+                      even_blocks(set.devices.size()))
+                << "n=" << n;
+        }
+    }
+}
+
 TEST_F(IntegrationTest, PipelineWorksUnderMeasurementNoise) {
     sim::HybridNode noisy(sim::ig_platform(), {.noise_sigma = 0.04});
     const DeviceSet set = hybrid_devices(noisy);
@@ -190,16 +218,14 @@ TEST_F(IntegrationTest, PipelineWorksUnderMeasurementNoise) {
     options.reliability.target_relative_error = 0.02;
     const auto fpms = build_device_fpms(noisy, set, options);
 
-    const std::int64_t n = 60;
-    const auto continuous = part::partition_fpm(fpms, static_cast<double>(n * n));
-    const auto blocks = part::round_partition(continuous.partition, n * n, fpms);
-    const auto result = run_simulated_app(noisy, set, blocks.blocks, n);
+    const auto plan = part::partition({fpms, 60, Algorithm::kFpm});
+    const auto result = run_simulated_app(noisy, set, plan.layout);
 
     // Balance within 20 % despite noisy models.
     const double makespan = *std::max_element(result.device_iter_time.begin(),
                                               result.device_iter_time.end());
     for (std::size_t i = 0; i < set.devices.size(); ++i) {
-        if (blocks.blocks[i] > 0) {
+        if (plan.blocks[i] > 0) {
             EXPECT_GT(result.device_iter_time[i], 0.6 * makespan)
                 << set.devices[i].name;
         }

@@ -5,8 +5,6 @@
 #include <numeric>
 
 #include "fpm/app/matmul_sim.hpp"
-#include "fpm/part/fpm_partitioner.hpp"
-#include "fpm/part/integer.hpp"
 
 namespace fpm::app {
 namespace {
@@ -15,22 +13,22 @@ class MatmulSimTest : public ::testing::Test {
 protected:
     sim::HybridNode node_{sim::ig_platform(), {}};
 
-    static std::vector<std::int64_t> even_areas(std::size_t devices,
-                                                std::int64_t n) {
+    /// Column layout of n x n blocks spread as evenly as they go.
+    static part::ColumnLayout even_layout(std::size_t devices, std::int64_t n) {
         std::vector<std::int64_t> areas(devices, n * n / static_cast<std::int64_t>(devices));
         std::int64_t leftover = n * n - std::accumulate(areas.begin(), areas.end(),
                                                         std::int64_t{0});
         for (std::int64_t i = 0; i < leftover; ++i) {
             ++areas[static_cast<std::size_t>(i) % devices];
         }
-        return areas;
+        return part::column_partition(n, areas);
     }
 };
 
 TEST_F(MatmulSimTest, CpuOnlyHomogeneousRun) {
     const DeviceSet set = cpu_only_devices(node_);
-    const auto areas = even_areas(set.devices.size(), 40);
-    const auto result = run_simulated_app(node_, set, areas, 40);
+    const auto result =
+        run_simulated_app(node_, set, even_layout(set.devices.size(), 40));
 
     EXPECT_GT(result.total_time, 0.0);
     EXPECT_GT(result.comm_time, 0.0);
@@ -45,23 +43,10 @@ TEST_F(MatmulSimTest, CpuOnlyHomogeneousRun) {
     EXPECT_LT(result.total_time, 140.0);
 }
 
-TEST_F(MatmulSimTest, CommunicationToggle) {
-    const DeviceSet set = cpu_only_devices(node_);
-    const auto areas = even_areas(set.devices.size(), 20);
-    SimAppOptions with_comm;
-    SimAppOptions without_comm;
-    without_comm.include_comm = false;
-    const auto a = run_simulated_app(node_, set, areas, 20, with_comm);
-    const auto b = run_simulated_app(node_, set, areas, 20, without_comm);
-    EXPECT_GT(a.total_time, b.total_time);
-    EXPECT_DOUBLE_EQ(b.comm_time, 0.0);
-    EXPECT_DOUBLE_EQ(a.compute_time, b.compute_time);
-}
-
 TEST_F(MatmulSimTest, SingleGpuRunExercisesOutOfCore) {
     const DeviceSet set = single_gpu_devices(node_, 1, sim::KernelVersion::kV2);
     const std::int64_t n = 60;  // 3600 blocks: out of core for the GTX680
-    const auto result = run_simulated_app(node_, set, {n * n}, n);
+    const auto result = run_simulated_app(node_, set, even_layout(1, n));
     EXPECT_GT(result.total_time, 0.0);
     // A single process has no one to talk to.
     EXPECT_DOUBLE_EQ(result.comm_time, 0.0);
@@ -95,8 +80,9 @@ TEST_F(MatmulSimTest, GpuContentionAppliedInHybridRuns) {
     }
     ASSERT_EQ(rest, 0);
 
-    const auto hybrid_result = run_simulated_app(node_, hybrid, areas, n);
-    const part::Rect rect = hybrid_result.layout.rects[gtx];
+    const auto layout = part::column_partition(n, areas);
+    const auto hybrid_result = run_simulated_app(node_, hybrid, layout);
+    const part::Rect rect = layout.rects[gtx];
     const double idle = node_.gpu_sim(1)
                             .time_invocation(rect.w, rect.h,
                                              sim::KernelVersion::kV3)
@@ -106,8 +92,8 @@ TEST_F(MatmulSimTest, GpuContentionAppliedInHybridRuns) {
 
 TEST_F(MatmulSimTest, DeviceComputeTimesScaleWithIterations) {
     const DeviceSet set = cpu_only_devices(node_);
-    const auto areas = even_areas(set.devices.size(), 24);
-    const auto result = run_simulated_app(node_, set, areas, 24);
+    const auto result =
+        run_simulated_app(node_, set, even_layout(set.devices.size(), 24));
     for (std::size_t i = 0; i < set.devices.size(); ++i) {
         EXPECT_NEAR(result.device_compute_time[i],
                     result.device_iter_time[i] * 24.0, 1e-9);
@@ -149,18 +135,11 @@ TEST_F(MatmulSimTest, PerProcessExpansionMatchesPaperRankOrder) {
 
 TEST_F(MatmulSimTest, Validation) {
     const DeviceSet set = cpu_only_devices(node_);
-    EXPECT_THROW(run_simulated_app(node_, set, {1, 2}, 10), fpm::Error);
-    EXPECT_THROW(run_simulated_app(node_, set, even_areas(4, 10), 0),
-                 fpm::Error);
+    EXPECT_THROW(run_simulated_app(node_, set, even_layout(2, 10)), fpm::Error);
+    part::ColumnLayout empty;
+    empty.rects.resize(set.devices.size());
+    EXPECT_THROW(run_simulated_app(node_, set, empty), fpm::Error);
     EXPECT_THROW(per_process_times(set, std::vector<double>{1.0}), fpm::Error);
-}
-
-TEST_F(MatmulSimTest, LayoutReturnedWithResult) {
-    const DeviceSet set = cpu_only_devices(node_);
-    const auto areas = even_areas(set.devices.size(), 16);
-    const auto result = run_simulated_app(node_, set, areas, 16);
-    EXPECT_EQ(result.layout.n, 16);
-    EXPECT_NO_THROW(result.layout.validate());
 }
 
 } // namespace
