@@ -82,7 +82,9 @@ void save_speed_functions_csv(const std::string& path,
                               const std::vector<SpeedFunction>& models);
 
 /// Reads models back from `path`; see read_speed_functions().  Throws
-/// ParseError on malformed input, fpm::Error when the file is missing.
+/// ParseError on malformed input, fpm::Error when the file is missing
+/// or is not a regular file (a FIFO, a device, a directory), checked
+/// before anything is read.
 std::vector<SpeedFunction> load_speed_functions_csv(const std::string& path);
 
 } // namespace fpm::core

@@ -1,11 +1,15 @@
 #include "fpm/core/model_io.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <iterator>
 #include <limits>
 
 #include "fpm/common/split.hpp"
@@ -231,9 +235,35 @@ void save_speed_functions_csv(const std::string& path,
 }
 
 std::vector<SpeedFunction> load_speed_functions_csv(const std::string& path) {
-    std::ifstream in(path);
-    FPM_CHECK(in.good(), "cannot open model file: " + path);
-    const std::string text{std::istreambuf_iterator<char>(in), {}};
+    // O_NONBLOCK: opening a FIFO does not wait for a writer.  The type
+    // check on the open descriptor then refuses anything but a regular
+    // file before a byte is read, so a FIFO cannot block the reader and
+    // a device such as /dev/zero cannot fill memory.
+    struct Descriptor {
+        int fd;
+        ~Descriptor() {
+            if (fd >= 0) {
+                ::close(fd);
+            }
+        }
+    } file{::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC)};
+    FPM_CHECK(file.fd >= 0, "cannot open model file: " + path);
+    struct stat info {};
+    FPM_CHECK(::fstat(file.fd, &info) == 0 && S_ISREG(info.st_mode),
+              "model file is not a regular file: " + path);
+    std::string text;
+    text.reserve(static_cast<std::size_t>(info.st_size));
+    char chunk[65536];
+    for (;;) {
+        const ssize_t n = ::read(file.fd, chunk, sizeof chunk);
+        if (n > 0) {
+            text.append(chunk, static_cast<std::size_t>(n));
+        } else if (n == 0) {
+            break;
+        } else {
+            FPM_CHECK(errno == EINTR, "cannot read model file: " + path);
+        }
+    }
     return read_speed_functions(text, path);
 }
 

@@ -82,7 +82,7 @@ public:
     [[nodiscard]] std::shared_ptr<const PartitionPlan> get(const PlanKey& key);
 
     /// get(), except a miss is not counted in stats() — for speculative
-    /// probes (the reactor's cache-hit fast path) whose misses fall back
+    /// probes (RequestEngine::try_execute_cached()) whose misses fall back
     /// to the counting path, so each request still records exactly one
     /// lookup.  A hit counts (and refreshes recency) as usual.
     [[nodiscard]] std::shared_ptr<const PartitionPlan>

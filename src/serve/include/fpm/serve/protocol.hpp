@@ -343,9 +343,9 @@ void append_partition_line(std::string& out, const PartitionRequest& request,
 /// A PARTITION answer is append_partition_line(): the plan's stored
 /// fields, encoded once when compute_plan() made it.  Everything runs on
 /// the calling thread: the reactor calls this inline for PING, QUIT,
-/// STATS, HEALTH and MODELS, answers PARTITION cache hits itself
-/// (try_execute_cached() and append_partition_line() on the loop), and
-/// calls this on the engine pool for PARTITION misses, FEEDBACK and LOAD.
+/// STATS, HEALTH and MODELS, answers PARTITION itself (execute() and
+/// append_partition_line() on the loop, the same bytes), and calls this
+/// on the engine pool for FEEDBACK and LOAD.
 [[nodiscard]] std::string handle_request(RequestEngine& engine,
                                          const Request& request);
 

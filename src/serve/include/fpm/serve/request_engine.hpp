@@ -9,9 +9,9 @@
 /// only locks on that path are the registry's and one cache stripe's.
 /// Identical misses that run at the same time each compute (plans are
 /// deterministic, so they agree bit for bit); through the server every
-/// miss is a pool task that looks the cache up when it starts, and a
-/// connection has at most one in flight, so at most Options::workers
-/// computes of one key overlap.  Per request the engine
+/// PARTITION runs execute() on the reactor thread that read it, so at
+/// most ServeConfig::num_reactors computes of one key overlap, and the
+/// pool runs only FEEDBACK and LOAD (post()).  Per request the engine
 /// records wall-clock latency into one histogram per algorithm; those and
 /// the engine's own counters (all wait-free obs instruments, kept per
 /// engine) are surfaced through stats() and the STATS wire command.
@@ -118,7 +118,7 @@ struct EngineStats {
 class RequestEngine {
 public:
     struct Options {
-        unsigned workers = 4;             ///< thread-pool size
+        unsigned workers = 4;  ///< pool size: FEEDBACK, LOAD, submit_async()
         std::size_t cache_capacity = 1024;
         /// Lock stripes of the plan cache (rounded up to a power of two;
         /// 0 is treated as 1).  Raise alongside ServeConfig::num_reactors
@@ -151,20 +151,18 @@ public:
     /// outcome from the worker thread — failures arrive as
     /// AsyncResult::error instead of a thrown exception, so callers that
     /// cannot rethrow across threads get a complete result either way
-    /// (the server's misses go through post() instead).  `done` must be
-    /// callable after the caller has gone away if the caller can be
+    /// (the server runs execute() on its reactors instead).  `done` must
+    /// be callable after the caller has gone away if the caller can be
     /// destroyed before the engine drains (capture shared state by
     /// shared_ptr).
     void submit_async(const PartitionRequest& request,
                       std::function<void(AsyncResult)> done);
 
-    /// Cache-hit fast path: answers from the plan cache without touching
-    /// the thread pool, or returns nullopt when the request would need a
-    /// compute (cache miss, unknown model set, invalid n) — callers fall
-    /// back to execute() on the pool, which reports any error.  Counts
-    /// exactly like execute()'s hit path, so STATS cannot tell the two
-    /// apart.  The serve reactor probes this before paying the
-    /// worker-thread round trip.
+    /// Cache-hit probe: the cached plan, or nullopt when the request would
+    /// need a compute (cache miss, unknown set, invalid n); the caller
+    /// then runs execute(), which counts the miss and reports any error.
+    /// A hit counts like execute()'s.  The server calls execute() alone;
+    /// perfbench's shadow engine calls this.
     [[nodiscard]] std::optional<PartitionResponse>
     try_execute_cached(const PartitionRequest& request);
 
@@ -199,11 +197,11 @@ public:
     FeedbackReply execute_feedback(const FeedbackSample& sample);
 
     /// Runs `task` on the engine's thread pool and returns at once.  The
-    /// reactor hands PARTITION misses, FEEDBACK and LOAD to
-    /// handle_request() this way, so compute, ingest/refine/publish and
-    /// model loads never run on the event loop.  An exception
-    /// escaping `task` is dropped, so `task` reports its own failures;
-    /// same lifetime rules as submit_async().
+    /// reactor hands FEEDBACK and LOAD to handle_request() this way, so
+    /// ingest/refine/publish (a store append, maybe a snapshot with
+    /// fsync) and model-file reads never run on the event loop.  An
+    /// exception escaping `task` is dropped, so `task` reports its own
+    /// failures; same lifetime rules as submit_async().
     void post(std::function<void()> task);
 
     /// Drops every cached plan keyed on `old_fingerprint`, the content a

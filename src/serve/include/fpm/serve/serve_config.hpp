@@ -6,7 +6,7 @@
 /// exactly one place: where the server binds, how many connections it
 /// admits, when it evicts idle peers, and the deadlines a client applies
 /// to connect and I/O.  Engine-side knobs (workers, cache capacity) stay
-/// on RequestEngine::Options — they size compute, not transport.
+/// on RequestEngine::Options — they size the FEEDBACK/LOAD pool and cache.
 #pragma once
 
 #include <cstdint>
@@ -24,10 +24,10 @@ struct ServeConfig {
     // -- reactor pool -------------------------------------------------
     /// Event-loop threads.  Each reactor owns its own epoll instance and
     /// listening socket; with more than one, the sockets are bound with
-    /// SO_REUSEPORT so the kernel load-balances accepted connections and
-    /// no cross-reactor handoff exists on the hot path.  1 (the default)
-    /// reproduces the single-reactor behaviour of prior releases exactly
-    /// (no SO_REUSEPORT).  Clamped to >= 1.
+    /// SO_REUSEPORT so the kernel load-balances accepted connections.  A
+    /// reactor computes its own connections' plans, so this is also how
+    /// many compute at once.  1 (the default) skips SO_REUSEPORT.
+    /// Clamped to >= 1.
     std::size_t num_reactors = 1;
 
     // -- reactor lifecycle --------------------------------------------

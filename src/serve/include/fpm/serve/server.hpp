@@ -34,9 +34,10 @@
 ///    replies for at most 5 s, then closes.  Lines still buffered
 ///    behind them get no reply.
 ///
-/// The loop answers PING, QUIT, STATS, HEALTH, MODELS and PARTITION
-/// cache hits inline; PARTITION misses, FEEDBACK and LOAD (a CSV read
-/// and a store append) run handle_request() on the engine pool.  Port 0
+/// The loop answers PING, QUIT, STATS, HEALTH, MODELS and every
+/// PARTITION inline, computing a miss itself (so num_reactors is what
+/// spreads computes over cores); FEEDBACK and LOAD, which write or read
+/// a file, run handle_request() on the engine pool.  Port 0
 /// picks an ephemeral port (the first listener binds it, the rest join
 /// it via SO_REUSEPORT); port() reports the bound one, which is how
 /// tests and the bench avoid collisions.  Every reactor event feeds the

@@ -83,9 +83,14 @@ PartitionResponse RequestEngine::execute(const PartitionRequest& request) {
     }
     const PlanKey key{set->fingerprint, request.n, request.algorithm,
                       request.with_layout};
-    if (auto plan = cache_.get(key)) {
-        return finish(timer.elapsed(), request.algorithm, std::move(plan),
-                      true);
+    // serve.cache simulates a cache outage: no lookup (none counted), so
+    // the plan is computed and cached again.
+    static auto& cache_fault = fault::point("serve.cache");
+    if (!cache_fault.fire()) {
+        if (auto plan = cache_.get(key)) {
+            return finish(timer.elapsed(), request.algorithm, std::move(plan),
+                          true);
+        }
     }
 
     std::shared_ptr<const PartitionPlan> plan;
@@ -122,9 +127,7 @@ RequestEngine::try_execute_cached(const PartitionRequest& request) {
     }
     const PlanKey key{set->fingerprint, request.n, request.algorithm,
                       request.with_layout};
-    // The cache locks per stripe and plans are immutable, so N reactors
-    // run their fast paths without serializing on the engine; a miss
-    // falls back to execute(), whose lookup counts it.
+    // A miss is not counted: the caller's execute() counts it.
     std::shared_ptr<const PartitionPlan> plan = cache_.probe(key);
     if (!plan) {
         return std::nullopt;

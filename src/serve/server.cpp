@@ -314,22 +314,22 @@ struct SocketServer::Reactor {
         end_reply(conn);
     }
 
-    /// Ends the reply line just appended to the write buffer and records
+    /// Ends the reply line just appended to the write buffer, records
     /// its queue-to-reply latency, from the read that brought its request
-    /// in.
+    /// in, and stamps the connection with that clock read: after a
+    /// compute on the loop, the wakeup's `now` may be stale.
     void end_reply(Connection& conn) {
         conn.outbuf += '\n';
+        const Clock::time_point replied = Clock::now();
         metrics().queue_to_reply_seconds.record(
-            std::chrono::duration<double>(Clock::now() - conn.read_at)
-                .count());
-        conn.last_active = now;
+            std::chrono::duration<double>(replied - conn.read_at).count());
+        conn.last_active = replied;
     }
 
-    /// Answers one request line inline (PING, QUIT, STATS, HEALTH,
-    /// MODELS, decode errors and PARTITION cache hits) or runs it through
-    /// handle_request() on the engine pool (PARTITION misses, FEEDBACK,
-    /// LOAD), which leaves the connection in flight until the completion
-    /// returns.
+    /// Answers one request line on the loop thread (PING, QUIT, STATS,
+    /// HEALTH, MODELS, PARTITION, decode errors) or runs it through
+    /// handle_request() on the engine pool (FEEDBACK, LOAD), which leaves
+    /// the connection in flight until the completion returns.
     void handle_line_on(Connection& conn, std::string_view line) {
         Request request;
         try {
@@ -340,39 +340,30 @@ struct SocketServer::Reactor {
             return;
         }
         if (request.kind == Request::Kind::kPartition) {
-            // Cache hits answer on the loop thread — no pool hop, no
-            // eventfd round trip — with the plan's stored reply fields
-            // copied straight into the write buffer.  STATS counts them
-            // exactly like the pool's hit path.  A serve.cache fault
-            // skips the fast path (simulated cache outage); the pool
-            // still answers.
-            static auto& cache_fault = fault::point("serve.cache");
-            if (!cache_fault.fire()) {
-                if (auto cached =
-                        engine.try_execute_cached(request.partition)) {
-                    try {
-                        append_partition_line(conn.outbuf, request.partition,
-                                              *cached);
-                    } catch (...) {
-                        // It fails before appending: nothing escapes the
-                        // loop, and the client still gets one reply.
-                        conn.outbuf +=
-                            current_error(ErrorCode::kInternal).encode();
-                    }
-                    end_reply(conn);
-                    return;
-                }
+            // Hit or miss, the plan's reply goes straight into the write
+            // buffer: a typical compute costs less than a pool round trip.
+            const std::size_t mark = conn.outbuf.size();
+            try {
+                append_partition_line(conn.outbuf, request.partition,
+                                      engine.execute(request.partition));
+            } catch (...) {
+                // The ERR line handle_request() writes for it.
+                conn.outbuf.resize(mark);
+                conn.outbuf += current_error(ErrorCode::kInternal).encode();
             }
-        } else if (request.kind != Request::Kind::kFeedback &&
-                   request.kind != Request::Kind::kLoad) {
+            end_reply(conn);
+            return;
+        }
+        if (request.kind != Request::Kind::kFeedback &&
+            request.kind != Request::Kind::kLoad) {
             if (request.kind == Request::Kind::kQuit) {
                 conn.closing = true;  // drop any pipelined input after QUIT
             }
             queue_reply(conn, handle_request(engine, request));
             return;
         }
-        // Compute, feedback ingest and model loads (a CSV read and a WAL
-        // append) run on the pool.  The connection takes no further line
+        // FEEDBACK (a republish appends to the store) and LOAD (a file
+        // read) run on the pool.  The connection takes no further line
         // until the completion returns through the eventfd mailbox.
         conn.in_flight = true;
         engine.post([&engine = engine, queue = completions,
@@ -516,7 +507,7 @@ struct SocketServer::Reactor {
         if (n > 0) {
             conn.inbuf.append(chunk, static_cast<std::size_t>(n));
             conn.read_at = Clock::now();
-            conn.last_active = now;
+            conn.last_active = conn.read_at;
             return pump(conn, false);
         }
         if (n == 0) {

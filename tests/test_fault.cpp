@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "fpm/adapt/engine.hpp"
+#include "fpm/core/model_io.hpp"
 #include "fpm/fault/fault.hpp"
 #include "fpm/measure/timer.hpp"
 #include "fpm/serve/client.hpp"
@@ -476,8 +478,9 @@ TEST(FaultClient, FeedbackIsNotResentAfterATransportError) {
 // ---------------------------------------------------------------------------
 // The chaos test: every injection point armed against the pipelined
 // 16-client harness, >= 10k requests, and every single one must either
-// match the direct library call bit-for-bit, be a well-formed degraded
-// plan, or fail cleanly with a typed error.  Zero torn replies.
+// match the direct library call bit-for-bit (a LOAD: reload the same
+// content), be a well-formed degraded plan, or fail cleanly with a
+// typed error.  Zero torn replies.
 // ---------------------------------------------------------------------------
 
 void chaos_pipelined_requests(std::size_t num_reactors,
@@ -496,6 +499,17 @@ void chaos_pipelined_requests(std::size_t num_reactors,
     const std::int64_t ns[] = {24, 30, 36, 42};
     const Algorithm algorithms[] = {Algorithm::kFpm, Algorithm::kCpm,
                                     Algorithm::kEven};
+
+    // Every eighth line reloads alpha from its own CSV.  A LOAD runs on
+    // the engine pool, so the schedule reaches rt.dispatch (a PARTITION
+    // computes on its reactor), and the content, hence the fingerprint
+    // and every direct plan below, stays the same.
+    const std::string csv = ::testing::TempDir() + "fpmpart_chaos_alpha_" +
+                            std::to_string(num_reactors) + ".csv";
+    core::save_speed_functions_csv(csv, alpha->models);
+    ASSERT_EQ(fingerprint_models(core::load_speed_functions_csv(csv)),
+              alpha->fingerprint);
+    const std::string load_line = "LOAD alpha " + csv;
 
     // Direct library answers for every (n, algorithm) in the mix.  A
     // degraded reply reports the algorithm that actually produced it
@@ -530,7 +544,8 @@ void chaos_pipelined_requests(std::size_t num_reactors,
     std::atomic<std::uint64_t> clean_errors{0};   // ERR lines, lost batches
     std::atomic<std::uint64_t> torn_replies{0};   // must stay zero
 
-    // Validates one reply line for (n, algorithm); bumps the counters.
+    // Validates one reply line for (n, algorithm), or for the LOAD when
+    // n is 0; bumps the counters.
     const auto validate = [&](const std::string& line, std::int64_t n) {
         Response response;
         try {
@@ -542,6 +557,14 @@ void chaos_pipelined_requests(std::size_t num_reactors,
         if (response.kind == Response::Kind::kError) {
             clean_errors.fetch_add(1);
             EXPECT_FALSE(response.error.empty());
+            return;
+        }
+        if (n == 0) {
+            const bool reloaded = response.kind == Response::Kind::kLoaded &&
+                                  response.loaded.name == "alpha" &&
+                                  response.loaded.fingerprint ==
+                                      alpha->fingerprint;
+            (reloaded ? ok_exact : torn_replies).fetch_add(1);
             return;
         }
         if (response.kind != Response::Kind::kPartition) {
@@ -592,6 +615,11 @@ void chaos_pipelined_requests(std::size_t num_reactors,
             std::vector<std::string> lines;
             for (std::size_t j = 0; j < kBatchSize; ++j) {
                 const std::size_t mix = client_index + batch * kBatchSize + j;
+                if (j % 8 == 7) {
+                    batch_ns.push_back(0);
+                    lines.push_back(load_line);
+                    continue;
+                }
                 batch_ns.push_back(ns[mix % 4]);
                 lines.push_back(partition_line("alpha", ns[mix % 4],
                                                algorithms[mix % 3]));
@@ -638,6 +666,7 @@ void chaos_pipelined_requests(std::size_t num_reactors,
 
     server.stop();
     fault::uninstall();
+    std::remove(csv.c_str());
 
     const std::uint64_t total = ok_exact.load() + ok_degraded.load() +
                                 clean_errors.load() + torn_replies.load();

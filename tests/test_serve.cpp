@@ -8,12 +8,15 @@
 
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <future>
 #include <limits>
@@ -953,6 +956,38 @@ TEST(ServeIntegration, WireLoadRefusesASetPastTheDeviceBound) {
     server.stop();
     std::remove(too_many.c_str());
     std::remove(largest.c_str());
+}
+
+// A model file must be a regular file.  LOAD refuses a device and a FIFO
+// at once, before reading a byte, with the same class of ERR an
+// unopenable path gets, and the registry keeps what it held: reading
+// /dev/zero would never end, and opening a FIFO would wait for a writer.
+TEST(ServeIntegration, WireLoadRefusesAFileThatIsNotRegular) {
+    const std::string fifo = ::testing::TempDir() + "fpmpart_serve_models.fifo";
+    std::remove(fifo.c_str());
+    ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0) << std::strerror(errno);
+
+    ModelRegistry registry;
+    registry.put("alpha", synthetic_models(2, 8, 1.0));
+    RequestEngine engine(registry, {.workers = 2, .cache_capacity = 4});
+    SocketServer server(engine);
+    server.start();
+    ServeClient client("127.0.0.1", server.port());
+    const std::string models = client.request("MODELS");
+
+    measure::WallTimer timer;
+    for (const std::string& path : {std::string("/dev/zero"), fifo}) {
+        EXPECT_EQ(client.request("LOAD alpha " + path),
+                  "ERR internal model file is not a regular file: " + path);
+        EXPECT_EQ(client.request("MODELS"), models);
+    }
+    EXPECT_EQ(client.request("LOAD alpha /nonexistent/models.csv"),
+              "ERR internal cannot open model file: /nonexistent/models.csv");
+    EXPECT_LT(timer.elapsed(), 2.0);
+    EXPECT_EQ(client.request("MODELS"), models);
+
+    server.stop();
+    std::remove(fifo.c_str());
 }
 
 /// Binds a loopback listener on an ephemeral port (never accepts unless

@@ -9,6 +9,7 @@
 // completes a batch of any size, seeded splits of hostile input answer
 // like one write), idle-timeout
 // eviction (slow loris out; in-flight and talking clients kept),
+// PARTITION misses computing on their reactor, never on the engine pool,
 // FEEDBACK on the engine pool answering exactly like handle_line(),
 // max_connections admission control, graceful drain of in-flight
 // requests on stop(), and the reactor fields surfaced through STATS.
@@ -288,7 +289,7 @@ TEST(ServeReactorPool, FourReactorsMatchDirectLibraryCallsBitForBit) {
 }
 
 // ---------------------------------------------------------------------------
-// Responses interleave inline commands and pool-computed partitions but
+// Responses interleave inline commands and computed partitions but
 // always come back in request order on one connection.
 // ---------------------------------------------------------------------------
 TEST(ServeReactor, MixedPipelineKeepsRequestOrder) {
@@ -329,6 +330,48 @@ TEST(ServeReactor, MixedPipelineKeepsRequestOrder) {
     EXPECT_EQ(stats.cache_shards, 1U);  // default single-stripe cache
     EXPECT_TRUE(stats.extras.empty()) << stats.extras.begin()->first;
 
+    server.stop();
+}
+
+// ---------------------------------------------------------------------------
+// A PARTITION miss computes on the reactor that read it: N distinct
+// misses over a socket reach serve.compute N times and the engine
+// pool's dispatch point not once.
+// ---------------------------------------------------------------------------
+TEST(ServeReactor, PartitionMissesNeverReachThePool) {
+    FaultGuard guard;
+    ModelRegistry registry;
+    registry.put("hybrid", synthetic_models(3, 64, 1.0));
+    RequestEngine engine(registry, {.workers = 2, .cache_capacity = 64});
+    SocketServer server(engine);
+    server.start();
+    ServeClient client("127.0.0.1", server.port());
+
+    // An armed plan makes every point count its evaluations; this one
+    // names a point no request below reaches.
+    fault::install(fault::FaultPlan::parse("store.fsync=1"));
+    const auto& dispatch = fault::point("rt.dispatch");
+    const auto& compute = fault::point("serve.compute");
+    const std::uint64_t dispatched = dispatch.evaluated();
+    const std::uint64_t computed = compute.evaluated();
+    constexpr std::int64_t kMisses = 16;
+    std::vector<std::string> lines;
+    for (std::int64_t n = 20; n < 20 + kMisses; ++n) {
+        lines.push_back(partition_line("hybrid", n, Algorithm::kFpm));
+    }
+    const auto replies = client.pipeline(lines);
+    const std::uint64_t dispatched_after = dispatch.evaluated();
+    const std::uint64_t computed_after = compute.evaluated();
+    fault::uninstall();
+
+    ASSERT_EQ(replies.size(), lines.size());
+    for (std::size_t i = 0; i < replies.size(); ++i) {
+        const PartitionReply reply = parse_partition_reply(replies[i]);
+        EXPECT_EQ(reply.n, 20 + static_cast<std::int64_t>(i));
+        EXPECT_FALSE(reply.cached) << replies[i];
+    }
+    EXPECT_EQ(dispatched_after - dispatched, 0U);
+    EXPECT_EQ(computed_after - computed, static_cast<std::uint64_t>(kMisses));
     server.stop();
 }
 

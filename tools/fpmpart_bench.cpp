@@ -190,8 +190,8 @@ int main(int argc, char** argv) {
             server->start();
             load.host = "127.0.0.1";
             load.port = server->port();
-            std::printf("spawned server on 127.0.0.1:%u (%zu reactor(s), "
-                        "%u worker(s))\n",
+            std::printf("spawned server on 127.0.0.1:%u (%zu reactor(s) "
+                        "answering PARTITION, %u FEEDBACK/LOAD worker(s))\n",
                         load.port, server->num_reactors(),
                         engine_options.workers);
         } else {

@@ -4,7 +4,10 @@
 // fpm::serve model registry and answers the line protocol on a loopback
 // TCP port with a pool of epoll reactors (pipelined requests, admission
 // control, idle eviction; `--reactors N` > 1 binds N SO_REUSEPORT
-// listeners and lets the kernel spread connections across them):
+// listeners and lets the kernel spread connections across them).  A
+// reactor answers every PARTITION itself, computing a cache miss on its
+// own thread, so `--reactors` is how many plans compute at once; the
+// `--threads N` engine pool runs only FEEDBACK and LOAD:
 //
 //   PING                                    liveness probe
 //   LOAD <name> <path>                      hot-(re)load a model set
@@ -77,6 +80,7 @@ int main(int argc, char** argv) {
             .bind("--port", "P", &config.port, 0, 65535)
             .bind("--bind", "ADDR", &config.bind_address)
             .bind("--reactors", "N", &config.num_reactors, 1, 1024)
+            // The FEEDBACK/LOAD pool; PARTITION computes on the reactors.
             .bind("--threads", "N", &engine_options.workers, 1, 4096)
             .bind("--cache", "N", &engine_options.cache_capacity, 1)
             .bind("--cache-shards", "N", &engine_options.cache_shards, 1, 4096)
@@ -284,8 +288,9 @@ int main(int argc, char** argv) {
 
         serve::SocketServer server(engine, config);
         server.start();
-        std::printf("fpmpart_serve listening on %s:%u (%zu reactor(s), "
-                    "%u worker(s), cache %zu in %zu shard(s), max %zu "
+        std::printf("fpmpart_serve listening on %s:%u (%zu reactor(s) "
+                    "answering PARTITION, %u FEEDBACK/LOAD worker(s), "
+                    "cache %zu in %zu shard(s), max %zu "
                     "conn(s), idle timeout %.3gs); Ctrl-D to stop\n",
                     config.bind_address.c_str(), server.port(),
                     server.num_reactors(), engine_options.workers,
