@@ -59,15 +59,29 @@ ServeFixture& fixture() {
     return instance;
 }
 
-// Full pipeline per iteration: distinct n values defeat the cache.
+// Full pipeline per iteration: a miss on every call.  The engine is this
+// run's own, and its LRU cache holds fewer plans than the walk over n has
+// keys, so each key is evicted before the walk comes back to it.
+// `computed_per_iter` counts the computes; the run fails unless it is 1.
 void BM_EngineColdPartition(benchmark::State& state) {
-    auto& f = fixture();
+    constexpr std::int64_t kKeys = 4096;
+    ModelRegistry registry;
+    registry.put("hybrid", synthetic_models(6, 48));
+    RequestEngine engine(registry, {.workers = 1, .cache_capacity = kKeys / 4});
+    const std::uint64_t computed_before = engine.stats().computed;
     std::int64_t n = 16;
     for (auto _ : state) {
-        n = 16 + (n + 1) % 4096;  // walks past any cache capacity reuse
+        n = 16 + (n + 1) % kKeys;
         const auto response =
-            f.engine.execute({"hybrid", n, Algorithm::kFpm, true});
+            engine.execute({"hybrid", n, Algorithm::kFpm, true});
         benchmark::DoNotOptimize(response.plan.get());
+    }
+    const auto computed =
+        static_cast<double>(engine.stats().computed - computed_before);
+    const auto iterations = static_cast<double>(state.iterations());
+    state.counters["computed_per_iter"] = computed / iterations;
+    if (computed != iterations) {
+        state.SkipWithError("a call hit the cache instead of computing");
     }
 }
 BENCHMARK(BM_EngineColdPartition);

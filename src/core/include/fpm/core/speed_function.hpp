@@ -115,9 +115,12 @@ private:
 /// immutable, one model may be read by any number of threads.  A view
 /// regenerates just the segment a query falls in, with the constructor's
 /// arithmetic, and keeps it for the next query, so results equal the full
-/// grid bit for bit.  Make one view per partitioning call: it points into
-/// its model and must not outlive it, and time(), invert() and piece()
-/// update its kept segment, so a view is never shared between threads.
+/// grid bit for bit; it also keeps the segment its last query found and
+/// tries it first.  Make one view per plan and let its stages share it
+/// (the solve, the shares, the rounding and the makespan), so each device
+/// regenerates its segment once: a view points into its model and must
+/// not outlive it, and time(), invert() and piece() update what it keeps,
+/// so a view is never shared between threads.
 class MonotoneTime {
 public:
     /// Grid samples per knot segment.
@@ -172,6 +175,8 @@ private:
     // The grid segment samples_ holds (none yet: max), and its samples.
     std::size_t segment_ = std::numeric_limits<std::size_t>::max();
     std::array<EnvelopeSample, kSamplesPerSegment> samples_{};
+    // The segment the last bracket() found, by x or by time alike.
+    std::size_t mark_ = 0;
 };
 
 } // namespace fpm::core

@@ -10,17 +10,31 @@ namespace fpm::core {
 
 namespace {
 
+/// Speed at x on the knot segment from a to b, a.x <= x < b.x.
+double interpolate(const SpeedPoint& a, const SpeedPoint& b, double x) {
+    return lerp(a.speed, b.speed, (x - a.x) / (b.x - a.x));
+}
+
 /// Writes grid segment `segment`'s samples to `out`, continuing from the
 /// grid's sample `prev`, and returns the segment's last (`prev` if none).
 /// Segment k < knots - 1 subsamples knot segment k; the last is the tail up
 /// to max_x.  The model's summary and every view's regeneration run this.
+/// A sample inside knot segment k takes its time from that segment
+/// directly, as fn.time() would after its search for the knots; only one
+/// outside it (a capacity clamp, the tail) asks fn.time().
 EnvelopeSample sample_segment(const SpeedFunction& fn, double max_x,
                               std::size_t segment, EnvelopeSample prev,
                               EnvelopeSample* out) {
+    const auto& pts = fn.points();
+    const bool knot_segment = segment + 1 < pts.size();
     std::size_t count = 0;
     auto push = [&](double x) {
         x = std::min(x, max_x);
-        prev = EnvelopeSample{x, std::max(fn.time(x), prev.time)};
+        const double t =
+            knot_segment && pts[segment].x <= x && x < pts[segment + 1].x
+                ? x / interpolate(pts[segment], pts[segment + 1], x)
+                : fn.time(x);
+        prev = EnvelopeSample{x, std::max(t, prev.time)};
         out[count++] = prev;
     };
     auto push_sample = [&](double x) {
@@ -28,8 +42,7 @@ EnvelopeSample sample_segment(const SpeedFunction& fn, double max_x,
             push(x);
         }
     };
-    const auto& pts = fn.points();
-    if (segment + 1 < pts.size()) {
+    if (knot_segment) {
         for (std::size_t s = 0; s < MonotoneTime::kSamplesPerSegment; ++s) {
             const double t = static_cast<double>(s) /
                              static_cast<double>(MonotoneTime::kSamplesPerSegment);
@@ -98,9 +111,7 @@ double SpeedFunction::speed(double x) const {
     const auto upper = std::upper_bound(
         points_.begin(), points_.end(), x,
         [](double value, const SpeedPoint& p) { return value < p.x; });
-    const auto lower = upper - 1;
-    const double t = (x - lower->x) / (upper->x - lower->x);
-    return lerp(lower->speed, upper->speed, t);
+    return interpolate(*(upper - 1), *upper, x);
 }
 
 double SpeedFunction::time(double x) const {
@@ -161,10 +172,17 @@ std::pair<EnvelopeSample, EnvelopeSample>
 MonotoneTime::bracket(double value, double EnvelopeSample::*key,
                       bool marks_only) {
     // The first grid sample above `value` is in the first segment whose
-    // last sample is above it.
+    // last sample is above it.  Marks are sorted along x and time alike,
+    // so the last query's segment is it while value still falls between
+    // that segment's mark and the one before; a solve's queries converge,
+    // so most skip the search.
     const auto& marks = fn_->envelope_;
-    const auto k = static_cast<std::size_t>(
-        std::ranges::upper_bound(marks, value, {}, key) - marks.begin());
+    std::size_t k = mark_;
+    if (!(value < marks[k].*key && (k == 0 || marks[k - 1].*key <= value))) {
+        k = static_cast<std::size_t>(
+            std::ranges::upper_bound(marks, value, {}, key) - marks.begin());
+        mark_ = k;
+    }
     EnvelopeSample lo = k == 0 ? EnvelopeSample{} : marks[k - 1];
     // A mark that an emptied segment repeats equals the one before, so it
     // is never the first above `value`.

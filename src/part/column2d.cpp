@@ -29,51 +29,56 @@ std::vector<std::int64_t> ColumnLayout::actual_areas() const {
 }
 
 void ColumnLayout::validate() const {
-    std::int64_t covered = 0;
-    for (const auto& rect : rects) {
+    // The columns tile [0, n) left to right; each column's rectangles span
+    // its width and stack from row 0 to row n.  Every rectangle listed is
+    // non-empty and sits where the walk reaches it, so no two entries name
+    // one device, and as many are listed as there are non-empty
+    // rectangles: each sits in exactly one column, and together they tile
+    // the n x n matrix without overlap.
+    FPM_ASSERT(columns.size() == column_widths.size());
+    std::size_t listed = 0;
+    std::int64_t col0 = 0;
+    for (std::size_t c = 0; c < columns.size(); ++c) {
+        const std::int64_t width = column_widths[c];
+        FPM_ASSERT(width >= 1 && width <= n - col0);
+        std::int64_t row0 = 0;
+        for (const std::size_t device : columns[c]) {
+            FPM_ASSERT(device < rects.size());
+            const Rect& rect = rects[device];
+            FPM_ASSERT(rect.col0 == col0 && rect.w == width);
+            FPM_ASSERT(rect.row0 == row0 && rect.h >= 1 && rect.h <= n - row0);
+            row0 += rect.h;
+        }
+        FPM_ASSERT(row0 == n);
+        listed += columns[c].size();
+        col0 += width;
+    }
+    FPM_ASSERT(col0 == n);
+    std::size_t non_empty = 0;
+    for (const Rect& rect : rects) {
         FPM_ASSERT(rect.w >= 0 && rect.h >= 0);
-        if (rect.area() == 0) {
-            continue;
-        }
-        FPM_ASSERT(rect.col0 >= 0 && rect.row0 >= 0);
-        FPM_ASSERT(rect.col0 + rect.w <= n);
-        FPM_ASSERT(rect.row0 + rect.h <= n);
-        covered += rect.area();
-    }
-    FPM_ASSERT(covered == n * n);
-
-    // Pairwise disjointness of non-empty rectangles.
-    for (std::size_t i = 0; i < rects.size(); ++i) {
-        if (rects[i].area() == 0) {
-            continue;
-        }
-        for (std::size_t j = i + 1; j < rects.size(); ++j) {
-            if (rects[j].area() == 0) {
-                continue;
-            }
-            const bool disjoint_cols = rects[i].col0 + rects[i].w <= rects[j].col0 ||
-                                       rects[j].col0 + rects[j].w <= rects[i].col0;
-            const bool disjoint_rows = rects[i].row0 + rects[i].h <= rects[j].row0 ||
-                                       rects[j].row0 + rects[j].h <= rects[i].row0;
-            FPM_ASSERT(disjoint_cols || disjoint_rows);
+        if (rect.w > 0 && rect.h > 0) {
+            ++non_empty;
         }
     }
+    FPM_ASSERT(listed == non_empty);
 }
 
 namespace {
 
-/// Largest-remainder split of `total` into parts proportional to weights;
-/// every positive-weight part gets at least `minimum` (stolen from the
-/// largest parts), provided total >= minimum * positive_weights.
-std::vector<std::int64_t> proportional_split(std::span<const double> weights,
-                                             std::int64_t total,
-                                             std::int64_t minimum) {
+/// Largest-remainder split of `total` into `parts` proportional to
+/// weights; every positive-weight part gets at least `minimum` (stolen
+/// from the largest parts), provided total >= minimum * positive_weights.
+/// `remainders` is scratch, so a caller splitting many times reuses both.
+void proportional_split(std::span<const double> weights, std::int64_t total,
+                        std::int64_t minimum, std::vector<std::int64_t>& parts,
+                        std::vector<std::pair<double, std::size_t>>& remainders) {
     const double weight_sum = std::accumulate(weights.begin(), weights.end(), 0.0);
     FPM_CHECK(weight_sum > 0.0, "proportional split needs positive weight");
 
     const std::size_t p = weights.size();
-    std::vector<std::int64_t> parts(p, 0);
-    std::vector<std::pair<double, std::size_t>> remainders;
+    parts.assign(p, 0);
+    remainders.clear();
     std::int64_t assigned = 0;
     for (std::size_t i = 0; i < p; ++i) {
         const double exact =
@@ -104,7 +109,6 @@ std::vector<std::int64_t> proportional_split(std::span<const double> weights,
             parts[i] += 1;
         }
     }
-    return parts;
 }
 
 } // namespace
@@ -175,47 +179,47 @@ ColumnLayout column_partition(std::int64_t n, std::span<const std::int64_t> area
         segments.emplace_back(i, next[i]);
     }
 
-    // Integer column widths proportional to column areas.
-    std::vector<double> column_area;
-    column_area.reserve(segments.size());
+    // Integer column widths proportional to column areas.  Every split
+    // reuses the same buffers.
+    std::vector<double> weights;
+    std::vector<std::int64_t> heights;
+    std::vector<std::pair<double, std::size_t>> remainders;
+    weights.reserve(m);
     for (const auto& [b, e] : segments) {
-        column_area.push_back(prefix[e] - prefix[b]);
+        weights.push_back(prefix[e] - prefix[b]);
     }
-    layout.column_widths = proportional_split(column_area, n, /*minimum=*/1);
+    proportional_split(weights, n, /*minimum=*/1, layout.column_widths,
+                       remainders);
 
     // Lay out each column: heights proportional to device areas.
+    layout.columns.reserve(segments.size());
     std::int64_t col0 = 0;
     for (std::size_t c = 0; c < segments.size(); ++c) {
         const auto [b, e] = segments[c];
         const std::int64_t width = layout.column_widths[c];
 
-        std::vector<double> weights;
-        weights.reserve(e - b);
+        weights.clear();
         for (std::size_t k = b; k < e; ++k) {
             weights.push_back(static_cast<double>(areas[order[k]]));
         }
-        const std::vector<std::int64_t> heights =
-            proportional_split(weights, n, /*minimum=*/1);
+        proportional_split(weights, n, /*minimum=*/1, heights, remainders);
 
         std::int64_t row0 = 0;
-        std::vector<std::size_t> column_devices;
         for (std::size_t k = b; k < e; ++k) {
-            const std::size_t device = order[k];
-            Rect rect;
+            Rect& rect = layout.rects[order[k]];
             rect.col0 = col0;
             rect.row0 = row0;
             rect.w = width;
             rect.h = heights[k - b];
-            layout.rects[device] = rect;
             row0 += rect.h;
-            column_devices.push_back(device);
         }
-        FPM_ASSERT(row0 == n);
-        layout.columns.push_back(std::move(column_devices));
+        layout.columns.emplace_back(order.begin() + static_cast<std::ptrdiff_t>(b),
+                                    order.begin() + static_cast<std::ptrdiff_t>(e));
         col0 += width;
     }
-    FPM_ASSERT(col0 == n);
 
+    // Checks, among the rest, that each column's heights and the widths
+    // add up to n.
     layout.validate();
     return layout;
 }

@@ -8,6 +8,7 @@
 #include "fpm/common/error.hpp"
 #include "fpm/obs/metrics.hpp"
 #include "fpm/obs/trace.hpp"
+#include "views.hpp"
 
 namespace fpm::part {
 
@@ -40,7 +41,7 @@ struct FpmMetrics {
 /// lo above T to a sample time or lowers hi to one at or below T.  There
 /// are finitely many sample times, so the loop ends, and a bracket that
 /// closes (lo >= hi) does so where S steps over the total: the root is hi.
-double solve(std::vector<core::MonotoneTime>& envelopes, double total,
+double solve(std::span<core::MonotoneTime> envelopes, double total,
              double start, bool marks_only, std::size_t& evaluations) {
     double lo = 0.0;
     double hi = std::numeric_limits<double>::infinity();
@@ -82,25 +83,27 @@ double solve(std::vector<core::MonotoneTime>& envelopes, double total,
 
 FpmPartitionResult partition_fpm(std::span<const core::SpeedFunction> models,
                                  double total) {
-    FPM_CHECK(!models.empty(), "need at least one device");
+    std::vector<core::MonotoneTime> envelopes = make_views(models);
+    return partition_fpm(envelopes, total);
+}
+
+FpmPartitionResult partition_fpm(std::span<core::MonotoneTime> envelopes,
+                                 double total) {
+    FPM_CHECK(!envelopes.empty(), "need at least one device");
     FPM_CHECK(std::isfinite(total) && total >= 0.0,
               "total workload must be finite and non-negative");
     obs::Span span("part.fpm_partition", static_cast<std::uint64_t>(total));
 
-    const std::size_t p = models.size();
+    const std::size_t p = envelopes.size();
     FpmPartitionResult result;
     result.partition.share.assign(p, 0.0);
     if (total == 0.0) {
         return result;
     }
 
-    // Views of each model's monotone execution-time envelope.
-    std::vector<core::MonotoneTime> envelopes;
-    envelopes.reserve(p);
     double capacity = 0.0;
-    for (const auto& model : models) {
-        envelopes.emplace_back(model);
-        capacity += envelopes.back().max_problem();
+    for (const auto& envelope : envelopes) {
+        capacity += envelope.max_problem();
     }
     FPM_CHECK(capacity >= total,
               "combined device capacity cannot hold the requested workload");

@@ -3,8 +3,7 @@
 #include <numeric>
 
 #include "fpm/common/error.hpp"
-#include "fpm/part/fpm_partitioner.hpp"
-#include "fpm/part/integer.hpp"
+#include "views.hpp"
 
 namespace fpm::part {
 
@@ -12,13 +11,17 @@ HierarchicalResult partition_hierarchical(
     const std::vector<std::vector<core::SpeedFunction>>& node_models,
     std::int64_t total) {
     FPM_CHECK(!node_models.empty(), "need at least one node");
-    std::vector<core::SpeedFunction> devices;
+    // One envelope view per device of every node serves the flat solve,
+    // its rounding and the makespan.
+    std::vector<core::MonotoneTime> envelopes;
     for (const auto& node : node_models) {
         FPM_CHECK(!node.empty(), "node without devices");
-        devices.insert(devices.end(), node.begin(), node.end());
+        for (const auto& model : node) {
+            envelopes.emplace_back(model);
+        }
     }
-    const auto flat = partition_fpm(devices, static_cast<double>(total));
-    const auto rounded = round_partition(flat.partition, total, devices);
+    const auto flat = partition_fpm(envelopes, static_cast<double>(total));
+    const auto rounded = round_partition(flat.partition, total, envelopes);
 
     HierarchicalResult result;
     result.makespan = rounded.makespan;

@@ -14,7 +14,8 @@
 /// Following Beaumont et al., devices are sorted by area in non-increasing
 /// order and an optimal *contiguous* assignment of that order into columns
 /// is found by dynamic programming in O(p^2); the result is then rounded
-/// to whole blocks with exact-cover guarantees.
+/// to whole blocks with exact-cover guarantees, which column_partition()
+/// checks in O(p) (ColumnLayout::validate()) before it returns.
 #pragma once
 
 #include <cstdint>
@@ -52,8 +53,13 @@ struct ColumnLayout {
     /// Areas actually assigned after integer rounding.
     [[nodiscard]] std::vector<std::int64_t> actual_areas() const;
 
-    /// Verifies the exact-cover invariant: non-empty rectangles tile the
-    /// n x n matrix without overlap.  Throws fpm::LogicError on violation.
+    /// Verifies the exact-cover invariant, non-empty rectangles tiling the
+    /// n x n matrix without overlap, in O(p) by walking the columns: they
+    /// tile [0, n) left to right with widths of at least 1, each column's
+    /// rectangles have its width and stack from row 0 to row n, and every
+    /// non-empty rectangle sits in exactly one column.  So a layout whose
+    /// `columns` or `column_widths` disagree with its rectangles fails too.
+    /// Throws fpm::LogicError on violation.
     void validate() const;
 };
 

@@ -13,7 +13,9 @@
 /// pieces (core::MonotoneTime::piece), first on the segment ends each model
 /// stores, then on the full grid.  Each model builds its envelope once,
 /// when it is constructed; a call only reads it, through one
-/// core::MonotoneTime view per device.
+/// core::MonotoneTime view per device.  partition_fpm() builds those
+/// views itself; part::partition() and partition_hierarchical() build
+/// them once per plan and hand the same views on to the rounding.
 ///
 /// Devices with a finite maximum problem size (a GPU without out-of-core
 /// support) simply saturate at that maximum; the algorithm remains correct

@@ -12,8 +12,11 @@
 /// the largest size with t_i(x_i) <= T at the balanced time T, so the
 /// floors hold exactly the blocks whose time is at most T, and the greedy
 /// adds the smallest remaining ones in increasing order.  Raw time is not
-/// monotone, hence the envelope.  The cpm and even baselines round by
-/// largest remainder.
+/// monotone, hence the envelope.  round_partition() builds one view per
+/// device for the greedy and the makespan; part::partition() and
+/// partition_hierarchical() round on the views their solve used, so the
+/// segments the solve regenerated serve the rounding too.  The cpm and
+/// even baselines round by largest remainder.
 #pragma once
 
 #include <cstdint>

@@ -6,10 +6,14 @@
 /// PartitionRequest, call partition(), get a PartitionPlan.  Every 2-D
 /// plan comes from here: the serve subsystem, `fpmpart_partition`, the
 /// paper benches and the examples plan through it, and the simulated
-/// applications run its layout.  1-D workloads (stencil rows, LU panels,
-/// a cluster's per-node shares) and the per-stage benchmarks call
-/// partition_fpm() and round_partition() directly.  Algorithm and its
-/// one to_string()/parse_algorithm() pair live here and nowhere else.
+/// applications run its layout.  An fpm plan builds one envelope view
+/// (core::MonotoneTime) per device and runs the solve, the shares, the
+/// rounding and the makespan on it, so each device regenerates its
+/// envelope segment once per plan.  1-D workloads (stencil rows, LU
+/// panels) and the per-stage benchmarks call partition_fpm() and
+/// round_partition() directly, which build views of their own; the
+/// plans are the same bit for bit.  Algorithm and its one
+/// to_string()/parse_algorithm() pair live here and nowhere else.
 #pragma once
 
 #include <cstdint>

@@ -7,6 +7,7 @@
 #include <numeric>
 
 #include "fpm/common/error.hpp"
+#include "views.hpp"
 
 namespace fpm::part {
 
@@ -61,29 +62,31 @@ IntPartition1D round_largest_remainder(const Partition1D& partition,
 
 IntPartition1D round_partition(const Partition1D& partition, std::int64_t total,
                                std::span<const core::SpeedFunction> models) {
-    FPM_CHECK(models.size() == partition.share.size(),
+    std::vector<core::MonotoneTime> envelopes = make_views(models);
+    return round_partition(partition, total, envelopes);
+}
+
+IntPartition1D round_partition(const Partition1D& partition, std::int64_t total,
+                               std::span<core::MonotoneTime> envelopes) {
+    FPM_CHECK(envelopes.size() == partition.share.size(),
               "models and partition must have equal length");
     IntPartition1D result;
     std::int64_t leftover = take_floors(partition, total, result);
-    const std::size_t p = models.size();
+    const std::size_t p = envelopes.size();
 
-    // One envelope view per device serves the greedy and the makespan;
-    // next[i] is device i's time with one more block, infinity past its
-    // capacity.
-    std::vector<core::MonotoneTime> envelopes;
-    envelopes.reserve(p);
+    // The views serve the greedy and the makespan; next[i] is device i's
+    // time with one more block, infinity past its capacity.
     std::vector<double> next(p);
     auto time_with_one_more = [&](std::size_t i) {
         const double x = static_cast<double>(result.blocks[i] + 1);
-        return x <= models[i].max_problem()
+        return x <= envelopes[i].max_problem()
                    ? envelopes[i].time(x)
                    : std::numeric_limits<double>::infinity();
     };
     for (std::size_t i = 0; i < p; ++i) {
         FPM_CHECK(
-            static_cast<double>(result.blocks[i]) <= models[i].max_problem(),
+            static_cast<double>(result.blocks[i]) <= envelopes[i].max_problem(),
             "a share's floor exceeds its device's capacity");
-        envelopes.emplace_back(models[i]);
         next[i] = time_with_one_more(i);
     }
     for (; leftover > 0; --leftover) {

@@ -7,9 +7,8 @@
 
 #include "fpm/common/error.hpp"
 #include "fpm/obs/trace.hpp"
-#include "fpm/part/fpm_partitioner.hpp"
-#include "fpm/part/integer.hpp"
 #include "fpm/part/partition.hpp"
+#include "views.hpp"
 
 namespace fpm::part {
 
@@ -128,39 +127,35 @@ PartitionPlan partition(const PartitionRequest& request) {
     const double total =
         static_cast<double>(request.n) * static_cast<double>(request.n);
 
-    Partition1D continuous;
     PartitionPlan plan;
     plan.n = request.n;
     plan.algorithm = request.algorithm;
     plan.with_layout = request.with_layout;
-    switch (request.algorithm) {
-    case Algorithm::kFpm: {
-        auto result = partition_fpm(models, total);
-        continuous = std::move(result.partition);
-        plan.balanced_time = result.balanced_time;
-        break;
-    }
-    case Algorithm::kCpm: {
-        // The traditional baseline: each model collapses to its speed at
-        // the even share.
-        std::vector<double> speeds;
-        speeds.reserve(models.size());
-        const double share = total / static_cast<double>(models.size());
-        for (const auto& model : models) {
-            speeds.push_back(model.speed(std::min(share, model.max_problem())));
-        }
-        continuous = partition_cpm(speeds, total);
-        break;
-    }
-    case Algorithm::kEven:
-        continuous = partition_homogeneous(models.size(), total);
-        break;
-    }
-
     IntPartition1D rounded;
     if (request.algorithm == Algorithm::kFpm) {
-        rounded = round_partition(continuous, request.n * request.n, models);
+        // One envelope view per device serves the solve, the shares, the
+        // rounding and the makespan.
+        std::vector<core::MonotoneTime> envelopes = make_views(models);
+        const auto continuous = partition_fpm(envelopes, total);
+        plan.balanced_time = continuous.balanced_time;
+        rounded = round_partition(continuous.partition, request.n * request.n,
+                                  envelopes);
     } else {
+        Partition1D continuous;
+        if (request.algorithm == Algorithm::kCpm) {
+            // The traditional baseline: each model collapses to its speed
+            // at the even share.
+            std::vector<double> speeds;
+            speeds.reserve(models.size());
+            const double share = total / static_cast<double>(models.size());
+            for (const auto& model : models) {
+                speeds.push_back(
+                    model.speed(std::min(share, model.max_problem())));
+            }
+            continuous = partition_cpm(speeds, total);
+        } else {
+            continuous = partition_homogeneous(models.size(), total);
+        }
         // The paper's baselines round by largest remainder.
         rounded = round_largest_remainder(continuous, request.n * request.n);
         repair_capacity(rounded.blocks, models);

@@ -166,6 +166,101 @@ TEST(Column2D, ManyEqualTinyDevices) {
     layout.validate();
 }
 
+/// A valid layout of three columns, two rectangles each, and an empty
+/// rectangle, for validate() to reject mutations of.
+ColumnLayout mutable_layout() {
+    const std::vector<std::int64_t> areas = {30, 14, 13, 0, 16, 14, 13};
+    ColumnLayout layout = column_partition(10, areas);
+    EXPECT_NO_THROW(layout.validate());
+    EXPECT_EQ(layout.columns.size(), 3U);
+    EXPECT_EQ(layout.rects[3].area(), 0);
+    return layout;
+}
+
+/// The first column that stacks at least two rectangles.
+std::size_t tall_column(const ColumnLayout& layout) {
+    for (std::size_t c = 0; c < layout.columns.size(); ++c) {
+        if (layout.columns[c].size() >= 2) {
+            return c;
+        }
+    }
+    ADD_FAILURE() << "no column holds two rectangles";
+    return 0;
+}
+
+TEST(Column2DValidate, RejectsOverlapGapAndOverflow) {
+    {
+        // The second rectangle of a column moved onto the first.
+        ColumnLayout layout = mutable_layout();
+        const auto& column = layout.columns[tall_column(layout)];
+        layout.rects[column[1]].row0 = layout.rects[column[0]].row0;
+        EXPECT_THROW(layout.validate(), LogicError);
+    }
+    {
+        // A column's last rectangle one row short: a gap.
+        ColumnLayout layout = mutable_layout();
+        layout.rects[layout.columns[tall_column(layout)].back()].h -= 1;
+        EXPECT_THROW(layout.validate(), LogicError);
+    }
+    {
+        // The last column's rectangles shifted one block past n.
+        ColumnLayout layout = mutable_layout();
+        for (const std::size_t device : layout.columns.back()) {
+            layout.rects[device].col0 += 1;
+        }
+        EXPECT_THROW(layout.validate(), LogicError);
+    }
+    {
+        // A rectangle one row taller, reaching past row n.
+        ColumnLayout layout = mutable_layout();
+        layout.rects[layout.columns.front().back()].h += 1;
+        EXPECT_THROW(layout.validate(), LogicError);
+    }
+    {
+        // A negative width.
+        ColumnLayout layout = mutable_layout();
+        layout.rects[layout.columns.front().front()].w *= -1;
+        EXPECT_THROW(layout.validate(), LogicError);
+    }
+}
+
+TEST(Column2DValidate, RejectsBookkeepingThatDisagreesWithTheRects) {
+    // The rectangles still tile the matrix in each case, so only the
+    // columns and their widths give the layout away.
+    {
+        // A non-empty rectangle that no column lists.
+        ColumnLayout layout = mutable_layout();
+        layout.columns[tall_column(layout)].pop_back();
+        EXPECT_THROW(layout.validate(), LogicError);
+    }
+    {
+        // A column width that disagrees with its rectangles.
+        ColumnLayout layout = mutable_layout();
+        layout.column_widths.front() += 1;
+        layout.column_widths.back() -= 1;
+        EXPECT_THROW(layout.validate(), LogicError);
+    }
+    {
+        // A device listed twice, in its own column and another.
+        ColumnLayout layout = mutable_layout();
+        const std::size_t device = layout.columns.front().front();
+        layout.columns.back().push_back(device);
+        EXPECT_THROW(layout.validate(), LogicError);
+    }
+    {
+        // The empty rectangle listed in a column.
+        ColumnLayout layout = mutable_layout();
+        layout.columns.back().push_back(3);
+        EXPECT_THROW(layout.validate(), LogicError);
+    }
+    {
+        // One width per column.
+        ColumnLayout layout = mutable_layout();
+        layout.column_widths.push_back(0);
+        EXPECT_THROW(layout.validate(), LogicError);
+    }
+}
+
 TEST(Column2D, DeviceCountBeyondRowsStillFeasibleViaColumns) {
     // 12 devices on an 8x8 matrix: no single column can host them all,
     // but multiple columns can.

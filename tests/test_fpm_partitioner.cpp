@@ -2,7 +2,8 @@
 // conservation, balance, optimality against brute force, capacity limits,
 // degenerate inputs, the exact solve against the bisection it replaced,
 // a pin of the full pipeline's plans, integer plans against an exhaustive
-// oracle, and the rounding and capacity repair of the cpm/even baselines.
+// oracle, the rounding and capacity repair of the cpm/even baselines, and
+// plans whose stages share views against the stages composed by hand.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 
 #include "fpm/common/hash.hpp"
 #include "fpm/core/speed_function.hpp"
+#include "fpm/obs/metrics.hpp"
 #include "fpm/part/fpm_partitioner.hpp"
 #include "fpm/part/integer.hpp"
 #include "fpm/part/request.hpp"
@@ -799,6 +801,91 @@ TEST(Baselines, CapacityRepairTakesNoStepPerOverflowBlock) {
         EXPECT_EQ(plan.blocks,
                   (std::vector<std::int64_t>{1000, kMaxN * kMaxN - 1000}))
             << to_string(algorithm);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// One set of views per plan against the public stages composed by hand
+// ---------------------------------------------------------------------------
+
+/// Where partition()'s fpm plan for `n`, whose stages share one envelope
+/// view per device, differs from partition_fpm() → round_partition() →
+/// column_partition() composed by hand, each building views of its own
+/// (the composition the 1-D callers and the service benchmark's replay
+/// run), as text: blocks, rects, balanced_time, makespan or the solve's
+/// evaluations (part.fpm.iterations) in any bit.
+std::string shared_view_mismatches(std::span<const SpeedFunction> models,
+                                   std::int64_t n) {
+    const obs::Counter& evaluations =
+        obs::MetricsRegistry::global().counter("part.fpm.iterations");
+    const std::uint64_t before = evaluations.value();
+    const PartitionPlan plan =
+        partition(PartitionRequest{models, n, Algorithm::kFpm, true});
+    const std::uint64_t plan_evaluations = evaluations.value() - before;
+
+    const auto continuous =
+        partition_fpm(models, static_cast<double>(n) * static_cast<double>(n));
+    const auto rounded = round_partition(continuous.partition, n * n, models);
+    const ColumnLayout layout = column_partition(n, rounded.blocks);
+    std::ostringstream out;
+    if (plan.blocks != rounded.blocks) {
+        out << " blocks";
+    }
+    if (!std::ranges::equal(plan.layout.rects, layout.rects,
+                            [](const Rect& a, const Rect& b) {
+                                return a.col0 == b.col0 && a.row0 == b.row0 &&
+                                       a.w == b.w && a.h == b.h;
+                            })) {
+        out << " rects";
+    }
+    if (!same_bits(plan.balanced_time, continuous.balanced_time)) {
+        out << " balanced_time";
+    }
+    if (!same_bits(plan.makespan, rounded.makespan)) {
+        out << " makespan";
+    }
+    if (plan_evaluations != continuous.iterations) {
+        out << " evaluations " << plan_evaluations << " vs "
+            << continuous.iterations;
+    }
+    return out.str();
+}
+
+TEST(SharedViews, PinnedSetsPlanAsTheComposedStages) {
+    for (const auto& models : hybrid_sets(11, 100)) {
+        for (std::int64_t n = 16; n <= 150; ++n) {
+            EXPECT_EQ(shared_view_mismatches(models, n), "")
+                << models.size() << " devices, n = " << n;
+        }
+    }
+}
+
+TEST(SharedViews, PaperNodePlansAsTheComposedStages) {
+    const auto models = paper_node();
+    for (std::int64_t n = 8; n <= 80; ++n) {
+        EXPECT_EQ(shared_view_mismatches(models, n), "") << "n = " << n;
+    }
+}
+
+TEST(SharedViews, RandomPopulationsPlanAsTheComposedStages) {
+    // test_fuzz's populations: ramps, cliffs and capacity bounds.
+    for (const std::uint64_t seed : {20120924ULL, 777ULL}) {
+        Rng rng(seed);
+        for (int trial = 0; trial < 60; ++trial) {
+            const std::size_t devices = 1 + rng.uniform_int(0, 7);
+            std::vector<SpeedFunction> models;
+            double capacity = 0.0;
+            for (std::size_t i = 0; i < devices; ++i) {
+                models.push_back(fuzz::random_model(rng, fuzz::device_name(i)));
+                capacity += models.back().max_problem();
+            }
+            for (std::int64_t n = 1; n <= 90 &&
+                                     static_cast<double>(n * n) <= capacity;
+                 n += 1 + n / 3) {
+                EXPECT_EQ(shared_view_mismatches(models, n), "")
+                    << "seed " << seed << ", trial " << trial << ", n = " << n;
+            }
+        }
     }
 }
 

@@ -24,7 +24,9 @@ using core::SpeedFunction;
 using Nodes = std::vector<std::vector<SpeedFunction>>;
 
 /// The plan the two-level plan must equal: every device of every node in
-/// one partition_fpm() and one round_partition().
+/// one partition_fpm() and one round_partition(), the public stages, each
+/// building views of its own where partition_hierarchical() shares one
+/// view per device between them.
 IntPartition1D flat_plan(const Nodes& nodes, std::int64_t total) {
     std::vector<SpeedFunction> flat;
     for (const auto& node : nodes) {
@@ -99,6 +101,15 @@ TEST(FlatPlan, PinnedSetsSplitIntoNodes) {
             EXPECT_TRUE(is_flat_plan(*nodes, n * n))
                 << nodes->size() << " nodes, n = " << n;
         }
+    }
+}
+
+TEST(FlatPlan, PaperNodeSplitIntoTwoNodes) {
+    // The node built as the paper benches build it, cut after its second
+    // device.
+    const Nodes nodes = split(testsets::hybrid_fpms({}, 0.04), {2, 4});
+    for (std::int64_t n = 8; n <= 80; ++n) {
+        EXPECT_TRUE(is_flat_plan(nodes, n * n)) << "n = " << n;
     }
 }
 

@@ -7,9 +7,12 @@
 #include <cmath>
 #include <cstdint>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "fpm/app/device_set.hpp"
 #include "fpm/common/math.hpp"
+#include "fpm/common/rng.hpp"
 #include "fpm/core/speed_function.hpp"
 #include "fpm/sim/specs.hpp"
 
@@ -269,9 +272,11 @@ std::vector<double> probes(const std::vector<double>& grid) {
     return out;
 }
 
-/// Probes one view against the reference forwards then backwards, so the
-/// view both keeps and swaps its regenerated segment; returns the probes
-/// whose bits differ, as text.
+/// Probes one view against the reference forwards, then backwards, then
+/// in a seeded random order that mixes time(), invert() and marks-only
+/// piece() queries, so the view both keeps and swaps its regenerated
+/// segment and starts each search from whatever mark the query before it
+/// left; returns the probes whose bits differ, as text.
 std::string compact_mismatches(const SpeedFunction& fn) {
     const FullGridEnvelope reference(fn);
     MonotoneTime view(fn);
@@ -295,6 +300,36 @@ std::string compact_mismatches(const SpeedFunction& fn) {
             const double t = pass == 0 ? ts[i] : ts[ts.size() - 1 - i];
             if (!same(view.invert(t), reference.invert(t))) {
                 out << " invert(" << t << ")";
+            }
+        }
+    }
+    enum class Kind { kTime, kInvert, kMarks };
+    std::vector<std::pair<Kind, double>> queries;
+    for (const double x : xs) {
+        queries.emplace_back(Kind::kTime, x);
+    }
+    for (const double t : ts) {
+        queries.emplace_back(Kind::kInvert, t);
+        queries.emplace_back(Kind::kMarks, t);
+    }
+    Rng rng(fn.points().size());
+    for (std::size_t i = queries.size(); i > 1; --i) {
+        const auto j = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
+        std::swap(queries[i - 1], queries[j]);
+    }
+    for (const auto& [kind, value] : queries) {
+        if (kind == Kind::kTime && !same(view.time(value), reference.time(value))) {
+            out << " shuffled time(" << value << ")";
+        }
+        if (kind == Kind::kInvert &&
+            !same(view.invert(value), reference.invert(value))) {
+            out << " shuffled invert(" << value << ")";
+        }
+        if (kind == Kind::kMarks) {
+            const MonotoneTime::Piece coarse = view.piece(value, true);
+            if (!(coarse.t0 <= value && value < coarse.t1)) {
+                out << " shuffled marks(" << value << ")";
             }
         }
     }
